@@ -16,6 +16,12 @@ arithmetic on the coefficient vectors b₁, b₂:
 
 The line fields and the contact predicate are exact rational computations;
 only the coframe normalization needs floating point.
+
+A map is compiled once per request (:class:`CompiledMap`): its Jacobian
+entries, b₁, b₂ and the first partials of their numerators and denominators
+are differentiated once.  Each point is then evaluated in integers over the
+point's common denominator, every per-point quantity is computed once, and
+the public per-point functions are thin wrappers over the same kernels.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .exterior import J0_MATRIX
-from .polynomials import Poly, RatFunc
+from .polynomials import CompiledFunctions, Poly, RatFunc, RationalPoint
 
 Coefficient = Union[Poly, RatFunc]
 NVARS = 3
@@ -56,11 +62,7 @@ class _ParamMap:
 
     def jacobian_at(self, point: Sequence) -> list:
         """Exact Jacobian at a rational point; raises on rank drop."""
-        pt = [Fraction(x) for x in point]
-        jac = [[entry(pt) for entry in row] for row in self.jacobian()]
-        if linalg.rank(jac) != 3:
-            raise ValueError(f"map is not an immersion at {point}: Jacobian rank < 3")
-        return jac
+        return _jacobian(_compile_jacobian(self), RationalPoint(point, NVARS))
 
     def value_at(self, point: Sequence) -> list:
         pt = [Fraction(x) for x in point]
@@ -201,6 +203,43 @@ def pullback_splitting(u: ParamMap) -> Tuple[PolyForm3, PolyForm3]:
     return PolyForm3.from_wedge_coefficients(beta1), PolyForm3.from_wedge_coefficients(beta2)
 
 
+def _compile_jacobian(u: ParamMap) -> CompiledFunctions:
+    return CompiledFunctions([f for row in u.jacobian() for f in row], NVARS)
+
+
+def _compile_pair(beta1: PolyForm3, beta2: PolyForm3) -> CompiledFunctions:
+    return CompiledFunctions(beta1.b + beta2.b, NVARS, gradient=True)
+
+
+class CompiledMap:
+    """The derived functions of a map, built once for many points.
+
+    Holds the 4×3 Jacobian entries, and b₁, b₂ with the first partials of
+    their numerators and denominators (all that the pointwise quotient rule
+    needs).  ``betas`` can pass a precomputed pullback pair.
+    """
+
+    def __init__(self, u: ParamMap, betas=None):
+        beta1, beta2 = betas if betas is not None else pullback_splitting(u)
+        self.jacobian = _compile_jacobian(u)
+        self.pair = _compile_pair(beta1, beta2)
+
+
+def _jacobian(compiled: CompiledFunctions, pt: RationalPoint) -> list:
+    """Exact 4×3 Jacobian at the point; raises on rank drop."""
+    vals = compiled.at(pt)[0]
+    jac = [vals[3 * i : 3 * i + 3] for i in range(4)]
+    if linalg.rank(jac) != 3:
+        raise ValueError(f"map is not an immersion at {pt.coords}: Jacobian rank < 3")
+    return jac
+
+
+def _pair(compiled: CompiledFunctions, pt: RationalPoint):
+    """(b₁, b₂, ∇b₁, ∇b₂) at the point; ∇bᵢ lists the gradient of each component."""
+    vals, grads = compiled.at(pt)
+    return tuple(vals[:3]), tuple(vals[3:]), grads[:3], grads[3:]
+
+
 @dataclass(frozen=True)
 class AdaptedCoframe:
     """Pointwise coframe (η₁, η₂, η₃) with β₁ = η₂∧η₁ and β₂ = η₂∧η₃."""
@@ -220,14 +259,10 @@ class AdaptedCoframe:
         )
 
 
-def adapted_coframe_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence, tol: float = 1e-10) -> AdaptedCoframe:
-    """Cross-product coframe at a point where β₁, β₂ are independent."""
-    pt = tuple(Fraction(x) for x in point)
-    b1 = beta1.b_at(pt)
-    b2 = beta2.b_at(pt)
+def _coframe(coords: Tuple[Fraction, ...], b1, b2, tol: float) -> AdaptedCoframe:
     c = _cross(b1, b2)
     if all(x == 0 for x in c):
-        raise ValueError(f"beta forms are dependent at {point}")
+        raise ValueError(f"beta forms are dependent at {coords}")
     b1f = tuple(float(x) for x in b1)
     b2f = tuple(float(x) for x in b2)
     cf = tuple(float(x) for x in c)
@@ -236,14 +271,22 @@ def adapted_coframe_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence, tol:
     eta1 = _cross(b1f, e)
     eta2 = e
     eta3 = _cross(b2f, e)
-    frame = AdaptedCoframe(pt, eta1, eta2, eta3)
+    frame = AdaptedCoframe(coords, eta1, eta2, eta3)
     scale = max(1.0, max(abs(x) for x in b1f + b2f))
     res = coframe_residual(frame, b1, b2)
     if res > tol * scale:
         raise ValueError(f"adapted coframe reconstruction residual {res:.3e}")
-    if abs(frame.volume()) <= tol:
+    # the volume is −|b₁×b₂|, so compare it with |b₁|·|b₂|: the b's shrink
+    # far out on a chart while the frame stays as far from degenerate
+    if abs(frame.volume()) <= tol * math.hypot(*b1f) * math.hypot(*b2f):
         raise ValueError("adapted coframe is degenerate")
     return frame
+
+
+def adapted_coframe_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence, tol: float = 1e-10) -> AdaptedCoframe:
+    """Cross-product coframe at a point where β₁, β₂ are independent."""
+    pt = tuple(Fraction(x) for x in point)
+    return _coframe(pt, beta1.b_at(pt), beta2.b_at(pt), tol)
 
 
 def coframe_residual(frame: AdaptedCoframe, b1: Sequence, b2: Sequence) -> float:
@@ -266,44 +309,10 @@ class PathGeometrySample:
     contact: bool
 
 
-def contact_scalar(beta1: PolyForm3, beta2: PolyForm3) -> Coefficient:
-    """The function (b₁×b₂)·curl(b₁×b₂); μ∧dμ = (that)·dx¹∧dx²∧dx³.
-
-    Symbolic; fine for polynomial coefficients, can be large for rational
-    ones (the per-point test below differentiates pointwise instead).
-    """
-    m = _cross(beta1.b, beta2.b)
-    curl = (
-        m[2].diff(1) - m[1].diff(2),
-        m[0].diff(2) - m[2].diff(0),
-        m[1].diff(0) - m[0].diff(1),
-    )
-    return _dot(m, curl)
-
-
-def _value_and_gradient(f: Coefficient, pt) -> Tuple[Fraction, Tuple[Fraction, ...]]:
-    """(f(pt), ∇f(pt)) exactly; quotient rule pointwise for rational f."""
-    if isinstance(f, RatFunc):
-        nv, dv = f.num(pt), f.den(pt)
-        if dv == 0:
-            raise ZeroDivisionError("denominator vanishes at the query point")
-        grad = tuple((f.num.diff(i)(pt) * dv - nv * f.den.diff(i)(pt)) / (dv * dv) for i in range(NVARS))
-        return nv / dv, grad
-    return f(pt), tuple(f.diff(i)(pt) for i in range(NVARS))
-
-
-def contact_value_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> Fraction:
-    """(μ∧dμ)/(dx¹∧dx²∧dx³) at the point, μ = (b₁×b₂)·dx; exact.
-
-    Built from values and first derivatives of b₁, b₂ at the point only:
-    ∂ᵢ(b₁×b₂) = ∂ᵢb₁×b₂ + b₁×∂ᵢb₂, then m·curl(m).
-    """
-    pt = [Fraction(x) for x in point]
-    v1, g1 = zip(*(_value_and_gradient(c, pt) for c in beta1.b))
-    v2, g2 = zip(*(_value_and_gradient(c, pt) for c in beta2.b))
+def _contact_value(coords: Tuple[Fraction, ...], v1, v2, g1, g2) -> Fraction:
     m = _cross(v1, v2)
     if all(x == 0 for x in m):
-        raise ValueError(f"beta forms are dependent at {point}")
+        raise ValueError(f"beta forms are dependent at {coords}")
     dm = []
     for i in range(NVARS):
         d1 = tuple(g[i] for g in g1)
@@ -315,6 +324,16 @@ def contact_value_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> Fra
     return _dot(m, curl)
 
 
+def contact_value_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> Fraction:
+    """(μ∧dμ)/(dx¹∧dx²∧dx³) at the point, μ = (b₁×b₂)·dx; exact.
+
+    Built from values and first derivatives of b₁, b₂ at the point only:
+    ∂ᵢ(b₁×b₂) = ∂ᵢb₁×b₂ + b₁×∂ᵢb₂, then m·curl(m).
+    """
+    pt = RationalPoint(point, NVARS)
+    return _contact_value(pt.coords, *_pair(_compile_pair(beta1, beta2), pt))
+
+
 def is_nondegenerate_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> bool:
     """Exact contact test: μ∧dμ ≠ 0 at the point, μ = (b₁×b₂)·dx.
 
@@ -324,15 +343,16 @@ def is_nondegenerate_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> 
     return contact_value_at(beta1, beta2, point) != 0
 
 
+def _line_fields(coords: Tuple[Fraction, ...], b1, b2, g1, g2) -> PathGeometrySample:
+    if all(x == 0 for x in _cross(b1, b2)):
+        raise ValueError(f"line fields are dependent at {coords}")
+    return PathGeometrySample(coords, b1, b2, _contact_value(coords, b1, b2, g1, g2) != 0)
+
+
 def line_fields_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> PathGeometrySample:
     """P₁ ∥ b₁(point), P₂ ∥ b₂(point); exact on rational inputs."""
-    pt = tuple(Fraction(x) for x in point)
-    p1 = beta1.b_at(pt)
-    p2 = beta2.b_at(pt)
-    if all(x == 0 for x in _cross(p1, p2)):
-        raise ValueError(f"line fields are dependent at {point}")
-    contact = is_nondegenerate_at(beta1, beta2, pt)
-    return PathGeometrySample(pt, p1, p2, contact)
+    pt = RationalPoint(point, NVARS)
+    return _line_fields(pt.coords, *_pair(_compile_pair(beta1, beta2), pt))
 
 
 @dataclass(frozen=True)
@@ -345,20 +365,20 @@ class CRSample:
     i_matrix: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
 
 
+_J0 = linalg.mat(J0_MATRIX)
+
+
 def _j0_apply(v: Sequence[Fraction]) -> list:
-    return linalg.matvec([[Fraction(x) for x in row] for row in J0_MATRIX], list(v))
+    return linalg.matvec(_J0, list(v))
 
 
-def cr_structure_at(u: ParamMap, point: Sequence) -> CRSample:
-    """Exact CR data of the parametrized hypersurface at a rational point."""
-    pt = tuple(Fraction(x) for x in point)
-    jac = u.jacobian_at(pt)
+def _cr_structure(coords: Tuple[Fraction, ...], jac: list) -> CRSample:
     cols = [[jac[i][j] for i in range(4)] for j in range(3)]
     j0_cols = [_j0_apply(c) for c in cols]
     d_basis = linalg.intersect_spans(cols, j0_cols)
     if len(d_basis) != 2:
         raise ValueError(
-            f"complex tangent point at {point}: dim(T ∩ J0·T) = {len(d_basis)}, expected 2"
+            f"complex tangent point at {coords}: dim(T ∩ J0·T) = {len(d_basis)}, expected 2"
         )
     d1, d2 = d_basis
     # express the restriction of J0 in the basis (d1, d2)
@@ -374,14 +394,27 @@ def cr_structure_at(u: ParamMap, point: Sequence) -> CRSample:
     if sq != [[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]]:
         raise ValueError("restriction of J0 to D does not square to -Id")
     # pull the basis of D back to parameter space (du is injective)
-    jac_cols = linalg.transpose(cols)  # 4x3 matrix with columns du/dx^j
     param_basis = []
     for d in (d1, d2):
-        w = linalg.solve(jac_cols, list(d))
+        w = linalg.solve(jac, list(d))
         if w is None:
             raise ValueError("D does not lie in the image of du; inconsistent data")
         param_basis.append(tuple(w))
-    return CRSample(pt, (tuple(d1), tuple(d2)), tuple(param_basis), i_matrix)
+    return CRSample(coords, (tuple(d1), tuple(d2)), tuple(param_basis), i_matrix)
+
+
+def cr_structure_at(u: ParamMap, point: Sequence) -> CRSample:
+    """Exact CR data of the parametrized hypersurface at a rational point."""
+    pt = RationalPoint(point, NVARS)
+    return _cr_structure(pt.coords, _jacobian(_compile_jacobian(u), pt))
+
+
+def _compatible(jac: list, sample: PathGeometrySample, cr: CRSample) -> bool:
+    v1 = linalg.matvec(jac, list(sample.p1))
+    v2 = linalg.matvec(jac, list(sample.p2))
+    if linalg.rank([_j0_apply(v1), v2]) != 1:
+        return False
+    return linalg.span_equal([v1, v2], [list(b) for b in cr.d_basis])
 
 
 def compatibility_check(u: ParamMap, point: Sequence, tol: float = 1e-9, betas=None) -> bool:
@@ -392,64 +425,65 @@ def compatibility_check(u: ParamMap, point: Sequence, tol: float = 1e-9, betas=N
     (exact computations leave nothing to approximate).  ``betas`` can pass a
     precomputed pullback pair to avoid redoing the formal differentiation.
     """
-    pt = tuple(Fraction(x) for x in point)
-    beta1, beta2 = betas if betas is not None else pullback_splitting(u)
-    sample = line_fields_at(beta1, beta2, pt)
+    compiled = CompiledMap(u, betas)
+    pt = RationalPoint(point, NVARS)
+    sample = _line_fields(pt.coords, *_pair(compiled.pair, pt))
     if not sample.contact:
         raise ValueError(f"hypersurface is degenerate (not contact) at {point}")
-    jac = u.jacobian_at(pt)
-    v1 = linalg.matvec(jac, list(sample.p1))
-    v2 = linalg.matvec(jac, list(sample.p2))
-    jv1 = _j0_apply(v1)
-    if linalg.rank([jv1, v2]) != 1:
-        return False
-    cr = cr_structure_at(u, pt)
-    return linalg.span_equal([v1, v2], [list(b) for b in cr.d_basis])
+    jac = _jacobian(compiled.jacobian, pt)
+    return _compatible(jac, sample, _cr_structure(pt.coords, jac))
 
 
 # -- per-point reports -------------------------------------------------------
 
 
-def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, betas=None) -> dict:
-    """One JSON-ready record per query point; degeneracies are flagged, not fatal."""
-    pt = tuple(Fraction(x) for x in point)
-    rec: dict = {"point": [f"{x.numerator}/{x.denominator}" for x in pt]}
+def _rational(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, compiled: Optional[CompiledMap] = None) -> dict:
+    """One JSON-ready record per query point; degeneracies are flagged, not fatal.
+
+    ``compiled`` can pass the map's :class:`CompiledMap` to share it across points.
+    """
+    compiled = compiled if compiled is not None else CompiledMap(u)
+    coords = tuple(Fraction(x) for x in point)
+    rec: dict = {"point": [_rational(x) for x in coords]}
     try:
-        beta1, beta2 = betas if betas is not None else pullback_splitting(u)
-        u.jacobian_at(pt)
-        b1 = beta1.b_at(pt)
-        b2 = beta2.b_at(pt)
-        rec["b1"] = [f"{x.numerator}/{x.denominator}" for x in b1]
-        rec["b2"] = [f"{x.numerator}/{x.denominator}" for x in b2]
+        pt = RationalPoint(coords, NVARS)
+        jac = _jacobian(compiled.jacobian, pt)
+        b1, b2, g1, g2 = _pair(compiled.pair, pt)
+        rec["b1"] = [_rational(x) for x in b1]
+        rec["b2"] = [_rational(x) for x in b2]
         independent = any(x != 0 for x in _cross(b1, b2))
         rec["independent"] = independent
         if not independent:
             rec["error"] = "dependent pullbacks"
             return rec
-        frame = adapted_coframe_at(beta1, beta2, pt, tol=max(tol, 1e-10))
+        frame = _coframe(coords, b1, b2, max(tol, 1e-10))
         rec["coframe"] = {
             "eta1": list(frame.eta1),
             "eta2": list(frame.eta2),
             "eta3": list(frame.eta3),
         }
-        sample = line_fields_at(beta1, beta2, pt)
-        rec["P1"] = [f"{x.numerator}/{x.denominator}" for x in sample.p1]
-        rec["P2"] = [f"{x.numerator}/{x.denominator}" for x in sample.p2]
+        sample = _line_fields(coords, b1, b2, g1, g2)
+        rec["P1"] = [_rational(x) for x in sample.p1]
+        rec["P2"] = [_rational(x) for x in sample.p2]
         rec["contact"] = sample.contact
-        cr = cr_structure_at(u, pt)
+        cr = _cr_structure(coords, jac)
         rec["cr"] = {
-            "D": [[f"{x.numerator}/{x.denominator}" for x in b] for b in cr.d_basis],
-            "I": [[f"{x.numerator}/{x.denominator}" for x in row] for row in cr.i_matrix],
+            "D": [[_rational(x) for x in b] for b in cr.d_basis],
+            "I": [[_rational(x) for x in row] for row in cr.i_matrix],
         }
-        rec["compatible"] = compatibility_check(u, pt, tol, betas=(beta1, beta2)) if sample.contact else None
+        rec["compatible"] = _compatible(jac, sample, cr) if sample.contact else None
     except (ValueError, ZeroDivisionError) as exc:
         rec["error"] = str(exc)
     return rec
 
 
 def sample_report(u: ParamMap, points: Sequence[Sequence], tol: float = 1e-9) -> list:
-    betas = pullback_splitting(u)
-    return [point_record(u, p, tol, betas=betas) for p in points]
+    compiled = CompiledMap(u)
+    return [point_record(u, p, tol, compiled=compiled) for p in points]
 
 
 # -- named models ------------------------------------------------------------

@@ -151,8 +151,6 @@ def inertia(a) -> tuple:
     if transpose(s) != s:
         raise ValueError("matrix is not symmetric")
     pos = neg = zero = 0
-    idx = list(range(n))
-    work = s
 
     def congruence_eliminate(m, k):
         # clear row/column k against pivot m[k][k]
@@ -167,7 +165,7 @@ def inertia(a) -> tuple:
                     m[j][i] -= f * m[j][k]
 
     k = 0
-    m = [row[:] for row in work]
+    m = [row[:] for row in s]
     while k < n:
         if m[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if m[i][i] != 0), None)

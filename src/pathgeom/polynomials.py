@@ -7,12 +7,20 @@ protocol (arithmetic, ``diff``, call) to quotients, which is what makes
 rational parametrizations like the Cayley sphere chart computable without
 floating point.  Quotients are not reduced to lowest terms; evaluation only
 requires a nonvanishing denominator at the query point.
+
+Evaluation runs in integers.  A :class:`RationalPoint` writes the point over
+one common denominator and computes each power of a coordinate at most once;
+an :class:`IntPoly` is a polynomial over one integer denominator, summed as a
+Python int.  :class:`CompiledFunctions` compiles a list of functions, and
+optionally their first partials, once for evaluation at many points; every
+value it returns is one ``Fraction`` built from two integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Sequence, Tuple
+from math import lcm
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -121,17 +129,7 @@ class Poly:
         return Poly(self.nvars, acc)
 
     def __call__(self, point: Sequence) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValueError("point has wrong dimension")
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(pt, e):
-                for _ in range(k):
-                    v *= x
-            total += v
-        return total
+        return Fraction(*IntPoly(self).evaluate(RationalPoint(point, self.nvars)))
 
     # -- queries -----------------------------------------------------------
 
@@ -229,10 +227,8 @@ class RatFunc:
         return RatFunc(self.num.diff(var) * self.den - self.num * self.den.diff(var), self.den * self.den)
 
     def __call__(self, point: Sequence) -> Fraction:
-        d = self.den(point)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the query point")
-        return self.num(point) / d
+        pt = RationalPoint(point, self.nvars)
+        return _quotient(IntPoly(self.num).evaluate(pt), IntPoly(self.den).evaluate(pt))
 
     @property
     def is_zero(self) -> bool:
@@ -249,3 +245,121 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r} / {self.den!r})"
+
+
+# -- integer evaluation ------------------------------------------------------
+
+
+class RationalPoint:
+    """A rational point xᵢ = aᵢ/d over one common denominator d.
+
+    Powers aᵢᵏ and dᵏ are computed on first use and cached, so each distinct
+    power is computed once however many polynomials are evaluated here.
+    """
+
+    __slots__ = ("coords", "nums", "den", "_powers", "_den_powers")
+
+    def __init__(self, point: Sequence, nvars: int):
+        if len(point) != nvars:
+            raise ValueError("point has wrong dimension")
+        coords = self.coords = tuple(Fraction(x) for x in point)
+        den = lcm(*(x.denominator for x in coords))
+        self.nums = tuple(x.numerator * (den // x.denominator) for x in coords)
+        self.den = den
+        self._powers: List[Dict[int, int]] = [{} for _ in coords]
+        self._den_powers: Dict[int, int] = {}
+
+    def power(self, var: int, k: int) -> int:
+        """aᵥₐᵣᵏ."""
+        cache = self._powers[var]
+        v = cache.get(k)
+        if v is None:
+            v = cache[k] = self.nums[var] ** k
+        return v
+
+    def den_power(self, k: int) -> int:
+        """dᵏ."""
+        v = self._den_powers.get(k)
+        if v is None:
+            v = self._den_powers[k] = self.den**k
+        return v
+
+
+class IntPoly:
+    """A :class:`Poly` as (Σ nₑ·xᵉ)/scale with integer nₑ, for evaluation.
+
+    At x = a/d the value is (Σ nₑ·aᵉ·d^(D−|e|)) / (scale·d^D), D the total
+    degree, so the sum is a Python int.
+    """
+
+    __slots__ = ("scale", "degree", "terms")
+
+    def __init__(self, p: Poly):
+        self.scale = lcm(*(c.denominator for c in p.terms.values()))
+        self.degree = p.total_degree()
+        self.terms = tuple(
+            (
+                c.numerator * (self.scale // c.denominator),
+                self.degree - sum(e),
+                tuple((i, k) for i, k in enumerate(e) if k),
+            )
+            for e, c in p.terms.items()
+        )
+
+    def evaluate(self, pt: RationalPoint) -> Tuple[int, int]:
+        """(n, s) with value n/s; s > 0 and the pair is not reduced."""
+        total = 0
+        for c, dk, powers in self.terms:
+            v = c * pt.den_power(dk)
+            for i, k in powers:
+                v *= pt.power(i, k)
+            total += v
+        return total, self.scale * pt.den_power(self.degree)
+
+
+def _quotient(num: Tuple[int, int], den: Tuple[int, int]) -> Fraction:
+    """(n₁/s₁) / (n₂/s₂) as one Fraction."""
+    if den[0] == 0:
+        raise ZeroDivisionError("denominator vanishes at the query point")
+    return Fraction(num[0] * den[1], num[1] * den[0])
+
+
+class CompiledFunctions:
+    """Polys and RatFuncs compiled once for exact evaluation at many points.
+
+    Numerators, denominators and, with ``gradient``, their first partials
+    are differentiated once; identical polynomials are stored once as an
+    :class:`IntPoly` and evaluated once per point, so functions that share a
+    denominator share its evaluation.
+    """
+
+    def __init__(self, functions: Sequence, nvars: int, gradient: bool = False):
+        self._polys: List[IntPoly] = []
+        index: Dict[Poly, int] = {}
+
+        def slot(p: Poly) -> int:
+            if p not in index:
+                index[p] = len(self._polys)
+                self._polys.append(IntPoly(p))
+            return index[p]
+
+        one = Poly.constant(1, nvars)
+        self._functions = []
+        for f in functions:
+            num, den = (f.num, f.den) if isinstance(f, RatFunc) else (f, one)
+            partials = tuple((slot(num.diff(i)), slot(den.diff(i))) for i in range(nvars)) if gradient else ()
+            self._functions.append((slot(num), slot(den), partials))
+
+    def at(self, pt: RationalPoint) -> Tuple[List[Fraction], List[Tuple[Fraction, ...]]]:
+        """The value of each function, and its gradient (empty unless compiled with ``gradient``)."""
+        raw = [p.evaluate(pt) for p in self._polys]
+        values = [_quotient(raw[n], raw[d]) for n, d, _ in self._functions]
+        # quotient rule (n'·D − N·d')/D², with every polynomial value over its own scale
+        grads = []
+        for n, d, partials in self._functions:
+            (nv, ns), (dv, ds) = raw[n], raw[d]
+            grads.append(tuple(
+                Fraction((pnv * dv * ns * pds - nv * pdv * pns * ds) * ds, pns * ns * pds * dv * dv)
+                for (pnv, pns), (pdv, pds) in ((raw[pn], raw[pd]) for pn, pd in partials)
+            ))
+        return values, grads

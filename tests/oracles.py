@@ -135,3 +135,31 @@ def sampled_symplectic_probe(omega: MultiVector, phi: MultiVector, eps, directio
         if tau_tau == 0:
             return False
     return True
+
+
+def poly_value_oracle(p, point) -> Fraction:
+    """Σ c·∏ xᵢ^kᵢ term by term in Fraction arithmetic, one multiplication per factor."""
+    total = Fraction(0)
+    for exp, c in p.terms.items():
+        term = Fraction(c)
+        for x, k in zip(point, exp):
+            for _ in range(k):
+                term *= Fraction(x)
+        total += term
+    return total
+
+
+def contact_scalar(beta1, beta2):
+    """The function (b₁×b₂)·curl(b₁×b₂), with μ∧dμ = (that)·dx¹∧dx²∧dx³.
+
+    Symbolic, by formal differentiation of the whole cross product; the
+    library evaluates the same quantity pointwise from first derivatives.
+    """
+    a, b = beta1.b, beta2.b
+    m = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+    curl = (
+        m[2].diff(1) - m[1].diff(2),
+        m[0].diff(2) - m[2].diff(0),
+        m[1].diff(0) - m[0].diff(1),
+    )
+    return m[0] * curl[0] + m[1] * curl[1] + m[2] * curl[2]

@@ -20,7 +20,6 @@ from pathgeom import (
     star_coefficients,
 )
 from pathgeom.hypersurface import (
-    contact_scalar,
     contact_value_at,
     coframe_residual,
     map_from_json,
@@ -30,6 +29,7 @@ from pathgeom.hypersurface import (
 from pathgeom.linalg import matvec, rank, span_equal
 
 from conftest import rand_fraction
+from oracles import contact_scalar
 
 
 def rand_point(rng, lo=-5, hi=5, den=7):
@@ -277,6 +277,13 @@ class TestReports:
         rec = point_record(heisenberg_model(), [0, Fraction(1, 2), Fraction(1, 3)])
         assert rec["contact"] is True and rec["compatible"] is True
         assert "error" not in rec
+        assert set(rec) >= {"point", "b1", "b2", "coframe", "P1", "P2", "cr"}
+
+    def test_far_sphere_chart_point_is_complete(self):
+        # |b| ~ 1e-5 here, so an absolute bound on the coframe volume called it degenerate
+        rec = point_record(sphere_chart_model(), [-19, 14, 1])
+        assert "error" not in rec
+        assert rec["contact"] is True and rec["compatible"] is True
         assert set(rec) >= {"point", "b1", "b2", "coframe", "P1", "P2", "cr"}
 
     def test_affine_plane_flagged_not_fatal(self):

@@ -1,9 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from pathgeom import Poly, RatFunc
+from pathgeom.polynomials import CompiledFunctions, RationalPoint
+
+from oracles import poly_value_oracle
 
 X = sympy.symbols("x1 x2 x3")
 
@@ -58,6 +62,20 @@ class TestPoly:
             got = p(pt)
             assert sympy.Rational(got.numerator, got.denominator) == expected
 
+    def test_evaluation_matches_naive_oracle(self, rng):
+        for _ in range(40):
+            p = rand_poly(rng, max_deg=6, nterms=6)
+            pt = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(3)]
+            assert p(pt) == poly_value_oracle(p, pt)
+        assert Poly.zero(3)([Fraction(1, 3), 2, 5]) == 0
+
+    def test_huge_exponent_is_fast_and_exact(self):
+        p = Poly(3, {(50000, 0, 0): Fraction(1)})
+        start = time.perf_counter()
+        value = p([Fraction(3, 2), 0, 0])
+        assert time.perf_counter() - start < 0.5
+        assert value == Fraction(3, 2) ** 50000
+
     def test_variable_and_constant(self):
         x2 = Poly.variable(1, 3)
         assert x2([0, Fraction(5), 0]) == 5
@@ -106,8 +124,32 @@ class TestRatFunc:
         with pytest.raises(ZeroDivisionError):
             f([0, 1, 1])
 
+    def test_evaluation_matches_naive_oracle(self, rng):
+        for _ in range(20):
+            num, den = rand_poly(rng, max_deg=5, nterms=5), rand_poly(rng, max_deg=4, nterms=4)
+            pt = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(3)]
+            d = poly_value_oracle(den, pt)
+            if den.is_zero or d == 0:
+                continue
+            assert RatFunc(num, den)(pt) == poly_value_oracle(num, pt) / d
+
     def test_cross_type_arithmetic(self, rng):
         p = rand_poly(rng)
         f = RatFunc(p, Poly.constant(2, 3))
         assert (f + f) == RatFunc(p)
         assert (3 * f).num == 3 * p
+
+
+class TestCompiledFunctions:
+    def test_values_and_gradients_match_formal_calculus(self, rng):
+        den = rand_poly(rng, max_deg=2, nterms=3) + Poly.constant(40, 3)
+        # two quotients share a denominator, as the pullback coefficients do
+        functions = [RatFunc(rand_poly(rng), den), RatFunc(rand_poly(rng), den), rand_poly(rng)]
+        compiled = CompiledFunctions(functions, 3, gradient=True)
+        for _ in range(10):
+            pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
+            if den(pt) == 0:
+                continue
+            values, grads = compiled.at(RationalPoint(pt, 3))
+            assert values == [f(pt) for f in functions]
+            assert grads == [tuple(f.diff(i)(pt) for i in range(3)) for f in functions]
