@@ -95,6 +95,13 @@ def _load_payload(path: Optional[str]):
         raise InputError(f"cannot read input: {exc}") from exc
 
 
+def _load_object(path: Optional[str]) -> dict:
+    payload = _load_payload(path)
+    if not isinstance(payload, dict):
+        raise InputError(f"input must be a JSON object, not {type(payload).__name__}")
+    return payload
+
+
 def _two_form(data, name: str) -> MultiVector:
     try:
         form = MultiVector.from_json(data)
@@ -212,11 +219,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "pair":
-            report, code = cmd_pair_classify(_load_payload(args.input), cfg)
+            report, code = cmd_pair_classify(_load_object(args.input), cfg)
         elif args.command == "splitting":
-            report, code = cmd_splitting_degree(_load_payload(args.input), cfg)
+            report, code = cmd_splitting_degree(_load_object(args.input), cfg)
         elif args.command == "hypersurface":
-            report, code = cmd_hypersurface(_load_payload(args.input), cfg)
+            report, code = cmd_hypersurface(_load_object(args.input), cfg)
         elif args.command == "eds":
             if args.samples is not None and args.samples < 0:
                 raise InputError("--samples must be nonnegative")

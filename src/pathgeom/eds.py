@@ -432,64 +432,6 @@ def codim_at(flag: Flag, ideal: ConstantIdeal) -> CodimResult:
     )
 
 
-def second_order_probe(flag: Flag, ideal: ConstantIdeal, seed: int = 0, step: float = 1e-3, newton_steps: int = 30) -> dict:
-    """Floating evidence that the solution set is smooth near the flag.
-
-    Perturbs along a random kernel direction of the linearization, Newton-
-    projects back onto the solution set of the eight polynomial conditions
-    and reports the numerical Jacobian rank at the projected point.
-    """
-    import numpy as np
-
-    forms = condition_forms(ideal)
-    jac0 = np.array([[float(x) for x in row] for row in linearized_conditions(flag, forms)])
-    comp_slots = complement_frame(flag)
-    comp = [np.array([float(x) for x in frame_vector(s)]) for s in comp_slots]
-    vecs = [np.array([float(x) for x in v]) for v in flag.vectors]
-    nparams = 3 * len(comp)
-
-    def residual(p):
-        triple = []
-        for a in range(3):
-            w = vecs[a].copy()
-            for m, u in enumerate(comp):
-                w = w + p[a * len(comp) + m] * u
-            triple.append(w)
-        return np.array([float(evaluate(f, [list(map(float, t)) for t in triple])) for f in forms])
-
-    def num_jac(p, h=1e-6):
-        base = residual(p)
-        cols = []
-        for k in range(nparams):
-            dp = p.copy()
-            dp[k] += h
-            cols.append((residual(dp) - base) / h)
-        return np.column_stack(cols)
-
-    rng = np.random.default_rng(seed)
-    _, _, vt = np.linalg.svd(jac0)
-    kernel = vt[8:]
-    direction = kernel.T @ rng.standard_normal(kernel.shape[0])
-    direction /= np.linalg.norm(direction)
-    p = step * direction
-    for _ in range(newton_steps):
-        r = residual(p)
-        if np.max(np.abs(r)) < 1e-13:
-            break
-        j = num_jac(p)
-        delta, *_ = np.linalg.lstsq(j, -r, rcond=None)
-        p = p + delta
-    final = residual(p)
-    svals = np.linalg.svd(num_jac(p), compute_uv=False)
-    rank = int((svals > 1e-7 * svals[0]).sum())
-    return {
-        "converged": bool(np.max(np.abs(final)) < 1e-10),
-        "residual": float(np.max(np.abs(final))),
-        "rank_at_solution": rank,
-        "distance": float(np.linalg.norm(p)),
-    }
-
-
 # -- aggregate verification ---------------------------------------------------
 
 
@@ -506,15 +448,12 @@ class InvolutivityReport:
         return {"samples": list(self.entries), "all_pass": self.all_pass}
 
 
-def verify_sample(curvature: CurvatureSample) -> dict:
-    """Full exact pipeline for one curvature sample."""
-    ideal = ideal_at(curvature)
+def _verdict(ideal: ConstantIdeal) -> dict:
+    """Integrality, ζ, characters and codimension at the reference flag."""
     flag = reference_flag()
     integral = is_integral_element(flag.vectors, ideal)
     zeta_ok = independence_check(flag.vectors)
-    entry = dict(curvature.to_json())
-    entry["integral"] = integral
-    entry["zeta_nonzero"] = zeta_ok
+    entry = {"integral": integral, "zeta_nonzero": zeta_ok}
     if integral and zeta_ok:
         ch = characters(flag, ideal)
         entry["characters"] = list(ch.as_tuple())
@@ -532,7 +471,34 @@ def verify_sample(curvature: CurvatureSample) -> dict:
     return entry
 
 
+def _ideal_key(ideal: ConstantIdeal) -> tuple:
+    """The ideal's exact content: every generator and differential, term by term."""
+    return tuple(
+        tuple((form.dim, form.degree, tuple(sorted(form.terms.items()))) for form in forms)
+        for forms in (ideal.generators, ideal.differentials)
+    )
+
+
+def verify_sample(curvature: CurvatureSample) -> dict:
+    """Full exact pipeline for one curvature sample."""
+    return {**curvature.to_json(), **_verdict(ideal_at(curvature))}
+
+
 def verify_involutivity(samples: Sequence[CurvatureSample]) -> InvolutivityReport:
-    """Per-sample verification; failures are report entries, never raises."""
-    entries = tuple(verify_sample(s) for s in samples)
-    return InvolutivityReport(entries, all(e["pass"] for e in entries))
+    """Per-sample verification; failures are report entries, never raises.
+
+    The verdict depends on the sample only through its ideal, so it is
+    computed once per distinct ideal: with the curvature-free differentials
+    of the model, once for the whole request.
+    """
+    verdicts: Dict[tuple, dict] = {}
+    entries = []
+    for sample in samples:
+        ideal = ideal_at(sample)
+        key = _ideal_key(ideal)
+        if key not in verdicts:
+            verdicts[key] = _verdict(ideal)
+        # fresh lists, so that no two entries share a mutable value
+        verdict = {k: list(v) if isinstance(v, list) else v for k, v in verdicts[key].items()}
+        entries.append({**sample.to_json(), **verdict})
+    return InvolutivityReport(tuple(entries), all(e["pass"] for e in entries))

@@ -10,6 +10,7 @@ result's type (and in ``is_exact`` of any container built from it).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -58,5 +59,7 @@ def scalar_from_json(value) -> Scalar:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {value!r}")
         return value
     raise TypeError(f"cannot parse scalar from {value!r}")

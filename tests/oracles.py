@@ -3,7 +3,8 @@
 These deliberately avoid the library's sparse-term code paths: forms become
 dense fully antisymmetric tensors, wedge products go through the full
 permutation sum with factorial normalization, and evaluation is a complete
-multilinear contraction.  Slow and simple on purpose.
+multilinear contraction.  Slow and simple on purpose.  The EDS smoothness
+probe is floating-point evidence next to the exact rank-8 linearization.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from pathgeom import MultiVector
+import numpy as np
+
+from pathgeom import MultiVector, evaluate
+from pathgeom.eds import complement_frame, condition_forms, frame_vector, linearized_conditions
 
 
 def perm_sign(perm) -> int:
@@ -163,3 +167,59 @@ def contact_scalar(beta1, beta2):
         m[1].diff(0) - m[0].diff(1),
     )
     return m[0] * curl[0] + m[1] * curl[1] + m[2] * curl[2]
+
+
+def second_order_probe(flag, ideal, seed: int = 0, step: float = 1e-3, newton_steps: int = 30) -> dict:
+    """Floating evidence that the solution set is smooth near the flag.
+
+    Perturbs along a random kernel direction of the linearization, Newton-
+    projects back onto the solution set of the eight polynomial conditions
+    and reports the numerical Jacobian rank at the projected point.
+    """
+    forms = condition_forms(ideal)
+    jac0 = np.array([[float(x) for x in row] for row in linearized_conditions(flag, forms)])
+    comp_slots = complement_frame(flag)
+    comp = [np.array([float(x) for x in frame_vector(s)]) for s in comp_slots]
+    vecs = [np.array([float(x) for x in v]) for v in flag.vectors]
+    nparams = 3 * len(comp)
+
+    def residual(p):
+        triple = []
+        for a in range(3):
+            w = vecs[a].copy()
+            for m, u in enumerate(comp):
+                w = w + p[a * len(comp) + m] * u
+            triple.append(w)
+        return np.array([float(evaluate(f, [list(map(float, t)) for t in triple])) for f in forms])
+
+    def num_jac(p, h=1e-6):
+        base = residual(p)
+        cols = []
+        for k in range(nparams):
+            dp = p.copy()
+            dp[k] += h
+            cols.append((residual(dp) - base) / h)
+        return np.column_stack(cols)
+
+    rng = np.random.default_rng(seed)
+    _, _, vt = np.linalg.svd(jac0)
+    kernel = vt[8:]
+    direction = kernel.T @ rng.standard_normal(kernel.shape[0])
+    direction /= np.linalg.norm(direction)
+    p = step * direction
+    for _ in range(newton_steps):
+        r = residual(p)
+        if np.max(np.abs(r)) < 1e-13:
+            break
+        j = num_jac(p)
+        delta, *_ = np.linalg.lstsq(j, -r, rcond=None)
+        p = p + delta
+    final = residual(p)
+    svals = np.linalg.svd(num_jac(p), compute_uv=False)
+    rank = int((svals > 1e-7 * svals[0]).sum())
+    return {
+        "converged": bool(np.max(np.abs(final)) < 1e-10),
+        "residual": float(np.max(np.abs(final))),
+        "rank_at_solution": rank,
+        "distance": float(np.linalg.norm(p)),
+    }

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -181,6 +182,49 @@ class TestEdsCommand:
         )
         code, out, _ = run(["eds", "--samples", "1"], capsys)
         assert code == 2 and json.loads(out)["all_pass"] is False
+
+
+class TestEdsGoldenOutput:
+    """sha256 of the rendered report, captured before verdicts were shared per ideal."""
+
+    @pytest.mark.parametrize("args, digest", [
+        (["eds", "--samples", "200"], "5da2f1b17608aa57864afa26a9d644c48ebdbfc2d969b6af38d38f557d3a8b63"),
+        (["--seed", "7", "eds", "--samples", "50"], "5a4faeb33567b1744806a46231f0f5456d422caf3d4188e141bb3aa44d0600d1"),
+    ])
+    def test_sampled_report(self, args, digest, capsys):
+        code, out, _ = run(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_explicit_request_with_a_repeated_sample(self, tmp_path, capsys):
+        repeated = {"W1": "1/3", "W2": "-2", "F1": "7/5", "F2": "0"}
+        zero = {"W1": "0", "W2": "0", "F1": "0", "F2": "0"}
+        path = write_json(tmp_path, "in.json", {"samples": [repeated, zero, repeated]})
+        code, out, _ = run(["eds", "--input", path], capsys)
+        assert code == 0
+        digest = "4ea470650201cb19b594a3609834fd8a84e5cbe9e757b536a68ec30910f9c121"
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("command", ["pair", "splitting", "hypersurface"])
+    @pytest.mark.parametrize("payload", [[1, 2], "abc", 5])
+    def test_non_object_payload_rejected(self, command, payload, tmp_path, capsys):
+        path = write_json(tmp_path, "in.json", payload)
+        code, out, err = run([command, "--input", path], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("command", ["pair", "splitting"])
+    def test_non_finite_coefficient_rejected(self, command, value, tmp_path, capsys):
+        payload = pair_payload(OMEGA0, PHI0) if command == "pair" else canonical_model(1).to_json()
+        first = "omega" if command == "pair" else "L1"
+        payload[first]["terms"][0]["c"] = value
+        path = write_json(tmp_path, "in.json", payload)
+        code, out, err = run([command, "--input", path], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "non-finite" in err and len(err.splitlines()) == 1
 
 
 class TestOutputFile:

@@ -21,7 +21,6 @@ from pathgeom.eds import (
     polar_space,
     reference_flag,
     sample_curvatures,
-    second_order_probe,
     slot_of,
     structure_d,
     theta,
@@ -32,6 +31,7 @@ from pathgeom.eds import (
 from pathgeom.linalg import in_span, rank
 
 from conftest import rand_fraction
+from oracles import second_order_probe
 
 
 MV = MultiVector
@@ -314,6 +314,60 @@ class TestVerification:
     def test_curvature_json_round_trip(self):
         c = CurvatureSample(Fraction(1, 3), Fraction(-2), Fraction(7, 5), Fraction(0))
         assert CurvatureSample.from_json(c.to_json()) == c
+
+
+class TestVerdictReuse:
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        from pathgeom import eds
+
+        original = getattr(eds, name)
+        counter = {"calls": 0}
+
+        def counted(*args, **kwargs):
+            counter["calls"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eds, name, counted)
+        return counter
+
+    def test_curvature_free_ideal_runs_the_pipeline_once(self, rng, monkeypatch):
+        chars = self.count_calls(monkeypatch, "characters")
+        codim = self.count_calls(monkeypatch, "codim_at")
+        report = verify_involutivity([rand_curvature(rng) for _ in range(50)])
+        assert chars["calls"] == 1 and codim["calls"] == 1
+        assert len(report.entries) == 50 and report.all_pass
+
+    @pytest.mark.parametrize("extra_slots", [
+        (4, 7, 8),  # W1·θ¹₀∧θ²₀∧θ²₁: the flag stops being integral
+        (2, 3, 6),  # W1·θ⁰₁∧θ⁰₂∧θ¹₂: vanishes near the flag, the verdict holds
+    ])
+    def test_curvature_dependent_ideal_runs_per_distinct_ideal(self, extra_slots, rng, monkeypatch):
+        from pathgeom import eds
+
+        plain_ideal_at = eds.ideal_at
+
+        def curved_ideal_at(c):
+            base = plain_ideal_at(c)
+            extra = MV(DIM, 3, {extra_slots: c.w1})
+            return ConstantIdeal(base.generators, (base.dchi1 + extra, base.dchi2), c)
+
+        monkeypatch.setattr(eds, "ideal_at", curved_ideal_at)
+        verdicts = self.count_calls(monkeypatch, "_verdict")
+        samples = [
+            CurvatureSample(w1, *(rand_fraction(rng) for _ in range(3)))
+            for w1 in (0, 1, 1, Fraction(2, 3), 0, -3)
+        ]
+        report = verify_involutivity(samples)
+        assert verdicts["calls"] == 4
+        assert list(report.entries) == [eds.verify_sample(s) for s in samples]
+        assert report.all_pass == (extra_slots == (2, 3, 6))
+
+    def test_repeated_samples_give_identical_entries(self, rng):
+        sample = rand_curvature(rng)
+        first, second = verify_involutivity([sample, sample]).entries
+        assert first == second
+        assert first["characters"] is not second["characters"]
 
 
 def test_second_order_smoothness_probe(rng):
