@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +55,7 @@ class InputError(Exception):
 
 
 def render_json(value, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits; NaN and ±inf are refused."""
     pad = " " * indent
     if isinstance(value, dict):
         if not value:
@@ -77,6 +78,8 @@ def render_json(value, indent: int = 0) -> str:
     if value is None:
         return "null"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {value!r} in the report")
         return format(value, ".17g")
     if isinstance(value, int):
         return str(value)
@@ -231,14 +234,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report, code = cmd_eds_verify(payload, cfg, args.samples)
         else:  # pragma: no cover - argparse enforces the choices
             raise InputError(f"unknown command {args.command!r}")
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
+        text = render_json(report) + "\n"
+    except (InputError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    text = render_json(report) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -14,9 +14,10 @@ The dimension-4 specifics live at the bottom: the wedge pairing
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from . import linalg
@@ -44,47 +45,6 @@ def _normalize_indices(indices: Sequence[int]) -> Tuple[IndexTuple, int]:
             sign = -sign
             j -= 1
     return tuple(idx), sign
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _det(rows) -> Scalar:
-    """Determinant of a small square matrix of scalars (exact if inputs are)."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        return (
-            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-        )
-    total = None
-    for perm in permutations(range(n)):
-        term = _perm_sign(perm)
-        for i, j in enumerate(perm):
-            term = term * rows[i][j]
-        total = term if total is None else total + term
-    return total
 
 
 class MultiVector:
@@ -305,16 +265,12 @@ class LinearMap:
         return LinearMap(tuple(tuple(r) for r in rows))
 
     def rank(self) -> int:
-        if self.is_exact:
-            return linalg.rank([[Fraction(x) for x in row] for row in self.matrix])
-        import numpy as np
-
-        return int(np.linalg.matrix_rank(np.array(self.matrix, dtype=float)))
+        return linalg.rank(self.matrix)
 
     def det(self) -> Scalar:
         if self.source_dim != self.target_dim:
             raise ValueError("determinant of a non-square map")
-        return _det([list(r) for r in self.matrix])
+        return linalg.det(self.matrix)
 
     def is_injective(self) -> bool:
         return self.rank() == self.source_dim
@@ -322,13 +278,7 @@ class LinearMap:
     def inverse(self) -> "LinearMap":
         if self.source_dim != self.target_dim:
             raise ValueError("inverse of a non-square map")
-        if self.is_exact:
-            inv = linalg.inverse([[Fraction(x) for x in row] for row in self.matrix])
-            return LinearMap(tuple(tuple(r) for r in inv))
-        import numpy as np
-
-        inv = np.linalg.inv(np.array(self.matrix, dtype=float))
-        return LinearMap(tuple(tuple(float(x) for x in row) for row in inv))
+        return LinearMap(tuple(tuple(r) for r in linalg.inverse(self.matrix)))
 
 
 # -- operations -----------------------------------------------------------
@@ -369,7 +319,7 @@ def evaluate(form: MultiVector, vectors: Sequence[Sequence[Scalar]]) -> Scalar:
     total: Scalar = Fraction(0)
     for idx, c in form.terms.items():
         rows = [[v[i - 1] for v in vecs] for i in idx]
-        total = total + c * _det(rows)
+        total = total + c * linalg.det(rows)
     return total
 
 
@@ -386,7 +336,7 @@ def pullback(form: MultiVector, a: LinearMap) -> MultiVector:
         total: Scalar = Fraction(0)
         for idx, c in form.terms.items():
             minor = [[a.matrix[i - 1][j - 1] for j in jdx] for i in idx]
-            total = total + c * _det(minor)
+            total = total + c * linalg.det(minor)
         if total != 0:
             acc[jdx] = total
     return MultiVector(m, k, acc)
@@ -396,8 +346,10 @@ def conformal_pairing(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DE
     """The scalar ⟨ω,φ⟩ with ω∧φ = ⟨ω,φ⟩ε, for 2-forms on ℝ⁴."""
     if omega.dim != 4 or phi.dim != 4 or omega.degree != 2 or phi.degree != 2:
         raise ValueError("conformal pairing is defined for 2-forms on a 4-space")
-    top = wedge(omega, phi)
-    return top.coefficient((1, 2, 3, 4)) / eps.coefficient
+    value = wedge(omega, phi).coefficient((1, 2, 3, 4)) / eps.coefficient
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"wedge pairing overflowed to {value!r}")
+    return value
 
 
 def gram_matrix(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME):
@@ -412,20 +364,11 @@ def pairing_signature(eps: VolumeForm = DEFAULT_VOLUME) -> Tuple[int, int]:
     """Signature (p, q) of the wedge pairing on Λ²(ℝ⁴)*: always (3, 3).
 
     Computed, not asserted: the 6×6 Gram matrix on the basis monomials
-    e^i∧e^j is built and its inertia taken exactly.
+    e^i∧e^j is built and its inertia taken (exactly, for an exact ε).
     """
     basis = [MultiVector.basis(4, idx) for idx in combinations(range(1, 5), 2)]
-    eps_exact = VolumeForm(Fraction(eps.coefficient) if is_exact(eps.coefficient) else eps.coefficient)
-    gram = [[conformal_pairing(x, y, eps_exact) for y in basis] for x in basis]
-    if all(is_exact(v) for row in gram for v in row):
-        pos, neg, zero = linalg.inertia([[Fraction(v) for v in row] for row in gram])
-    else:
-        import numpy as np
-
-        eigs = np.linalg.eigvalsh(np.array(gram, dtype=float))
-        pos = int((eigs > 1e-12).sum())
-        neg = int((eigs < -1e-12).sum())
-        zero = 6 - pos - neg
+    gram = [[conformal_pairing(x, y, eps) for y in basis] for x in basis]
+    pos, neg, zero = linalg.inertia(gram)
     if zero != 0:
         raise ValueError("wedge pairing degenerated; volume form invalid")
     return pos, neg

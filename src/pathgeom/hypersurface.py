@@ -74,7 +74,6 @@ class PolyMap(_ParamMap):
     """Hypersurface parametrization with four polynomial components."""
 
     components: Tuple[Poly, Poly, Poly, Poly]
-    domain_note: Optional[str] = None
 
     def __post_init__(self):
         if len(self.components) != 4 or any(not isinstance(c, Poly) for c in self.components):
@@ -99,7 +98,6 @@ class RationalMap(_ParamMap):
     """Parametrization with rational-function components (e.g. sphere charts)."""
 
     components: Tuple[RatFunc, RatFunc, RatFunc, RatFunc]
-    domain_note: Optional[str] = None
 
     def __post_init__(self):
         if len(self.components) != 4 or any(not isinstance(c, RatFunc) for c in self.components):
@@ -131,6 +129,19 @@ def map_from_json(data) -> ParamMap:
     return PolyMap.from_json(data)
 
 
+def _star(coeffs, zero) -> tuple:
+    """(b₂₃, −b₁₃, b₁₂) from coefficients keyed (i,j) on dxⁱ∧dxʲ, in either order."""
+
+    def get(i, j):
+        if (i, j) in coeffs:
+            return coeffs[(i, j)]
+        if (j, i) in coeffs:
+            return -coeffs[(j, i)]
+        return zero
+
+    return get(2, 3), -get(1, 3), get(1, 2)
+
+
 @dataclass(frozen=True)
 class PolyForm3:
     """2-form on ℝ³ with function coefficients, stored as β = b·⋆dx."""
@@ -140,14 +151,7 @@ class PolyForm3:
     @classmethod
     def from_wedge_coefficients(cls, coeffs) -> "PolyForm3":
         """Build from coefficients on dx¹∧dx², dx¹∧dx³, dx²∧dx³ (keys (i,j), i<j)."""
-        def get(i, j):
-            if (i, j) in coeffs:
-                return coeffs[(i, j)]
-            if (j, i) in coeffs:
-                return -coeffs[(j, i)]
-            return Poly.zero(NVARS)
-
-        return cls((get(2, 3), -get(1, 3), get(1, 2)))
+        return cls(_star(coeffs, Poly.zero(NVARS)))
 
     def b_at(self, point: Sequence) -> Tuple[Fraction, Fraction, Fraction]:
         pt = [Fraction(x) for x in point]
@@ -174,20 +178,9 @@ def star_coefficients(beta) -> tuple:
     if isinstance(beta, PolyForm3):
         return beta.b
     coeffs = dict(beta)
-    vals = list(coeffs.values())
-    numeric = all(isinstance(v, (int, Fraction)) for v in vals)
-
-    def get(i, j):
-        if (i, j) in coeffs:
-            return coeffs[(i, j)]
-        if (j, i) in coeffs:
-            return -coeffs[(j, i)]
-        return Fraction(0) if numeric else Poly.zero(NVARS)
-
-    b = (get(2, 3), -get(1, 3), get(1, 2))
-    if numeric:
-        return tuple(Fraction(x) for x in b)
-    return b
+    if all(isinstance(v, (int, Fraction)) for v in coeffs.values()):
+        return tuple(Fraction(x) for x in _star(coeffs, 0))
+    return PolyForm3.from_wedge_coefficients(coeffs).b
 
 
 def pullback_splitting(u: ParamMap) -> Tuple[PolyForm3, PolyForm3]:
@@ -251,12 +244,7 @@ class AdaptedCoframe:
 
     def volume(self) -> float:
         """η₁∧η₂∧η₃ coefficient: det of the three covectors."""
-        m = [self.eta1, self.eta2, self.eta3]
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
+        return linalg.det([self.eta1, self.eta2, self.eta3])
 
 
 def _coframe(coords: Tuple[Fraction, ...], b1, b2, tol: float) -> AdaptedCoframe:
@@ -494,7 +482,7 @@ def heisenberg_model() -> PolyMap:
     t = Poly.variable(0, NVARS)
     w1 = Poly.variable(1, NVARS)
     w2 = Poly.variable(2, NVARS)
-    return PolyMap((w1, w2, t, w1 * w1 + w2 * w2), domain_note="all of R^3")
+    return PolyMap((w1, w2, t, w1 * w1 + w2 * w2))
 
 
 def affine_plane_model() -> PolyMap:
@@ -502,7 +490,7 @@ def affine_plane_model() -> PolyMap:
     x1 = Poly.variable(0, NVARS)
     x2 = Poly.variable(1, NVARS)
     x3 = Poly.variable(2, NVARS)
-    return PolyMap((x1, x2, x3, Poly.zero(NVARS)), domain_note="all of R^3")
+    return PolyMap((x1, x2, x3, Poly.zero(NVARS)))
 
 
 def sphere_chart_model() -> RationalMap:
@@ -516,4 +504,4 @@ def sphere_chart_model() -> RationalMap:
     den = Poly.constant(1, NVARS) + q
     num0 = Poly.constant(1, NVARS) - q
     comps = (RatFunc(num0, den),) + tuple(RatFunc(2 * x, den) for x in xs)
-    return RationalMap(comps, domain_note="all of R^3 (chart misses one point of S^3)")
+    return RationalMap(comps)

@@ -1,10 +1,14 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Linear algebra on small dense matrices, exact or floating.
 
-Everything here works on lists of lists of :class:`fractions.Fraction` and is
-deterministic: no pivoting heuristics beyond "first nonzero", no tolerances.
-Floating-point problems are handled elsewhere with numpy; this module is the
-exact kernel behind rank, kernel and signature computations that must be
-reproduced with zero tolerance.
+This is the one place that chooses between the exact and the floating path.
+:func:`rank`, :func:`inverse` and :func:`inertia` look at their entries once:
+if every entry is exact (int or :class:`fractions.Fraction`) they eliminate in
+Fractions, deterministically and with zero tolerance; otherwise they hand the
+matrix to numpy (``matrix_rank`` at its default tolerance, ``inv``,
+``eigvalsh`` with a 1e-12 cut-off).  :func:`det` eliminates in whatever
+scalars it is given, so exact input gives an exact determinant and float input
+a float one.  :func:`rref`, :func:`nullspace`, :func:`solve` and the span
+helpers are exact only: they coerce their entries to Fractions.
 """
 
 from __future__ import annotations
@@ -12,8 +16,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+import numpy as np
+
+from .scalars import Scalar, is_exact
+
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
+
+
+def _exact(a) -> bool:
+    return all(is_exact(x) for row in a for x in row)
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
@@ -68,7 +80,9 @@ def rref(a: Sequence[Sequence[Fraction]]):
 
 
 def rank(a) -> int:
-    return len(rref(a)[1])
+    if _exact(a):
+        return len(rref(a)[1])
+    return int(np.linalg.matrix_rank(np.array(a, dtype=float)))
 
 
 def nullspace(a) -> List[Vector]:
@@ -106,50 +120,58 @@ def solve(a, b) -> Optional[Vector]:
 
 
 def inverse(a) -> Matrix:
-    rows = mat(a)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    n = len(a)
+    if any(len(r) != n for r in a):
         raise ValueError("not square")
-    aug = [row + ident_row for row, ident_row in zip(rows, identity(n))]
+    if not _exact(a):
+        return np.linalg.inv(np.array(a, dtype=float)).tolist()
+    aug = [row + ident_row for row, ident_row in zip(mat(a), identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
 
 
-def det(a) -> Fraction:
-    rows = mat(a)
+def det(a) -> Scalar:
+    """Determinant by elimination in the entries' own scalars, largest pivot first."""
+    exact = _exact(a)
+    rows = mat(a) if exact else [[float(x) for x in row] for row in a]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("not square")
-    sign = Fraction(1)
-    result = Fraction(1)
+    result = Fraction(1) if exact else 1.0
     for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
+        piv = max(range(col, n), key=lambda i: abs(rows[i][col]))
+        if rows[piv][col] == 0:
+            return Fraction(0) if exact else 0.0
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        result *= rows[col][col]
-        inv = 1 / rows[col][col]
+            result = -result
+        pivot = rows[col][col]
+        result *= pivot
         for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col] * inv
+            f = rows[i][col] / pivot
+            if f != 0:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return sign * result
+    return result
 
 
 def inertia(a) -> tuple:
-    """Signature (positive, negative, zero) of a symmetric rational matrix.
+    """Signature (positive, negative, zero) of a symmetric matrix.
 
-    Lagrange congruence reduction: diagonalize by simultaneous row/column
-    operations, which preserves inertia (Sylvester).  Exact, no tolerances.
+    Exact input: Lagrange congruence reduction, diagonalizing by simultaneous
+    row/column operations, which preserves inertia (Sylvester); no tolerances.
+    Float input: eigenvalues, with |λ| ≤ 1e-12 counted as zero.
     """
-    s = mat(a)
+    s = [list(row) for row in a]
     n = len(s)
     if transpose(s) != s:
         raise ValueError("matrix is not symmetric")
+    if not _exact(s):
+        eigs = np.linalg.eigvalsh(np.array(s, dtype=float))
+        pos, neg = int((eigs > 1e-12).sum()), int((eigs < -1e-12).sum())
+        return pos, neg, n - pos - neg
+    s = mat(s)
     pos = neg = zero = 0
 
     def congruence_eliminate(m, k):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
@@ -214,7 +213,7 @@ def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
     e4 = j @ e3
 
     basis_cols = np.column_stack([e1, e2, e3, e4])
-    det = np.linalg.det(basis_cols)
+    det = linalg.det(basis_cols.tolist())
     if abs(det) < tol:
         raise ValueError("constructed basis is singular")
     # in the constructed coframe, omega^omega = 2 e1^e2^e3^e4, so
@@ -263,7 +262,4 @@ def pullback_pair_independent(pair: EllipticPair, a: LinearMap) -> Tuple[MultiVe
 
 
 def _independent_two_forms(beta1: MultiVector, beta2: MultiVector) -> bool:
-    rows = [beta1.components(), beta2.components()]
-    if beta1.is_exact and beta2.is_exact:
-        return linalg.rank([[Fraction(x) for x in row] for row in rows]) == 2
-    return np.linalg.matrix_rank(np.array(rows, dtype=float)) == 2
+    return linalg.rank([beta1.components(), beta2.components()]) == 2

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
@@ -65,15 +64,10 @@ class ComplexStructure:
         plane_of(self)
 
     def _check_square(self):
-        m = self.matrix
-        if self.is_exact:
-            sq = linalg.matmul([[Fraction(x) for x in r] for r in m], [[Fraction(x) for x in r] for r in m])
-            if sq != [[Fraction(-1 if i == j else 0) for j in range(4)] for i in range(4)]:
-                raise ValueError("J^2 != -Id (exact check)")
-        else:
-            a = np.array(self.matrix, dtype=float)
-            if np.max(np.abs(a @ a + np.eye(4))) > self.tol:
-                raise ValueError("J^2 != -Id beyond tolerance")
+        sq = linalg.matmul(self.matrix, self.matrix)
+        residual = max(abs(sq[i][j] + (1 if i == j else 0)) for i in range(4) for j in range(4))
+        if residual > (0 if self.is_exact else self.tol):
+            raise ValueError("J^2 != -Id" + (" (exact check)" if self.is_exact else " beyond tolerance"))
 
     @property
     def is_exact(self) -> bool:
@@ -110,23 +104,22 @@ class OrientedPositivePlane:
         theirs = [other.omega.components(), other.phi.components()]
         exact = all(is_exact(x) for row in mine + theirs for x in row)
         if exact:
-            rows = [[Fraction(x) for x in r] for r in mine + theirs]
-            if linalg.rank(rows) != 2:
+            if linalg.rank(mine + theirs) != 2:
                 return False
             # change of basis: solve [omega phi]^T c = other
-            cols = linalg.transpose([[Fraction(x) for x in r] for r in mine])
-            c1 = linalg.solve(cols, [Fraction(x) for x in theirs[0]])
-            c2 = linalg.solve(cols, [Fraction(x) for x in theirs[1]])
+            cols = linalg.transpose(mine)
+            c1 = linalg.solve(cols, theirs[0])
+            c2 = linalg.solve(cols, theirs[1])
             if c1 is None or c2 is None:
                 return False
-            return c1[0] * c2[1] - c1[1] * c2[0] > 0
+            return linalg.det([c1, c2]) > 0
         amat = np.array(mine, dtype=float).T
         sol, res, rank_, _ = np.linalg.lstsq(amat, np.array(theirs, dtype=float).T, rcond=None)
         resid = np.max(np.abs(amat @ sol - np.array(theirs, dtype=float).T))
         scale = max(1.0, np.max(np.abs(theirs)))
         if resid > tol * scale:
             return False
-        return float(np.linalg.det(sol)) > 0
+        return linalg.det(sol.tolist()) > 0
 
 
 @dataclass(frozen=True)
@@ -178,10 +171,7 @@ class Splitting:
 
 def lines_parallel(a: MultiVector, b: MultiVector) -> bool:
     """Whether two 2-forms span the same line (exact when inputs are exact)."""
-    rows = [a.components(), b.components()]
-    if a.is_exact and b.is_exact:
-        return linalg.rank([[Fraction(x) for x in r] for r in rows]) <= 1
-    return np.linalg.matrix_rank(np.array(rows, dtype=float), tol=1e-12) <= 1
+    return linalg.rank([a.components(), b.components()]) <= 1
 
 
 # -- the correspondence J <-> Lambda_J --------------------------------------
@@ -203,22 +193,17 @@ def plane_of(j: ComplexStructure, eps: VolumeForm = DEFAULT_VOLUME, seed_covecto
     def covector(i):
         return [to_scalar(1) if k == i else to_scalar(0) for k in range(4)]
 
-    def independent(rows) -> bool:
-        if all(is_exact(x) for r in rows for x in r):
-            return linalg.rank([[Fraction(x) for x in r] for r in rows]) == len(rows)
-        return np.linalg.matrix_rank(np.array(rows, dtype=float)) == len(rows)
-
     if seed_covectors is not None:
         i1, i2 = seed_covectors
         xi1, xi2 = covector(i1 - 1), covector(i2 - 1)
-        if not independent([xi1, pull(xi1), xi2, pull(xi2)]):
+        if linalg.rank([xi1, pull(xi1), xi2, pull(xi2)]) != 4:
             raise ValueError("seed covectors do not give a complex coframe")
     else:
         xi1 = covector(0)
         xi2 = None
         for i in range(1, 4):
             cand = covector(i)
-            if independent([xi1, pull(xi1), cand, pull(cand)]):
+            if linalg.rank([xi1, pull(xi1), cand, pull(cand)]) == 4:
                 xi2 = cand
                 break
         if xi2 is None:
@@ -289,19 +274,21 @@ def canonical_model(alpha, eps: VolumeForm = DEFAULT_VOLUME) -> Splitting:
 
 
 def equivalent(s1: Splitting, s2: Splitting, tol: float = DEFAULT_TOL) -> bool:
-    """Splittings are equivalent iff their degrees agree (complete invariant)."""
-    return abs(degree(s1) - degree(s2)) <= tol
+    """Splittings are equivalent iff their degrees agree (complete invariant).
+
+    Exact splittings compare degree² exactly; otherwise degrees agree to ``tol``.
+    """
+    d1, d2 = degree_squared(s1), degree_squared(s2)
+    if is_exact(d1) and is_exact(d2):
+        return d1 == d2
+    return abs(math.sqrt(float(d1)) - math.sqrt(float(d2))) <= tol
 
 
 def act(a: LinearMap, s: Splitting) -> Splitting:
     """Pull both generator lines back along an orientation-preserving map."""
     if a.source_dim != 4 or a.target_dim != 4:
         raise ValueError("expected an endomorphism of the 4-space")
-    d = a.det()
-    if is_exact(d):
-        if d <= 0:
-            raise ValueError("orientation-reversing maps are not modeled")
-    elif float(d) <= 0:
+    if a.det() <= 0:
         raise ValueError("orientation-reversing maps are not modeled")
     return Splitting(pullback(s.line1, a), pullback(s.line2, a), s.eps)
 

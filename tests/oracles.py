@@ -35,6 +35,15 @@ def perm_sign(perm) -> int:
     return sign
 
 
+def leibniz_det(rows):
+    """Determinant as the full permutation sum: no elimination, no pivoting."""
+    n = len(rows)
+    return sum(
+        (perm_sign(p) * math.prod(rows[i][p[i]] for i in range(n)) for p in permutations(range(n))),
+        Fraction(0),
+    )
+
+
 def dense_tensor(form: MultiVector) -> dict:
     """Fully antisymmetric coefficient tensor, 0-based index tuples."""
     dense = {}

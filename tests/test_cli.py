@@ -36,6 +36,11 @@ class TestRenderJson:
         out = render_json({"a": [True, None, 2]})
         assert json.loads(out) == {"a": [True, None, 2]}
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_refused(self, value):
+        with pytest.raises(ValueError):
+            render_json({"a": [1.0, value]})
+
 
 class TestPairCommand:
     def test_model_pair(self, tmp_path, capsys):
@@ -225,6 +230,19 @@ class TestInputBoundary:
         code, out, err = run([command, "--input", path], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "non-finite" in err and len(err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("command, payload", [
+        ("pair", pair_payload(OMEGA0 * 1e308, PHI0 * -1e308)),
+        ("pair", pair_payload(OMEGA0 * 1e200, MultiVector.basis(4, (1, 2)))),
+        ("splitting", {"L1": (OMEGA0 * 1e200).to_json(), "L2": ((OMEGA0 + PHI0) * 1e200).to_json()}),
+    ], ids=["pair-1e308", "pair-1e200-omega", "splitting-1e200"])
+    def test_overflowing_pairing_rejected(self, command, payload, tmp_path, capfd):
+        # capfd, not capsys: LAPACK warnings go to file descriptor 2
+        path = write_json(tmp_path, "in.json", payload)
+        code, out, err = run([command, "--input", path], capfd)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestOutputFile:

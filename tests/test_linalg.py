@@ -1,0 +1,113 @@
+"""The one exact/float kernel: exact and float copies of a matrix agree."""
+
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import pathgeom
+from pathgeom import OMEGA0, PHI0, VolumeForm, linalg, pairing_signature
+from pathgeom.splitting import lines_parallel
+
+from conftest import rand_fraction
+from oracles import leibniz_det
+
+
+def rand_matrix(rng, rows, cols):
+    return [[rand_fraction(rng, -5, 5, 4) for _ in range(cols)] for _ in range(rows)]
+
+
+def floats(a):
+    return [[float(x) for x in row] for row in a]
+
+
+def rank_r_matrix(rng, rows, cols, r):
+    """A rows×cols matrix of rank r: a product of random rows×r and r×cols integer factors."""
+    while True:
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(r)]
+        m = linalg.matmul(left, right)
+        if linalg.rank(m) == r:
+            return m
+
+
+class TestDeterminant:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_permutation_sum(self, n, rng):
+        for _ in range(10):
+            m = rand_matrix(rng, n, n)
+            d = linalg.det(m)
+            assert type(d) is Fraction and d == leibniz_det(m)
+            df = linalg.det(floats(m))
+            assert type(df) is float
+            assert abs(df - float(d)) <= 1e-9 * max(1.0, abs(float(d)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_singular_matrices(self, n, rng):
+        m = rank_r_matrix(rng, n, n, n - 1)
+        assert linalg.det(m) == 0 and type(linalg.det(m)) is Fraction
+        assert linalg.det(floats(m)) == pytest.approx(0.0, abs=1e-9)
+
+    def test_empty_and_integer_input_are_exact(self):
+        assert linalg.det([]) == 1
+        d = linalg.det([[2, 1], [7, 4]])
+        assert type(d) is Fraction and d == 1
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            linalg.det([[1, 2, 3], [4, 5, 6]])
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("shape", [(2, 6), (4, 3), (4, 4), (5, 5)])
+    def test_rank_exact_and_float_agree(self, shape, rng):
+        rows, cols = shape
+        for r in range(1, min(shape) + 1):
+            m = rank_r_matrix(rng, rows, cols, r)
+            assert linalg.rank(m) == linalg.rank(floats(m)) == r
+            assert type(linalg.rank(floats(m))) is int
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_inverse_exact_and_float_agree(self, n, rng):
+        m = rank_r_matrix(rng, n, n, n)
+        inv = linalg.inverse(m)
+        inv_f = linalg.inverse(floats(m))
+        assert all(type(x) is Fraction for row in inv for x in row)
+        assert all(type(x) is float for row in inv_f for x in row)
+        assert linalg.matmul(m, inv) == linalg.identity(n)
+        for row, row_f in zip(inv, inv_f):
+            assert row_f == pytest.approx([float(x) for x in row], rel=1e-9, abs=1e-12)
+
+    def test_singular_inverse_rejected_on_both_paths(self):
+        m = [[1, 2], [2, 4]]
+        with pytest.raises(ValueError):
+            linalg.inverse(m)
+        with pytest.raises(ValueError):
+            linalg.inverse(floats(m))
+
+    @pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 0), (-1, -1, 1, 0), (1, 1, 1, -1, -1, -1)])
+    def test_inertia_exact_and_float_agree(self, signs, rng):
+        n = len(signs)
+        b = rank_r_matrix(rng, n, n, n)
+        # B·diag(signs)·Bᵀ is congruent to diag(signs)
+        s = linalg.matmul(linalg.matmul(b, [[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]),
+                          linalg.transpose(b))
+        expected = (signs.count(1), signs.count(-1), signs.count(0))
+        assert linalg.inertia(s) == linalg.inertia(floats(s)) == expected
+
+    def test_inertia_rejects_asymmetric_input(self):
+        with pytest.raises(ValueError):
+            linalg.inertia([[1.0, 2.0], [3.0, 1.0]])
+
+    def test_float_callers(self):
+        assert lines_parallel(OMEGA0 * 0.5, OMEGA0 * -3.25)
+        assert not lines_parallel(OMEGA0 * 0.5, PHI0 * 1.0)
+        assert pairing_signature(VolumeForm(2.0)) == (3, 3)
+        assert pairing_signature(VolumeForm(-2.0)) == (3, 3)
+
+
+def test_numpy_rank_and_eigenvalues_only_in_linalg():
+    src = Path(pathgeom.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if re.search("matrix_rank|eigvalsh", p.read_text(encoding="utf-8")))
+    assert users == ["linalg.py"]

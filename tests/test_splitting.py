@@ -184,6 +184,14 @@ class TestEquivalence:
         s, _ = random_splitting(rng)
         assert equivalent(s, s)
 
+    def test_exact_splittings_compare_exactly(self):
+        assert not equivalent(canonical_model(1), canonical_model(1 + Fraction(1, 10**12)))
+        assert equivalent(canonical_model(1), canonical_model(Fraction(3, 3)))
+
+    def test_float_splittings_compare_within_tolerance(self):
+        assert equivalent(canonical_model(1.0), canonical_model(1.0 + 1e-12))
+        assert not equivalent(canonical_model(1.0), canonical_model(1.001))
+
 
 class TestAct:
     def test_identity(self):
