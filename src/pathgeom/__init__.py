@@ -55,9 +55,8 @@ from .hypersurface import (
     AdaptedCoframe,
     CRSample,
     PathGeometrySample,
+    ParamMap,
     PolyForm3,
-    PolyMap,
-    RationalMap,
     adapted_coframe_at,
     affine_plane_model,
     compatibility_check,
@@ -84,7 +83,7 @@ __all__ = [
     "plane_of", "j_of_plane", "degree", "degree_squared",
     "canonical_model", "equivalent", "act",
     "Poly", "RatFunc",
-    "PolyMap", "RationalMap", "PolyForm3", "AdaptedCoframe",
+    "ParamMap", "PolyForm3", "AdaptedCoframe",
     "PathGeometrySample", "CRSample",
     "pullback_splitting", "star_coefficients", "adapted_coframe_at",
     "line_fields_at", "is_nondegenerate_at", "cr_structure_at",

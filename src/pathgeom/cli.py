@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exterior import DEFAULT_VOLUME, MultiVector, VolumeForm, conformal_pairing
-from .hypersurface import map_from_json, sample_report
+from .hypersurface import ParamMap, sample_report
 from .pairs import (
     EllipticPair,
     is_elliptic,
@@ -46,8 +46,8 @@ class Config:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be a finite number > 0, not {self.tolerance!r}")
 
 
 class InputError(Exception):
@@ -164,7 +164,7 @@ def cmd_splitting_degree(payload, cfg: Config) -> tuple:
 
 def cmd_hypersurface(payload, cfg: Config) -> tuple:
     try:
-        u = map_from_json(payload["map"])
+        u = ParamMap.from_json(payload["map"])
         points = [[Fraction(str(x)) for x in pt] for pt in payload.get("points", [])]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed hypersurface input: {exc}") from exc
@@ -235,7 +235,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:  # pragma: no cover - argparse enforces the choices
             raise InputError(f"unknown command {args.command!r}")
         text = render_json(report) + "\n"
-    except (InputError, ValueError, ZeroDivisionError) as exc:
+    except (InputError, ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,8 @@
 """Parametrized hypersurfaces of ℝ⁴ ≅ ℂ² and the structures they inherit.
 
-A map u : ℝ³ → ℝ⁴ with polynomial (or rational-function) components and
-rank-3 Jacobian pulls the canonical spanning pair (ω₀, φ₀) back to two
+A map u : ℝ³ → ℝ⁴ is one :class:`ParamMap` with four rational-function
+components (a polynomial is stored over the denominator 1).  With a rank-3
+Jacobian it pulls the canonical spanning pair (ω₀, φ₀) back to two
 2-forms β₁, β₂ on parameter space, encoded as β = b·⋆dx with
 ⋆dx = (dx²∧dx³, dx³∧dx¹, dx¹∧dx²).  Everything downstream is cross-product
 arithmetic on the coefficient vectors b₁, b₂:
@@ -51,10 +52,24 @@ def _dot(a: Sequence, b: Sequence):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-class _ParamMap:
-    """Shared behaviour of polynomial and rational parametrizations."""
+@dataclass(frozen=True)
+class ParamMap:
+    """Hypersurface parametrization u : ℝ³ → ℝ⁴ with four rational-function components.
 
-    components: Tuple[Coefficient, ...]
+    A :class:`Poly` component is stored as ``RatFunc(p)``.  ``to_json`` writes
+    the polynomial form when every denominator is the constant 1 and the
+    ``"type": "rational"`` form otherwise; ``from_json`` reads both.
+    """
+
+    components: Tuple[RatFunc, RatFunc, RatFunc, RatFunc]
+
+    def __post_init__(self):
+        comps = tuple(RatFunc(c) if isinstance(c, Poly) else c for c in self.components)
+        if len(comps) != 4 or any(not isinstance(c, RatFunc) for c in comps):
+            raise ValueError("ParamMap needs exactly four polynomial or rational-function components")
+        if any(c.nvars != NVARS for c in comps):
+            raise ValueError("components must be functions of three variables")
+        object.__setattr__(self, "components", comps)
 
     def jacobian(self):
         """4×3 matrix of coefficient functions ∂uⁱ/∂xʲ."""
@@ -64,48 +79,9 @@ class _ParamMap:
         """Exact Jacobian at a rational point; raises on rank drop."""
         return _jacobian(_compile_jacobian(self), RationalPoint(point, NVARS))
 
-    def value_at(self, point: Sequence) -> list:
-        pt = [Fraction(x) for x in point]
-        return [comp(pt) for comp in self.components]
-
-
-@dataclass(frozen=True)
-class PolyMap(_ParamMap):
-    """Hypersurface parametrization with four polynomial components."""
-
-    components: Tuple[Poly, Poly, Poly, Poly]
-
-    def __post_init__(self):
-        if len(self.components) != 4 or any(not isinstance(c, Poly) for c in self.components):
-            raise ValueError("PolyMap needs exactly four polynomial components")
-        if any(c.nvars != NVARS for c in self.components):
-            raise ValueError("components must be polynomials in three variables")
-
     def to_json(self) -> dict:
-        return {
-            "vars": ["x1", "x2", "x3"],
-            "components": [c.to_json() for c in self.components],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "PolyMap":
-        comps = tuple(Poly.from_json(c, NVARS) for c in data["components"])
-        return cls(comps)
-
-
-@dataclass(frozen=True)
-class RationalMap(_ParamMap):
-    """Parametrization with rational-function components (e.g. sphere charts)."""
-
-    components: Tuple[RatFunc, RatFunc, RatFunc, RatFunc]
-
-    def __post_init__(self):
-        if len(self.components) != 4 or any(not isinstance(c, RatFunc) for c in self.components):
-            raise ValueError("RationalMap needs exactly four rational-function components")
-        if any(c.nvars != NVARS for c in self.components):
-            raise ValueError("components must be rational functions in three variables")
-
-    def to_json(self) -> dict:
+        if all(c.den == 1 for c in self.components):
+            return {"vars": ["x1", "x2", "x3"], "components": [c.num.to_json() for c in self.components]}
         return {
             "vars": ["x1", "x2", "x3"],
             "type": "rational",
@@ -113,20 +89,17 @@ class RationalMap(_ParamMap):
         }
 
     @classmethod
-    def from_json(cls, data) -> "RationalMap":
-        comps = tuple(
-            RatFunc(Poly.from_json(c["num"], NVARS), Poly.from_json(c["den"], NVARS)) for c in data["components"]
-        )
-        return cls(comps)
+    def from_json(cls, data) -> "ParamMap":
+        if data.get("type") == "rational":
+            return cls(tuple(
+                RatFunc(Poly.from_json(c["num"], NVARS), Poly.from_json(c["den"], NVARS)) for c in data["components"]
+            ))
+        return cls(tuple(Poly.from_json(c, NVARS) for c in data["components"]))
 
 
-ParamMap = Union[PolyMap, RationalMap]
-
-
-def map_from_json(data) -> ParamMap:
-    if data.get("type") == "rational":
-        return RationalMap.from_json(data)
-    return PolyMap.from_json(data)
+# ``perfbench/layers.py`` wraps ``_ParamMap.jacobian_at`` by this name; the
+# line goes when the tracer reads the library's own stage collector (ROADMAP item 5)
+_ParamMap = ParamMap
 
 
 def _star(coeffs, zero) -> tuple:
@@ -159,14 +132,6 @@ class PolyForm3:
 
     def scaled(self, factor) -> "PolyForm3":
         return PolyForm3(tuple(c * factor for c in self.b))
-
-    def to_json(self) -> dict:
-        def enc(c):
-            if isinstance(c, RatFunc):
-                return {"num": c.num.to_json(), "den": c.den.to_json()}
-            return c.to_json()
-
-        return {"star_coefficients": [enc(c) for c in self.b]}
 
 
 def star_coefficients(beta) -> tuple:
@@ -477,23 +442,23 @@ def sample_report(u: ParamMap, points: Sequence[Sequence], tol: float = 1e-9) ->
 # -- named models ------------------------------------------------------------
 
 
-def heisenberg_model() -> PolyMap:
+def heisenberg_model() -> ParamMap:
     """u(t,w₁,w₂) = (w₁, w₂, t, w₁²+w₂²) with variables ordered (t,w₁,w₂)."""
     t = Poly.variable(0, NVARS)
     w1 = Poly.variable(1, NVARS)
     w2 = Poly.variable(2, NVARS)
-    return PolyMap((w1, w2, t, w1 * w1 + w2 * w2))
+    return ParamMap((w1, w2, t, w1 * w1 + w2 * w2))
 
 
-def affine_plane_model() -> PolyMap:
+def affine_plane_model() -> ParamMap:
     """u(x) = (x¹, x², x³, 0): everywhere contact-degenerate."""
     x1 = Poly.variable(0, NVARS)
     x2 = Poly.variable(1, NVARS)
     x3 = Poly.variable(2, NVARS)
-    return PolyMap((x1, x2, x3, Poly.zero(NVARS)))
+    return ParamMap((x1, x2, x3, Poly.zero(NVARS)))
 
 
-def sphere_chart_model() -> RationalMap:
+def sphere_chart_model() -> ParamMap:
     """Rational chart of the unit sphere S³ ⊂ ℝ⁴ via the Cayley transform.
 
     u = ((1−q)/(1+q), 2x¹/(1+q), 2x²/(1+q), 2x³/(1+q)) with q = |x|²;
@@ -504,4 +469,4 @@ def sphere_chart_model() -> RationalMap:
     den = Poly.constant(1, NVARS) + q
     num0 = Poly.constant(1, NVARS) - q
     comps = (RatFunc(num0, den),) + tuple(RatFunc(2 * x, den) for x in xs)
-    return RationalMap(comps)
+    return ParamMap(comps)

@@ -89,10 +89,6 @@ class EllipticPair:
             conformal_pairing(self.phi, self.phi, self.eps),
         )
 
-    @property
-    def is_orthogonal(self) -> bool:
-        return conformal_pairing(self.omega, self.phi, self.eps) == 0
-
 
 def _require_orthogonal(pair: EllipticPair, tol: float):
     ww, wp, pp = pair.pairings()

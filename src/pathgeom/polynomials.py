@@ -35,7 +35,10 @@ class Poly:
             raise ValueError("need at least one variable")
         clean: Dict[Exponent, Fraction] = {}
         for exp, c in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
+            ints = tuple(int(e) for e in exp)
+            if ints != tuple(exp):
+                raise ValueError(f"exponents must be integers, not {tuple(exp)}")
+            exp = ints
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent tuple {exp}")
             c = Fraction(c)
@@ -73,7 +76,10 @@ class Poly:
             return other
         return Poly.constant(Fraction(other), self.nvars)
 
+    # a RatFunc operand hands the operation to RatFunc's reflected method
     def __add__(self, other) -> "Poly":
+        if isinstance(other, RatFunc):
+            return NotImplemented
         other = self._coerce(other)
         acc = dict(self.terms)
         for e, c in other.terms.items():
@@ -86,12 +92,16 @@ class Poly:
         return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
+        if isinstance(other, RatFunc):
+            return NotImplemented
         return self + (-self._coerce(other))
 
     def __rsub__(self, other) -> "Poly":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
+        if isinstance(other, RatFunc):
+            return NotImplemented
         other = self._coerce(other)
         acc: Dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():

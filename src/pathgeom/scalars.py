@@ -39,10 +39,6 @@ def is_exact(value: Scalar) -> bool:
     return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
 
 
-def all_exact(values) -> bool:
-    return all(is_exact(v) for v in values)
-
-
 def scalar_to_json(value: Scalar):
     """Exact rationals serialize as "p/q" strings, floats as JSON numbers."""
     if is_exact(value):

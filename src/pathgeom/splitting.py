@@ -39,8 +39,14 @@ from .scalars import Scalar, is_exact, to_scalar
 
 
 def _gram_definite_sign(g) -> int:
-    """+1 / −1 for a definite 2×2 symmetric matrix, 0 otherwise (exact if exact)."""
+    """+1 / −1 for a definite 2×2 symmetric matrix, 0 otherwise (exact if exact).
+
+    Raises when a float determinant overflows: inf − inf is nan, and
+    ``nan <= 0`` would let the matrix pass as definite.
+    """
     det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    if isinstance(det, float) and not math.isfinite(det):
+        raise ValueError(f"wedge Gram determinant overflowed to {det}")
     if det <= 0:
         return 0
     return 1 if g[0][0] > 0 else -1
@@ -80,9 +86,6 @@ class ComplexStructure:
         """A⁻¹JA: the pullback action of GL⁺ on complex structures."""
         m = a.inverse().compose(self.as_map()).compose(a)
         return ComplexStructure(m.matrix, tol=self.tol)
-
-
-J0 = None  # set after plane machinery is defined (bottom of module)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pathgeom import MultiVector, OMEGA0, PHI0, canonical_model
+from pathgeom import MultiVector, OMEGA0, PHI0, canonical_model, heisenberg_model
 from pathgeom.cli import main, render_json
 
 
@@ -147,6 +147,14 @@ class TestHypersurfaceCommand:
         code, _, err = run(["hypersurface", "--input", path], capsys)
         assert code == 1 and "malformed" in err
 
+    def test_non_integral_exponent_rejected(self, tmp_path, capsys):
+        data = heisenberg_model().to_json()
+        data["components"][3][0]["exp"] = [0, 1.5, 0]
+        path = write_json(tmp_path, "in.json", {"map": data, "points": [["0", "1/2", "1/3"]]})
+        code, out, err = run(["hypersurface", "--input", path], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "integers" in err and len(err.splitlines()) == 1
+
 
 class TestEdsCommand:
     def test_sampled_run_passes(self, capsys):
@@ -244,6 +252,23 @@ class TestInputBoundary:
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command, payload", [
+        ("hypersurface", {"map": heisenberg_model().to_json(), "points": [[0, 1e308, 1]]}),
+        ("pair", pair_payload(OMEGA0, PHI0 * Fraction(10**400))),
+    ], ids=["hypersurface-point-1e308", "pair-exact-1e400"])
+    def test_overflow_error_rejected(self, command, payload, tmp_path, capfd):
+        path = write_json(tmp_path, "in.json", payload)
+        code, out, err = run([command, "--input", path], capfd)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_overflowing_gram_rejected(self, tmp_path, capsys):
+        payload = {"L1": (OMEGA0 * 1e100).to_json(), "L2": ((OMEGA0 + PHI0) * 1e100).to_json()}
+        path = write_json(tmp_path, "in.json", payload)
+        code, out, err = run(["splitting", "--input", path], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Gram determinant overflowed" in err and len(err.splitlines()) == 1
+
 
 class TestOutputFile:
     def test_out_path(self, tmp_path, capsys):
@@ -255,3 +280,10 @@ class TestOutputFile:
     def test_bad_tolerance(self, capsys):
         code, _, err = run(["--tol", "-1", "eds", "--samples", "1"], capsys)
         assert code == 1 and "tolerance" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, tmp_path, capsys):
+        path = write_json(tmp_path, "in.json", pair_payload(OMEGA0, PHI0))
+        code, out, err = run(["--tol", tol, "pair", "--input", path], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "tolerance" in err and len(err.splitlines()) == 1

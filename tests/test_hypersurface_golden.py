@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from pathgeom.cli import render_json
-from pathgeom.hypersurface import CompiledMap, _ParamMap, map_from_json, point_record, sample_report
+from pathgeom.hypersurface import CompiledMap, ParamMap, point_record, sample_report
 from pathgeom.polynomials import Poly
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "hypersurface_golden.json").read_text(encoding="utf-8"))
@@ -26,13 +26,13 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "hypersurface_golden.json"
 def test_records_match_golden(name):
     case = GOLDEN[name]
     points = [[Fraction(x) for x in p] for p in case["points"]]
-    assert render_json({"points": sample_report(map_from_json(case["map"]), points)}) == case["rendered"]
+    assert render_json({"points": sample_report(ParamMap.from_json(case["map"]), points)}) == case["rendered"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_per_point_evaluation_does_no_calculus(name, monkeypatch):
     case = GOLDEN[name]
-    u = map_from_json(case["map"])
+    u = ParamMap.from_json(case["map"])
     compiled = CompiledMap(u)
     calls = {"diff": 0, "jacobian_at": 0}
 
@@ -44,7 +44,7 @@ def test_per_point_evaluation_does_no_calculus(name, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Poly, "diff", counted("diff", Poly.diff))
-    monkeypatch.setattr(_ParamMap, "jacobian_at", counted("jacobian_at", _ParamMap.jacobian_at))
+    monkeypatch.setattr(ParamMap, "jacobian_at", counted("jacobian_at", ParamMap.jacobian_at))
     for p in case["points"]:
         point_record(u, [Fraction(x) for x in p], compiled=compiled)
     assert calls == {"diff": 0, "jacobian_at": 0}

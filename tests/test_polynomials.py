@@ -85,6 +85,21 @@ class TestPoly:
         with pytest.raises(ValueError):
             Poly(3, {(-1, 0, 0): Fraction(1)})
 
+    @pytest.mark.parametrize("e", [1.5, Fraction(1, 2), 0.999])
+    def test_non_integral_exponent_rejected(self, e):
+        with pytest.raises(ValueError, match="integers"):
+            Poly(3, {(e, 0, 0): Fraction(1)})
+
+    def test_integral_float_exponent_accepted(self):
+        assert Poly(3, {(2.0, 0, 0): Fraction(1)}) == Poly.variable(0, 3) * Poly.variable(0, 3)
+
+    def test_mixed_arithmetic_with_ratfunc(self, rng):
+        p, q = rand_poly(rng), rand_poly(rng) + 1
+        f = RatFunc(q, q * q + 1)
+        pt = [Fraction(1, 3), 2, Fraction(-5, 7)]
+        for value, expected in ((p + f, p(pt) + f(pt)), (p - f, p(pt) - f(pt)), (p * f, p(pt) * f(pt))):
+            assert isinstance(value, RatFunc) and value(pt) == expected
+
     def test_json_round_trip(self, rng):
         p = rand_poly(rng)
         assert Poly.from_json(p.to_json(), 3) == p

@@ -132,6 +132,11 @@ class TestSplittingInvariants:
         assert s.epsilon_flipped
         assert degree_squared(s) == 0
 
+    def test_overflowing_gram_rejected(self):
+        # the pairings are finite (1e200) but the Gram determinant is inf - inf
+        with pytest.raises(ValueError, match="overflow"):
+            Splitting(OMEGA0 * 1e100, (OMEGA0 + PHI0) * 1e100)
+
     def test_json_round_trip(self):
         s = canonical_model(Fraction(5, 4))
         back = Splitting.from_json(s.to_json())
