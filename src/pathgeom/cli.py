@@ -94,7 +94,7 @@ def _load_payload(path: Optional[str]):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read input: {exc}") from exc
 
 
@@ -216,7 +216,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.epsilon:
             eps = VolumeForm.from_form(MultiVector.from_json(json.loads(args.epsilon)))
         cfg = Config(tolerance=args.tol, seed=args.seed, epsilon=eps, out=args.out)
-    except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -239,11 +239,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if cfg.out:
+    if not cfg.out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

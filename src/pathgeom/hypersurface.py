@@ -90,6 +90,8 @@ class ParamMap:
 
     @classmethod
     def from_json(cls, data) -> "ParamMap":
+        if not isinstance(data, dict):
+            raise TypeError(f"map must be a JSON object, not {type(data).__name__}")
         if data.get("type") == "rational":
             return cls(tuple(
                 RatFunc(Poly.from_json(c["num"], NVARS), Poly.from_json(c["den"], NVARS)) for c in data["components"]

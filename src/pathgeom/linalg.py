@@ -1,22 +1,21 @@
 """Linear algebra on small dense matrices, exact or floating.
 
-This is the one place that chooses between the exact and the floating path.
-:func:`rank`, :func:`inverse` and :func:`inertia` look at their entries once:
-if every entry is exact (int or :class:`fractions.Fraction`) they eliminate in
-Fractions, deterministically and with zero tolerance; otherwise they hand the
-matrix to numpy (``matrix_rank`` at its default tolerance, ``inv``,
-``eigvalsh`` with a 1e-12 cut-off).  :func:`det` eliminates in whatever
-scalars it is given, so exact input gives an exact determinant and float input
-a float one.  :func:`rref`, :func:`nullspace`, :func:`solve` and the span
-helpers are exact only: they coerce their entries to Fractions.
-"""
+This is the one place that chooses between the exact and the floating path,
+and the only module of the package that uses numpy.  :func:`rank`,
+:func:`inverse` and :func:`inertia` look at their entries once: if every
+entry is exact (int or :class:`fractions.Fraction`) they eliminate in
+Fractions, deterministically and with zero tolerance; otherwise they import
+numpy and hand it the matrix (``matrix_rank`` at its default tolerance,
+``inv``, ``eigvalsh`` with a 1e-12 cut-off), so exact work never loads it.
+:func:`det`, :func:`matmul` and :func:`matvec` compute in whatever scalars
+they are given, so exact input gives exact results and float input floats.
+:func:`rref`, :func:`nullspace`, :func:`solve` and the span helpers are exact
+only: they coerce their entries to Fractions."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from .scalars import Scalar, is_exact
 
@@ -82,6 +81,7 @@ def rref(a: Sequence[Sequence[Fraction]]):
 def rank(a) -> int:
     if _exact(a):
         return len(rref(a)[1])
+    import numpy as np
     return int(np.linalg.matrix_rank(np.array(a, dtype=float)))
 
 
@@ -124,6 +124,7 @@ def inverse(a) -> Matrix:
     if any(len(r) != n for r in a):
         raise ValueError("not square")
     if not _exact(a):
+        import numpy as np
         return np.linalg.inv(np.array(a, dtype=float)).tolist()
     aug = [row + ident_row for row, ident_row in zip(mat(a), identity(n))]
     red, pivots = rref(aug)
@@ -168,6 +169,7 @@ def inertia(a) -> tuple:
     if transpose(s) != s:
         raise ValueError("matrix is not symmetric")
     if not _exact(s):
+        import numpy as np
         eigs = np.linalg.eigvalsh(np.array(s, dtype=float))
         pos, neg = int((eigs > 1e-12).sum()), int((eigs < -1e-12).sum())
         return pos, neg, n - pos - neg

@@ -9,7 +9,9 @@ invariant under pullback equivalence is a single number, the degree
     degree = |⟨ω,ω′⟩| / sqrt(⟨ω,ω⟩⟨ω′,ω′⟩ − ⟨ω,ω′⟩²)
 
 for any generators ω of L₁ and ω′ of L₂.  The model of degree α has
-L₁ = {ω₀} and L₂ = {αω₀ + φ₀}.
+L₁ = {ω₀} and L₂ = {αω₀ + φ₀}.  Spans, orientations and degree² are exact
+on exact input; only the degree and :func:`j_of_plane` take a square root.
+Every matrix computation goes through :mod:`pathgeom.linalg`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
-
-import numpy as np
 
 from . import linalg
 from .exterior import (
@@ -34,7 +34,7 @@ from .exterior import (
     pullback,
     wedge,
 )
-from .pairs import DEFAULT_TOL, EllipticPair, normal_form, orthogonalize
+from .pairs import DEFAULT_TOL, _form_matrix, orthogonalize
 from .scalars import Scalar, is_exact, to_scalar
 
 
@@ -102,27 +102,25 @@ class OrientedPositivePlane:
             raise ValueError("wedge pairing is not positive definite on the span")
 
     def spans_same_oriented_plane(self, other: "OrientedPositivePlane", tol: float = DEFAULT_TOL) -> bool:
-        """Equal spans and consistent orientation (exact when inputs are exact)."""
-        mine = [self.omega.components(), self.phi.components()]
-        theirs = [other.omega.components(), other.phi.components()]
-        exact = all(is_exact(x) for row in mine + theirs for x in row)
-        if exact:
-            if linalg.rank(mine + theirs) != 2:
+        """Equal spans and consistent orientation (exact when inputs are exact).
+
+        Each generator x of ``other`` is projected onto this span through the
+        wedge Gram G, which is positive definite here: its coefficients are
+        c = G⁻¹(⟨ω,x⟩, ⟨φ,x⟩).  x lies in the span iff x − c₁ω − c₂φ vanishes,
+        exactly on exact input and to ``tol`` times the size of ``other``
+        otherwise; the orientations agree iff det[c] > 0.
+        """
+        mine = (self.omega, self.phi)
+        exact = all(f.is_exact for f in mine + (other.omega, other.phi)) and is_exact(self.eps.coefficient)
+        scale = max(1.0, other.omega.norm_inf(), other.phi.norm_inf())
+        gram_inv = linalg.inverse(gram_matrix(self.omega, self.phi, self.eps))
+        coeffs = []
+        for x in (other.omega, other.phi):
+            c = linalg.matvec(gram_inv, [conformal_pairing(f, x, self.eps) for f in mine])
+            if (x - self.omega * c[0] - self.phi * c[1]).norm_inf() > (0 if exact else tol * scale):
                 return False
-            # change of basis: solve [omega phi]^T c = other
-            cols = linalg.transpose(mine)
-            c1 = linalg.solve(cols, theirs[0])
-            c2 = linalg.solve(cols, theirs[1])
-            if c1 is None or c2 is None:
-                return False
-            return linalg.det([c1, c2]) > 0
-        amat = np.array(mine, dtype=float).T
-        sol, res, rank_, _ = np.linalg.lstsq(amat, np.array(theirs, dtype=float).T, rcond=None)
-        resid = np.max(np.abs(amat @ sol - np.array(theirs, dtype=float).T))
-        scale = max(1.0, np.max(np.abs(theirs)))
-        if resid > tol * scale:
-            return False
-        return linalg.det(sol.tolist()) > 0
+            coeffs.append(c)
+        return linalg.det(coeffs) > 0
 
 
 @dataclass(frozen=True)
@@ -232,23 +230,19 @@ def plane_of(j: ComplexStructure, eps: VolumeForm = DEFAULT_VOLUME, seed_covecto
 def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStructure:
     """Inverse of :func:`plane_of` up to tolerance.
 
-    Orthogonalizes and rescales the spanning pair to the κ = 1 normal form,
-    then applies J(v) = −e²(v)e₁ + e¹(v)e₂ − e⁴(v)e₃ + e³(v)e₄ in the
-    normalizing basis.
+    With φ₁ = φ orthogonalized against ω, the pair (ω, √(⟨ω,ω⟩/⟨φ₁,φ₁⟩)·φ₁)
+    has κ = 1, so J = −A for its endomorphism A (see :mod:`pathgeom.pairs`):
+    J = −√(⟨ω,ω⟩/⟨φ₁,φ₁⟩)·W_ω⁻¹W_φ₁, exact up to the one square root.
     """
     omega = p.omega
     phi1 = orthogonalize(omega, p.phi, p.eps)
     ww = conformal_pairing(omega, omega, p.eps)
     pp = conformal_pairing(phi1, phi1, p.eps)
-    if float(pp) <= 0 or float(ww) <= 0:
+    if pp <= 0 or ww <= 0:
         raise ValueError("plane is not positive; cannot build a complex structure")
-    phi2 = phi1 * math.sqrt(float(ww) / float(pp))
-    nf = normal_form(EllipticPair(omega, phi2, p.eps), tol=tol)
-    coframe = np.array(nf.basis, dtype=float)
-    basis_cols = np.linalg.inv(coframe)
-    j_block = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
-    j = basis_cols @ j_block @ coframe
-    return ComplexStructure(tuple(tuple(float(x) for x in row) for row in j), tol=max(tol, 1e-12) * 100)
+    s = -math.sqrt(float(ww) / float(pp))
+    a = linalg.matmul(linalg.inverse(_form_matrix(omega)), _form_matrix(phi1))
+    return ComplexStructure(tuple(tuple(s * x for x in row) for row in a), tol=max(tol, 1e-12) * 100)
 
 
 # -- degree and canonical models --------------------------------------------

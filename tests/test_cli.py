@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pathgeom import MultiVector, OMEGA0, PHI0, canonical_model, heisenberg_model
+import pathgeom
+from pathgeom import LinearMap, MultiVector, OMEGA0, PHI0, act, canonical_model, heisenberg_model
 from pathgeom.cli import main, render_json
 
 
@@ -219,6 +224,48 @@ class TestEdsGoldenOutput:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+class TestSplittingGoldenOutput:
+    """sha256 of the rendered report, captured before the plane comparison went through the wedge Gram."""
+
+    E = MultiVector.basis
+    ASD = E(4, (1, 3)) + E(4, (2, 4))  # anti-self-dual: the wedge pairing is negative on it
+
+    @pytest.mark.parametrize("payload, digest", [
+        (canonical_model(0).to_json(), "2c21a9e2ace7031264c4903e320a89e5161d46510f31fb0c1a965f2b9329c264"),
+        (canonical_model(Fraction(13, 4)).to_json(), "0d72f8f72eea70a5efe12a225bf32c76a669cd0d09344d4e8452deb762540aa4"),
+        (act(LinearMap(((1, 2, 0, 0), (0, 1, 3, 0), (0, 0, 1, -1), (1, 0, 0, 2))), canonical_model(Fraction(2, 3))).to_json(),
+         "bae0b19cb2010cf0b3d2590307497fcb93b4cfdec081d4444f015a9f1000bb57"),
+        ({"L1": ASD.to_json(), "L2": (ASD * 2 + E(4, (1, 4)) - E(4, (2, 3))).to_json()},
+         "8d10da46cdaac969d94590d211d552c85b4f8a6bec3f5cd760e61862b66ed54d"),
+        ({"L1": (OMEGA0 * 0.5).to_json(), "L2": (OMEGA0 * 0.25 + PHI0 * 1.5).to_json()},
+         "539b7fe37962ad28012bae371f6375fec9b1ef3712b9028ef9e91cdf4aba9dd3"),
+    ], ids=["model-0", "model-13/4", "pullback-2/3", "flipped", "float"])
+    def test_report(self, payload, digest, tmp_path, capsys):
+        code, out, _ = run(["splitting", "--input", write_json(tmp_path, "in.json", payload)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+PAIR_GOLDEN = json.loads((Path(__file__).parent / "data" / "pair_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", list(PAIR_GOLDEN))
+def test_pair_report_matches_golden(name, tmp_path, capsys):
+    """Every field but the normal-form basis and its residual, captured before the normal form went exact.
+
+    The κ-normal form is not unique, so the basis may change with the
+    construction; it must still rebuild the pair to 1e-9.
+    """
+    case = PAIR_GOLDEN[name]
+    code, out, _ = run(["pair", "--input", write_json(tmp_path, "in.json", case["payload"])], capsys)
+    report = json.loads(out)
+    assert code == 0
+    if report["normal_form"] is not None:
+        assert len(report["normal_form"].pop("basis")) == 4
+        assert report.pop("reconstruction_residual") <= 1e-9
+    assert report == case["report"]
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize("command", ["pair", "splitting", "hypersurface"])
     @pytest.mark.parametrize("payload", [[1, 2], "abc", 5])
@@ -227,6 +274,26 @@ class TestInputBoundary:
         code, out, err = run([command, "--input", path], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("hmap", [[1], "x", None])
+    def test_non_object_map_rejected(self, hmap, tmp_path, capsys):
+        path = write_json(tmp_path, "in.json", {"map": hmap, "points": []})
+        code, out, err = run(["hypersurface", "--input", path], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "JSON object" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["pair", "splitting", "hypersurface", "eds"])
+    def test_deep_nesting_rejected(self, command, tmp_path, capfd):
+        path = tmp_path / "in.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        code, out, err = run([command, "--input", str(path)], capfd)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error:") and "recursion" in err and len(err.splitlines()) == 1
+
+    def test_deep_epsilon_rejected(self, capfd):
+        code, out, err = run(["--epsilon", "[" * 100000, "eds", "--samples", "1"], capfd)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error:") and "recursion" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("command", ["pair", "splitting"])
@@ -277,6 +344,12 @@ class TestOutputFile:
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["all_pass"] is True
 
+    def test_unwritable_out_path(self, tmp_path, capfd):
+        missing = tmp_path / "no-such-dir" / "report.json"
+        code, out, err = run(["--out", str(missing), "eds", "--samples", "1"], capfd)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error:") and "cannot write" in err and len(err.splitlines()) == 1
+
     def test_bad_tolerance(self, capsys):
         code, _, err = run(["--tol", "-1", "eds", "--samples", "1"], capsys)
         assert code == 1 and "tolerance" in err
@@ -287,3 +360,28 @@ class TestOutputFile:
         code, out, err = run(["--tol", tol, "pair", "--input", path], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "tolerance" in err and len(err.splitlines()) == 1
+
+
+class TestNumpyStaysUnloaded:
+    """Exact requests never import numpy; only linalg's float branches do."""
+
+    PROBE = (
+        "import sys; from pathgeom.cli import main; code = main(sys.argv[1:]); "
+        "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+    )
+
+    @pytest.mark.parametrize("command, payload", [
+        ("pair", pair_payload(OMEGA0, PHI0 * Fraction(7, 3) + OMEGA0)),
+        ("splitting", canonical_model(Fraction(2, 3)).to_json()),
+        ("hypersurface", {"map": heisenberg_model().to_json(), "points": [["0", "1/2", "1/3"]]}),
+        ("eds", {"samples": [{"W1": "1", "W2": "2", "F1": "3", "F2": "4"}]}),
+    ], ids=["pair", "splitting", "hypersurface", "eds"])
+    def test_exact_request(self, command, payload, tmp_path):
+        src = str(Path(pathgeom.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, command, "--input", write_json(tmp_path, "in.json", payload)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "False"

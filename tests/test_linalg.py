@@ -1,5 +1,6 @@
 """The one exact/float kernel: exact and float copies of a matrix agree."""
 
+import ast
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -109,5 +110,10 @@ class TestDispatch:
 
 def test_numpy_rank_and_eigenvalues_only_in_linalg():
     src = Path(pathgeom.__file__).parent
-    users = sorted(p.name for p in src.glob("*.py") if re.search("matrix_rank|eigvalsh", p.read_text(encoding="utf-8")))
+    users = sorted(p.name for p in src.glob("*.py") if re.search("numpy|matrix_rank|eigvalsh", p.read_text(encoding="utf-8")))
     assert users == ["linalg.py"]
+    # and there only inside the float branches, never at module level
+    tree = ast.parse((src / "linalg.py").read_text(encoding="utf-8"))
+    owners = [getattr(top, "name", None) for top in tree.body for n in ast.walk(top)
+              if isinstance(n, ast.Import) and any(a.name == "numpy" for a in n.names)]
+    assert sorted(owners) == ["inertia", "inverse", "rank"]

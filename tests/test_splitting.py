@@ -118,6 +118,15 @@ class TestJOfPlane:
             OrientedPositivePlane(E(4, (1, 2)), E(4, (3, 4)))
 
 
+class TestSpansSameOrientedPlane:
+    @pytest.mark.parametrize("scalar", [Fraction(1), 1.0], ids=["exact", "float"])
+    def test_different_span(self, scalar):
+        # (ω₀, e¹²+e³⁴) is positive definite and meets span(ω₀, φ₀) only in ω₀
+        other = OrientedPositivePlane(OMEGA0 * scalar, (E(4, (1, 2)) + E(4, (3, 4))) * scalar)
+        assert not other.spans_same_oriented_plane(plane_of(J0))
+        assert not plane_of(J0).spans_same_oriented_plane(other)
+
+
 class TestSplittingInvariants:
     def test_indefinite_span_rejected(self):
         with pytest.raises(ValueError):
