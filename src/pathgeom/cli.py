@@ -127,10 +127,12 @@ def cmd_pair_classify(payload, cfg: Config) -> tuple:
         "symplectic": {"omega": is_symplectic(omega, eps), "phi": is_symplectic(phi, eps)},
         "elliptic": is_elliptic(omega, phi, eps),
     }
+    # an elliptic pair has ⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩² ≥ 0, so ω is symplectic and phi_orth is set
     if report["symplectic"]["omega"]:
-        report["orthogonalized_phi"] = orthogonalize(omega, phi, eps).to_json()
+        phi_orth = orthogonalize(omega, phi, eps)
+        report["orthogonalized_phi"] = phi_orth.to_json()
     if report["elliptic"]:
-        pair = EllipticPair(omega, orthogonalize(omega, phi, eps), eps)
+        pair = EllipticPair(omega, phi_orth, eps)
         nf = normal_form(pair, tol=cfg.tolerance)
         report["kappa"] = kappa_invariant(pair, tol=cfg.tolerance)
         report["normal_form"] = nf.to_json()

@@ -484,18 +484,43 @@ def verify_sample(curvature: CurvatureSample) -> dict:
     return {**curvature.to_json(), **_verdict(ideal_at(curvature))}
 
 
+def _curvature_free_ideal() -> Optional[ConstantIdeal]:
+    """The ideal at zero curvature if it is the ideal at every curvature, else None.
+
+    ``ideal_at`` is affine in (W₁, W₂, F₁, F₂), so it is constant on ℝ⁴
+    exactly when it takes the same value at 0 and at the four unit vectors.
+    """
+    base = ideal_at(CurvatureSample(0, 0, 0, 0))
+    key = _ideal_key(base)
+    for axis in range(4):
+        unit = CurvatureSample(*(1 if i == axis else 0 for i in range(4)))
+        if _ideal_key(ideal_at(unit)) != key:
+            return None
+    return base
+
+
 def verify_involutivity(samples: Sequence[CurvatureSample]) -> InvolutivityReport:
     """Per-sample verification; failures are report entries, never raises.
 
-    The verdict depends on the sample only through its ideal, so it is
-    computed once per distinct ideal: with the curvature-free differentials
-    of the model, once for the whole request.
+    The verdict depends on the sample only through its ideal.  A non-empty
+    request first certifies that the ideal does not depend on the curvature:
+    the ideal is affine in the curvature, so it is the same for every sample
+    when ``ideal_at`` agrees, term by term, at 0 and at the four unit vectors.
+    The model's ideal passes, and one verdict on the zero-curvature ideal
+    then covers every sample with no per-sample ``ideal_at``.  If the check
+    fails, each sample's ideal is built and the verdict is computed once per
+    distinct ideal, in a memo local to the call.  An empty request builds
+    no ideal.
     """
-    verdicts: Dict[tuple, dict] = {}
+    constant = _curvature_free_ideal() if samples else None
+    verdicts: Dict[Optional[tuple], dict] = {}
     entries = []
     for sample in samples:
-        ideal = ideal_at(sample)
-        key = _ideal_key(ideal)
+        if constant is not None:
+            ideal, key = constant, None
+        else:
+            ideal = ideal_at(sample)
+            key = _ideal_key(ideal)
         if key not in verdicts:
             verdicts[key] = _verdict(ideal)
         # fresh lists, so that no two entries share a mutable value

@@ -4,7 +4,8 @@ These deliberately avoid the library's sparse-term code paths: forms become
 dense fully antisymmetric tensors, wedge products go through the full
 permutation sum with factorial normalization, and evaluation is a complete
 multilinear contraction.  Slow and simple on purpose.  The EDS smoothness
-probe is floating-point evidence next to the exact rank-8 linearization.
+probe is floating-point evidence next to the exact rank-8 linearization, and
+random integral flags stand in for the ordinary flags of the Cartan test.
 """
 
 from __future__ import annotations
@@ -15,8 +16,16 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from pathgeom import MultiVector, evaluate
-from pathgeom.eds import complement_frame, condition_forms, frame_vector, linearized_conditions
+from pathgeom import MultiVector, evaluate, linalg
+from pathgeom.eds import (
+    DIM,
+    Flag,
+    complement_frame,
+    condition_forms,
+    frame_vector,
+    linearized_conditions,
+    polar_space,
+)
 
 
 def perm_sign(perm) -> int:
@@ -232,3 +241,21 @@ def second_order_probe(flag, ideal, seed: int = 0, step: float = 1e-3, newton_st
         "rank_at_solution": rank,
         "distance": float(np.linalg.norm(p)),
     }
+
+
+def random_integral_flag(rng, ideal) -> Flag:
+    """A random integral flag E¹ ⊂ E² ⊂ E³, grown one polar space at a time.
+
+    Each vₖ₊₁ is a random combination, with integer coefficients in [−3, 3],
+    of a basis of H(Eᵏ): for v₁ that is H(E⁰) = ℝ¹² with the unit basis, so
+    v₁ is random in [−3, 3]¹².  A vector that does not raise the rank is
+    drawn again.
+    """
+    vectors = []
+    while len(vectors) < 3:
+        basis, _ = polar_space(vectors, ideal)
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        v = [sum((k * b[i] for k, b in zip(coeffs, basis)), Fraction(0)) for i in range(DIM)]
+        if linalg.rank(vectors + [v]) == len(vectors) + 1:
+            vectors.append(v)
+    return Flag(tuple(tuple(v) for v in vectors))

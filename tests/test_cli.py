@@ -66,6 +66,23 @@ class TestPairCommand:
         assert report["elliptic"] is False
         assert report["normal_form"] is None and report["kappa"] is None
 
+    @pytest.mark.parametrize("phi", [PHI0, OMEGA0 + PHI0 * 3, OMEGA0],
+                             ids=["elliptic", "elliptic-not-orthogonal", "symplectic-not-elliptic"])
+    def test_orthogonalizes_once(self, phi, tmp_path, capsys, monkeypatch):
+        import pathgeom.cli as cli
+
+        counter = {"calls": 0}
+        original = cli.orthogonalize
+
+        def counted(*args, **kwargs):
+            counter["calls"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "orthogonalize", counted)
+        code, out, _ = run(["pair", "--input", write_json(tmp_path, "in.json", pair_payload(OMEGA0, phi))], capsys)
+        assert code == 0 and "orthogonalized_phi" in json.loads(out)
+        assert counter["calls"] == 1
+
     def test_null_pair(self, tmp_path, capsys):
         e12 = MultiVector.basis(4, (1, 2))
         e34 = MultiVector.basis(4, (3, 4))

@@ -31,7 +31,7 @@ from pathgeom.eds import (
 from pathgeom.linalg import in_span, rank
 
 from conftest import rand_fraction
-from oracles import second_order_probe
+from oracles import random_integral_flag, second_order_probe
 
 
 MV = MultiVector
@@ -332,11 +332,21 @@ class TestVerdictReuse:
         return counter
 
     def test_curvature_free_ideal_runs_the_pipeline_once(self, rng, monkeypatch):
-        chars = self.count_calls(monkeypatch, "characters")
-        codim = self.count_calls(monkeypatch, "codim_at")
-        report = verify_involutivity([rand_curvature(rng) for _ in range(50)])
-        assert chars["calls"] == 1 and codim["calls"] == 1
-        assert len(report.entries) == 50 and report.all_pass
+        counters = {name: self.count_calls(monkeypatch, name)
+                    for name in ("ideal_at", "_verdict", "characters", "codim_at")}
+        for n in (0, 1, 50):
+            for counter in counters.values():
+                counter["calls"] = 0
+            report = verify_involutivity([rand_curvature(rng) for _ in range(n)])
+            assert len(report.entries) == n and report.all_pass
+            if n == 0:
+                # an empty request builds no ideal and runs no verdict
+                assert all(counter["calls"] == 0 for counter in counters.values())
+                continue
+            # the certificate builds the ideal at 0 and at the four unit curvatures
+            assert counters["ideal_at"]["calls"] == 5
+            assert counters["_verdict"]["calls"] == 1
+            assert counters["characters"]["calls"] == 1 and counters["codim_at"]["calls"] == 1
 
     @pytest.mark.parametrize("extra_slots", [
         (4, 7, 8),  # W1·θ¹₀∧θ²₀∧θ²₁: the flag stops being integral
@@ -363,11 +373,60 @@ class TestVerdictReuse:
         assert list(report.entries) == [eds.verify_sample(s) for s in samples]
         assert report.all_pass == (extra_slots == (2, 3, 6))
 
+    def test_ideal_is_affine_in_the_curvature(self, rng):
+        """The premise of the certificate, checked on the unpatched ``ideal_at``.
+
+        If the ideal at t·c + (1−t)·c′ is t·ideal(c) + (1−t)·ideal(c′), the
+        ideal is affine, and agreeing at 0 and at the four unit vectors makes
+        it constant.  ``structure_d`` carries the curvature, so it is checked
+        too, where the forms really move.
+        """
+        for _ in range(10):
+            c, c2 = rand_curvature(rng), rand_curvature(rng)
+            t = rand_fraction(rng, -3, 3, 7)
+            mix = CurvatureSample(*(t * a + (1 - t) * b for a, b in (
+                (c.w1, c2.w1), (c.w2, c2.w2), (c.f1, c2.f1), (c.f2, c2.f2))))
+            at_mix, at_c, at_c2 = ideal_at(mix), ideal_at(c), ideal_at(c2)
+            for forms in ("generators", "differentials"):
+                for f, a, b in zip(getattr(at_mix, forms), getattr(at_c, forms), getattr(at_c2, forms)):
+                    assert f.terms == (a * t + b * (1 - t)).terms
+            for component in ("t01", "t02", "t12", "t20"):
+                combined = structure_d(component, c) * t + structure_d(component, c2) * (1 - t)
+                assert structure_d(component, mix).terms == combined.terms
+
     def test_repeated_samples_give_identical_entries(self, rng):
         sample = rand_curvature(rng)
         first, second = verify_involutivity([sample, sample]).entries
         assert first == second
         assert first["characters"] is not second["characters"]
+
+
+def test_random_integral_flags_are_ordinary(rng):
+    """Cartan's test holds at random integral flags, not only at the reference flag.
+
+    A flag on which ζ vanishes is not an admissible element and is skipped.
+    Ordinary flags are open and dense among the others, but not all of them:
+    when E² falls on the closed set where its polar equations drop rank
+    (c₂ = 5, characters (0, 2, 3, 4), bound 7 < codimension 8), Cartan's
+    inequality is strict and the test must say so.  Every flag is one or the
+    other, and most are ordinary.
+    """
+    ideal = ideal_at(rand_curvature(rng))
+    admissible = ordinary = 0
+    for _ in range(40):
+        flag = random_integral_flag(rng, ideal)
+        assert is_integral_element(flag.vectors, ideal)
+        if not independence_check(flag.vectors):
+            continue
+        admissible += 1
+        ch = characters(flag, ideal)
+        if ch.as_tuple() == (0, 2, 4, 3):
+            assert ch.codim_actual == ch.codim_bound == 8 and ch.involutive
+            ordinary += 1
+        else:
+            assert ch.as_tuple() == (0, 2, 3, 4)
+            assert ch.codim_bound == 7 < ch.codim_actual == 8 and not ch.involutive
+    assert admissible >= 20 and ordinary >= 0.9 * admissible
 
 
 def test_second_order_smoothness_probe(rng):
