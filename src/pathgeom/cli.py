@@ -22,20 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+# Config and --epsilon need these two; each cmd_* imports its own pipeline, so
+# that a request loads only the modules it uses
 from .exterior import DEFAULT_VOLUME, MultiVector, VolumeForm, conformal_pairing
-from .hypersurface import ParamMap, sample_report
-from .pairs import (
-    EllipticPair,
-    is_elliptic,
-    is_symplectic,
-    kappa_invariant,
-    normal_form,
-    orthogonalize,
-    reconstruction_residual,
-)
 from .scalars import scalar_to_json
-from .splitting import Splitting, canonical_model, degree, degree_squared
-from . import eds
 
 
 @dataclass
@@ -48,6 +38,10 @@ class Config:
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be a finite number > 0, not {self.tolerance!r}")
+
+
+#: the most curvature samples ``eds --samples`` draws; 10000 take about 0.5 s
+MAX_SAMPLES = 10_000
 
 
 class InputError(Exception):
@@ -116,6 +110,16 @@ def _two_form(data, name: str) -> MultiVector:
 
 
 def cmd_pair_classify(payload, cfg: Config) -> tuple:
+    from .pairs import (
+        EllipticPair,
+        is_elliptic,
+        is_symplectic,
+        kappa_invariant,
+        normal_form,
+        orthogonalize,
+        reconstruction_residual,
+    )
+
     omega = _two_form(payload.get("omega"), "omega")
     phi = _two_form(payload.get("phi"), "phi")
     eps = cfg.epsilon
@@ -144,6 +148,8 @@ def cmd_pair_classify(payload, cfg: Config) -> tuple:
 
 
 def cmd_splitting_degree(payload, cfg: Config) -> tuple:
+    from .splitting import Splitting, canonical_model, degree, degree_squared
+
     try:
         if "epsilon" not in payload and cfg.epsilon is not DEFAULT_VOLUME:
             payload = dict(payload, epsilon=cfg.epsilon.as_form().to_json())
@@ -165,6 +171,8 @@ def cmd_splitting_degree(payload, cfg: Config) -> tuple:
 
 
 def cmd_hypersurface(payload, cfg: Config) -> tuple:
+    from .hypersurface import ParamMap, sample_report
+
     try:
         u = ParamMap.from_json(payload["map"])
         points = [[Fraction(str(x)) for x in pt] for pt in payload.get("points", [])]
@@ -175,6 +183,8 @@ def cmd_hypersurface(payload, cfg: Config) -> tuple:
 
 
 def cmd_eds_verify(payload, cfg: Config, samples: Optional[int]) -> tuple:
+    from . import eds
+
     if samples is not None:
         curvatures = eds.sample_curvatures(samples, seed=cfg.seed)
     else:
@@ -206,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eds", help="involutivity verification")
     p.add_argument("--input", default=None)
-    p.add_argument("--samples", type=int, default=None, help="number of seeded curvature samples")
+    p.add_argument("--samples", type=int, default=None,
+                   help=f"number of seeded curvature samples, at most {MAX_SAMPLES}")
     return parser
 
 
@@ -232,6 +243,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "eds":
             if args.samples is not None and args.samples < 0:
                 raise InputError("--samples must be nonnegative")
+            if args.samples is not None and args.samples > MAX_SAMPLES:
+                raise InputError(f"--samples must be at most {MAX_SAMPLES}")
             payload = None if args.samples is not None else _load_payload(args.input)
             report, code = cmd_eds_verify(payload, cfg, args.samples)
         else:  # pragma: no cover - argparse enforces the choices

@@ -99,8 +99,7 @@ def _require_orthogonal(pair: EllipticPair, tol: float) -> Tuple[Scalar, Scalar,
         if wp != 0:
             raise ValueError("pair is not orthogonal (exact check)")
     else:
-        scale = math.sqrt(abs(float(ww) * float(pp)))
-        if abs(float(wp)) > tol * max(scale, 1.0):
+        if abs(float(wp)) > tol * math.sqrt(abs(float(ww))) * math.sqrt(abs(float(pp))):
             raise ValueError("pair is not orthogonal beyond tolerance")
     return ww, wp, pp
 
@@ -188,7 +187,7 @@ def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
     a = linalg.matmul(linalg.inverse(w_omega), _form_matrix(pair.phi))
     sq = linalg.matmul(a, a)
     residual = max(abs(sq[i][j] + (k2 if i == j else 0)) for i in range(4) for j in range(4))
-    if residual > (0 if exact else math.sqrt(max(tol, 1e-15)) * max(1.0, k2)):
+    if residual > (0 if exact else math.sqrt(max(tol, 1e-15)) * k2):
         raise ValueError(f"endomorphism square residual {float(residual):.3e}; pair violates ellipticity numerically")
 
     # A² = −κ²·Id makes A invertible, so any nonzero e1 will do
@@ -206,9 +205,10 @@ def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
     # the basis [e1, e2, e3, e4] = B·diag(1, 1/κ, 1, 1/κ) has determinant
     # det B/κ²; in the constructed coframe omega^omega = 2 e1^e2^e3^e4, so
     # det = 2/<w,w> relative to the original volume form: the basis is
-    # positively oriented exactly with respect to the recorded epsilon
+    # positively oriented exactly with respect to the recorded epsilon, and a
+    # float det is singular when det·<w,w> is small next to 2
     det = linalg.det(b) / k2
-    if det == 0 or (not exact and abs(det) < tol):
+    if det == 0 or (not exact and abs(det * ww) < tol):
         raise ValueError("constructed basis is singular")
     if (det < 0) != flipped:
         raise ValueError("constructed basis orientation is inconsistent; input violates invariants")
@@ -220,14 +220,16 @@ def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
     )
     rec_omega, rec_phi = nf.reconstruct()
     res = max((rec_omega - pair.omega).norm_inf(), (rec_phi - pair.phi).norm_inf())
-    scale = max(pair.omega.norm_inf(), pair.phi.norm_inf(), 1.0)
-    if res > tol * scale:
+    if res > tol * max(pair.omega.norm_inf(), pair.phi.norm_inf()):
         raise ValueError(f"normal-form reconstruction residual {res:.3e} exceeds tolerance")
     # automatic identities of the construction, ω(e1,e2) = ω(e3,e4) = 0 and
-    # ω(e2,e4) = −1, stated for e2 = −Ae1/κ and e4 = −Ae3/κ
-    for u, v, want, unit in ((e1, ae1, 0, kappa), (e3, ae3, 0, kappa), (ae1, ae3, -k2, float(k2))):
+    # ω(e2,e4) = −1, stated for e2 = −Ae1/κ and e4 = −Ae3/κ; a float uᵀW_ωv is
+    # measured against |u|·|W_ω|·|v|, so that the check does not see the input's scale
+    w_size = max(abs(x) for row in w_omega for x in row)
+    for u, v, want in ((e1, ae1, 0), (e3, ae3, 0), (ae1, ae3, -k2)):
         got = sum((x * y for x, y in zip(u, linalg.matvec(w_omega, v))), Fraction(0))
-        if abs(got - want) > (0 if exact else math.sqrt(tol) * scale * unit):
+        size = max(map(abs, u)) * w_size * max(map(abs, v))
+        if abs(got - want) > (0 if exact else math.sqrt(tol) * size):
             raise ValueError("normal-form identity violated; inconsistent input")
     return nf
 

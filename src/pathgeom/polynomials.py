@@ -24,6 +24,10 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
+#: the largest exponent :meth:`Poly.from_json` reads; x^(10^30) at 3/2 would
+#: be a number of 10^29 digits
+MAX_EXPONENT = 100
+
 
 class Poly:
     """Polynomial in ``nvars`` variables with Fraction coefficients."""
@@ -175,7 +179,11 @@ class Poly:
 
     @classmethod
     def from_json(cls, data, nvars: int) -> "Poly":
-        return cls(nvars, {tuple(t["exp"]): Fraction(t["c"]) for t in data})
+        p = cls(nvars, {tuple(t["exp"]): Fraction(t["c"]) for t in data})
+        for exp in p.terms:
+            if any(e > MAX_EXPONENT for e in exp):
+                raise ValueError(f"exponents above {MAX_EXPONENT} are not read, got {exp}")
+        return p
 
 
 class RatFunc:

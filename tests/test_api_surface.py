@@ -39,3 +39,19 @@ def test_traced_function_is_owned_where_the_tracer_looks(name, mod, attr):
 @pytest.mark.parametrize("name", pathgeom.__all__)
 def test_exported_name_resolves(name):
     assert hasattr(pathgeom, name)
+
+
+def test_exported_names_are_listed_by_dir():
+    assert set(pathgeom.__all__) <= set(dir(pathgeom))
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from pathgeom import *", namespace)
+    assert set(pathgeom.__all__) <= set(namespace)
+    assert namespace["OMEGA0"] is pathgeom.exterior.OMEGA0 and namespace["eds"] is pathgeom.eds
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pathgeom.no_such_name

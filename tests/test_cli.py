@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import pathgeom
-from pathgeom import LinearMap, MultiVector, OMEGA0, PHI0, act, canonical_model, heisenberg_model
-from pathgeom.cli import main, render_json
+from pathgeom import LinearMap, MultiVector, OMEGA0, PHI0, act, canonical_model, heisenberg_model, pullback
+from pathgeom.cli import MAX_SAMPLES, main, render_json
+from pathgeom.polynomials import MAX_EXPONENT
 
 
 def run(args, capsys):
@@ -69,19 +71,34 @@ class TestPairCommand:
     @pytest.mark.parametrize("phi", [PHI0, OMEGA0 + PHI0 * 3, OMEGA0],
                              ids=["elliptic", "elliptic-not-orthogonal", "symplectic-not-elliptic"])
     def test_orthogonalizes_once(self, phi, tmp_path, capsys, monkeypatch):
-        import pathgeom.cli as cli
+        import pathgeom.pairs as pairs
 
         counter = {"calls": 0}
-        original = cli.orthogonalize
+        original = pairs.orthogonalize
 
         def counted(*args, **kwargs):
             counter["calls"] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "orthogonalize", counted)
+        monkeypatch.setattr(pairs, "orthogonalize", counted)
         code, out, _ = run(["pair", "--input", write_json(tmp_path, "in.json", pair_payload(OMEGA0, phi))], capsys)
         assert code == 0 and "orthogonalized_phi" in json.loads(out)
         assert counter["calls"] == 1
+
+    @pytest.mark.parametrize("scale", [1e20, 1e-20])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_normal_form_ignores_the_input_scale(self, seed, scale, tmp_path, capsys):
+        rng = random.Random(seed)
+        a = LinearMap(((1, 0, 0, 0),) * 4)
+        while a.det() <= 0:
+            a = LinearMap(tuple(tuple(rng.uniform(-2, 2) for _ in range(4)) for _ in range(4)))
+        kappa = rng.choice([0.1, 0.5, 2.0, 3.0])
+        omega, phi = pullback(OMEGA0 * scale, a), pullback(PHI0 * (kappa * scale), a)
+        code, out, err = run(["pair", "--input", write_json(tmp_path, "in.json", pair_payload(omega, phi))], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["kappa"] == pytest.approx(kappa, rel=1e-9)
+        assert report["reconstruction_residual"] <= 1e-9 * max(omega.norm_inf(), phi.norm_inf())
 
     def test_null_pair(self, tmp_path, capsys):
         e12 = MultiVector.basis(4, (1, 2))
@@ -177,6 +194,14 @@ class TestHypersurfaceCommand:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "integers" in err and len(err.splitlines()) == 1
 
+    def test_string_exponent_rejected(self, tmp_path, capsys):
+        data = heisenberg_model().to_json()
+        data["components"][3][0]["exp"] = ["5", 0, 0]
+        path = write_json(tmp_path, "in.json", {"map": data, "points": [["0", "1/2", "1/3"]]})
+        code, out, err = run(["hypersurface", "--input", path], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "integers" in err and len(err.splitlines()) == 1
+
 
 class TestEdsCommand:
     def test_sampled_run_passes(self, capsys):
@@ -261,6 +286,18 @@ class TestSplittingGoldenOutput:
         code, out, _ = run(["splitting", "--input", write_json(tmp_path, "in.json", payload)], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+SPLITTING_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "splitting_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", list(SPLITTING_GOLDEN))
+def test_splitting_report_matches_golden(name, tmp_path, capsys):
+    """Byte-for-byte stdout on canonical models and exact and float GL⁺ pullbacks of them."""
+    case = SPLITTING_GOLDEN[name]
+    code, out, _ = run(["splitting", "--input", write_json(tmp_path, "in.json", case["payload"])], capsys)
+    assert code == 0 and out == case["stdout"]
 
 
 PAIR_GOLDEN = json.loads((Path(__file__).parent / "data" / "pair_golden.json").read_text(encoding="utf-8"))
@@ -379,6 +416,23 @@ class TestOutputFile:
         assert err.startswith("error:") and "tolerance" in err and len(err.splitlines()) == 1
 
 
+EXACT_REQUESTS = [
+    ("pair", pair_payload(OMEGA0, PHI0 * Fraction(7, 3) + OMEGA0)),
+    ("splitting", canonical_model(Fraction(2, 3)).to_json()),
+    ("hypersurface", {"map": heisenberg_model().to_json(), "points": [["0", "1/2", "1/3"]]}),
+    ("eds", {"samples": [{"W1": "1", "W2": "2", "F1": "3", "F2": "4"}]}),
+]
+
+
+def fresh_python(code, *args, timeout=60):
+    """Run ``python -c code args`` in a new interpreter on this checkout's ``src``."""
+    src = str(Path(pathgeom.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=timeout,
+    )
+
+
 class TestNumpyStaysUnloaded:
     """Exact requests never import numpy; only linalg's float branches do."""
 
@@ -387,18 +441,97 @@ class TestNumpyStaysUnloaded:
         "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
     )
 
-    @pytest.mark.parametrize("command, payload", [
-        ("pair", pair_payload(OMEGA0, PHI0 * Fraction(7, 3) + OMEGA0)),
-        ("splitting", canonical_model(Fraction(2, 3)).to_json()),
-        ("hypersurface", {"map": heisenberg_model().to_json(), "points": [["0", "1/2", "1/3"]]}),
-        ("eds", {"samples": [{"W1": "1", "W2": "2", "F1": "3", "F2": "4"}]}),
-    ], ids=["pair", "splitting", "hypersurface", "eds"])
+    @pytest.mark.parametrize("command, payload", EXACT_REQUESTS, ids=[c for c, _ in EXACT_REQUESTS])
     def test_exact_request(self, command, payload, tmp_path):
-        src = str(Path(pathgeom.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", self.PROBE, command, "--input", write_json(tmp_path, "in.json", payload)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = fresh_python(self.PROBE, command, "--input", write_json(tmp_path, "in.json", payload))
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip() == "False"
+
+
+class TestEachCommandLoadsItsOwnPipeline:
+    """A subcommand executes only the pathgeom modules its pipeline uses; ``import pathgeom`` none.
+
+    Every submodule is in ``sys.modules`` from ``import pathgeom`` on; one not
+    yet executed is still a lazy module, not a plain ``ModuleType``.
+    """
+
+    EXECUTED = (
+        "import sys, types; "
+        "print(' '.join(sorted(n for n, m in sys.modules.items() "
+        "if n.startswith('pathgeom') and type(m) is types.ModuleType)), file=sys.stderr)"
+    )
+    PROBE = f"import sys; from pathgeom.cli import main; code = main(sys.argv[1:]); {EXECUTED}; sys.exit(code)"
+    BASE = {"pathgeom", "pathgeom.cli", "pathgeom.exterior", "pathgeom.scalars"}
+    OWN = {
+        "pair": {"pathgeom.linalg", "pathgeom.pairs"},
+        "splitting": {"pathgeom.linalg", "pathgeom.pairs", "pathgeom.splitting"},
+        "hypersurface": {"pathgeom.linalg", "pathgeom.polynomials", "pathgeom.hypersurface"},
+        "eds": {"pathgeom.linalg", "pathgeom.eds"},
+    }
+    #: each submodule with one name it defines
+    SUBMODULES = {
+        "scalars": "scalar_to_json", "linalg": "rank", "exterior": "wedge", "polynomials": "Poly",
+        "pairs": "normal_form", "splitting": "Splitting", "hypersurface": "ParamMap", "eds": "verify_sample",
+    }
+
+    @pytest.mark.parametrize("command, payload", EXACT_REQUESTS, ids=[c for c, _ in EXACT_REQUESTS])
+    def test_request(self, command, payload, tmp_path):
+        proc = fresh_python(self.PROBE, command, "--input", write_json(tmp_path, "in.json", payload))
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stderr.split()) == self.BASE | self.OWN[command]
+
+    def test_zero_eds_samples(self):
+        proc = fresh_python(self.PROBE, "eds", "--samples", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stderr.split()) == self.BASE | {"pathgeom.eds"}
+
+    def test_bare_import(self):
+        proc = fresh_python(f"import pathgeom; {self.EXECUTED}")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == ["pathgeom"]
+
+    def test_cli_import_registers_every_submodule(self):
+        """``perfbench/layers.py`` wraps functions only in modules listed right after ``import pathgeom.cli``."""
+        proc = fresh_python("import sys, pathgeom.cli; print(' '.join(sorted(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        assert {f"pathgeom.{name}" for name in self.SUBMODULES} <= set(proc.stdout.split())
+
+    @pytest.mark.parametrize("name, attr", SUBMODULES.items())
+    def test_bare_import_binds_every_submodule(self, name, attr):
+        proc = fresh_python(f"import sys, pathgeom; m = pathgeom.{name}; m.{attr}; "
+                            f"assert m is sys.modules['pathgeom.{name}'] and m.__name__ == 'pathgeom.{name}'")
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestWorkLimits:
+    """A small input that asks for unbounded work exits 1 at once, in a fresh interpreter."""
+
+    MAIN = "import sys; from pathgeom.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def rejected(self, *args):
+        proc = fresh_python(self.MAIN, *args, timeout=10)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+        return proc.stderr
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 3_000_000])
+    def test_samples_above_the_cap(self, samples):
+        assert str(MAX_SAMPLES) in self.rejected("eds", "--samples", str(samples))
+
+    def test_samples_at_the_cap_are_read(self, capsys):
+        code, out, _ = run(["eds", "--samples", str(MAX_SAMPLES)], capsys)
+        assert code == 0 and len(json.loads(out)["samples"]) == MAX_SAMPLES
+
+    @pytest.mark.parametrize("exponent", [1e30, 2_000_000, MAX_EXPONENT + 1])
+    def test_exponent_above_the_cap(self, exponent, tmp_path):
+        data = heisenberg_model().to_json()
+        data["components"][3][0]["exp"] = [exponent, 0, 0]
+        path = write_json(tmp_path, "in.json", {"map": data, "points": [["3/2", "0", "0"]]})
+        assert str(MAX_EXPONENT) in self.rejected("hypersurface", "--input", path)
+
+    def test_exponent_at_the_cap_is_read(self, tmp_path, capsys):
+        data = heisenberg_model().to_json()
+        data["components"][3][0]["exp"] = [MAX_EXPONENT, 0, 0]
+        path = write_json(tmp_path, "in.json", {"map": data, "points": [["3/2", "1/2", "1/3"]]})
+        code, out, _ = run(["hypersurface", "--input", path], capsys)
+        assert code == 0 and len(json.loads(out)["points"]) == 1
