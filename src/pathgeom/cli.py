@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-# Config and --epsilon need these two; each cmd_* imports its own pipeline, so
-# that a request loads only the modules it uses
-from .exterior import DEFAULT_VOLUME, MultiVector, VolumeForm, conformal_pairing
+# Config, --epsilon and the pair Gram need these two; each cmd_* imports its
+# own pipeline, so that a request loads only the modules it uses
+from .exterior import DEFAULT_VOLUME, MultiVector, VolumeForm, gram_matrix
 from .scalars import scalar_to_json
 
 
@@ -110,26 +110,17 @@ def _two_form(data, name: str) -> MultiVector:
 
 
 def cmd_pair_classify(payload, cfg: Config) -> tuple:
-    from .pairs import (
-        EllipticPair,
-        is_elliptic,
-        is_symplectic,
-        kappa_invariant,
-        normal_form,
-        orthogonalize,
-        reconstruction_residual,
-    )
+    from .pairs import EllipticPair, _elliptic_gram, kappa_invariant, normal_form, orthogonalize, reconstruction_residual
 
     omega = _two_form(payload.get("omega"), "omega")
     phi = _two_form(payload.get("phi"), "phi")
     eps = cfg.epsilon
-    ww = conformal_pairing(omega, omega, eps)
-    wp = conformal_pairing(omega, phi, eps)
-    pp = conformal_pairing(phi, phi, eps)
+    gram = gram_matrix(omega, phi, eps)
+    (ww, wp), (_, pp) = gram
     report = {
         "pairings": {"ww": ww, "wp": wp, "pp": pp},
-        "symplectic": {"omega": is_symplectic(omega, eps), "phi": is_symplectic(phi, eps)},
-        "elliptic": is_elliptic(omega, phi, eps),
+        "symplectic": {"omega": ww != 0, "phi": pp != 0},
+        "elliptic": _elliptic_gram(gram),
     }
     # an elliptic pair has ⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩² ≥ 0, so ω is symplectic and phi_orth is set
     if report["symplectic"]["omega"]:
@@ -156,16 +147,16 @@ def cmd_splitting_degree(payload, cfg: Config) -> tuple:
         s = Splitting.from_json(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed splitting: {exc}") from exc
-    d = degree(s)
     d2 = degree_squared(s)
-    model = canonical_model(d)
+    d = math.sqrt(float(d2))
+    model_d = degree(canonical_model(d))
     report = {
         "degree": d,
         "degree_squared": d2 if isinstance(d2, Fraction) else float(d2),
         "orthogonal": d <= cfg.tolerance,
         "epsilon_flipped": s.epsilon_flipped,
-        "canonical_model_degree": degree(model),
-        "canonical_model_residual": abs(degree(model) - d),
+        "canonical_model_degree": model_d,
+        "canonical_model_residual": abs(model_d - d),
     }
     return report, 0
 

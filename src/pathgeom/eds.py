@@ -288,8 +288,8 @@ def polar_space(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> 
     if not rows:
         basis = [list(frame_vector(s)) for s in range(1, DIM + 1)]
         return basis, 0
-    codim = linalg.rank(rows)
-    return linalg.nullspace(rows), codim
+    basis = linalg.nullspace(rows)
+    return basis, DIM - len(basis)
 
 
 @dataclass(frozen=True)
@@ -346,33 +346,14 @@ def condition_forms(ideal: ConstantIdeal) -> List[MultiVector]:
 def complement_frame(flag: Flag) -> List[int]:
     """Deterministic 9-slot complement of span(flag) among the frame vectors.
 
-    Greedy in slot order with incremental elimination: a frame vector is
-    kept iff it is independent of the flag and the vectors kept so far.
+    The pivot columns of [v₁ … v_k, e₁ … e₁₂] past the flag's own: a frame
+    vector is kept iff it is independent of the flag and the frame vectors
+    before it, greedy in slot order.
     """
-    rows: List[List[Fraction]] = []
-    pivots: List[int] = []
-
-    def try_add(vec: List[Fraction]) -> bool:
-        v = list(vec)
-        for row, p in zip(rows, pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x != 0), None)
-        if piv is None:
-            return False
-        inv = 1 / v[piv]
-        rows.append([x * inv for x in v])
-        pivots.append(piv)
-        return True
-
-    for v in flag.vectors:
-        try_add(list(v))
-    chosen: List[int] = []
-    for slot in range(1, DIM + 1):
-        if try_add(list(frame_vector(slot))):
-            chosen.append(slot)
-    return chosen
+    k = len(flag.vectors)
+    columns = list(flag.vectors) + [frame_vector(slot) for slot in range(1, DIM + 1)]
+    _, pivots = linalg.rref(linalg.transpose(columns))
+    return [p - k + 1 for p in pivots if p >= k]
 
 
 @dataclass(frozen=True)

@@ -247,22 +247,18 @@ class LinearMap:
 
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
-        return cls(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+        return cls(linalg.identity(n))
 
     def apply(self, v: Sequence[Scalar]) -> list:
         if len(v) != self.source_dim:
             raise ValueError("vector has wrong dimension")
-        return [sum(a * to_scalar(x) for a, x in zip(row, v)) for row in self.matrix]
+        return linalg.matvec(self.matrix, [to_scalar(x) for x in v])
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self ∘ other (apply ``other`` first)."""
         if other.target_dim != self.source_dim:
             raise ValueError("composition dimension mismatch")
-        rows = [
-            [sum(self.matrix[i][k] * other.matrix[k][j] for k in range(self.source_dim)) for j in range(other.source_dim)]
-            for i in range(self.target_dim)
-        ]
-        return LinearMap(tuple(tuple(r) for r in rows))
+        return LinearMap(linalg.matmul(self.matrix, other.matrix))
 
     def rank(self) -> int:
         return linalg.rank(self.matrix)
@@ -278,7 +274,7 @@ class LinearMap:
     def inverse(self) -> "LinearMap":
         if self.source_dim != self.target_dim:
             raise ValueError("inverse of a non-square map")
-        return LinearMap(tuple(tuple(r) for r in linalg.inverse(self.matrix)))
+        return LinearMap(linalg.inverse(self.matrix))
 
 
 # -- operations -----------------------------------------------------------
@@ -352,12 +348,29 @@ def conformal_pairing(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DE
     return value
 
 
-def gram_matrix(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME):
-    """2×2 wedge Gram matrix [[⟨ω,ω⟩,⟨ω,φ⟩],[⟨ω,φ⟩,⟨φ,φ⟩]]."""
+Gram = Tuple[Tuple[Scalar, Scalar], Tuple[Scalar, Scalar]]
+
+
+def gram_matrix(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> Gram:
+    """2×2 wedge Gram matrix ((⟨ω,ω⟩, ⟨ω,φ⟩), (⟨ω,φ⟩, ⟨φ,φ⟩)), pairings in that order."""
     ww = conformal_pairing(omega, omega, eps)
     wp = conformal_pairing(omega, phi, eps)
     pp = conformal_pairing(phi, phi, eps)
-    return [[ww, wp], [wp, pp]]
+    return (ww, wp), (wp, pp)
+
+
+def _gram_definite_sign(g: Gram) -> int:
+    """+1 / −1 for a definite 2×2 symmetric matrix, 0 otherwise (exact if exact).
+
+    Raises when a float determinant overflows: inf − inf is nan, and
+    ``nan <= 0`` would let the matrix pass as definite.
+    """
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    if isinstance(det, float) and not math.isfinite(det):
+        raise ValueError(f"wedge Gram determinant overflowed to {det}")
+    if det <= 0:
+        return 0
+    return 1 if g[0][0] > 0 else -1
 
 
 def pairing_signature(eps: VolumeForm = DEFAULT_VOLUME) -> Tuple[int, int]:

@@ -77,7 +77,7 @@ class ParamMap:
 
     def jacobian_at(self, point: Sequence) -> list:
         """Exact Jacobian at a rational point; raises on rank drop."""
-        return _jacobian(_compile_jacobian(self), RationalPoint(point, NVARS))
+        return _jacobian(_compile_jacobian(self.jacobian()), RationalPoint(point, NVARS))
 
     def to_json(self) -> dict:
         if all(c.den == 1 for c in self.components):
@@ -152,7 +152,11 @@ def star_coefficients(beta) -> tuple:
 
 def pullback_splitting(u: ParamMap) -> Tuple[PolyForm3, PolyForm3]:
     """β₁ = u*ω₀, β₂ = u*φ₀ by formal differentiation (exact)."""
-    jac = u.jacobian()
+    return _pullback_pair(u.jacobian())
+
+
+def _pullback_pair(jac) -> Tuple[PolyForm3, PolyForm3]:
+    """(β₁, β₂) from the map's formal 4×3 Jacobian."""
 
     def minor(i1, i2, j1, j2):
         return jac[i1][j1] * jac[i2][j2] - jac[i1][j2] * jac[i2][j1]
@@ -163,8 +167,8 @@ def pullback_splitting(u: ParamMap) -> Tuple[PolyForm3, PolyForm3]:
     return PolyForm3.from_wedge_coefficients(beta1), PolyForm3.from_wedge_coefficients(beta2)
 
 
-def _compile_jacobian(u: ParamMap) -> CompiledFunctions:
-    return CompiledFunctions([f for row in u.jacobian() for f in row], NVARS)
+def _compile_jacobian(jac) -> CompiledFunctions:
+    return CompiledFunctions([f for row in jac for f in row], NVARS)
 
 
 def _compile_pair(beta1: PolyForm3, beta2: PolyForm3) -> CompiledFunctions:
@@ -176,12 +180,14 @@ class CompiledMap:
 
     Holds the 4×3 Jacobian entries, and b₁, b₂ with the first partials of
     their numerators and denominators (all that the pointwise quotient rule
-    needs).  ``betas`` can pass a precomputed pullback pair.
+    needs).  ``betas`` can pass a precomputed pullback pair.  The map is
+    differentiated once, for both.
     """
 
     def __init__(self, u: ParamMap, betas=None):
-        beta1, beta2 = betas if betas is not None else pullback_splitting(u)
-        self.jacobian = _compile_jacobian(u)
+        jac = u.jacobian()
+        beta1, beta2 = betas if betas is not None else _pullback_pair(jac)
+        self.jacobian = _compile_jacobian(jac)
         self.pair = _compile_pair(beta1, beta2)
 
 
@@ -361,7 +367,7 @@ def _cr_structure(coords: Tuple[Fraction, ...], jac: list) -> CRSample:
 def cr_structure_at(u: ParamMap, point: Sequence) -> CRSample:
     """Exact CR data of the parametrized hypersurface at a rational point."""
     pt = RationalPoint(point, NVARS)
-    return _cr_structure(pt.coords, _jacobian(_compile_jacobian(u), pt))
+    return _cr_structure(pt.coords, _jacobian(_compile_jacobian(u.jacobian()), pt))
 
 
 def _compatible(jac: list, sample: PathGeometrySample, cr: CRSample) -> bool:

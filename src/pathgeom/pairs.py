@@ -13,22 +13,27 @@ realize the normal form.  A = W_ω⁻¹W_φ and the basis are computed through
 everything but κ itself is exact, with no floating linear algebra at all.
 Each step is independently checkable and the result is verified by
 reconstruction before it is returned.
+
+An :class:`EllipticPair` computes its wedge Gram once, when built, and keeps
+it as ``pair.gram``; the functions below that take a pair read it from there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Tuple
 
 from . import linalg
 from .exterior import (
     DEFAULT_VOLUME,
+    Gram,
     LinearMap,
     MultiVector,
     VolumeForm,
     conformal_pairing,
+    gram_matrix,
     pullback,
     wedge,
 )
@@ -48,14 +53,20 @@ def is_symplectic(omega: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> bool:
     return conformal_pairing(omega, omega, eps) != 0
 
 
+def _elliptic_gram(g: Gram) -> bool:
+    """⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩² on a wedge Gram, exact on exact entries.
+
+    Not ``exterior._gram_definite_sign``, which raises where a float product
+    overflows: here inf > ⟨ω,φ⟩² still answers for a large elliptic pair.
+    """
+    return g[0][0] * g[1][1] > g[0][1] * g[0][1]
+
+
 def is_elliptic(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> bool:
     """Strict inequality ⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩², exact on rational inputs."""
     _check_two_form(omega, "omega")
     _check_two_form(phi, "phi")
-    ww = conformal_pairing(omega, omega, eps)
-    wp = conformal_pairing(omega, phi, eps)
-    pp = conformal_pairing(phi, phi, eps)
-    return ww * pp > wp * wp
+    return _elliptic_gram(gram_matrix(omega, phi, eps))
 
 
 def orthogonalize(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> MultiVector:
@@ -71,30 +82,28 @@ def orthogonalize(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAUL
 
 @dataclass(frozen=True)
 class EllipticPair:
-    """An elliptic pair of 2-forms with the volume form its pairings refer to."""
+    """An elliptic pair of 2-forms with the volume form its pairings refer to.
+
+    ``gram`` is the wedge Gram of (ω, φ) under ``eps``, computed once here.
+    """
 
     omega: MultiVector
     phi: MultiVector
     eps: VolumeForm = DEFAULT_VOLUME
+    gram: Gram = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_two_form(self.omega, "omega")
         _check_two_form(self.phi, "phi")
-        if not is_elliptic(self.omega, self.phi, self.eps):
+        g = gram_matrix(self.omega, self.phi, self.eps)
+        if not _elliptic_gram(g):
             raise ValueError("pair is not elliptic: <w,w><p,p> <= <w,p>^2")
-
-    def pairings(self) -> Tuple[Scalar, Scalar, Scalar]:
-        """(⟨ω,ω⟩, ⟨ω,φ⟩, ⟨φ,φ⟩)."""
-        return (
-            conformal_pairing(self.omega, self.omega, self.eps),
-            conformal_pairing(self.omega, self.phi, self.eps),
-            conformal_pairing(self.phi, self.phi, self.eps),
-        )
+        object.__setattr__(self, "gram", g)
 
 
 def _require_orthogonal(pair: EllipticPair, tol: float) -> Tuple[Scalar, Scalar, Scalar]:
-    """The pair's pairings, once it is checked to be orthogonal."""
-    ww, wp, pp = pair.pairings()
+    """The pair's pairings (⟨ω,ω⟩, ⟨ω,φ⟩, ⟨φ,φ⟩), once it is checked to be orthogonal."""
+    (ww, wp), (_, pp) = pair.gram
     if is_exact(wp) and pair.omega.is_exact and pair.phi.is_exact:
         if wp != 0:
             raise ValueError("pair is not orthogonal (exact check)")
@@ -218,8 +227,7 @@ def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
         basis=tuple(tuple(float(x) * s for x in row) for row, s in zip(linalg.inverse(b), (1.0, kappa, 1.0, kappa))),
         epsilon_flipped=flipped,
     )
-    rec_omega, rec_phi = nf.reconstruct()
-    res = max((rec_omega - pair.omega).norm_inf(), (rec_phi - pair.phi).norm_inf())
+    res = reconstruction_residual(pair, nf)
     if res > tol * max(pair.omega.norm_inf(), pair.phi.norm_inf()):
         raise ValueError(f"normal-form reconstruction residual {res:.3e} exceeds tolerance")
     # automatic identities of the construction, ω(e1,e2) = ω(e3,e4) = 0 and

@@ -12,6 +12,10 @@ for any generators ω of L₁ and ω′ of L₂.  The model of degree α has
 L₁ = {ω₀} and L₂ = {αω₀ + φ₀}.  Spans, orientations and degree² are exact
 on exact input; only the degree and :func:`j_of_plane` take a square root.
 Every matrix computation goes through :mod:`pathgeom.linalg`.
+
+An :class:`OrientedPositivePlane` or :class:`Splitting` computes the wedge
+Gram of its generators once, when built, checks it for definiteness there and
+keeps it as ``gram``; the functions below read their pairings from it.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ from . import linalg
 from .exterior import (
     DEFAULT_VOLUME,
     J0_MATRIX,
+    Gram,
     OMEGA0,
     PHI0,
     LinearMap,
     MultiVector,
     VolumeForm,
+    _gram_definite_sign,
     conformal_pairing,
     gram_matrix,
     pullback,
@@ -36,20 +42,6 @@ from .exterior import (
 )
 from .pairs import DEFAULT_TOL, _form_matrix, orthogonalize
 from .scalars import Scalar, is_exact, to_scalar
-
-
-def _gram_definite_sign(g) -> int:
-    """+1 / −1 for a definite 2×2 symmetric matrix, 0 otherwise (exact if exact).
-
-    Raises when a float determinant overflows: inf − inf is nan, and
-    ``nan <= 0`` would let the matrix pass as definite.
-    """
-    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    if isinstance(det, float) and not math.isfinite(det):
-        raise ValueError(f"wedge Gram determinant overflowed to {det}")
-    if det <= 0:
-        return 0
-    return 1 if g[0][0] > 0 else -1
 
 
 @dataclass(frozen=True)
@@ -90,16 +82,24 @@ class ComplexStructure:
 
 @dataclass(frozen=True)
 class OrientedPositivePlane:
-    """Ordered spanning pair (ω, φ); the order is the orientation."""
+    """Ordered spanning pair (ω, φ); the order is the orientation.
+
+    ``gram`` is the wedge Gram of (ω, φ) under ``eps``, computed once here.
+    """
 
     omega: MultiVector
     phi: MultiVector
     eps: VolumeForm = DEFAULT_VOLUME
+    gram: Gram = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = gram_matrix(self.omega, self.phi, self.eps)
-        if _gram_definite_sign(g) != 1:
-            raise ValueError("wedge pairing is not positive definite on the span")
+        sign = _gram_definite_sign(g)
+        if sign == 0:
+            raise ValueError("wedge pairing is not definite on the span")
+        if sign < 0:
+            raise ValueError("wedge pairing is negative definite on the span: the plane belongs to the opposite orientation")
+        object.__setattr__(self, "gram", g)
 
     def spans_same_oriented_plane(self, other: "OrientedPositivePlane", tol: float = DEFAULT_TOL) -> bool:
         """Equal spans and consistent orientation (exact when inputs are exact).
@@ -113,7 +113,7 @@ class OrientedPositivePlane:
         mine = (self.omega, self.phi)
         exact = all(f.is_exact for f in mine + (other.omega, other.phi)) and is_exact(self.eps.coefficient)
         scale = max(1.0, other.omega.norm_inf(), other.phi.norm_inf())
-        gram_inv = linalg.inverse(gram_matrix(self.omega, self.phi, self.eps))
+        gram_inv = linalg.inverse(self.gram)
         coeffs = []
         for x in (other.omega, other.phi):
             c = linalg.matvec(gram_inv, [conformal_pairing(f, x, self.eps) for f in mine])
@@ -128,13 +128,16 @@ class Splitting:
     """Two lines in Λ²(ℝ⁴)*, each held by a generator, with a volume form.
 
     The wedge pairing must be definite on the span; if it is negative
-    definite the volume form is flipped and the flip recorded.
+    definite the volume form is flipped and the flip recorded.  ``gram`` is
+    the wedge Gram of the two generators under the final ``eps``, computed
+    once here.
     """
 
     line1: MultiVector
     line2: MultiVector
     eps: VolumeForm = DEFAULT_VOLUME
     epsilon_flipped: bool = field(default=False, compare=False)
+    gram: Gram = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for f, name in ((self.line1, "line1"), (self.line2, "line2")):
@@ -145,15 +148,11 @@ class Splitting:
         if sign == 0:
             raise ValueError("wedge pairing is indefinite on the span of the two lines")
         if sign < 0:
+            # negating each pairing is exact, so this is the Gram under −ε bit for bit
+            g = tuple(tuple(-x for x in row) for row in g)
             object.__setattr__(self, "eps", self.eps.flipped())
             object.__setattr__(self, "epsilon_flipped", True)
-
-    def pairings(self) -> Tuple[Scalar, Scalar, Scalar]:
-        return (
-            conformal_pairing(self.line1, self.line1, self.eps),
-            conformal_pairing(self.line1, self.line2, self.eps),
-            conformal_pairing(self.line2, self.line2, self.eps),
-        )
+        object.__setattr__(self, "gram", g)
 
     def to_json(self) -> dict:
         return {
@@ -184,7 +183,8 @@ def plane_of(j: ComplexStructure, eps: VolumeForm = DEFAULT_VOLUME, seed_covecto
     α is built from a complex coframe (η¹, η²) with η = ξ − i(ξ∘J); the span
     and orientation do not depend on the seed covectors ξ (testable via
     ``seed_covectors``).  Raises when J is incompatible with the orientation,
-    i.e. when the wedge Gram on Λ_J comes out negative definite.
+    i.e. when the wedge Gram on Λ_J, which the returned plane computes and
+    checks, comes out negative definite.
     """
     jt = [list(col) for col in zip(*j.matrix)]  # action on covectors: xi o J
 
@@ -218,12 +218,6 @@ def plane_of(j: ComplexStructure, eps: VolumeForm = DEFAULT_VOLUME, seed_covecto
     # alpha = (xi1 - i J*xi1) ^ (xi2 - i J*xi2)
     re = wedge(w1, w2) - wedge(jw1, jw2)
     im = -(wedge(w1, jw2) + wedge(jw1, w2))
-    g = gram_matrix(re, im, eps)
-    sign = _gram_definite_sign(g)
-    if sign == 0:
-        raise ValueError("degenerate wedge Gram; J violates its invariants")
-    if sign < 0:
-        raise ValueError("J is incompatible with the orientation (negative-definite wedge Gram)")
     return OrientedPositivePlane(re, im, eps)
 
 
@@ -236,7 +230,7 @@ def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStr
     """
     omega = p.omega
     phi1 = orthogonalize(omega, p.phi, p.eps)
-    ww = conformal_pairing(omega, omega, p.eps)
+    ww = p.gram[0][0]
     pp = conformal_pairing(phi1, phi1, p.eps)
     if pp <= 0 or ww <= 0:
         raise ValueError("plane is not positive; cannot build a complex structure")
@@ -250,7 +244,7 @@ def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStr
 
 def degree_squared(s: Splitting) -> Scalar:
     """degree² = ⟨ω,ω′⟩² / (⟨ω,ω⟩⟨ω′,ω′⟩ − ⟨ω,ω′⟩²); exact on exact inputs."""
-    ww, wp, pp = s.pairings()
+    (ww, wp), (_, pp) = s.gram
     denom = ww * pp - wp * wp
     if denom <= 0:
         raise ValueError("splitting invariant violated: nonpositive Gram determinant")

@@ -259,3 +259,31 @@ def random_integral_flag(rng, ideal) -> Flag:
         if linalg.rank(vectors + [v]) == len(vectors) + 1:
             vectors.append(v)
     return Flag(tuple(tuple(v) for v in vectors))
+
+
+def greedy_complement_frame(flag: Flag) -> list:
+    """The complement slots of a flag by incremental elimination, slot by slot.
+
+    A frame vector is kept iff it is independent of the flag and of the
+    vectors kept so far; ``eds.complement_frame`` reads the same choice off
+    the pivot columns of one reduced echelon form.
+    """
+    rows, pivots = [], []
+
+    def try_add(vec) -> bool:
+        v = list(vec)
+        for row, p in zip(rows, pivots):
+            if v[p] != 0:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        piv = next((i for i, x in enumerate(v) if x != 0), None)
+        if piv is None:
+            return False
+        inv = 1 / v[piv]
+        rows.append([x * inv for x in v])
+        pivots.append(piv)
+        return True
+
+    for v in flag.vectors:
+        try_add(v)
+    return [slot for slot in range(1, DIM + 1) if try_add(frame_vector(slot))]

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -118,6 +119,46 @@ class TestPairCommand:
         code, out, _ = run(["--epsilon", eps, "pair", "--input", path], capsys)
         assert code == 0
         assert json.loads(out)["pairings"]["ww"] == "1/1"
+
+
+def count_pairings(monkeypatch) -> dict:
+    """Count ``conformal_pairing`` calls, under every name a pathgeom module binds it to."""
+    import pathgeom.exterior as exterior
+
+    counter = {"calls": 0}
+    original = exterior.conformal_pairing
+
+    def counted(*args, **kwargs):
+        counter["calls"] += 1
+        return original(*args, **kwargs)
+
+    for name in ("exterior", "pairs", "splitting", "cli"):
+        module = importlib.import_module(f"pathgeom.{name}")
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counted)
+    return counter
+
+
+class TestPairingsComputedOnce:
+    """Each pair of 2-forms gets its wedge Gram once; the rest reads it."""
+
+    def test_elliptic_pair_request(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path, "in.json", pair_payload(OMEGA0 * 3, OMEGA0 + PHI0 * Fraction(2, 5)))
+        counter = count_pairings(monkeypatch)
+        code, out, _ = run(["pair", "--input", path], capsys)
+        assert code == 0 and json.loads(out)["kappa"] is not None
+        # the request's Gram, orthogonalize's two pairings, the EllipticPair's Gram
+        assert counter["calls"] <= 8
+
+    def test_splitting_request(self, tmp_path, capsys, monkeypatch):
+        a = LinearMap(((2, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 3), (0, 0, 0, 1)))
+        path = write_json(tmp_path, "in.json", act(a, canonical_model(Fraction(3, 4))).to_json())
+        counter = count_pairings(monkeypatch)
+        code, out, _ = run(["splitting", "--input", path], capsys)
+        assert code == 0 and json.loads(out)["degree_squared"] == "9/16"
+        # the Grams of the splitting and of its canonical model
+        assert counter["calls"] <= 6
 
 
 class TestSplittingCommand:

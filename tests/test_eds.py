@@ -31,7 +31,7 @@ from pathgeom.eds import (
 from pathgeom.linalg import in_span, rank
 
 from conftest import rand_fraction
-from oracles import random_integral_flag, second_order_probe
+from oracles import greedy_complement_frame, random_integral_flag, second_order_probe
 
 
 MV = MultiVector
@@ -251,6 +251,18 @@ class TestCodim:
                     triple = list(vecs)
                     triple[a] = list(frame_vector(s))
                     assert jac[r][a * len(slots) + m] == evaluate(form, triple)
+
+    def test_complement_frame_matches_greedy_elimination(self, rng):
+        ideal = ideal_at(rand_curvature(rng))
+        flags = [reference_flag()] + [random_integral_flag(rng, ideal) for _ in range(10)]
+        while len(flags) < 60:
+            # sparse vectors, so that the flag shares pivots with the frame vectors
+            k = rng.randint(1, 3)
+            vecs = [[Fraction(rng.choice((-1, 0, 0, 0, 0, 1, 2))) for _ in range(DIM)] for _ in range(k)]
+            if rank(vecs) == k:
+                flags.append(Flag(tuple(tuple(v) for v in vecs)))
+        for flag in flags:
+            assert complement_frame(flag) == greedy_complement_frame(flag)
 
     def test_non_integral_flag_rejected(self, rng):
         bad = Flag((frame_vector(slot_of("dx1")), frame_vector(slot_of("dx2")), frame_vector(slot_of("dx3"))))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -140,6 +141,20 @@ class TestSplittingInvariants:
         s = Splitting(OMEGA0, PHI0, VolumeForm(Fraction(-1)))
         assert s.epsilon_flipped
         assert degree_squared(s) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flipped_gram_is_the_gram_under_the_opposite_epsilon(self, seed):
+        # float lines whose Gram is negative definite under the standard ε
+        rng = random.Random(seed)
+        a = LinearMap(((1, 0, 0, 0),) * 4)
+        while a.det() >= 0:
+            a = LinearMap(tuple(tuple(rng.uniform(-2, 2) for _ in range(4)) for _ in range(4)))
+        l1, l2 = pullback(OMEGA0 * 0.7, a), pullback(OMEGA0 * rng.uniform(0, 3) + PHI0, a)
+        flipped = Splitting(l1, l2)
+        direct = Splitting(l1, l2, VolumeForm(-1))
+        assert flipped.epsilon_flipped and not direct.epsilon_flipped
+        assert flipped.eps == direct.eps and flipped.gram == direct.gram
+        assert degree_squared(flipped) == degree_squared(direct)
 
     def test_overflowing_gram_rejected(self):
         # the pairings are finite (1e200) but the Gram determinant is inf - inf
