@@ -110,7 +110,7 @@ def _two_form(data, name: str) -> MultiVector:
 
 
 def cmd_pair_classify(payload, cfg: Config) -> tuple:
-    from .pairs import EllipticPair, _elliptic_gram, kappa_invariant, normal_form, orthogonalize, reconstruction_residual
+    from .pairs import EllipticPair, _elliptic_gram, kappa_invariant, normal_form, orthogonalize
 
     omega = _two_form(payload.get("omega"), "omega")
     phi = _two_form(payload.get("phi"), "phi")
@@ -131,7 +131,7 @@ def cmd_pair_classify(payload, cfg: Config) -> tuple:
         nf = normal_form(pair, tol=cfg.tolerance)
         report["kappa"] = kappa_invariant(pair, tol=cfg.tolerance)
         report["normal_form"] = nf.to_json()
-        report["reconstruction_residual"] = reconstruction_residual(pair, nf)
+        report["reconstruction_residual"] = nf.residual
     else:
         report["kappa"] = None
         report["normal_form"] = None

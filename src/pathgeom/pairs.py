@@ -5,14 +5,14 @@ nonzero linear combination is symplectic.  An elliptic orthogonal pair admits
 a basis in which ω = e¹∧e³ − e²∧e⁴ and φ = κ(e¹∧e⁴ + e²∧e³) for a unique
 κ > 0; :func:`normal_form` constructs such a basis.
 
-The construction goes through the endomorphism A defined by
-φ(u,v) = ω(Au,v).  For an elliptic orthogonal pair, A² = −κ²·Id with
-κ² = ⟨φ,φ⟩/⟨ω,ω⟩, and J = −A/κ is the complex structure whose coordinates
-realize the normal form.  A = W_ω⁻¹W_φ and the basis are computed through
-:mod:`pathgeom.linalg` in the input's own scalars, so on exact input
-everything but κ itself is exact, with no floating linear algebra at all.
-Each step is independently checkable and the result is verified by
-reconstruction before it is returned.
+The construction contracts the two forms with two vectors.  With e₁ = ∂₁
+and e₃ the minimum-norm solution of ω(e₁,e₃) = 1, φ(e₁,e₃) = 0, the coframe
+is e¹ = −ω(e₃,·), e² = −φ(e₃,·)/κ, e³ = ω(e₁,·), e⁴ = φ(e₁,·)/κ with
+κ² = ⟨φ,φ⟩/⟨ω,ω⟩; then ω + iφ/κ = (e¹ + ie²)∧(e³ + ie⁴).  No matrix is
+inverted.  The coframe is computed in Fractions on the input's values, float
+coefficients included, so the only roundings are κ's square root and the
+storing of the basis as floats.  The result is certified by its
+reconstruction of (ω, φ) before it is returned.
 
 An :class:`EllipticPair` computes its wedge Gram once, when built, and keeps
 it as ``pair.gram``; the functions below that take a pair read it from there.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Tuple
+from typing import Optional, Tuple
 
 from . import linalg
 from .exterior import (
@@ -56,10 +56,15 @@ def is_symplectic(omega: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> bool:
 def _elliptic_gram(g: Gram) -> bool:
     """⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩² on a wedge Gram, exact on exact entries.
 
-    Not ``exterior._gram_definite_sign``, which raises where a float product
-    overflows: here inf > ⟨ω,φ⟩² still answers for a large elliptic pair.
+    Float pairings are first divided by the power of two next to the largest
+    of them: the products then neither overflow nor underflow wherever the
+    pairings are finite, and the division itself rounds nothing.
     """
-    return g[0][0] * g[1][1] > g[0][1] * g[0][1]
+    (ww, wp), (_, pp) = g
+    if not (is_exact(ww) and is_exact(wp) and is_exact(pp)):
+        e = math.frexp(max(abs(ww), abs(wp), abs(pp)))[1]
+        ww, wp, pp = (math.ldexp(float(x), -e) for x in (ww, wp, pp))
+    return ww * pp > wp * wp
 
 
 def is_elliptic(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> bool:
@@ -130,12 +135,15 @@ class NormalForm:
 
     ``basis`` holds the coframe covectors e¹..e⁴ as rows, expressed in the
     input coordinates.  ``epsilon_flipped`` records whether the volume form
-    was negated to make ⟨ω,ω⟩ positive.
+    was negated to make ⟨ω,ω⟩ positive.  ``residual`` is the reconstruction
+    residual that :func:`normal_form` checked, and None on a normal form
+    built any other way.
     """
 
     kappa: float
     basis: Tuple[Tuple[float, ...], ...]
     epsilon_flipped: bool = False
+    residual: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kappa <= 0:
@@ -183,62 +191,46 @@ def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
 
     Exact input gets exact checks; float input the tolerances below.  Raises
     for non-elliptic or non-orthogonal input.  If both self-pairings are
-    negative the volume form is flipped and the flip recorded.
+    negative the volume form is flipped and the flip recorded.  The returned
+    form keeps the reconstruction residual it was checked on.
     """
     ww, _, pp = _require_orthogonal(pair, tol)
     # elliptic + orthogonal forces sign(<w,w>) == sign(<p,p>)
     flipped = ww < 0
-    k2 = pp / ww
     kappa = math.sqrt(float(pp) / float(ww))
-    exact = is_exact(k2) and pair.omega.is_exact and pair.phi.is_exact
 
-    w_omega = _form_matrix(pair.omega)
-    a = linalg.matmul(linalg.inverse(w_omega), _form_matrix(pair.phi))
-    sq = linalg.matmul(a, a)
-    residual = max(abs(sq[i][j] + (k2 if i == j else 0)) for i in range(4) for j in range(4))
-    if residual > (0 if exact else math.sqrt(max(tol, 1e-15)) * k2):
-        raise ValueError(f"endomorphism square residual {float(residual):.3e}; pair violates ellipticity numerically")
-
-    # A² = −κ²·Id makes A invertible, so any nonzero e1 will do
-    e1 = linalg.identity(4)[0]
-    ae1 = linalg.matvec(a, e1)
-    # e3 from ω(e1,e3) = 1 and ω(Ae1,e3) = 0, the minimum-norm solution
-    # Mᵀ(MMᵀ)⁻¹(1,0)ᵀ; φ(e1,e3) = 0 is the second row again, as W_φ = AᵀW_ω
-    m = linalg.matmul([e1, ae1], w_omega)
-    mt = linalg.transpose(m)
-    gram_inv = linalg.inverse(linalg.matmul(m, mt))
-    e3 = linalg.matvec(mt, [gram_inv[0][0], gram_inv[1][0]])
-    ae3 = linalg.matvec(a, e3)
-    b = linalg.transpose([e1, [-x for x in ae1], e3, [-x for x in ae3]])
-
-    # the basis [e1, e2, e3, e4] = B·diag(1, 1/κ, 1, 1/κ) has determinant
-    # det B/κ²; in the constructed coframe omega^omega = 2 e1^e2^e3^e4, so
-    # det = 2/<w,w> relative to the original volume form: the basis is
-    # positively oriented exactly with respect to the recorded epsilon, and a
-    # float det is singular when det·<w,w> is small next to 2
-    det = linalg.det(b) / k2
-    if det == 0 or (not exact and abs(det * ww) < tol):
+    # exact on the input's values, floats too (a float is a binary fraction),
+    # so a float basis is rounded once, when it is stored.  e3 is the
+    # minimum-norm solution of m0·e3 = 1, m1·e3 = 0 for m0 = ω(e1,·),
+    # m1 = φ(e1,·), e1 = ∂₁; an elliptic pair has no real eigenvector of A
+    # (φ(u,v) = ω(Au,v)), so m0 ∦ m1
+    k2 = Fraction(pp) / Fraction(ww)
+    w_omega, w_phi = linalg.mat(_form_matrix(pair.omega)), linalg.mat(_form_matrix(pair.phi))
+    m0, m1 = w_omega[0], w_phi[0]
+    g00, g01, g11 = (sum(x * y for x, y in zip(u, v)) for u, v in ((m0, m0), (m0, m1), (m1, m1)))
+    d = g00 * g11 - g01 * g01
+    if d == 0:  # only a float pair at the edge of ellipticity gets here
         raise ValueError("constructed basis is singular")
-    if (det < 0) != flipped:
-        raise ValueError("constructed basis orientation is inconsistent; input violates invariants")
+    e3 = [(g11 * x - g01 * y) / d for x, y in zip(m0, m1)]
+    # the coframe dual to (e1, −Ae1, e3, −Ae3), before the (1, κ, 1, κ) scaling:
+    # −ω(e3,·) = W_ω·e3, −φ(e3,·)/κ², m0, m1/κ²
+    rows = (linalg.matvec(w_omega, e3), [x / k2 for x in linalg.matvec(w_phi, e3)], m0, [x / k2 for x in m1])
 
+    # ω∧ω = 2e¹∧e²∧e³∧e⁴ in the normal form and c·<w,w>·e¹²³⁴ for ε = c·e¹²³⁴,
+    # so r = 1 (exactly, on exact input); r > 0 says the rows are independent
+    # and positive on ε exactly when <w,w> > 0, as epsilon_flipped records
+    r = linalg.det(rows) * 2 * k2 / (Fraction(pair.eps.coefficient) * Fraction(ww))
+    if not r > 0:
+        raise ValueError("constructed basis is singular or inconsistently oriented; input violates invariants")
     nf = NormalForm(
         kappa=kappa,
-        basis=tuple(tuple(float(x) * s for x in row) for row, s in zip(linalg.inverse(b), (1.0, kappa, 1.0, kappa))),
+        basis=tuple(tuple(float(x) * f for x in row) for row, f in zip(rows, (1.0, kappa, 1.0, kappa))),
         epsilon_flipped=flipped,
     )
     res = reconstruction_residual(pair, nf)
     if res > tol * max(pair.omega.norm_inf(), pair.phi.norm_inf()):
         raise ValueError(f"normal-form reconstruction residual {res:.3e} exceeds tolerance")
-    # automatic identities of the construction, ω(e1,e2) = ω(e3,e4) = 0 and
-    # ω(e2,e4) = −1, stated for e2 = −Ae1/κ and e4 = −Ae3/κ; a float uᵀW_ωv is
-    # measured against |u|·|W_ω|·|v|, so that the check does not see the input's scale
-    w_size = max(abs(x) for row in w_omega for x in row)
-    for u, v, want in ((e1, ae1, 0), (e3, ae3, 0), (ae1, ae3, -k2)):
-        got = sum((x * y for x, y in zip(u, linalg.matvec(w_omega, v))), Fraction(0))
-        size = max(map(abs, u)) * w_size * max(map(abs, v))
-        if abs(got - want) > (0 if exact else math.sqrt(tol) * size):
-            raise ValueError("normal-form identity violated; inconsistent input")
+    object.__setattr__(nf, "residual", res)
     return nf
 
 

@@ -225,7 +225,7 @@ def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStr
     """Inverse of :func:`plane_of` up to tolerance.
 
     With φ₁ = φ orthogonalized against ω, the pair (ω, √(⟨ω,ω⟩/⟨φ₁,φ₁⟩)·φ₁)
-    has κ = 1, so J = −A for its endomorphism A (see :mod:`pathgeom.pairs`):
+    has κ = 1, so J = −A for the A with φ(u,v) = ω(Au,v) of that pair, A² = −Id:
     J = −√(⟨ω,ω⟩/⟨φ₁,φ₁⟩)·W_ω⁻¹W_φ₁, exact up to the one square root.
     """
     omega = p.omega

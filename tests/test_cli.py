@@ -32,6 +32,14 @@ def pair_payload(omega, phi):
     return {"omega": omega.to_json(), "phi": phi.to_json()}
 
 
+def float_gl_plus(rng) -> LinearMap:
+    """A random float map with positive determinant, entries in [-2, 2]."""
+    a = LinearMap(((1, 0, 0, 0),) * 4)
+    while a.det() <= 0:
+        a = LinearMap(tuple(tuple(rng.uniform(-2, 2) for _ in range(4)) for _ in range(4)))
+    return a
+
+
 class TestRenderJson:
     def test_floats_use_17_significant_digits(self):
         assert render_json(0.1) == "0.10000000000000001"
@@ -90,9 +98,7 @@ class TestPairCommand:
     @pytest.mark.parametrize("seed", range(4))
     def test_normal_form_ignores_the_input_scale(self, seed, scale, tmp_path, capsys):
         rng = random.Random(seed)
-        a = LinearMap(((1, 0, 0, 0),) * 4)
-        while a.det() <= 0:
-            a = LinearMap(tuple(tuple(rng.uniform(-2, 2) for _ in range(4)) for _ in range(4)))
+        a = float_gl_plus(rng)
         kappa = rng.choice([0.1, 0.5, 2.0, 3.0])
         omega, phi = pullback(OMEGA0 * scale, a), pullback(PHI0 * (kappa * scale), a)
         code, out, err = run(["pair", "--input", write_json(tmp_path, "in.json", pair_payload(omega, phi))], capsys)
@@ -100,6 +106,35 @@ class TestPairCommand:
         report = json.loads(out)
         assert report["kappa"] == pytest.approx(kappa, rel=1e-9)
         assert report["reconstruction_residual"] <= 1e-9 * max(omega.norm_inf(), phi.norm_inf())
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+    @pytest.mark.parametrize("elliptic", [True, False], ids=["elliptic", "not-elliptic"])
+    def test_elliptic_verdict_ignores_the_input_scale(self, elliptic, scale, tmp_path, capsys):
+        a = float_gl_plus(random.Random(3))
+        second = PHI0 * 2 if elliptic else MultiVector.basis(4, (1, 2)) - MultiVector.basis(4, (3, 4))
+        payload = pair_payload(pullback(OMEGA0 * scale, a), pullback(second * scale, a))
+        code, out, err = run(["pair", "--input", write_json(tmp_path, "in.json", payload)], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["elliptic"] is elliptic
+        if elliptic:
+            assert report["kappa"] == pytest.approx(2.0, rel=1e-12)
+
+    def test_overflowing_pairing_is_a_one_line_error(self, tmp_path, capsys):
+        a = float_gl_plus(random.Random(3))
+        payload = pair_payload(pullback(OMEGA0 * 1e160, a), pullback(PHI0 * 2e160, a))
+        code, out, err = run(["pair", "--input", write_json(tmp_path, "in.json", payload)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("c", [Fraction(-1), Fraction(-1, 2), Fraction(-3)], ids=str)
+    def test_negative_epsilon_flips_and_keeps_kappa(self, c, tmp_path, capsys):
+        path = write_json(tmp_path, "in.json", pair_payload(OMEGA0, PHI0))
+        eps = json.dumps(MultiVector(4, 4, {(1, 2, 3, 4): c}).to_json())
+        code, out, err = run(["--epsilon", eps, "pair", "--input", path], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["kappa"] == 1 and report["normal_form"]["epsilon_flipped"] is True
 
     def test_null_pair(self, tmp_path, capsys):
         e12 = MultiVector.basis(4, (1, 2))
@@ -121,12 +156,12 @@ class TestPairCommand:
         assert json.loads(out)["pairings"]["ww"] == "1/1"
 
 
-def count_pairings(monkeypatch) -> dict:
-    """Count ``conformal_pairing`` calls, under every name a pathgeom module binds it to."""
+def count_calls(monkeypatch, name: str) -> dict:
+    """Count calls of ``exterior.<name>``, under every name a pathgeom module binds it to."""
     import pathgeom.exterior as exterior
 
     counter = {"calls": 0}
-    original = exterior.conformal_pairing
+    original = getattr(exterior, name)
 
     def counted(*args, **kwargs):
         counter["calls"] += 1
@@ -145,16 +180,19 @@ class TestPairingsComputedOnce:
 
     def test_elliptic_pair_request(self, tmp_path, capsys, monkeypatch):
         path = write_json(tmp_path, "in.json", pair_payload(OMEGA0 * 3, OMEGA0 + PHI0 * Fraction(2, 5)))
-        counter = count_pairings(monkeypatch)
+        counter = count_calls(monkeypatch, "conformal_pairing")
+        wedges = count_calls(monkeypatch, "wedge")
         code, out, _ = run(["pair", "--input", path], capsys)
         assert code == 0 and json.loads(out)["kappa"] is not None
         # the request's Gram, orthogonalize's two pairings, the EllipticPair's Gram
         assert counter["calls"] <= 8
+        # one wedge per pairing and four for the one reconstruction of the normal form
+        assert wedges["calls"] <= 12
 
     def test_splitting_request(self, tmp_path, capsys, monkeypatch):
         a = LinearMap(((2, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 3), (0, 0, 0, 1)))
         path = write_json(tmp_path, "in.json", act(a, canonical_model(Fraction(3, 4))).to_json())
-        counter = count_pairings(monkeypatch)
+        counter = count_calls(monkeypatch, "conformal_pairing")
         code, out, _ = run(["splitting", "--input", path], capsys)
         assert code == 0 and json.loads(out)["degree_squared"] == "9/16"
         # the Grams of the splitting and of its canonical model
@@ -349,10 +387,13 @@ def test_pair_report_matches_golden(name, tmp_path, capsys):
     """Every field but the normal-form basis and its residual, captured before the normal form went exact.
 
     The κ-normal form is not unique, so the basis may change with the
-    construction; it must still rebuild the pair to 1e-9.
+    construction; it must still rebuild the pair to 1e-9.  A case may give
+    its own command line (``argv``, default ``["pair"]``); ``--input`` is
+    appended to it.
     """
     case = PAIR_GOLDEN[name]
-    code, out, _ = run(["pair", "--input", write_json(tmp_path, "in.json", case["payload"])], capsys)
+    argv = case.get("argv", ["pair"]) + ["--input", write_json(tmp_path, "in.json", case["payload"])]
+    code, out, _ = run(argv, capsys)
     report = json.loads(out)
     assert code == 0
     if report["normal_form"] is not None:
@@ -475,7 +516,7 @@ def fresh_python(code, *args, timeout=60):
 
 
 class TestNumpyStaysUnloaded:
-    """Exact requests never import numpy; only linalg's float branches do."""
+    """Exact requests and float ``pair`` requests never import numpy; only linalg's float branches do."""
 
     PROBE = (
         "import sys; from pathgeom.cli import main; code = main(sys.argv[1:]); "
@@ -485,6 +526,12 @@ class TestNumpyStaysUnloaded:
     @pytest.mark.parametrize("command, payload", EXACT_REQUESTS, ids=[c for c, _ in EXACT_REQUESTS])
     def test_exact_request(self, command, payload, tmp_path):
         proc = fresh_python(self.PROBE, command, "--input", write_json(tmp_path, "in.json", payload))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "False"
+
+    def test_float_pair_request(self, tmp_path):
+        payload = pair_payload(OMEGA0 * 0.5 + PHI0 * 0.25, PHI0 * 1.5)
+        proc = fresh_python(self.PROBE, "pair", "--input", write_json(tmp_path, "in.json", payload))
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip() == "False"
 

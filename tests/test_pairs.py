@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathgeom import (
     DEFAULT_VOLUME,
@@ -21,10 +24,11 @@ from pathgeom import (
     pullback,
     pullback_pair_independent,
 )
-from pathgeom.pairs import reconstruction_residual
+from pathgeom.linalg import det
+from pathgeom.pairs import DEFAULT_TOL, reconstruction_residual
 
 from conftest import rand_form, rand_injective_3to4, rand_orthogonal_elliptic_pair
-from oracles import gram_definiteness_oracle, sampled_symplectic_probe
+from oracles import gram_definiteness_oracle, sampled_symplectic_probe, wedge_oracle
 
 E = MultiVector.basis
 
@@ -167,6 +171,81 @@ class TestNormalForm:
         assert set(data) == {"kappa", "basis", "epsilon_flipped"}
         back = NormalForm.from_json(data)
         assert back == nf
+
+    def test_parallel_contractions_are_refused(self):
+        # φ's e¹-row is exactly ½ω's, so ∂₁ is a real eigenvector of A and the
+        # pair is not elliptic; its float Gram still rounds to elliptic
+        omega = MultiVector(4, 2, {
+            (1, 2): 0.08282494558699316, (1, 3): 0.8782983255570211, (1, 4): -0.23759152462357513,
+            (2, 3): -0.5668012057387732, (2, 4): -0.15576684883456537, (3, 4): -0.9419184248502641})
+        phi = MultiVector(4, 2, {
+            (1, 2): 0.04141247279349658, (1, 3): 0.43914916277851057, (1, 4): -0.11879576231178757,
+            (2, 3): -0.2834006028068198, (2, 4): -0.07788342431308401, (3, 4): -0.47095921241259037})
+        with pytest.raises(ValueError, match="singular"):
+            normal_form(EllipticPair(omega, phi), tol=1e3)
+
+    def test_keeps_the_residual_it_checked(self):
+        pair = EllipticPair(OMEGA0 * 2, PHI0 * Fraction(3))
+        nf = normal_form(pair)
+        assert nf.residual == reconstruction_residual(pair, nf)
+        assert "residual" not in nf.to_json()
+        assert NormalForm.from_json(nf.to_json()).residual is None
+
+
+def _orient(entries) -> LinearMap:
+    rows = [list(entries[i:i + 4]) for i in range(0, 16, 4)]
+    if det(rows) < 0:
+        rows[0] = [-x for x in rows[0]]
+    return LinearMap(tuple(map(tuple, rows)))
+
+
+GL_PLUS = st.lists(st.integers(-3, 3), min_size=16, max_size=16).filter(
+    lambda e: det([e[i:i + 4] for i in range(0, 16, 4)]) != 0).map(_orient)
+EPSILON_COEFFICIENTS = [Fraction(s * n, d) for s in (1, -1) for n, d in ((1, 2), (1, 1), (3, 1))]
+
+
+class TestAnyVolumeForm:
+    """ε = c·e¹²³⁴ of either sign: the same κ as under c = 1, and the flip recorded iff c < 0."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(a=GL_PLUS, kappa=st.fractions(Fraction(1, 4), 6, max_denominator=4), c=st.sampled_from(EPSILON_COEFFICIENTS))
+    def test_normal_form_under_scaled_epsilon(self, a, kappa, c):
+        omega, phi = pullback(OMEGA0, a), pullback(PHI0 * kappa, a)
+        unit = normal_form(EllipticPair(omega, phi))
+        nf = normal_form(EllipticPair(omega, phi, VolumeForm(c)))
+        assert nf.epsilon_flipped == (c < 0)
+        assert nf.kappa == pytest.approx(unit.kappa, rel=1e-15)
+        assert nf.residual <= 1e-9 * max(omega.norm_inf(), phi.norm_inf())
+
+
+def ill_conditioned_float_pair(seed: int) -> EllipticPair:
+    """Float GL⁺ pullback of (ω₀, κφ₀): first-row entries scaled by up to 1e7, κ in 10^[−9, 9]."""
+    rng = random.Random(seed)
+    a = LinearMap(((1, 0, 0, 0),) * 4)
+    while a.det() <= 0:
+        rows = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(4)]
+        rows[0] = [x * 10 ** rng.uniform(0, 7) for x in rows[0]]
+        a = LinearMap(tuple(map(tuple, rows)))
+    return EllipticPair(pullback(OMEGA0, a), pullback(PHI0 * 10 ** rng.uniform(-9, 9), a))
+
+
+class TestIllConditionedFloatPairs:
+    """The seeds below 60 on which a construction through A = W_ω⁻¹W_φ, in floats, raised.
+
+    Seed 30 is left out: its pair is not orthogonal to 1e-9, so it is rightly
+    refused before any construction.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5, 8, 9, 11, 12, 13, 15, 17, 19, 22, 24, 25, 26, 27, 28, 29,
+                                      31, 36, 42, 51, 57, 58])
+    def test_reconstructs_within_tolerance(self, seed):
+        pair = ill_conditioned_float_pair(seed)
+        nf = normal_form(pair)
+        c = nf.coframe()
+        omega = wedge_oracle(c[0], c[2]) - wedge_oracle(c[1], c[3])
+        phi = (wedge_oracle(c[0], c[3]) + wedge_oracle(c[1], c[2])) * nf.kappa
+        residual = max((omega - pair.omega).norm_inf(), (phi - pair.phi).norm_inf())
+        assert residual <= DEFAULT_TOL * max(pair.omega.norm_inf(), pair.phi.norm_inf())
 
 
 class TestPullbackPair:
