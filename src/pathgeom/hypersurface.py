@@ -12,8 +12,8 @@ arithmetic on the coefficient vectors b₁, b₂:
 * line fields      P₁ ∥ b₁, P₂ ∥ b₂ (the kernels of {η₁,η₂} and {η₂,η₃});
 * contact test     μ = (b₁×b₂)·dx, nondegenerate iff μ∧dμ ≠ 0, computed
   exactly as (b₁×b₂)·curl(b₁×b₂);
-* CR structure     D = T ∩ J₀T with I the restriction of J₀, computed by
-  exact intersection of column spans.
+* CR structure     D = T ∩ J₀T with I the restriction of J₀, both read off
+  the null space of [du | −J₀du].
 
 The line fields and the contact predicate are exact rational computations;
 only the coframe normalization needs floating point.
@@ -33,7 +33,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
 from . import linalg
-from .exterior import J0_MATRIX
 from .polynomials import CompiledFunctions, Poly, RatFunc, RationalPoint
 
 Coefficient = Union[Poly, RatFunc]
@@ -326,27 +325,28 @@ class CRSample:
     i_matrix: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
 
 
-_J0 = linalg.mat(J0_MATRIX)
-
-
-def _j0_apply(v: Sequence[Fraction]) -> list:
-    return linalg.matvec(_J0, list(v))
+def _J0(v: Sequence[Fraction]) -> list:
+    """J₀v = (−v₂, v₁, −v₄, v₃): the standard complex structure is a signed permutation."""
+    return [-v[1], v[0], -v[3], v[2]]
 
 
 def _cr_structure(coords: Tuple[Fraction, ...], jac: list) -> CRSample:
-    cols = [[jac[i][j] for i in range(4)] for j in range(3)]
-    j0_cols = [_j0_apply(c) for c in cols]
-    d_basis = linalg.intersect_spans(cols, j0_cols)
-    if len(d_basis) != 2:
+    # a null vector (p, q) of [du | −J₀du] gives d = du·p = J₀(du·q) in D, with
+    # J₀d = −du·q; du is injective, so independent null vectors give independent d's.
+    # The rows of −J₀du: −J₀v = (v₂, −v₁, v₄, −v₃).
+    minus_j0 = (jac[1], [-x for x in jac[0]], jac[3], [-x for x in jac[2]])
+    null = linalg.nullspace([row + m for row, m in zip(jac, minus_j0)])
+    if len(null) != 2:
         raise ValueError(
-            f"complex tangent point at {coords}: dim(T ∩ J0·T) = {len(d_basis)}, expected 2"
+            f"complex tangent point at {coords}: dim(T ∩ J0·T) = {len(null)}, expected 2"
         )
-    d1, d2 = d_basis
-    # express the restriction of J0 in the basis (d1, d2)
-    basis_cols = linalg.transpose([d1, d2])
+    param_basis = tuple(tuple(c[:3]) for c in null)
+    d_basis = tuple(tuple(linalg.matvec(jac, p)) for p in param_basis)
+    # J₀d_k = Σⱼ I_jk d_j pulls back through du to −q_k = Σⱼ I_jk p_j
+    p_cols = linalg.transpose(param_basis)
     i_cols = []
-    for d in (d1, d2):
-        sol = linalg.solve(basis_cols, _j0_apply(d))
+    for c in null:
+        sol = linalg.solve(p_cols, [-x for x in c[3:]])
         if sol is None:
             raise ValueError("D is not J0-invariant; inconsistent intersection")
         i_cols.append(sol)
@@ -354,14 +354,7 @@ def _cr_structure(coords: Tuple[Fraction, ...], jac: list) -> CRSample:
     sq = linalg.matmul([list(r) for r in i_matrix], [list(r) for r in i_matrix])
     if sq != [[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]]:
         raise ValueError("restriction of J0 to D does not square to -Id")
-    # pull the basis of D back to parameter space (du is injective)
-    param_basis = []
-    for d in (d1, d2):
-        w = linalg.solve(jac, list(d))
-        if w is None:
-            raise ValueError("D does not lie in the image of du; inconsistent data")
-        param_basis.append(tuple(w))
-    return CRSample(coords, (tuple(d1), tuple(d2)), tuple(param_basis), i_matrix)
+    return CRSample(coords, d_basis, param_basis, i_matrix)
 
 
 def cr_structure_at(u: ParamMap, point: Sequence) -> CRSample:
@@ -370,29 +363,28 @@ def cr_structure_at(u: ParamMap, point: Sequence) -> CRSample:
     return _cr_structure(pt.coords, _jacobian(_compile_jacobian(u.jacobian()), pt))
 
 
-def _compatible(jac: list, sample: PathGeometrySample, cr: CRSample) -> bool:
+def _compatible(jac: list, sample: PathGeometrySample) -> bool:
+    # vᵢ = du·Pᵢ ≠ 0; J₀v₁ ∥ v₂ puts J₀v₁ in T, so v₁ ∈ T ∩ J₀T = D and
+    # span(v₁, v₂) = span(v₁, J₀v₁) = D
     v1 = linalg.matvec(jac, list(sample.p1))
     v2 = linalg.matvec(jac, list(sample.p2))
-    if linalg.rank([_j0_apply(v1), v2]) != 1:
-        return False
-    return linalg.span_equal([v1, v2], [list(b) for b in cr.d_basis])
+    return linalg.rank([_J0(v1), v2]) == 1
 
 
-def compatibility_check(u: ParamMap, point: Sequence, tol: float = 1e-9, betas=None) -> bool:
+def compatibility_check(u: ParamMap, point: Sequence, betas=None) -> bool:
     """Whether the CR structure maps the P₁ line onto the P₂ line.
 
-    Checks, exactly on rational inputs: J₀(du·P₁) spans du·P₂, and
-    du·P₁ ⊕ du·P₂ = D.  The tolerance only matters for floating inputs
-    (exact computations leave nothing to approximate).  ``betas`` can pass a
-    precomputed pullback pair to avoid redoing the formal differentiation.
+    Checks, exactly on rational inputs, that J₀(du·P₁) spans du·P₂.  That
+    implies du·P₁ ⊕ du·P₂ = D: J₀(du·P₁) lies in T, so du·P₁ lies in
+    T ∩ J₀T = D, and D is spanned by du·P₁ and J₀(du·P₁).  ``betas`` can pass
+    a precomputed pullback pair to avoid redoing the formal differentiation.
     """
     compiled = CompiledMap(u, betas)
     pt = RationalPoint(point, NVARS)
     sample = _line_fields(pt.coords, *_pair(compiled.pair, pt))
     if not sample.contact:
         raise ValueError(f"hypersurface is degenerate (not contact) at {point}")
-    jac = _jacobian(compiled.jacobian, pt)
-    return _compatible(jac, sample, _cr_structure(pt.coords, jac))
+    return _compatible(_jacobian(compiled.jacobian, pt), sample)
 
 
 # -- per-point reports -------------------------------------------------------
@@ -436,7 +428,7 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, compiled: Opti
             "D": [[_rational(x) for x in b] for b in cr.d_basis],
             "I": [[_rational(x) for x in row] for row in cr.i_matrix],
         }
-        rec["compatible"] = _compatible(jac, sample, cr) if sample.contact else None
+        rec["compatible"] = _compatible(jac, sample) if sample.contact else None
     except (ValueError, ZeroDivisionError) as exc:
         rec["error"] = str(exc)
     return rec

@@ -9,8 +9,8 @@ numpy and hand it the matrix (``matrix_rank`` at its default tolerance,
 ``inv``, ``eigvalsh`` with a 1e-12 cut-off), so exact work never loads it.
 :func:`det`, :func:`matmul` and :func:`matvec` compute in whatever scalars
 they are given, so exact input gives exact results and float input floats.
-:func:`rref`, :func:`nullspace`, :func:`solve` and the span helpers are exact
-only: they coerce their entries to Fractions."""
+:func:`rref`, :func:`nullspace`, :func:`solve` and :func:`intersect_spans` are
+exact only: they eliminate in Fractions."""
 
 from __future__ import annotations
 
@@ -217,17 +217,6 @@ def inertia(a) -> tuple:
     return pos, neg, zero
 
 
-def in_span(vectors: Sequence[Vector], v: Vector) -> bool:
-    if not vectors:
-        return all(x == 0 for x in v)
-    return rank(list(vectors)) == rank(list(vectors) + [list(v)])
-
-
-def span_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
-    ra, rb = rank(list(a)), rank(list(b))
-    return ra == rb == rank(list(a) + list(b))
-
-
 def intersect_spans(a: Sequence[Vector], b: Sequence[Vector]) -> List[Vector]:
     """Basis of span(a) ∩ span(b)."""
     if not a or not b:
@@ -241,9 +230,5 @@ def intersect_spans(a: Sequence[Vector], b: Sequence[Vector]) -> List[Vector]:
             for j in range(len(v)):
                 v[j] += coeff * row[j]
         out.append(v)
-    # prune to an independent subset
-    basis: List[Vector] = []
-    for v in out:
-        if any(x != 0 for x in v) and not in_span(basis, v):
-            basis.append(v)
-    return basis
+    # the pivot columns of the candidates: each one independent of those before it
+    return [out[p] for p in rref(transpose(out))[1]]

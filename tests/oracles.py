@@ -6,6 +6,8 @@ permutation sum with factorial normalization, and evaluation is a complete
 multilinear contraction.  Slow and simple on purpose.  The EDS smoothness
 probe is floating-point evidence next to the exact rank-8 linearization, and
 random integral flags stand in for the ordinary flags of the Cartan test.
+The span and CR references keep the incremental rank tests that the library
+replaced by one null space and one echelon form.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from pathgeom import MultiVector, evaluate, linalg
+from pathgeom import J0_MATRIX, MultiVector, evaluate, linalg
 from pathgeom.eds import (
     DIM,
     Flag,
@@ -287,3 +289,67 @@ def greedy_complement_frame(flag: Flag) -> list:
     for v in flag.vectors:
         try_add(v)
     return [slot for slot in range(1, DIM + 1) if try_add(frame_vector(slot))]
+
+
+def in_span(vectors, v) -> bool:
+    if not vectors:
+        return all(x == 0 for x in v)
+    return linalg.rank(list(vectors)) == linalg.rank(list(vectors) + [list(v)])
+
+
+def span_equal(a, b) -> bool:
+    ra, rb = linalg.rank(list(a)), linalg.rank(list(b))
+    return ra == rb == linalg.rank(list(a) + list(b))
+
+
+def greedy_intersect_spans(a, b) -> list:
+    """Basis of span(a) ∩ span(b): the null-space candidates, pruned one rank test at a time.
+
+    A candidate is kept iff it is nonzero and not in the span of those kept
+    so far; ``linalg.intersect_spans`` reads the same choice off one
+    echelon form.
+    """
+    if not a or not b:
+        return []
+    cols = linalg.transpose(list(a) + [[-x for x in row] for row in b])
+    out = []
+    for c in linalg.nullspace(cols):
+        v = [Fraction(0)] * len(a[0])
+        for coeff, row in zip(c[: len(a)], a):
+            for j in range(len(v)):
+                v[j] += coeff * row[j]
+        out.append(v)
+    basis = []
+    for v in out:
+        if any(x != 0 for x in v) and not in_span(basis, v):
+            basis.append(v)
+    return basis
+
+
+def _j0_apply(v) -> list:
+    return linalg.matvec(linalg.mat(J0_MATRIX), list(v))
+
+
+def cr_structure_oracle(jac):
+    """(d_basis, param_basis, i_matrix) at a point with 4×3 Jacobian ``jac``.
+
+    D = span(du) ∩ span(J₀du) by :func:`greedy_intersect_spans`, I by solving
+    J₀d_k = Σⱼ I_jk d_j in ℝ⁴, and the parameter vectors by solving du·w = d.
+    """
+    cols = [[jac[i][j] for i in range(4)] for j in range(3)]
+    d_basis = greedy_intersect_spans(cols, [_j0_apply(c) for c in cols])
+    assert len(d_basis) == 2
+    basis_cols = linalg.transpose(d_basis)
+    i_cols = [linalg.solve(basis_cols, _j0_apply(d)) for d in d_basis]
+    i_matrix = ((i_cols[0][0], i_cols[1][0]), (i_cols[0][1], i_cols[1][1]))
+    param_basis = tuple(tuple(linalg.solve(jac, list(d))) for d in d_basis)
+    return tuple(tuple(d) for d in d_basis), param_basis, i_matrix
+
+
+def compatible_oracle(jac, p1, p2) -> bool:
+    """J₀(du·P₁) spans du·P₂, and du·P₁, du·P₂ span D: both conditions tested."""
+    v1 = linalg.matvec(jac, list(p1))
+    v2 = linalg.matvec(jac, list(p2))
+    if linalg.rank([_j0_apply(v1), v2]) != 1:
+        return False
+    return span_equal([v1, v2], cr_structure_oracle(jac)[0])

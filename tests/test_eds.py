@@ -28,10 +28,10 @@ from pathgeom.eds import (
     zeta_forms,
     frame_vector,
 )
-from pathgeom.linalg import in_span, rank
+from pathgeom.linalg import rank
 
 from conftest import rand_fraction
-from oracles import greedy_complement_frame, random_integral_flag, second_order_probe
+from oracles import greedy_complement_frame, in_span, random_integral_flag, second_order_probe
 
 
 MV = MultiVector

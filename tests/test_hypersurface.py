@@ -19,15 +19,23 @@ from pathgeom import (
     star_coefficients,
 )
 from pathgeom.hypersurface import (
+    CompiledMap,
+    PathGeometrySample,
+    _compatible,
+    _cr_structure,
+    _jacobian,
+    _line_fields,
+    _pair,
     contact_value_at,
     coframe_residual,
     point_record,
     sample_report,
 )
-from pathgeom.linalg import matvec, rank, span_equal
+from pathgeom.linalg import matvec, rank, solve
+from pathgeom.polynomials import RationalPoint
 
 from conftest import rand_fraction
-from oracles import contact_scalar
+from oracles import compatible_oracle, contact_scalar, cr_structure_oracle, greedy_intersect_spans, span_equal
 
 
 def rand_point(rng, lo=-5, hi=5, den=7):
@@ -256,6 +264,74 @@ class TestCompatibility:
     def test_affine_plane_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
             compatibility_check(affine_plane_model(), [0, Fraction(1, 2), 0])
+
+
+def _random_graph(rng) -> ParamMap:
+    """(x₁, x₂, x₃, f) for a random cubic f, in a random order of the four components."""
+    monomials = [(i, j, k) for i in range(4) for j in range(4) for k in range(4) if 1 <= i + j + k <= 3]
+    f = Poly.zero(3)
+    for exp in rng.sample(monomials, rng.randint(1, 5)):
+        f = f + rng.randint(-3, 3) * X1 ** exp[0] * X2 ** exp[1] * X3 ** exp[2]
+    comps = [X1, X2, X3, f]
+    rng.shuffle(comps)
+    return ParamMap(tuple(comps))
+
+
+class TestCRStructureOracle:
+    """One null space of [du | −J₀du] and one rank test against the incremental reference."""
+
+    def assert_matches(self, jac, p1, p2):
+        cr = _cr_structure((0, 0, 0), jac)
+        assert (cr.d_basis, cr.param_basis, cr.i_matrix) == cr_structure_oracle(jac)
+        sample = PathGeometrySample((0, 0, 0), tuple(p1), tuple(p2), True)
+        verdict = _compatible(jac, sample)
+        assert verdict == compatible_oracle(jac, p1, p2)
+        return verdict
+
+    def assert_map_matches(self, u, points):
+        compiled = CompiledMap(u)
+        verdicts = []
+        for point in points:
+            pt = RationalPoint(point, 3)
+            sample = _line_fields(pt.coords, *_pair(compiled.pair, pt))
+            verdicts.append(self.assert_matches(_jacobian(compiled.jacobian, pt), sample.p1, sample.p2))
+        return verdicts
+
+    def test_models(self, rng):
+        assert all(self.assert_map_matches(heisenberg_model(), [rand_point(rng) for _ in range(10)]))
+        assert all(self.assert_map_matches(sphere_chart_model(), [rand_point(rng, -2, 2, 5) for _ in range(5)]))
+
+    def test_affine_plane(self, rng):
+        # J₀∂₁u = ∂₂u lies in T, so M has a pivot past du's own columns
+        self.assert_map_matches(affine_plane_model(), [rand_point(rng) for _ in range(5)])
+
+    def test_random_graphs(self, rng):
+        for _ in range(100):
+            self.assert_map_matches(_random_graph(rng), [rand_point(rng, -2, 2, 3)])
+
+    def test_synthetic_triples(self, rng):
+        verdicts = []
+        for k in range(120):
+            jac = [[rand_fraction(rng, -3, 3, 2) for _ in range(3)] for _ in range(4)]
+            if rank(jac) != 3:
+                continue
+            cols = [[jac[i][j] for i in range(4)] for j in range(3)]
+            j0 = [[Fraction(x) for x in row] for row in J0_MATRIX]
+            d1, d2 = greedy_intersect_spans(cols, [matvec(j0, c) for c in cols])
+            s, t = rand_fraction(rng, -3, 3, 2), rand_fraction(rng, -3, 3, 2)
+            v1 = [s * a + t * b for a, b in zip(d1, d2)] if (s, t) != (0, 0) else d1
+            if k % 2 == 0:  # J₀v₁ ∥ v₂
+                lam = rand_fraction(rng, 1, 3, 2)
+                v2 = [lam * x for x in matvec(j0, v1)]
+            elif k % 4 == 1:  # v₂ in D and independent of v₁: span(v₁, v₂) = D either way
+                v2 = [a + Fraction(1, 2) * b for a, b in zip(v1, d2 if rank([v1, d1]) == 1 else d1)]
+            else:  # random v₂ in T
+                v2 = matvec(jac, [rand_fraction(rng, -3, 3, 2) for _ in range(3)])
+            if all(x == 0 for x in v2):
+                continue
+            p1, p2 = (solve(jac, v) for v in (v1, v2))
+            verdicts.append(self.assert_matches(jac, p1, p2))
+        assert verdicts.count(True) > 30 and verdicts.count(False) > 30
 
 
 class TestSphereChart:

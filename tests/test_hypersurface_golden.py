@@ -9,12 +9,15 @@ dimension), and the 18 points with |x| ≤ 17 of the benchmark's
 ``sphere-grid`` request for seed 1 on the sphere chart.
 """
 
+import inspect
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from pathgeom import linalg
 from pathgeom.cli import render_json
 from pathgeom.hypersurface import CompiledMap, ParamMap, point_record, sample_report
 from pathgeom.polynomials import Poly
@@ -31,10 +34,12 @@ def test_records_match_golden(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_per_point_evaluation_does_no_calculus(name, monkeypatch):
+    """No differentiation per point, and the CR step reads D and I off one null space:
+    at most two 2-column solves, no span intersection and no span comparison."""
     case = GOLDEN[name]
     u = ParamMap.from_json(case["map"])
     compiled = CompiledMap(u)
-    calls = {"diff": 0, "jacobian_at": 0}
+    calls = Counter()
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -45,6 +50,12 @@ def test_per_point_evaluation_does_no_calculus(name, monkeypatch):
 
     monkeypatch.setattr(Poly, "diff", counted("diff", Poly.diff))
     monkeypatch.setattr(ParamMap, "jacobian_at", counted("jacobian_at", ParamMap.jacobian_at))
+    for fname, fn in list(vars(linalg).items()):
+        if inspect.isfunction(fn) and fn.__module__ == linalg.__name__:
+            monkeypatch.setattr(linalg, fname, counted(f"linalg.{fname}", fn))
     for p in case["points"]:
+        calls.clear()
         point_record(u, [Fraction(x) for x in p], compiled=compiled)
-    assert calls == {"diff": 0, "jacobian_at": 0}
+        assert calls["diff"] == calls["jacobian_at"] == 0
+        assert calls["linalg.solve"] <= 2
+        assert calls["linalg.intersect_spans"] == calls["linalg.span_equal"] == 0

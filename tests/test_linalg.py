@@ -12,7 +12,7 @@ from pathgeom import OMEGA0, PHI0, VolumeForm, linalg, pairing_signature
 from pathgeom.splitting import lines_parallel
 
 from conftest import rand_fraction
-from oracles import leibniz_det
+from oracles import greedy_intersect_spans, leibniz_det, span_equal
 
 
 def rand_matrix(rng, rows, cols):
@@ -107,6 +107,41 @@ class TestDispatch:
         assert pairing_signature(VolumeForm(2.0)) == (3, 3)
         assert pairing_signature(VolumeForm(-2.0)) == (3, 3)
 
+
+
+def _dependent_rows(rng, count, dim, shared):
+    """``count`` vectors in ℚ^dim: random ones, zeros, combinations of earlier rows and ``shared`` ones."""
+    rows = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([Fraction(0)] * dim)
+        elif kind < 0.4 and rows:
+            x, y = rng.choice(rows), rng.choice(rows)
+            s, t = rand_fraction(rng, -3, 3, 2), rand_fraction(rng, -3, 3, 2)
+            rows.append([s * p + t * q for p, q in zip(x, y)])
+        elif kind < 0.6 and shared:
+            rows.append(list(rng.choice(shared)))
+        else:
+            rows.append([Fraction(rng.randint(-3, 3)) for _ in range(dim)])
+    return rows
+
+
+class TestIntersectSpans:
+    def test_matches_the_greedy_prune(self, rng):
+        pruned = 0
+        for _ in range(300):
+            dim = rng.randint(2, 5)
+            a = _dependent_rows(rng, rng.randint(0, 4), dim, [])
+            b = _dependent_rows(rng, rng.randint(0, 4), dim, a)
+            basis = linalg.intersect_spans(a, b)
+            assert basis == greedy_intersect_spans(a, b)
+            if basis:
+                assert linalg.rank(basis) == len(basis)
+                assert span_equal(basis, greedy_intersect_spans(b, a))
+            # a dependent row of a gives a zero or repeated candidate that the prune drops
+            pruned += bool(a and b) and len(linalg.nullspace(linalg.transpose(a + b))) > len(basis)
+        assert pruned > 50
 
 def test_numpy_rank_and_eigenvalues_only_in_linalg():
     src = Path(pathgeom.__file__).parent
