@@ -18,11 +18,17 @@ arithmetic on the coefficient vectors b₁, b₂:
 The line fields and the contact predicate are exact rational computations;
 only the coframe normalization needs floating point.
 
-A map is compiled once per request (:class:`CompiledMap`): its Jacobian
-entries, b₁, b₂ and the first partials of their numerators and denominators
-are differentiated once.  Each point is then evaluated in integers over the
-point's common denominator, every per-point quantity is computed once, and
-the public per-point functions are thin wrappers over the same kernels.
+All of it is pointwise: b₁, b₂ are the 2×2 minors of du, the contact test
+needs their first derivatives and so the second derivatives of u, and the CR
+structure is linear algebra on du.  A map is compiled once per request
+(:class:`CompiledMap`) into the second-order jets of its components'
+numerators and denominators, written over one shared denominator.  At each
+point the quotient rule in integers gives Ĵ = Δ·du and ∂ₖĴ up to one positive
+factor each, and every test runs on Python ints: each is homogeneous in du
+and in ∂du, so the factors do not change its verdict.  ``Fraction``s are
+built only for the printed fields.  :func:`pullback_splitting` keeps the
+formal pullback in rational functions, for the per-point functions that take
+a pair (β₁, β₂) and as the reference the jets are tested against.
 """
 
 from __future__ import annotations
@@ -30,10 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
-from .polynomials import CompiledFunctions, Poly, RatFunc, RationalPoint
+from .polynomials import CompiledFunctions, Poly, RatFunc, RationalPoint, over_one_denominator
 
 Coefficient = Union[Poly, RatFunc]
 NVARS = 3
@@ -76,7 +82,10 @@ class ParamMap:
 
     def jacobian_at(self, point: Sequence) -> list:
         """Exact Jacobian at a rational point; raises on rank drop."""
-        return _jacobian(_compile_jacobian(self.jacobian()), RationalPoint(point, NVARS))
+        pt = RationalPoint(point, NVARS)
+        jac, scale, _ = CompiledMap(self).at(pt)
+        _require_immersion(pt.coords, jac)
+        return [[Fraction(x, scale) for x in row] for row in jac]
 
     def to_json(self) -> dict:
         if all(c.den == 1 for c in self.components):
@@ -99,7 +108,7 @@ class ParamMap:
 
 
 # ``perfbench/layers.py`` wraps ``_ParamMap.jacobian_at`` by this name; the
-# line goes when the tracer reads the library's own stage collector (ROADMAP item 5)
+# line goes when the tracer reads the library's own stage collector (ROADMAP item 4)
 _ParamMap = ParamMap
 
 
@@ -151,57 +160,180 @@ def star_coefficients(beta) -> tuple:
 
 def pullback_splitting(u: ParamMap) -> Tuple[PolyForm3, PolyForm3]:
     """β₁ = u*ω₀, β₂ = u*φ₀ by formal differentiation (exact)."""
-    return _pullback_pair(u.jacobian())
+    jac = u.jacobian()
+    b = _minors(jac, jac)
+    return PolyForm3(b[:3]), PolyForm3(b[3:])
 
 
-def _pullback_pair(jac) -> Tuple[PolyForm3, PolyForm3]:
-    """(β₁, β₂) from the map's formal 4×3 Jacobian."""
+def _minors(a, c) -> tuple:
+    """b₁ + b₂ (six entries) from the 2×2 minors a[i₁][j₁]·c[i₂][j₂] − a[i₁][j₂]·c[i₂][j₁].
+
+    With a = c = du these are u*ω₀ = du¹∧du³ − du²∧du⁴ and
+    u*φ₀ = du¹∧du⁴ + du²∧du³ in ⋆dx coordinates; the product rule gives
+    ∂ₖb = _minors(∂ₖdu, du) + _minors(du, ∂ₖdu).
+    """
 
     def minor(i1, i2, j1, j2):
-        return jac[i1][j1] * jac[i2][j2] - jac[i1][j2] * jac[i2][j1]
+        return a[i1][j1] * c[i2][j2] - a[i1][j2] * c[i2][j1]
 
     pairs = [(1, 2), (1, 3), (2, 3)]
     beta1 = {(j, k): minor(0, 2, j - 1, k - 1) - minor(1, 3, j - 1, k - 1) for j, k in pairs}
     beta2 = {(j, k): minor(0, 3, j - 1, k - 1) + minor(1, 2, j - 1, k - 1) for j, k in pairs}
-    return PolyForm3.from_wedge_coefficients(beta1), PolyForm3.from_wedge_coefficients(beta2)
+    return _star(beta1, 0) + _star(beta2, 0)
 
 
-def _compile_jacobian(jac) -> CompiledFunctions:
-    return CompiledFunctions([f for row in jac for f in row], NVARS)
+def _jet(p: Poly) -> list:
+    """p, ∂₁p, ∂₂p, ∂₃p, then ∂ⱼ∂ₖp for j ≤ k in the order 11, 12, 13, 22, 23, 33."""
+    first = [p.diff(j) for j in range(NVARS)]
+    return [p] + first + [first[j].diff(k) for j in range(NVARS) for k in range(j, NVARS)]
 
 
-def _compile_pair(beta1: PolyForm3, beta2: PolyForm3) -> CompiledFunctions:
-    return CompiledFunctions(beta1.b + beta2.b, NVARS, gradient=True)
+#: the jet slot of ∂ⱼ∂ₖ, for every j and k
+_SLOT2 = ((4, 5, 6), (5, 7, 8), (6, 8, 9))
+
+
+def _num_den(f: RatFunc) -> Tuple[Poly, Poly]:
+    """f's numerator and denominator, or (c, 1) when f = c·den/den.
+
+    Such a component has a zero formal derivative over the denominator 1, so
+    the zeros of den are not poles of the map.
+    """
+    (e, c0), *_ = f.den.terms.items()
+    c = f.num.terms.get(e, 0) / c0
+    if f.num.terms == {k: c * v for k, v in f.den.terms.items()}:
+        return Poly.constant(c, NVARS), Poly.constant(1, NVARS)
+    return f.num, f.den
 
 
 class CompiledMap:
-    """The derived functions of a map, built once for many points.
+    """The second-order jets of a map, built once for many points.
 
-    Holds the 4×3 Jacobian entries, and b₁, b₂ with the first partials of
-    their numerators and denominators (all that the pointwise quotient rule
-    needs).  ``betas`` can pass a precomputed pullback pair.  The map is
-    differentiated once, for both.
+    Each component uⁱ = Nᵢ/Dᵢ keeps the values, first and second partials of
+    Nᵢ and Dᵢ; identical polynomials are stored once, and all of them over
+    one shared denominator, which cancels in every quotient :meth:`at` takes.
+    No pullback is multiplied out.
     """
 
-    def __init__(self, u: ParamMap, betas=None):
-        jac = u.jacobian()
-        beta1, beta2 = betas if betas is not None else _pullback_pair(jac)
-        self.jacobian = _compile_jacobian(jac)
-        self.pair = _compile_pair(beta1, beta2)
+    def __init__(self, u: ParamMap):
+        slots: Dict[Poly, int] = {}
+        jets: Dict[Poly, Tuple[int, ...]] = {}
+        polys: List[Poly] = []
+
+        def slot(p: Poly) -> int:
+            if p not in slots:
+                slots[p] = len(polys)
+                polys.append(p)
+            return slots[p]
+
+        def jet(p: Poly) -> Tuple[int, ...]:
+            if p not in jets:
+                jets[p] = tuple(slot(q) for q in _jet(p))
+            return jets[p]
+
+        self._components = [tuple(jet(p) for p in _num_den(f)) for f in u.components]
+        self._polys = over_one_denominator(polys)
+
+    # the one jet table is both the ``compiled.jacobian`` and the ``compiled.pair``
+    # that ``_jacobian`` and ``_pair`` evaluate
+    @property
+    def jacobian(self) -> "CompiledMap":
+        return self
+
+    pair = jacobian
+
+    def at(self, pt: RationalPoint) -> Tuple[list, int, list]:
+        """(Ĵ, Δ, ∂Ĵ) in ints: du = Ĵ/Δ with Δ > 0, and ∂Ĵ[k] = Δ′·∂ₖdu for one Δ′ > 0.
+
+        Quotient rule on the jets: ∂ⱼu = (nⱼd − ndⱼ)/d² and
+        ∂ₖ∂ⱼu = ((nⱼₖd + nⱼdₖ − nₖdⱼ − ndⱼₖ)·d − 2dₖ(nⱼd − ndⱼ))/d³; Δ and Δ′
+        are the lcm of the d² and of the |d|³ over the components.
+        """
+        vals = [p.numerator(pt) for p in self._polys]
+        parts = []
+        for num, den in self._components:
+            n, d = [vals[i] for i in num], [vals[i] for i in den]
+            d0 = d[0]
+            if d0 == 0:
+                raise ZeroDivisionError("denominator vanishes at the query point")
+            first = [n[1 + j] * d0 - n[0] * d[1 + j] for j in range(NVARS)]
+            second = [
+                [
+                    (n[s] * d0 + n[1 + j] * d[1 + k] - n[1 + k] * d[1 + j] - n[0] * d[s]) * d0
+                    - 2 * d[1 + k] * first[j]
+                    for j, s in enumerate(_SLOT2[k])
+                ]
+                for k in range(NVARS)
+            ]
+            parts.append((d0, first, second))
+        scale = math.lcm(*(d0 * d0 for d0, _, _ in parts))
+        jac = [[x * (scale // (d0 * d0)) for x in first] for d0, first, _ in parts]
+        g = math.gcd(scale, *(x for row in jac for x in row))
+        dscale = math.lcm(*(abs(d0) ** 3 for d0, _, _ in parts))
+        djac = [[[x * (dscale // d0**3) for x in second[k]] for d0, _, second in parts] for k in range(NVARS)]
+        return [[x // g for x in row] for row in jac], scale // g, djac
 
 
-def _jacobian(compiled: CompiledFunctions, pt: RationalPoint) -> list:
-    """Exact 4×3 Jacobian at the point; raises on rank drop."""
-    vals = compiled.at(pt)[0]
-    jac = [vals[3 * i : 3 * i + 3] for i in range(4)]
-    if linalg.rank(jac) != 3:
-        raise ValueError(f"map is not an immersion at {pt.coords}: Jacobian rank < 3")
+def _echelon(rows: list) -> Tuple[list, list]:
+    """Fraction-free Gauss–Jordan elimination of an integer matrix: (rows, pivot columns).
+
+    Each pivot column is zero off its pivot row, and row r divided by its
+    pivot entry is row r of the reduced row echelon form, which no scaling
+    of the input changes.  Rows are kept divided by the gcd of their entries.
+    """
+    rows = [list(r) for r in rows]
+    pivots: List[int] = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f:
+                new = [top[col] * x - f * y for x, y in zip(row, top)]
+                g = math.gcd(*new) or 1
+                rows[i] = [x // g for x in new]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots
+
+
+def _require_immersion(coords: Tuple[Fraction, ...], jac: list) -> None:
+    # a 4×3 matrix has rank 3 iff one of its four 3×3 minors is nonzero
+    if not any(_dot(jac[i], _cross(jac[j], jac[k])) for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))):
+        raise ValueError(f"map is not an immersion at {coords}: Jacobian rank < 3")
+
+
+def _jacobian(compiled: CompiledMap, pt: RationalPoint) -> list:
+    """Ĵ, a positive multiple of the 4×3 Jacobian at the point, in ints; raises on rank drop."""
+    jac = compiled.at(pt)[0]
+    _require_immersion(pt.coords, jac)
     return jac
 
 
-def _pair(compiled: CompiledFunctions, pt: RationalPoint):
-    """(b₁, b₂, ∇b₁, ∇b₂) at the point; ∇bᵢ lists the gradient of each component."""
-    vals, grads = compiled.at(pt)
+def _b_pair(jac: list, djac: list):
+    """(b₁, b₂, ∇b₁, ∇b₂) from du and ∂ₖdu, as scaled as they are.
+
+    ∇bᵢ lists the gradient of each component.
+    """
+    b = _minors(jac, jac)
+    db = [[x + y for x, y in zip(_minors(dk, jac), _minors(jac, dk))] for dk in djac]
+    grads = [tuple(dbk[c] for dbk in db) for c in range(6)]
+    return b[:3], b[3:], grads[:3], grads[3:]
+
+
+def _pair(compiled: CompiledMap, pt: RationalPoint):
+    """(b₁, b₂, ∇b₁, ∇b₂) at the point in ints, up to positive factors (Δ² for b)."""
+    jac, _, djac = compiled.at(pt)
+    return _b_pair(jac, djac)
+
+
+def _formal_pair(beta1: PolyForm3, beta2: PolyForm3, pt: RationalPoint):
+    """(b₁, b₂, ∇b₁, ∇b₂) of a formal pair at the point, exact."""
+    vals, grads = CompiledFunctions(beta1.b + beta2.b, NVARS, gradient=True).at(pt)
     return tuple(vals[:3]), tuple(vals[3:]), grads[:3], grads[3:]
 
 
@@ -291,7 +423,7 @@ def contact_value_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> Fra
     ∂ᵢ(b₁×b₂) = ∂ᵢb₁×b₂ + b₁×∂ᵢb₂, then m·curl(m).
     """
     pt = RationalPoint(point, NVARS)
-    return _contact_value(pt.coords, *_pair(_compile_pair(beta1, beta2), pt))
+    return _contact_value(pt.coords, *_formal_pair(beta1, beta2, pt))
 
 
 def is_nondegenerate_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> bool:
@@ -312,7 +444,7 @@ def _line_fields(coords: Tuple[Fraction, ...], b1, b2, g1, g2) -> PathGeometrySa
 def line_fields_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> PathGeometrySample:
     """P₁ ∥ b₁(point), P₂ ∥ b₂(point); exact on rational inputs."""
     pt = RationalPoint(point, NVARS)
-    return _line_fields(pt.coords, *_pair(_compile_pair(beta1, beta2), pt))
+    return _line_fields(pt.coords, *_formal_pair(beta1, beta2, pt))
 
 
 @dataclass(frozen=True)
@@ -330,56 +462,79 @@ def _J0(v: Sequence[Fraction]) -> list:
     return [-v[1], v[0], -v[3], v[2]]
 
 
-def _cr_structure(coords: Tuple[Fraction, ...], jac: list) -> CRSample:
+def _cr_structure(coords: Tuple[Fraction, ...], jac: list, scale: int = 1) -> CRSample:
+    """D and I at a point where du = jac/scale has rank 3; ``jac`` may hold ints or Fractions."""
     # a null vector (p, q) of [du | −J₀du] gives d = du·p = J₀(du·q) in D, with
     # J₀d = −du·q; du is injective, so independent null vectors give independent d's.
-    # The rows of −J₀du: −J₀v = (v₂, −v₁, v₄, −v₃).
+    # Scaling du scales the matrix, which leaves its null space alone.
+    den = math.lcm(*(x.denominator for row in jac for x in row))
+    jac = [[x.numerator * (den // x.denominator) for x in row] for row in jac]
+    scale *= den
+    # the rows of −J₀du: −J₀v = (v₂, −v₁, v₄, −v₃)
     minus_j0 = (jac[1], [-x for x in jac[0]], jac[3], [-x for x in jac[2]])
-    null = linalg.nullspace([row + m for row, m in zip(jac, minus_j0)])
-    if len(null) != 2:
+    rows, pivots = _echelon([row + m for row, m in zip(jac, minus_j0)])
+    free = [c for c in range(2 * NVARS) if c not in pivots]
+    if len(free) != 2:
         raise ValueError(
-            f"complex tangent point at {coords}: dim(T ∩ J0·T) = {len(null)}, expected 2"
+            f"complex tangent point at {coords}: dim(T ∩ J0·T) = {len(free)}, expected 2"
         )
-    param_basis = tuple(tuple(c[:3]) for c in null)
-    d_basis = tuple(tuple(linalg.matvec(jac, p)) for p in param_basis)
-    # J₀d_k = Σⱼ I_jk d_j pulls back through du to −q_k = Σⱼ I_jk p_j
-    p_cols = linalg.transpose(param_basis)
-    i_cols = []
-    for c in null:
-        sol = linalg.solve(p_cols, [-x for x in c[3:]])
-        if sol is None:
+    # the null vector of free column f, with its entries over one common denominator:
+    # 1 at f and −rows[r][f]/rows[r][pivot] at each pivot
+    common = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
+    null = []
+    for f in free:
+        v = [0] * (2 * NVARS)
+        v[f] = common
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f] * (common // row[c])
+        null.append(v)
+    param_basis = tuple(tuple(Fraction(x, common) for x in v[:3]) for v in null)
+    d_basis = tuple(tuple(Fraction(_dot(row, v), scale * common) for row in jac) for v in null)
+    # J₀d_k = Σⱼ I_jk d_j pulls back through du to −q_k = Σⱼ I_jk p_j: a 3×2
+    # system of rank 2, solved by Cramer's rule on two rows and checked on all three
+    p = [[v[i] for v in null] for i in range(NVARS)]
+    minors = [(r, s, p[r][0] * p[s][1] - p[r][1] * p[s][0]) for r, s in ((0, 1), (0, 2), (1, 2))]
+    r, s, det = next((t for t in minors if t[2]), minors[0])
+    i_num = []
+    for v in null:
+        q = [-x for x in v[3:]]
+        x0, x1 = q[r] * p[s][1] - p[r][1] * q[s], p[r][0] * q[s] - q[r] * p[s][0]
+        if not det or any(row[0] * x0 + row[1] * x1 != qi * det for row, qi in zip(p, q)):
             raise ValueError("D is not J0-invariant; inconsistent intersection")
-        i_cols.append(sol)
-    i_matrix = ((i_cols[0][0], i_cols[1][0]), (i_cols[0][1], i_cols[1][1]))
-    sq = linalg.matmul([list(r) for r in i_matrix], [list(r) for r in i_matrix])
-    if sq != [[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]]:
+        i_num.append((x0, x1))
+    # I = i_num/det column by column, so I² = −Id reads (i_num)² = −det²·Id
+    (a, c), (b, d) = i_num
+    if (a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d) != (-det * det, 0, 0, -det * det):
         raise ValueError("restriction of J0 to D does not square to -Id")
+    i_matrix = ((Fraction(a, det), Fraction(b, det)), (Fraction(c, det), Fraction(d, det)))
     return CRSample(coords, d_basis, param_basis, i_matrix)
 
 
 def cr_structure_at(u: ParamMap, point: Sequence) -> CRSample:
     """Exact CR data of the parametrized hypersurface at a rational point."""
     pt = RationalPoint(point, NVARS)
-    return _cr_structure(pt.coords, _jacobian(_compile_jacobian(u.jacobian()), pt))
+    jac, scale, _ = CompiledMap(u).at(pt)
+    _require_immersion(pt.coords, jac)
+    return _cr_structure(pt.coords, jac, scale)
 
 
 def _compatible(jac: list, sample: PathGeometrySample) -> bool:
     # vᵢ = du·Pᵢ ≠ 0; J₀v₁ ∥ v₂ puts J₀v₁ in T, so v₁ ∈ T ∩ J₀T = D and
-    # span(v₁, v₂) = span(v₁, J₀v₁) = D
-    v1 = linalg.matvec(jac, list(sample.p1))
-    v2 = linalg.matvec(jac, list(sample.p2))
-    return linalg.rank([_J0(v1), v2]) == 1
+    # span(v₁, v₂) = span(v₁, J₀v₁) = D.  J₀v₁ ≠ 0, so J₀v₁ ∥ v₂ iff every
+    # 2×2 minor of [J₀v₁; v₂] vanishes, whatever scale du and the Pᵢ carry.
+    a = _J0([_dot(row, sample.p1) for row in jac])
+    v2 = [_dot(row, sample.p2) for row in jac]
+    return all(a[i] * v2[j] == a[j] * v2[i] for i in range(4) for j in range(i + 1, 4))
 
 
-def compatibility_check(u: ParamMap, point: Sequence, betas=None) -> bool:
+def compatibility_check(u: ParamMap, point: Sequence) -> bool:
     """Whether the CR structure maps the P₁ line onto the P₂ line.
 
     Checks, exactly on rational inputs, that J₀(du·P₁) spans du·P₂.  That
     implies du·P₁ ⊕ du·P₂ = D: J₀(du·P₁) lies in T, so du·P₁ lies in
-    T ∩ J₀T = D, and D is spanned by du·P₁ and J₀(du·P₁).  ``betas`` can pass
-    a precomputed pullback pair to avoid redoing the formal differentiation.
+    T ∩ J₀T = D, and D is spanned by du·P₁ and J₀(du·P₁).
     """
-    compiled = CompiledMap(u, betas)
+    compiled = CompiledMap(u)
     pt = RationalPoint(point, NVARS)
     sample = _line_fields(pt.coords, *_pair(compiled.pair, pt))
     if not sample.contact:
@@ -404,11 +559,14 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, compiled: Opti
     rec: dict = {"point": [_rational(x) for x in coords]}
     try:
         pt = RationalPoint(coords, NVARS)
-        jac = _jacobian(compiled.jacobian, pt)
-        b1, b2, g1, g2 = _pair(compiled.pair, pt)
+        jac, scale, djac = compiled.at(pt)
+        _require_immersion(coords, jac)
+        # b̂ᵢ = Δ²·bᵢ and ∇b̂ᵢ: the contact, compatibility and CR tests read them as they are
+        b1h, b2h, g1, g2 = _b_pair(jac, djac)
+        b1, b2 = (tuple(Fraction(x, scale * scale) for x in bh) for bh in (b1h, b2h))
         rec["b1"] = [_rational(x) for x in b1]
         rec["b2"] = [_rational(x) for x in b2]
-        independent = any(x != 0 for x in _cross(b1, b2))
+        independent = any(x != 0 for x in _cross(b1h, b2h))
         rec["independent"] = independent
         if not independent:
             rec["error"] = "dependent pullbacks"
@@ -419,11 +577,11 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, compiled: Opti
             "eta2": list(frame.eta2),
             "eta3": list(frame.eta3),
         }
-        sample = _line_fields(coords, b1, b2, g1, g2)
-        rec["P1"] = [_rational(x) for x in sample.p1]
-        rec["P2"] = [_rational(x) for x in sample.p2]
+        sample = _line_fields(coords, b1h, b2h, g1, g2)
+        rec["P1"] = [_rational(x) for x in b1]
+        rec["P2"] = [_rational(x) for x in b2]
         rec["contact"] = sample.contact
-        cr = _cr_structure(coords, jac)
+        cr = _cr_structure(coords, jac, scale)
         rec["cr"] = {
             "D": [[_rational(x) for x in b] for b in cr.d_basis],
             "I": [[_rational(x) for x in row] for row in cr.i_matrix],

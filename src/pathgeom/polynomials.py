@@ -11,16 +11,18 @@ requires a nonvanishing denominator at the query point.
 Evaluation runs in integers.  A :class:`RationalPoint` writes the point over
 one common denominator and computes each power of a coordinate at most once;
 an :class:`IntPoly` is a polynomial over one integer denominator, summed as a
-Python int.  :class:`CompiledFunctions` compiles a list of functions, and
-optionally their first partials, once for evaluation at many points; every
-value it returns is one ``Fraction`` built from two integers.
+Python int.  :func:`over_one_denominator` writes several polynomials over one
+shared denominator, so that their values at a point are plain ints whose
+ratios need no ``Fraction``.  :class:`CompiledFunctions` compiles a list of
+functions, and optionally their first partials, once for evaluation at many
+points; every value it returns is one ``Fraction`` built from two integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -306,15 +308,17 @@ class RationalPoint:
 class IntPoly:
     """A :class:`Poly` as (Σ nₑ·xᵉ)/scale with integer nₑ, for evaluation.
 
-    At x = a/d the value is (Σ nₑ·aᵉ·d^(D−|e|)) / (scale·d^D), D the total
-    degree, so the sum is a Python int.
+    At x = a/d the value is (Σ nₑ·aᵉ·d^(D−|e|)) / (scale·d^D), D the degree,
+    so the sum is a Python int.  ``scale`` and ``degree`` default to the
+    polynomial's own; a common multiple of its coefficient denominators and
+    any degree at least its total degree give the same value.
     """
 
     __slots__ = ("scale", "degree", "terms")
 
-    def __init__(self, p: Poly):
-        self.scale = lcm(*(c.denominator for c in p.terms.values()))
-        self.degree = p.total_degree()
+    def __init__(self, p: Poly, scale: Optional[int] = None, degree: Optional[int] = None):
+        self.scale = scale if scale is not None else lcm(*(c.denominator for c in p.terms.values()))
+        self.degree = degree if degree is not None else p.total_degree()
         self.terms = tuple(
             (
                 c.numerator * (self.scale // c.denominator),
@@ -324,15 +328,31 @@ class IntPoly:
             for e, c in p.terms.items()
         )
 
-    def evaluate(self, pt: RationalPoint) -> Tuple[int, int]:
-        """(n, s) with value n/s; s > 0 and the pair is not reduced."""
+    def numerator(self, pt: RationalPoint) -> int:
+        """The value at the point times scale·d^D."""
         total = 0
         for c, dk, powers in self.terms:
             v = c * pt.den_power(dk)
             for i, k in powers:
                 v *= pt.power(i, k)
             total += v
-        return total, self.scale * pt.den_power(self.degree)
+        return total
+
+    def evaluate(self, pt: RationalPoint) -> Tuple[int, int]:
+        """(n, s) with value n/s; s > 0 and the pair is not reduced."""
+        return self.numerator(pt), self.scale * pt.den_power(self.degree)
+
+
+def over_one_denominator(polys: Sequence[Poly]) -> List[IntPoly]:
+    """The polynomials as :class:`IntPoly` of one scale and one degree.
+
+    At any point their :meth:`IntPoly.numerator` values are then the values
+    times one shared positive integer, which cancels from any ratio of two
+    expressions of equal degree in them.
+    """
+    scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    degree = max((p.total_degree() for p in polys), default=0)
+    return [IntPoly(p, scale, degree) for p in polys]
 
 
 def _quotient(num: Tuple[int, int], den: Tuple[int, int]) -> Fraction:

@@ -215,7 +215,7 @@ def test_criterion_10_end_to_end_hypersurfaces():
         for _ in range(100):
             pt = [helpers.rand_fraction(rng) for _ in range(3)]
             assert is_nondegenerate_at(*betas, pt)
-            assert compatibility_check(u, pt, betas=betas)
+            assert compatibility_check(u, pt)
 
         flat = affine_plane_model()
         flat_betas = pullback_splitting(flat)

@@ -253,13 +253,13 @@ class TestCompatibility:
         u = heisenberg_model()
         betas = pullback_splitting(u)
         for _ in range(20):
-            assert compatibility_check(u, rand_point(rng), betas=betas)
+            assert compatibility_check(u, rand_point(rng))
 
     def test_sphere_chart_points(self, rng):
         u = sphere_chart_model()
         betas = pullback_splitting(u)
         for _ in range(5):
-            assert compatibility_check(u, rand_point(rng, -2, 2, 5), betas=betas)
+            assert compatibility_check(u, rand_point(rng, -2, 2, 5))
 
     def test_affine_plane_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):

@@ -5,8 +5,10 @@ and the ``render_json`` text of ``sample_report`` as the earlier formal
 implementation produced it, which differentiated the map again at every
 point.  The cases are the Heisenberg model, the affine plane, a cubic graph,
 three maps and points that end in error records (rank drop, pole, wrong
-dimension), and the 18 points with |x| ≤ 17 of the benchmark's
-``sphere-grid`` request for seed 1 on the sphere chart.
+dimension), the 18 points with |x| ≤ 17 of the benchmark's
+``sphere-grid`` request for seed 1 on the sphere chart, and a seeded map
+whose four components have distinct 5-term denominators, at three points
+and one pole, captured from the formal pullback.
 """
 
 import inspect

@@ -1,0 +1,229 @@
+"""Hypersurface points from second-order jets, against the formal pullback.
+
+``point_record`` evaluates each point from the jets of the map's numerators
+and denominators, in integers.  Its b₁, b₂, contact flag, D, I and
+compatibility verdict are checked here against the formal route:
+``pullback_splitting`` in rational functions, ``PolyForm3.b_at``,
+``contact_value_at``, and the CR references of ``tests/oracles.py``.  The
+compile itself multiplies no polynomials, so a map with four distinct
+denominators costs about what a polynomial map does.
+"""
+
+import random
+import time
+from collections import Counter
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pathgeom.hypersurface import (
+    CompiledMap,
+    ParamMap,
+    _formal_pair,
+    _pair,
+    compatibility_check,
+    contact_value_at,
+    point_record,
+    pullback_splitting,
+    sample_report,
+    sphere_chart_model,
+)
+from pathgeom.linalg import rank
+from pathgeom.polynomials import Poly, RatFunc, RationalPoint, over_one_denominator
+
+from oracles import compatible_oracle, cr_structure_oracle
+
+X = tuple(Poly.variable(i, 3) for i in range(3))
+
+
+def _rational(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def formal_fields(u: ParamMap, point) -> dict:
+    """The record fields that the formal route gives at the point, or its error."""
+    try:
+        jac = [[f(point) for f in row] for row in u.jacobian()]
+    except ZeroDivisionError as exc:
+        return {"error": str(exc)}
+    if rank(jac) != 3:
+        return {"error": "not an immersion"}
+    beta1, beta2 = pullback_splitting(u)
+    b1, b2 = beta1.b_at(point), beta2.b_at(point)
+    contact = contact_value_at(beta1, beta2, point) != 0
+    d_basis, _, i_matrix = cr_structure_oracle(jac)
+    return {
+        "b1": [_rational(x) for x in b1],
+        "b2": [_rational(x) for x in b2],
+        "contact": contact,
+        "cr": {"D": [[_rational(x) for x in d] for d in d_basis], "I": [[_rational(x) for x in r] for r in i_matrix]},
+        "compatible": compatible_oracle(jac, b1, b2) if contact else None,
+    }
+
+
+def assert_positive_multiple(a, b):
+    """a = λ·b for one λ > 0; a zero b needs a zero a."""
+    i = next((i for i, x in enumerate(b) if x), None)
+    ratio = Fraction(a[i]) / b[i] if i is not None else Fraction(1)
+    assert ratio > 0 and all(x == ratio * y for x, y in zip(a, b))
+
+
+def assert_matches_formal(u: ParamMap, points):
+    compiled = CompiledMap(u)
+    for point in points:
+        rec = point_record(u, point, compiled=compiled)
+        want = formal_fields(u, point)
+        if want.get("error") == "not an immersion":
+            assert rec["error"].startswith("map is not an immersion at")
+            continue
+        if "error" in want:
+            assert rec["error"] == want["error"]
+            continue
+        if "error" in rec:  # a float coframe check; the exact fields before it still hold
+            assert rec["error"].startswith("adapted coframe")
+            assert (rec["b1"], rec["b2"]) == (want["b1"], want["b2"])
+        else:
+            assert {k: rec[k] for k in want} == want
+        # the contact flag reads only a zero; the jet gradients of b₁, b₂ are the formal ones times one λ > 0
+        pt = RationalPoint(point, 3)
+        jets, formal = _pair(compiled, pt), _formal_pair(*pullback_splitting(u), pt)
+        assert_positive_multiple(*([x for g in t[2] + t[3] for x in g] for t in (jets, formal)))
+
+
+# -- strategies --------------------------------------------------------------
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+points = st.lists(st.tuples(small, small, small).map(list), min_size=1, max_size=3)
+
+
+@st.composite
+def polys(draw, max_degree: int, max_terms: int, constant=None) -> Poly:
+    exps = st.tuples(*(st.integers(0, max_degree),) * 3).filter(lambda e: sum(e) <= max_degree)
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), max_size=max_terms))
+    if constant is not None:
+        terms[(0, 0, 0)] = constant
+    return Poly(3, terms)
+
+
+@st.composite
+def graphs(draw) -> ParamMap:
+    """(x₁, x₂, x₃, f) in a drawn order, f of degree ≤ 3."""
+    comps = list(X) + [draw(polys(3, 5))]
+    return ParamMap(tuple(draw(st.permutations(comps))))
+
+
+@st.composite
+def rational_maps(draw) -> ParamMap:
+    """Four quotients with small denominators, distinct unless drawn equal; poles may fall on the points.
+
+    Three numerators start from x₁, x₂, x₃, so that most points are immersion points.
+    """
+    comps = []
+    for i in range(4):
+        den = draw(polys(1, 2, constant=draw(st.integers(1, 3))))
+        num = draw(polys(2, 3)) + (X[i] if i < 3 else 0)
+        comps.append(RatFunc(num, den))
+    return ParamMap(tuple(draw(st.permutations(comps))))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(graphs(), points)
+def test_graphs_match_formal_pullback(u, pts):
+    assert_matches_formal(u, pts)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(rational_maps(), points)
+def test_rational_maps_match_formal_pullback(u, pts):
+    assert_matches_formal(u, pts)
+
+
+def test_sphere_chart_matches_formal_pullback(rng):
+    pts = [[Fraction(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(3)] for _ in range(8)]
+    assert_matches_formal(sphere_chart_model(), pts)
+
+
+def test_constant_quotient_has_no_pole():
+    """A component c·D/D has a zero formal derivative over 1, so D = 0 is no pole of the map."""
+    one_minus_x1 = 1 - X[0]
+    u = ParamMap(X + (RatFunc(2 * one_minus_x1, one_minus_x1),))
+    point = [Fraction(1), Fraction(1, 2), Fraction(-2)]
+    rec = point_record(u, point)
+    assert "error" not in rec
+    assert {k: rec[k] for k in ("b1", "b2", "contact", "cr", "compatible")} == formal_fields(u, point)
+
+
+def test_values_over_one_denominator(rng):
+    polys = [Poly(3, {tuple(rng.randint(0, 3) for _ in range(3)): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                      for _ in range(rng.randint(0, 4))}) for _ in range(6)]
+    ints = over_one_denominator(polys)
+    for _ in range(10):
+        point = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
+        pt = RationalPoint(point, 3)
+        shared = {p.evaluate(pt)[1] for p in ints}
+        assert len(shared) == 1
+        assert [Fraction(p.numerator(pt), *shared) for p in ints] == [p(point) for p in polys]
+
+
+def test_compile_multiplies_no_polynomials(monkeypatch):
+    u = sphere_chart_model()
+    calls = Counter()
+
+    def counted(cls, name):
+        fn = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[f"{cls.__name__}.{name}"] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls in (Poly, RatFunc):
+        counted(cls, "__mul__")
+        counted(cls, "__rmul__")
+    CompiledMap(u)
+    assert sum(calls.values()) == 0
+
+
+def test_compatibility_check_differentiates_once_per_jet(monkeypatch):
+    """One call differentiates each distinct numerator and denominator to second order, nothing more."""
+    u = sphere_chart_model()
+    diffs = Counter()
+    diff = Poly.diff
+
+    def counted(self, var):
+        diffs["diff"] += 1
+        return diff(self, var)
+
+    monkeypatch.setattr(Poly, "diff", counted)
+    assert compatibility_check(u, [Fraction(1, 2), Fraction(-1, 3), 2])
+    # 1−q, 1+q and the three 2xᵢ: three first and six second partials each
+    assert diffs["diff"] == 5 * 9
+
+
+def distinct_denominator_map(seed: int) -> ParamMap:
+    """Four components of 4-term numerators of degree ≤ 2 over 13-term denominators.
+
+    The denominators are distinct, with exponents in [0, 3]³ and coefficients
+    1..5; multiplied out, each minor of the formal pullback sits over Dᵢ²Dⱼ².
+    """
+    rng = random.Random(seed)
+    low = [e for e in ((i, j, k) for i in range(3) for j in range(3) for k in range(3)) if sum(e) <= 2]
+    cube = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)]
+    comps = []
+    for _ in range(4):
+        num = Poly(3, {e: rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]) for e in rng.sample(low, 4)})
+        den = Poly(3, {e: rng.randint(1, 5) for e in rng.sample(cube, 13)})
+        comps.append(RatFunc(num, den))
+    return ParamMap(tuple(comps))
+
+
+def test_distinct_denominators_are_cheap():
+    u = distinct_denominator_map(2012)
+    # positive points: every denominator has positive coefficients there
+    pts = [[Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)], [Fraction(5, 2), Fraction(1, 7), Fraction(4, 3)]]
+    start = time.perf_counter()
+    records = sample_report(u, pts)
+    assert time.perf_counter() - start < 2.0
+    assert all("cr" in r for r in records)
