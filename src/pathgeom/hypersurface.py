@@ -20,15 +20,16 @@ only the coframe normalization needs floating point.
 
 All of it is pointwise: b₁, b₂ are the 2×2 minors of du, the contact test
 needs their first derivatives and so the second derivatives of u, and the CR
-structure is linear algebra on du.  A map is compiled once per request
-(:class:`CompiledMap`) into the second-order jets of its components'
-numerators and denominators, written over one shared denominator.  At each
-point the quotient rule in integers gives Ĵ = Δ·du and ∂ₖĴ up to one positive
-factor each, and every test runs on Python ints: each is homogeneous in du
-and in ∂du, so the factors do not change its verdict.  ``Fraction``s are
-built only for the printed fields.  :func:`pullback_splitting` keeps the
-formal pullback in rational functions, for the per-point functions that take
-a pair (β₁, β₂) and as the reference the jets are tested against.
+structure is linear algebra on du.  :class:`CompiledMap` is the one evaluator
+of exact jets: it takes the partials of each distinct numerator and
+denominator once, writes them over one shared denominator, and applies the
+quotient rule in integers at each point.  A map is compiled once per request
+to second order, which gives Ĵ = Δ·du and ∂ₖĴ up to one positive factor
+each, and every test runs on Python ints: each is homogeneous in du and in
+∂du, so the factors do not change its verdict.  ``Fraction``s are built only
+for the printed fields.  :func:`pullback_splitting` keeps the formal pullback
+in rational functions; the per-point functions that take a pair (β₁, β₂)
+compile its six coefficients to first order for exact values and gradients.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
-from .polynomials import CompiledFunctions, Poly, RatFunc, RationalPoint, over_one_denominator
+from .polynomials import Poly, RatFunc, RationalPoint, over_one_denominator
 
 Coefficient = Union[Poly, RatFunc]
 NVARS = 3
@@ -182,22 +183,25 @@ def _minors(a, c) -> tuple:
     return _star(beta1, 0) + _star(beta2, 0)
 
 
-def _jet(p: Poly) -> list:
-    """p, ∂₁p, ∂₂p, ∂₃p, then ∂ⱼ∂ₖp for j ≤ k in the order 11, 12, 13, 22, 23, 33."""
+def _jet(p: Poly, order: int) -> list:
+    """p, ∂₁p, ∂₂p, ∂₃p, then at order 2 ∂ⱼ∂ₖp for j ≤ k in the order 11, 12, 13, 22, 23, 33."""
     first = [p.diff(j) for j in range(NVARS)]
-    return [p] + first + [first[j].diff(k) for j in range(NVARS) for k in range(j, NVARS)]
+    second = [first[j].diff(k) for j in range(NVARS) for k in range(j, NVARS)] if order == 2 else []
+    return [p] + first + second
 
 
 #: the jet slot of ∂ⱼ∂ₖ, for every j and k
 _SLOT2 = ((4, 5, 6), (5, 7, 8), (6, 8, 9))
 
 
-def _num_den(f: RatFunc) -> Tuple[Poly, Poly]:
-    """f's numerator and denominator, or (c, 1) when f = c·den/den.
+def _num_den(f: Coefficient) -> Tuple[Poly, Poly]:
+    """f's numerator and denominator, or (c, 1) when f = c·den/den; a Poly is over 1.
 
     Such a component has a zero formal derivative over the denominator 1, so
     the zeros of den are not poles of the map.
     """
+    if isinstance(f, Poly):
+        return f, Poly.constant(1, NVARS)
     (e, c0), *_ = f.den.terms.items()
     c = f.num.terms.get(e, 0) / c0
     if f.num.terms == {k: c * v for k, v in f.den.terms.items()}:
@@ -206,15 +210,18 @@ def _num_den(f: RatFunc) -> Tuple[Poly, Poly]:
 
 
 class CompiledMap:
-    """The second-order jets of a map, built once for many points.
+    """The jets of rational functions of three variables, built once for many points.
 
-    Each component uⁱ = Nᵢ/Dᵢ keeps the values, first and second partials of
-    Nᵢ and Dᵢ; identical polynomials are stored once, and all of them over
-    one shared denominator, which cancels in every quotient :meth:`at` takes.
-    No pullback is multiplied out.
+    ``functions`` is a :class:`ParamMap` or a sequence of Polys and
+    RatFuncs.  Each function Nᵢ/Dᵢ keeps the values and the partials up to
+    ``order`` (1 or 2) of Nᵢ and Dᵢ; identical polynomials are stored once,
+    and all of them over one shared denominator, which cancels in every
+    quotient taken at a point.  No product of functions is multiplied out.
     """
 
-    def __init__(self, u: ParamMap):
+    def __init__(self, functions: Union[ParamMap, Sequence[Coefficient]], order: int = 2):
+        if isinstance(functions, ParamMap):
+            functions = functions.components
         slots: Dict[Poly, int] = {}
         jets: Dict[Poly, Tuple[int, ...]] = {}
         polys: List[Poly] = []
@@ -227,30 +234,23 @@ class CompiledMap:
 
         def jet(p: Poly) -> Tuple[int, ...]:
             if p not in jets:
-                jets[p] = tuple(slot(q) for q in _jet(p))
+                jets[p] = tuple(slot(q) for q in _jet(p, order))
             return jets[p]
 
-        self._components = [tuple(jet(p) for p in _num_den(f)) for f in u.components]
+        self._order = order
+        self._functions = [tuple(jet(p) for p in _num_den(f)) for f in functions]
         self._polys = over_one_denominator(polys)
 
-    # the one jet table is both the ``compiled.jacobian`` and the ``compiled.pair``
-    # that ``_jacobian`` and ``_pair`` evaluate
-    @property
-    def jacobian(self) -> "CompiledMap":
-        return self
+    def _quotients(self, pt: RationalPoint) -> list:
+        """Per function (n, d, first, second) in ints: f = n/d, ∂ⱼf = first[j]/d², ∂ₖ∂ⱼf = second[k][j]/d³.
 
-    pair = jacobian
-
-    def at(self, pt: RationalPoint) -> Tuple[list, int, list]:
-        """(Ĵ, Δ, ∂Ĵ) in ints: du = Ĵ/Δ with Δ > 0, and ∂Ĵ[k] = Δ′·∂ₖdu for one Δ′ > 0.
-
-        Quotient rule on the jets: ∂ⱼu = (nⱼd − ndⱼ)/d² and
-        ∂ₖ∂ⱼu = ((nⱼₖd + nⱼdₖ − nₖdⱼ − ndⱼₖ)·d − 2dₖ(nⱼd − ndⱼ))/d³; Δ and Δ′
-        are the lcm of the d² and of the |d|³ over the components.
+        Quotient rule on the jets: ∂ⱼf = (nⱼd − ndⱼ)/d² and
+        ∂ₖ∂ⱼf = ((nⱼₖd + nⱼdₖ − nₖdⱼ − ndⱼₖ)·d − 2dₖ(nⱼd − ndⱼ))/d³; ``second``
+        is empty at order 1.
         """
         vals = [p.numerator(pt) for p in self._polys]
         parts = []
-        for num, den in self._components:
+        for num, den in self._functions:
             n, d = [vals[i] for i in num], [vals[i] for i in den]
             d0 = d[0]
             if d0 == 0:
@@ -263,42 +263,29 @@ class CompiledMap:
                     for j, s in enumerate(_SLOT2[k])
                 ]
                 for k in range(NVARS)
-            ]
-            parts.append((d0, first, second))
-        scale = math.lcm(*(d0 * d0 for d0, _, _ in parts))
-        jac = [[x * (scale // (d0 * d0)) for x in first] for d0, first, _ in parts]
+            ] if self._order == 2 else []
+            parts.append((n[0], d0, first, second))
+        return parts
+
+    def at(self, pt: RationalPoint) -> Tuple[list, int, list]:
+        """(Ĵ, Δ, ∂Ĵ) of a map compiled to order 2, in ints.
+
+        du = Ĵ/Δ with Δ > 0, and ∂Ĵ[k] = Δ′·∂ₖdu for one Δ′ > 0; Δ and Δ′ are
+        the lcm of the d² and of the |d|³ over the components.
+        """
+        parts = self._quotients(pt)
+        scale = math.lcm(*(d0 * d0 for _, d0, _, _ in parts))
+        jac = [[x * (scale // (d0 * d0)) for x in first] for _, d0, first, _ in parts]
         g = math.gcd(scale, *(x for row in jac for x in row))
-        dscale = math.lcm(*(abs(d0) ** 3 for d0, _, _ in parts))
-        djac = [[[x * (dscale // d0**3) for x in second[k]] for d0, _, second in parts] for k in range(NVARS)]
+        dscale = math.lcm(*(abs(d0) ** 3 for _, d0, _, _ in parts))
+        djac = [[[x * (dscale // d0**3) for x in second[k]] for _, d0, _, second in parts] for k in range(NVARS)]
         return [[x // g for x in row] for row in jac], scale // g, djac
 
-
-def _echelon(rows: list) -> Tuple[list, list]:
-    """Fraction-free Gauss–Jordan elimination of an integer matrix: (rows, pivot columns).
-
-    Each pivot column is zero off its pivot row, and row r divided by its
-    pivot entry is row r of the reduced row echelon form, which no scaling
-    of the input changes.  Rows are kept divided by the gcd of their entries.
-    """
-    rows = [list(r) for r in rows]
-    pivots: List[int] = []
-    for col in range(len(rows[0])):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i != r and f:
-                new = [top[col] * x - f * y for x, y in zip(row, top)]
-                g = math.gcd(*new) or 1
-                rows[i] = [x // g for x in new]
-        pivots.append(col)
-        if len(pivots) == len(rows):
-            break
-    return rows, pivots
+    def gradients(self, pt: RationalPoint) -> Tuple[tuple, list]:
+        """The exact value of each function at the point, and its gradient."""
+        parts = self._quotients(pt)
+        values = tuple(Fraction(n, d0) for n, d0, _, _ in parts)
+        return values, [tuple(Fraction(x, d0 * d0) for x in first) for _, d0, first, _ in parts]
 
 
 def _require_immersion(coords: Tuple[Fraction, ...], jac: list) -> None:
@@ -307,34 +294,14 @@ def _require_immersion(coords: Tuple[Fraction, ...], jac: list) -> None:
         raise ValueError(f"map is not an immersion at {coords}: Jacobian rank < 3")
 
 
-def _jacobian(compiled: CompiledMap, pt: RationalPoint) -> list:
-    """Ĵ, a positive multiple of the 4×3 Jacobian at the point, in ints; raises on rank drop."""
-    jac = compiled.at(pt)[0]
-    _require_immersion(pt.coords, jac)
-    return jac
+def _b_pair(jac: list, djac: list) -> Tuple[tuple, list]:
+    """(b₁ + b₂, ∇b₁ + ∇b₂) from du and ∂ₖdu, as scaled as they are: six entries each.
 
-
-def _b_pair(jac: list, djac: list):
-    """(b₁, b₂, ∇b₁, ∇b₂) from du and ∂ₖdu, as scaled as they are.
-
-    ∇bᵢ lists the gradient of each component.
+    The gradient list holds the gradient of each component.
     """
     b = _minors(jac, jac)
     db = [[x + y for x, y in zip(_minors(dk, jac), _minors(jac, dk))] for dk in djac]
-    grads = [tuple(dbk[c] for dbk in db) for c in range(6)]
-    return b[:3], b[3:], grads[:3], grads[3:]
-
-
-def _pair(compiled: CompiledMap, pt: RationalPoint):
-    """(b₁, b₂, ∇b₁, ∇b₂) at the point in ints, up to positive factors (Δ² for b)."""
-    jac, _, djac = compiled.at(pt)
-    return _b_pair(jac, djac)
-
-
-def _formal_pair(beta1: PolyForm3, beta2: PolyForm3, pt: RationalPoint):
-    """(b₁, b₂, ∇b₁, ∇b₂) of a formal pair at the point, exact."""
-    vals, grads = CompiledFunctions(beta1.b + beta2.b, NVARS, gradient=True).at(pt)
-    return tuple(vals[:3]), tuple(vals[3:]), grads[:3], grads[3:]
+    return b, [tuple(dbk[c] for dbk in db) for c in range(6)]
 
 
 @dataclass(frozen=True)
@@ -351,34 +318,46 @@ class AdaptedCoframe:
         return linalg.det([self.eta1, self.eta2, self.eta3])
 
 
-def _coframe(coords: Tuple[Fraction, ...], b1, b2, tol: float) -> AdaptedCoframe:
-    c = _cross(b1, b2)
+def _floats_near_one(xs, den: int) -> Tuple[tuple, int]:
+    """(each exact x/den times 2ᵏ, rounded once to a float; k), with 2ᵏ·max|x/den| in (1/2, 2)."""
+    fracs = [(x.numerator, x.denominator * den) for x in xs]
+    k = -max(abs(n).bit_length() - d.bit_length() for n, d in fracs if n)
+    if k >= 0:
+        return tuple((n << k) / d for n, d in fracs), k
+    return tuple(n / (d << -k) for n, d in fracs), k
+
+
+def _coframe(coords: Tuple[Fraction, ...], b: Sequence, den: int, tol: float) -> AdaptedCoframe:
+    """The coframe of b₁ + b₂ = b/den, for exact b and a positive integer den."""
+    c = _cross(b[:3], b[3:])
     if all(x == 0 for x in c):
         raise ValueError(f"beta forms are dependent at {coords}")
-    b1f = tuple(float(x) for x in b1)
-    b2f = tuple(float(x) for x in b2)
-    cf = tuple(float(x) for x in c)
-    norm = math.sqrt(_dot(cf, cf))
-    e = tuple(x / norm for x in cf)
-    eta1 = _cross(b1f, e)
-    eta2 = e
-    eta3 = _cross(b2f, e)
-    frame = AdaptedCoframe(coords, eta1, eta2, eta3)
-    scale = max(1.0, max(abs(x) for x in b1f + b2f))
-    res = coframe_residual(frame, b1, b2)
-    if res > tol * scale:
+    # b₁, b₂ become floats times 2ᵏ and b₁×b₂ times its own power of two, each
+    # near 1: far out on a chart the b's shrink and b₁×b₂ would underflow.  A
+    # power of two scales a float exactly, so e, η and the residual are those
+    # of the unscaled values wherever these are finite; the volume test
+    # compares two quantities that scale alike.
+    bs, k = _floats_near_one(b, den)
+    b1s, b2s = bs[:3], bs[3:]
+    cs, _ = _floats_near_one(c, den * den)
+    norm = math.sqrt(_dot(cs, cs))
+    e = tuple(x / norm for x in cs)
+    scaled = AdaptedCoframe(coords, _cross(b1s, e), e, _cross(b2s, e))
+    res = math.ldexp(coframe_residual(scaled, b1s, b2s), -k)
+    if res > tol * max(1.0, math.ldexp(max(abs(x) for x in bs), -k)):
         raise ValueError(f"adapted coframe reconstruction residual {res:.3e}")
     # the volume is −|b₁×b₂|, so compare it with |b₁|·|b₂|: the b's shrink
     # far out on a chart while the frame stays as far from degenerate
-    if abs(frame.volume()) <= tol * math.hypot(*b1f) * math.hypot(*b2f):
+    if abs(scaled.volume()) <= tol * math.hypot(*b1s) * math.hypot(*b2s):
         raise ValueError("adapted coframe is degenerate")
-    return frame
+    eta1, eta3 = (tuple(math.ldexp(x, -k) for x in eta) for eta in (scaled.eta1, scaled.eta3))
+    return AdaptedCoframe(coords, eta1, e, eta3)
 
 
 def adapted_coframe_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence, tol: float = 1e-10) -> AdaptedCoframe:
     """Cross-product coframe at a point where β₁, β₂ are independent."""
     pt = tuple(Fraction(x) for x in point)
-    return _coframe(pt, beta1.b_at(pt), beta2.b_at(pt), tol)
+    return _coframe(pt, beta1.b_at(pt) + beta2.b_at(pt), 1, tol)
 
 
 def coframe_residual(frame: AdaptedCoframe, b1: Sequence, b2: Sequence) -> float:
@@ -401,7 +380,9 @@ class PathGeometrySample:
     contact: bool
 
 
-def _contact_value(coords: Tuple[Fraction, ...], v1, v2, g1, g2) -> Fraction:
+def _contact_value(coords: Tuple[Fraction, ...], b: Sequence, grads: Sequence) -> Fraction:
+    """m·curl(m) for m = b₁×b₂, from b = b₁ + b₂ and the six gradients."""
+    v1, v2, g1, g2 = b[:3], b[3:], grads[:3], grads[3:]
     m = _cross(v1, v2)
     if all(x == 0 for x in m):
         raise ValueError(f"beta forms are dependent at {coords}")
@@ -423,7 +404,7 @@ def contact_value_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> Fra
     ∂ᵢ(b₁×b₂) = ∂ᵢb₁×b₂ + b₁×∂ᵢb₂, then m·curl(m).
     """
     pt = RationalPoint(point, NVARS)
-    return _contact_value(pt.coords, *_formal_pair(beta1, beta2, pt))
+    return _contact_value(pt.coords, *CompiledMap(beta1.b + beta2.b, order=1).gradients(pt))
 
 
 def is_nondegenerate_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> bool:
@@ -435,16 +416,16 @@ def is_nondegenerate_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> 
     return contact_value_at(beta1, beta2, point) != 0
 
 
-def _line_fields(coords: Tuple[Fraction, ...], b1, b2, g1, g2) -> PathGeometrySample:
-    if all(x == 0 for x in _cross(b1, b2)):
+def _line_fields(coords: Tuple[Fraction, ...], b: Sequence, grads: Sequence) -> PathGeometrySample:
+    if all(x == 0 for x in _cross(b[:3], b[3:])):
         raise ValueError(f"line fields are dependent at {coords}")
-    return PathGeometrySample(coords, b1, b2, _contact_value(coords, b1, b2, g1, g2) != 0)
+    return PathGeometrySample(coords, b[:3], b[3:], _contact_value(coords, b, grads) != 0)
 
 
 def line_fields_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> PathGeometrySample:
     """P₁ ∥ b₁(point), P₂ ∥ b₂(point); exact on rational inputs."""
     pt = RationalPoint(point, NVARS)
-    return _line_fields(pt.coords, *_formal_pair(beta1, beta2, pt))
+    return _line_fields(pt.coords, *CompiledMap(beta1.b + beta2.b, order=1).gradients(pt))
 
 
 @dataclass(frozen=True)
@@ -472,7 +453,7 @@ def _cr_structure(coords: Tuple[Fraction, ...], jac: list, scale: int = 1) -> CR
     scale *= den
     # the rows of −J₀du: −J₀v = (v₂, −v₁, v₄, −v₃)
     minus_j0 = (jac[1], [-x for x in jac[0]], jac[3], [-x for x in jac[2]])
-    rows, pivots = _echelon([row + m for row, m in zip(jac, minus_j0)])
+    rows, pivots = linalg.echelon([row + m for row, m in zip(jac, minus_j0)])
     free = [c for c in range(2 * NVARS) if c not in pivots]
     if len(free) != 2:
         raise ValueError(
@@ -534,12 +515,13 @@ def compatibility_check(u: ParamMap, point: Sequence) -> bool:
     implies du·P₁ ⊕ du·P₂ = D: J₀(du·P₁) lies in T, so du·P₁ lies in
     T ∩ J₀T = D, and D is spanned by du·P₁ and J₀(du·P₁).
     """
-    compiled = CompiledMap(u)
     pt = RationalPoint(point, NVARS)
-    sample = _line_fields(pt.coords, *_pair(compiled.pair, pt))
+    jac, _, djac = CompiledMap(u).at(pt)
+    sample = _line_fields(pt.coords, *_b_pair(jac, djac))
     if not sample.contact:
         raise ValueError(f"hypersurface is degenerate (not contact) at {point}")
-    return _compatible(_jacobian(compiled.jacobian, pt), sample)
+    _require_immersion(pt.coords, jac)
+    return _compatible(jac, sample)
 
 
 # -- per-point reports -------------------------------------------------------
@@ -555,29 +537,32 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, compiled: Opti
     ``compiled`` can pass the map's :class:`CompiledMap` to share it across points.
     """
     compiled = compiled if compiled is not None else CompiledMap(u)
-    coords = tuple(Fraction(x) for x in point)
+    # the record shows the point whatever its dimension, which is checked below
+    pt = RationalPoint(point, len(point))
+    coords = pt.coords
     rec: dict = {"point": [_rational(x) for x in coords]}
     try:
-        pt = RationalPoint(coords, NVARS)
+        if len(coords) != NVARS:
+            raise ValueError("point has wrong dimension")
         jac, scale, djac = compiled.at(pt)
         _require_immersion(coords, jac)
-        # b̂ᵢ = Δ²·bᵢ and ∇b̂ᵢ: the contact, compatibility and CR tests read them as they are
-        b1h, b2h, g1, g2 = _b_pair(jac, djac)
-        b1, b2 = (tuple(Fraction(x, scale * scale) for x in bh) for bh in (b1h, b2h))
+        # b̂ = Δ²·b and ∇b̂: the contact, compatibility and CR tests read them as they are
+        bh, gh = _b_pair(jac, djac)
+        b1, b2 = (tuple(Fraction(x, scale * scale) for x in bh[i:i + 3]) for i in (0, 3))
         rec["b1"] = [_rational(x) for x in b1]
         rec["b2"] = [_rational(x) for x in b2]
-        independent = any(x != 0 for x in _cross(b1h, b2h))
+        independent = any(x != 0 for x in _cross(bh[:3], bh[3:]))
         rec["independent"] = independent
         if not independent:
             rec["error"] = "dependent pullbacks"
             return rec
-        frame = _coframe(coords, b1, b2, max(tol, 1e-10))
+        frame = _coframe(coords, bh, scale * scale, max(tol, 1e-10))
         rec["coframe"] = {
             "eta1": list(frame.eta1),
             "eta2": list(frame.eta2),
             "eta3": list(frame.eta3),
         }
-        sample = _line_fields(coords, b1h, b2h, g1, g2)
+        sample = _line_fields(coords, bh, gh)
         rec["P1"] = [_rational(x) for x in b1]
         rec["P2"] = [_rational(x) for x in b2]
         rec["contact"] = sample.contact

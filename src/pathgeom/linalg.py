@@ -3,19 +3,23 @@
 This is the one place that chooses between the exact and the floating path,
 and the only module of the package that uses numpy.  :func:`rank`,
 :func:`inverse` and :func:`inertia` look at their entries once: if every
-entry is exact (int or :class:`fractions.Fraction`) they eliminate in
-Fractions, deterministically and with zero tolerance; otherwise they import
-numpy and hand it the matrix (``matrix_rank`` at its default tolerance,
-``inv``, ``eigvalsh`` with a 1e-12 cut-off), so exact work never loads it.
-:func:`det`, :func:`matmul` and :func:`matvec` compute in whatever scalars
-they are given, so exact input gives exact results and float input floats.
+entry is exact (int or :class:`fractions.Fraction`) they compute exactly,
+with zero tolerance; otherwise they import numpy and hand it the matrix
+(``matrix_rank`` at its default tolerance, ``inv``, ``eigvalsh`` with a
+1e-12 cut-off), so exact work never loads it.  :func:`det`, :func:`matmul`
+and :func:`matvec` compute in whatever scalars they are given.
 :func:`rref`, :func:`nullspace`, :func:`solve` and :func:`intersect_spans` are
-exact only: they eliminate in Fractions."""
+exact only.  The one row reduction is :func:`echelon`, Gauss–Jordan without
+division on an integer matrix: exact :func:`rank` and :func:`rref` first
+multiply each row by the lcm of its denominators, which leaves the reduced
+row echelon form alone, and :func:`rref` then divides each row by its pivot.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from math import gcd, lcm
+from typing import List, Optional, Sequence, Tuple
 
 from .scalars import Scalar, is_exact
 
@@ -52,35 +56,57 @@ def matvec(a, v) -> Vector:
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
-def rref(a: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = mat(a)
+def _integer_rows(a) -> List[List[int]]:
+    """Each row of ``a`` times the lcm of its entries' denominators, as ints."""
+    out = []
+    for row in a:
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    if out and any(len(r) != len(out[0]) for r in out):
+        raise ValueError("ragged matrix")
+    return out
+
+
+def echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss–Jordan elimination of an integer matrix: (rows, pivot columns).
+
+    Each pivot column is zero off its pivot row, and row r divided by its
+    pivot entry is row r of the reduced row echelon form, which no scaling
+    of the input rows changes.  Rows below the pivot rows are zero.  Rows
+    are kept divided by the gcd of their entries.
+    """
+    rows = [list(r) for r in rows]
     pivots: List[int] = []
-    if not rows:
-        return rows, pivots
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f:
+                new = [top[col] * x - f * y for x, y in zip(row, top)]
+                g = gcd(*new) or 1
+                rows[i] = [x // g for x in new]
         pivots.append(col)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
     return rows, pivots
 
 
+def rref(a: Sequence[Sequence[Fraction]]):
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    rows, pivots = echelon(_integer_rows(a))
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+    return out + [[Fraction(0)] * len(row) for row in rows[len(pivots):]], pivots
+
+
 def rank(a) -> int:
     if _exact(a):
-        return len(rref(a)[1])
+        return len(echelon(_integer_rows(a))[1])
     import numpy as np
     return int(np.linalg.matrix_rank(np.array(a, dtype=float)))
 

@@ -13,9 +13,8 @@ one common denominator and computes each power of a coordinate at most once;
 an :class:`IntPoly` is a polynomial over one integer denominator, summed as a
 Python int.  :func:`over_one_denominator` writes several polynomials over one
 shared denominator, so that their values at a point are plain ints whose
-ratios need no ``Fraction``.  :class:`CompiledFunctions` compiles a list of
-functions, and optionally their first partials, once for evaluation at many
-points; every value it returns is one ``Fraction`` built from two integers.
+ratios need no ``Fraction``.  ``hypersurface.CompiledMap`` builds on these to
+evaluate exact jets of many functions at many points.
 """
 
 from __future__ import annotations
@@ -282,7 +281,7 @@ class RationalPoint:
     def __init__(self, point: Sequence, nvars: int):
         if len(point) != nvars:
             raise ValueError("point has wrong dimension")
-        coords = self.coords = tuple(Fraction(x) for x in point)
+        coords = self.coords = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in point)
         den = lcm(*(x.denominator for x in coords))
         self.nums = tuple(x.numerator * (den // x.denominator) for x in coords)
         self.den = den
@@ -360,44 +359,3 @@ def _quotient(num: Tuple[int, int], den: Tuple[int, int]) -> Fraction:
     if den[0] == 0:
         raise ZeroDivisionError("denominator vanishes at the query point")
     return Fraction(num[0] * den[1], num[1] * den[0])
-
-
-class CompiledFunctions:
-    """Polys and RatFuncs compiled once for exact evaluation at many points.
-
-    Numerators, denominators and, with ``gradient``, their first partials
-    are differentiated once; identical polynomials are stored once as an
-    :class:`IntPoly` and evaluated once per point, so functions that share a
-    denominator share its evaluation.
-    """
-
-    def __init__(self, functions: Sequence, nvars: int, gradient: bool = False):
-        self._polys: List[IntPoly] = []
-        index: Dict[Poly, int] = {}
-
-        def slot(p: Poly) -> int:
-            if p not in index:
-                index[p] = len(self._polys)
-                self._polys.append(IntPoly(p))
-            return index[p]
-
-        one = Poly.constant(1, nvars)
-        self._functions = []
-        for f in functions:
-            num, den = (f.num, f.den) if isinstance(f, RatFunc) else (f, one)
-            partials = tuple((slot(num.diff(i)), slot(den.diff(i))) for i in range(nvars)) if gradient else ()
-            self._functions.append((slot(num), slot(den), partials))
-
-    def at(self, pt: RationalPoint) -> Tuple[List[Fraction], List[Tuple[Fraction, ...]]]:
-        """The value of each function, and its gradient (empty unless compiled with ``gradient``)."""
-        raw = [p.evaluate(pt) for p in self._polys]
-        values = [_quotient(raw[n], raw[d]) for n, d, _ in self._functions]
-        # quotient rule (n'·D − N·d')/D², with every polynomial value over its own scale
-        grads = []
-        for n, d, partials in self._functions:
-            (nv, ns), (dv, ds) = raw[n], raw[d]
-            grads.append(tuple(
-                Fraction((pnv * dv * ns * pds - nv * pdv * pns * ds) * ds, pns * ns * pds * dv * dv)
-                for (pnv, pns), (pdv, pds) in ((raw[pn], raw[pd]) for pn, pd in partials)
-            ))
-        return values, grads

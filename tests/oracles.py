@@ -7,7 +7,9 @@ multilinear contraction.  Slow and simple on purpose.  The EDS smoothness
 probe is floating-point evidence next to the exact rank-8 linearization, and
 random integral flags stand in for the ordinary flags of the Cartan test.
 The span and CR references keep the incremental rank tests that the library
-replaced by one null space and one echelon form.
+replaced by one null space and one echelon form.  Row reduction in Fraction
+arithmetic and the value/gradient evaluator that compiled each function on its
+own are kept as references for the integer elimination and the jet compile.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from pathgeom import J0_MATRIX, MultiVector, evaluate, linalg
+from pathgeom.polynomials import IntPoly, Poly, RatFunc, RationalPoint, _quotient
 from pathgeom.eds import (
     DIM,
     Flag,
@@ -353,3 +356,85 @@ def compatible_oracle(jac, p1, p2) -> bool:
     if linalg.rank([_j0_apply(v1), v2]) != 1:
         return False
     return span_equal([v1, v2], cr_structure_oracle(jac)[0])
+
+
+def fraction_rref(a):
+    """Reduced row echelon form by Gauss–Jordan in Fractions: (rows, pivot columns)."""
+    rows = linalg.mat(a)
+    pivots = []
+    if not rows:
+        return rows, pivots
+    ncols = len(rows[0])
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def fraction_nullspace(a) -> list:
+    """Right kernel from :func:`fraction_rref`, one vector per free column."""
+    rows, pivots = fraction_rref(a)
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+class CompiledFunctions:
+    """Values and first partials of Polys and RatFuncs, each polynomial evaluated on its own scale.
+
+    Numerators, denominators and their first partials are differentiated
+    once; identical polynomials are stored once as an :class:`IntPoly`, and
+    every value returned is one ``Fraction`` built from two integers.
+    """
+
+    def __init__(self, functions, nvars: int):
+        self._polys = []
+        index = {}
+
+        def slot(p: Poly) -> int:
+            if p not in index:
+                index[p] = len(self._polys)
+                self._polys.append(IntPoly(p))
+            return index[p]
+
+        one = Poly.constant(1, nvars)
+        self._functions = []
+        for f in functions:
+            num, den = (f.num, f.den) if isinstance(f, RatFunc) else (f, one)
+            partials = tuple((slot(num.diff(i)), slot(den.diff(i))) for i in range(nvars))
+            self._functions.append((slot(num), slot(den), partials))
+
+    def at(self, pt: RationalPoint):
+        """The value of each function, and its gradient."""
+        raw = [p.evaluate(pt) for p in self._polys]
+        values = [_quotient(raw[n], raw[d]) for n, d, _ in self._functions]
+        # quotient rule (n'·D − N·d')/D², with every polynomial value over its own scale
+        grads = []
+        for n, d, partials in self._functions:
+            (nv, ns), (dv, ds) = raw[n], raw[d]
+            grads.append(tuple(
+                Fraction((pnv * dv * ns * pds - nv * pdv * pns * ds) * ds, pns * ns * pds * dv * dv)
+                for (pnv, pns), (pdv, pds) in ((raw[pn], raw[pd]) for pn, pd in partials)
+            ))
+        return values, grads

@@ -252,6 +252,23 @@ class TestHypersurfaceCommand:
         rec = json.loads(out)["points"][0]
         assert rec["contact"] is False and rec["compatible"] is None
 
+    def test_far_points_keep_their_coframe(self, tmp_path, capsys):
+        """Exact b₁×b₂ whose floats would underflow (sphere chart) or whose squares would overflow (Heisenberg)."""
+        from pathgeom import sphere_chart_model
+
+        records = []
+        for u, points in ((sphere_chart_model(), [[str(10**41), "0", "0"], [str(10**81), "1", "0"]]),
+                          (heisenberg_model(), [["0", str(10**160), "0"]])):
+            path = write_json(tmp_path, "in.json", {"map": u.to_json(), "points": points})
+            code, out, _ = run(["hypersurface", "--input", path], capsys)
+            assert code == 0 and "float division by zero" not in out
+            records += json.loads(out)["points"]
+        near, far, wide = records
+        for rec in (near, wide):
+            assert "error" not in rec and rec["contact"] is True and rec["compatible"] is True
+            assert sum(x * x for x in rec["coframe"]["eta2"]) == pytest.approx(1.0)
+        assert "error" not in far
+
     def test_empty_point_list(self, tmp_path, capsys):
         from pathgeom import heisenberg_model
 

@@ -22,10 +22,9 @@ from pathgeom.hypersurface import (
     CompiledMap,
     PathGeometrySample,
     _compatible,
+    _b_pair,
     _cr_structure,
-    _jacobian,
     _line_fields,
-    _pair,
     contact_value_at,
     coframe_residual,
     point_record,
@@ -293,8 +292,9 @@ class TestCRStructureOracle:
         verdicts = []
         for point in points:
             pt = RationalPoint(point, 3)
-            sample = _line_fields(pt.coords, *_pair(compiled.pair, pt))
-            verdicts.append(self.assert_matches(_jacobian(compiled.jacobian, pt), sample.p1, sample.p2))
+            jac, _, djac = compiled.at(pt)
+            sample = _line_fields(pt.coords, *_b_pair(jac, djac))
+            verdicts.append(self.assert_matches(jac, sample.p1, sample.p2))
         return verdicts
 
     def test_models(self, rng):

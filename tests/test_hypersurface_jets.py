@@ -5,8 +5,10 @@ and denominators, in integers.  Its b₁, b₂, contact flag, D, I and
 compatibility verdict are checked here against the formal route:
 ``pullback_splitting`` in rational functions, ``PolyForm3.b_at``,
 ``contact_value_at``, and the CR references of ``tests/oracles.py``.  The
-compile itself multiplies no polynomials, so a map with four distinct
-denominators costs about what a polynomial map does.
+gradients of b₁, b₂ are checked against the same compile of the formal
+pair to first order and against the reference evaluator of
+``tests/oracles.py``.  The compile itself multiplies no polynomials, so a map
+with four distinct denominators costs about what a polynomial map does.
 """
 
 import random
@@ -20,8 +22,7 @@ from hypothesis import strategies as st
 from pathgeom.hypersurface import (
     CompiledMap,
     ParamMap,
-    _formal_pair,
-    _pair,
+    _b_pair,
     compatibility_check,
     contact_value_at,
     point_record,
@@ -32,7 +33,7 @@ from pathgeom.hypersurface import (
 from pathgeom.linalg import rank
 from pathgeom.polynomials import Poly, RatFunc, RationalPoint, over_one_denominator
 
-from oracles import compatible_oracle, cr_structure_oracle
+from oracles import CompiledFunctions, compatible_oracle, cr_structure_oracle
 
 X = tuple(Poly.variable(i, 3) for i in range(3))
 
@@ -87,8 +88,11 @@ def assert_matches_formal(u: ParamMap, points):
             assert {k: rec[k] for k in want} == want
         # the contact flag reads only a zero; the jet gradients of b₁, b₂ are the formal ones times one λ > 0
         pt = RationalPoint(point, 3)
-        jets, formal = _pair(compiled, pt), _formal_pair(*pullback_splitting(u), pt)
-        assert_positive_multiple(*([x for g in t[2] + t[3] for x in g] for t in (jets, formal)))
+        jac, _, djac = compiled.at(pt)
+        beta1, beta2 = pullback_splitting(u)
+        formal = CompiledMap(beta1.b + beta2.b, order=1).gradients(pt)
+        assert (list(formal[0]), formal[1]) == CompiledFunctions(beta1.b + beta2.b, 3).at(pt)
+        assert_positive_multiple(*([x for g in t[1] for x in g] for t in (_b_pair(jac, djac), formal)))
 
 
 # -- strategies --------------------------------------------------------------

@@ -6,13 +6,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathgeom
 from pathgeom import OMEGA0, PHI0, VolumeForm, linalg, pairing_signature
 from pathgeom.splitting import lines_parallel
 
 from conftest import rand_fraction
-from oracles import greedy_intersect_spans, leibniz_det, span_equal
+from oracles import fraction_nullspace, fraction_rref, greedy_intersect_spans, leibniz_det, span_equal
 
 
 def rand_matrix(rng, rows, cols):
@@ -107,6 +109,57 @@ class TestDispatch:
         assert pairing_signature(VolumeForm(2.0)) == (3, 3)
         assert pairing_signature(VolumeForm(-2.0)) == (3, 3)
 
+
+
+@st.composite
+def rational_matrices(draw, with_floats: bool):
+    """Up to 6×7 matrices, empty, wide or tall, some rows zero or combinations of earlier rows."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    if with_floats:
+        entry = st.one_of(entry, st.integers(-9, 9), st.floats(-9, 9, allow_nan=False, width=32))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("random", "zero", "combination")))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "combination" and rows:
+            s, t = draw(st.integers(-3, 3)), draw(st.fractions(-2, 2, max_denominator=3))
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([s * Fraction(p) + t * Fraction(q) for p, q in zip(x, y)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+class TestIntegerRowReduction:
+    """``rref``, ``rank`` and ``nullspace`` run one integer elimination; Gauss–Jordan in Fractions is the reference."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(rational_matrices(with_floats=True))
+    def test_rref_and_nullspace_match_fraction_elimination(self, m):
+        rows, pivots = linalg.rref(m)
+        assert (rows, pivots) == fraction_rref(m)
+        assert all(type(x) is Fraction for row in rows for x in row)
+        assert linalg.nullspace(m) == fraction_nullspace(m)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(rational_matrices(with_floats=False))
+    def test_rank_matches_fraction_elimination(self, m):
+        assert linalg.rank(m) == len(fraction_rref(m)[1])
+
+    def test_edge_shapes(self):
+        assert linalg.rref([]) == ([], []) and linalg.rank([]) == 0 and linalg.nullspace([]) == []
+        assert linalg.rref([[], []]) == ([[], []], [])
+        assert linalg.rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
+        with pytest.raises(ValueError, match="ragged"):
+            linalg.rref([[1, 2], [3]])
+
+    def test_echelon_keeps_rows_integral(self):
+        rows, pivots = linalg.echelon([[2, 4, 6], [3, 6, 10], [1, 1, 1]])
+        assert pivots == [0, 1, 2]
+        assert all(type(x) is int for row in rows for x in row)
+        assert [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)] == linalg.identity(3)
 
 
 def _dependent_rows(rng, count, dim, shared):

@@ -5,9 +5,10 @@ import pytest
 import sympy
 
 from pathgeom import Poly, RatFunc
-from pathgeom.polynomials import CompiledFunctions, RationalPoint
+from pathgeom.hypersurface import CompiledMap
+from pathgeom.polynomials import RationalPoint
 
-from oracles import poly_value_oracle
+from oracles import CompiledFunctions, poly_value_oracle
 
 X = sympy.symbols("x1 x2 x3")
 
@@ -160,11 +161,29 @@ class TestCompiledFunctions:
         den = rand_poly(rng, max_deg=2, nterms=3) + Poly.constant(40, 3)
         # two quotients share a denominator, as the pullback coefficients do
         functions = [RatFunc(rand_poly(rng), den), RatFunc(rand_poly(rng), den), rand_poly(rng)]
-        compiled = CompiledFunctions(functions, 3, gradient=True)
+        compiled, reference = CompiledMap(functions, order=1), CompiledFunctions(functions, 3)
         for _ in range(10):
             pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
             if den(pt) == 0:
                 continue
-            values, grads = compiled.at(RationalPoint(pt, 3))
-            assert values == [f(pt) for f in functions]
+            values, grads = compiled.gradients(RationalPoint(pt, 3))
+            assert all(type(x) is Fraction for x in values + sum(grads, ()))
+            assert list(values) == [f(pt) for f in functions]
             assert grads == [tuple(f.diff(i)(pt) for i in range(3)) for f in functions]
+            assert (list(values), grads) == reference.at(RationalPoint(pt, 3))
+
+    def test_denominators_of_either_sign(self, rng):
+        x1 = Poly.variable(0, 3)
+        functions = [RatFunc(rand_poly(rng), x1 - Fraction(1, 3)), RatFunc(rand_poly(rng), x1 * x1 - 2 * x1 - 1)]
+        compiled, reference = CompiledMap(functions, order=1), CompiledFunctions(functions, 3)
+        signs = set()
+        for _ in range(20):
+            pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
+            dens = [f.den(pt) for f in functions]
+            if 0 in dens:
+                continue
+            signs.update(d > 0 for d in dens)
+            values, grads = compiled.gradients(RationalPoint(pt, 3))
+            assert (list(values), grads) == reference.at(RationalPoint(pt, 3))
+            assert grads == [tuple(f.diff(i)(pt) for i in range(3)) for f in functions]
+        assert signs == {True, False}
