@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,16 +27,14 @@ from .exterior import DEFAULT_VOLUME, MultiVector, VolumeForm, gram_matrix
 from .scalars import scalar_to_json
 
 
-@dataclass
 class Config:
-    tolerance: float = 1e-9
-    seed: int = 0
-    epsilon: VolumeForm = DEFAULT_VOLUME
-    out: Optional[str] = None
+    __slots__ = ("tolerance", "seed", "epsilon", "out")
 
-    def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be a finite number > 0, not {self.tolerance!r}")
+    def __init__(self, tolerance: float = 1e-9, seed: int = 0, epsilon: VolumeForm = DEFAULT_VOLUME,
+                 out: Optional[str] = None):
+        if not 0 < tolerance < math.inf:
+            raise ValueError(f"tolerance must be a finite number > 0, not {tolerance!r}")
+        self.tolerance, self.seed, self.epsilon, self.out = tolerance, seed, epsilon, out
 
 
 #: the most curvature samples ``eds --samples`` draws; 10000 take about 0.5 s
@@ -46,6 +43,17 @@ MAX_SAMPLES = 10_000
 
 class InputError(Exception):
     """Malformed input; maps to exit code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are :class:`InputError`s, not usage text and exit 2.
+
+    Exit 2 means a verification failure with a report on stdout; a bad
+    command line is malformed input like any other.
+    """
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def render_json(value, indent: int = 0) -> str:
@@ -189,7 +197,7 @@ def cmd_eds_verify(payload, cfg: Config, samples: Optional[int]) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pathgeom", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="pathgeom", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--tol", type=float, default=1e-9, help="floating-path tolerance (default 1e-9)")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled verifications")
     parser.add_argument("--epsilon", type=str, default=None, help="volume form override as MultiVector JSON")
@@ -213,14 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         eps = DEFAULT_VOLUME
         if args.epsilon:
             eps = VolumeForm.from_form(MultiVector.from_json(json.loads(args.epsilon)))
         cfg = Config(tolerance=args.tol, seed=args.seed, epsilon=eps, out=args.out)
-    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+    except (InputError, ValueError, TypeError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

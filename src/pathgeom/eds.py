@@ -19,7 +19,6 @@ conditions cut out near the reference flag, and the involutivity verdict.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,18 +60,24 @@ def theta(i: int, j: int) -> MultiVector:
     return MultiVector.basis(DIM, (_THETA_SLOT[(i, j)],))
 
 
-@dataclass(frozen=True)
 class CurvatureSample:
     """Values of the four free curvature functions at the base point."""
 
-    w1: Fraction
-    w2: Fraction
-    f1: Fraction
-    f2: Fraction
+    __slots__ = ("w1", "w2", "f1", "f2")
 
-    def __post_init__(self):
-        for name in ("w1", "w2", "f1", "f2"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, w1: Fraction, w2: Fraction, f1: Fraction, f2: Fraction):
+        self.w1, self.w2, self.f1, self.f2 = Fraction(w1), Fraction(w2), Fraction(f1), Fraction(f2)
+
+    def _key(self) -> tuple:
+        return self.w1, self.w2, self.f1, self.f2
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CurvatureSample):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_json(self) -> dict:
         return {
@@ -136,13 +141,14 @@ def phi0_model() -> MultiVector:
     return MultiVector(DIM, 2, {(9, 12): Fraction(1), (10, 11): Fraction(1)})
 
 
-@dataclass(frozen=True)
 class ConstantIdeal:
     """Generators and their differentials frozen at a point."""
 
-    generators: Tuple[MultiVector, ...]
-    differentials: Tuple[MultiVector, ...]
-    curvature: CurvatureSample
+    __slots__ = ("generators", "differentials", "curvature")
+
+    def __init__(self, generators: Tuple[MultiVector, ...], differentials: Tuple[MultiVector, ...],
+                 curvature: CurvatureSample):
+        self.generators, self.differentials, self.curvature = generators, differentials, curvature
 
     @property
     def chi1(self) -> MultiVector:
@@ -174,21 +180,20 @@ def ideal_at(curvature: CurvatureSample) -> ConstantIdeal:
     return ConstantIdeal((chi1, chi2), (dchi1, dchi2), curvature)
 
 
-@dataclass(frozen=True)
 class Flag:
     """Nested integral elements E¹ ⊂ E² ⊂ E³ given by up to three vectors."""
 
-    vectors: Tuple[Tuple[Fraction, ...], ...]
+    __slots__ = ("vectors",)
 
-    def __post_init__(self):
-        vecs = tuple(tuple(Fraction(x) for x in v) for v in self.vectors)
+    def __init__(self, vectors: Sequence[Sequence[Fraction]]):
+        vecs = tuple(tuple(Fraction(x) for x in v) for v in vectors)
         if any(len(v) != DIM for v in vecs):
             raise ValueError("flag vectors must have dimension 12")
         if len(vecs) > 3:
             raise ValueError("flags here go up to dimension 3")
         if vecs and linalg.rank([list(v) for v in vecs]) != len(vecs):
             raise ValueError("flag vectors are linearly dependent")
-        object.__setattr__(self, "vectors", vecs)
+        self.vectors = vecs
 
 
 def _named_vector(**components) -> Tuple[Fraction, ...]:
@@ -292,17 +297,14 @@ def polar_space(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> 
     return basis, DIM - len(basis)
 
 
-@dataclass(frozen=True)
 class Characters:
     """Cartan characters with the codimension bound and the test verdict."""
 
-    s0: int
-    s1: int
-    s2: int
-    s3: int
-    codim_bound: int
-    codim_actual: int
-    involutive: bool
+    __slots__ = ("s0", "s1", "s2", "s3", "codim_bound", "codim_actual", "involutive")
+
+    def __init__(self, s0: int, s1: int, s2: int, s3: int, codim_bound: int, codim_actual: int, involutive: bool):
+        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+        self.codim_bound, self.codim_actual, self.involutive = codim_bound, codim_actual, involutive
 
     def as_tuple(self) -> Tuple[int, int, int, int]:
         return (self.s0, self.s1, self.s2, self.s3)
@@ -356,14 +358,14 @@ def complement_frame(flag: Flag) -> List[int]:
     return [p - k + 1 for p in pivots if p >= k]
 
 
-@dataclass(frozen=True)
 class CodimResult:
     """Rank of the linearized conditions at the flag, with chart bookkeeping."""
 
-    rank: int
-    free_parameters: int
-    pivot_columns: Tuple[int, ...]
-    complement_slots: Tuple[int, ...]
+    __slots__ = ("rank", "free_parameters", "pivot_columns", "complement_slots")
+
+    def __init__(self, rank: int, free_parameters: int, pivot_columns: Tuple[int, ...], complement_slots: Tuple[int, ...]):
+        self.rank, self.free_parameters = rank, free_parameters
+        self.pivot_columns, self.complement_slots = pivot_columns, complement_slots
 
 
 def linearized_conditions(flag: Flag, forms: Sequence[MultiVector], complement_slots: Optional[Sequence[int]] = None) -> List[List[Fraction]]:
@@ -420,10 +422,16 @@ EXPECTED_CHARACTERS = (0, 2, 4, 3)
 EXPECTED_CODIM = 8
 
 
-@dataclass(frozen=True)
 class InvolutivityReport:
-    entries: Tuple[dict, ...]
-    all_pass: bool
+    __slots__ = ("entries", "all_pass")
+
+    def __init__(self, entries: Tuple[dict, ...], all_pass: bool):
+        self.entries, self.all_pass = entries, all_pass
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InvolutivityReport):
+            return NotImplemented
+        return (self.entries, self.all_pass) == (other.entries, other.all_pass)
 
     def to_json(self) -> dict:
         return {"samples": list(self.entries), "all_pass": self.all_pass}

@@ -15,7 +15,6 @@ The dimension-4 specifics live at the bottom: the wedge pairing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
@@ -194,16 +193,23 @@ class MultiVector:
         )
 
 
-@dataclass(frozen=True)
 class VolumeForm:
     """Volume form on ℝ⁴: ε = c·e¹∧e²∧e³∧e⁴ with c ≠ 0."""
 
-    coefficient: Scalar = Fraction(1)
+    __slots__ = ("coefficient",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficient", to_scalar(self.coefficient))
+    def __init__(self, coefficient: Scalar = Fraction(1)):
+        self.coefficient = to_scalar(coefficient)
         if self.coefficient == 0:
             raise ValueError("volume form must be nonzero")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VolumeForm):
+            return NotImplemented
+        return self.coefficient == other.coefficient
+
+    def __hash__(self):
+        return hash(self.coefficient)
 
     def as_form(self) -> MultiVector:
         return MultiVector(4, 4, {(1, 2, 3, 4): self.coefficient})
@@ -221,17 +227,16 @@ class VolumeForm:
 DEFAULT_VOLUME = VolumeForm(Fraction(1))
 
 
-@dataclass(frozen=True)
 class LinearMap:
     """Linear map ℝᵐ → ℝⁿ given by an n×m scalar matrix."""
 
-    matrix: Tuple[Tuple[Scalar, ...], ...]
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(to_scalar(x) for x in row) for row in self.matrix)
+    def __init__(self, matrix: Sequence[Sequence[Scalar]]):
+        rows = tuple(tuple(to_scalar(x) for x in row) for row in matrix)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("matrix must be rectangular and nonempty")
-        object.__setattr__(self, "matrix", rows)
+        self.matrix = rows
 
     @property
     def target_dim(self) -> int:

@@ -35,7 +35,7 @@ compile its six coefficients to first order for exact values and gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -58,7 +58,6 @@ def _dot(a: Sequence, b: Sequence):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-@dataclass(frozen=True)
 class ParamMap:
     """Hypersurface parametrization u : ℝ³ → ℝ⁴ with four rational-function components.
 
@@ -67,15 +66,15 @@ class ParamMap:
     ``"type": "rational"`` form otherwise; ``from_json`` reads both.
     """
 
-    components: Tuple[RatFunc, RatFunc, RatFunc, RatFunc]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        comps = tuple(RatFunc(c) if isinstance(c, Poly) else c for c in self.components)
+    def __init__(self, components: Sequence[Coefficient]):
+        comps = tuple(RatFunc(c) if isinstance(c, Poly) else c for c in components)
         if len(comps) != 4 or any(not isinstance(c, RatFunc) for c in comps):
             raise ValueError("ParamMap needs exactly four polynomial or rational-function components")
         if any(c.nvars != NVARS for c in comps):
             raise ValueError("components must be functions of three variables")
-        object.__setattr__(self, "components", comps)
+        self.components = comps
 
     def jacobian(self):
         """4×3 matrix of coefficient functions ∂uⁱ/∂xʲ."""
@@ -126,11 +125,13 @@ def _star(coeffs, zero) -> tuple:
     return get(2, 3), -get(1, 3), get(1, 2)
 
 
-@dataclass(frozen=True)
 class PolyForm3:
     """2-form on ℝ³ with function coefficients, stored as β = b·⋆dx."""
 
-    b: Tuple[Coefficient, Coefficient, Coefficient]
+    __slots__ = ("b",)
+
+    def __init__(self, b: Tuple[Coefficient, Coefficient, Coefficient]):
+        self.b = b
 
     @classmethod
     def from_wedge_coefficients(cls, coeffs) -> "PolyForm3":
@@ -304,14 +305,14 @@ def _b_pair(jac: list, djac: list) -> Tuple[tuple, list]:
     return b, [tuple(dbk[c] for dbk in db) for c in range(6)]
 
 
-@dataclass(frozen=True)
 class AdaptedCoframe:
     """Pointwise coframe (η₁, η₂, η₃) with β₁ = η₂∧η₁ and β₂ = η₂∧η₃."""
 
-    point: Tuple[Fraction, ...]
-    eta1: Tuple[float, float, float]
-    eta2: Tuple[float, float, float]
-    eta3: Tuple[float, float, float]
+    __slots__ = ("point", "eta1", "eta2", "eta3")
+
+    def __init__(self, point: Tuple[Fraction, ...], eta1: Tuple[float, float, float],
+                 eta2: Tuple[float, float, float], eta3: Tuple[float, float, float]):
+        self.point, self.eta1, self.eta2, self.eta3 = point, eta1, eta2, eta3
 
     def volume(self) -> float:
         """η₁∧η₂∧η₃ coefficient: det of the three covectors."""
@@ -351,6 +352,11 @@ def _coframe(coords: Tuple[Fraction, ...], b: Sequence, den: int, tol: float) ->
     if abs(scaled.volume()) <= tol * math.hypot(*b1s) * math.hypot(*b2s):
         raise ValueError("adapted coframe is degenerate")
     eta1, eta3 = (tuple(math.ldexp(x, -k) for x in eta) for eta in (scaled.eta1, scaled.eta3))
+    # scaling back is exact unless a component leaves the normal floats: one
+    # beyond them raises OverflowError, one below them keeps too few bits
+    tiny = sys.float_info.min
+    if any(abs(y) < tiny <= abs(x) for x, y in zip(scaled.eta1 + scaled.eta3, eta1 + eta3)):
+        raise ValueError(f"adapted coframe underflows at {coords}")
     return AdaptedCoframe(coords, eta1, e, eta3)
 
 
@@ -370,14 +376,14 @@ def coframe_residual(frame: AdaptedCoframe, b1: Sequence, b2: Sequence) -> float
     )
 
 
-@dataclass(frozen=True)
 class PathGeometrySample:
     """The two line-field directions at a point, plus the contact flag."""
 
-    point: Tuple[Fraction, ...]
-    p1: Tuple[Fraction, Fraction, Fraction]
-    p2: Tuple[Fraction, Fraction, Fraction]
-    contact: bool
+    __slots__ = ("point", "p1", "p2", "contact")
+
+    def __init__(self, point: Tuple[Fraction, ...], p1: Tuple[Fraction, Fraction, Fraction],
+                 p2: Tuple[Fraction, Fraction, Fraction], contact: bool):
+        self.point, self.p1, self.p2, self.contact = point, p1, p2, contact
 
 
 def _contact_value(coords: Tuple[Fraction, ...], b: Sequence, grads: Sequence) -> Fraction:
@@ -428,14 +434,15 @@ def line_fields_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> PathG
     return _line_fields(pt.coords, *CompiledMap(beta1.b + beta2.b, order=1).gradients(pt))
 
 
-@dataclass(frozen=True)
 class CRSample:
     """D = T ∩ J₀T with the restriction I of J₀ in the stored basis of D."""
 
-    point: Tuple[Fraction, ...]
-    d_basis: Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
-    param_basis: Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
-    i_matrix: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
+    __slots__ = ("point", "d_basis", "param_basis", "i_matrix")
+
+    def __init__(self, point: Tuple[Fraction, ...], d_basis: Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]],
+                 param_basis: Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]],
+                 i_matrix: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]):
+        self.point, self.d_basis, self.param_basis, self.i_matrix = point, d_basis, param_basis, i_matrix
 
 
 def _J0(v: Sequence[Fraction]) -> list:
@@ -572,7 +579,7 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, compiled: Opti
             "I": [[_rational(x) for x in row] for row in cr.i_matrix],
         }
         rec["compatible"] = _compatible(jac, sample) if sample.contact else None
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         rec["error"] = str(exc)
     return rec
 

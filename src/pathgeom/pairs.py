@@ -21,9 +21,8 @@ it as ``pair.gram``; the functions below that take a pair read it from there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from . import linalg
 from .exterior import (
@@ -85,25 +84,21 @@ def orthogonalize(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAUL
     return phi - omega * (wp / ww)
 
 
-@dataclass(frozen=True)
 class EllipticPair:
     """An elliptic pair of 2-forms with the volume form its pairings refer to.
 
     ``gram`` is the wedge Gram of (ω, φ) under ``eps``, computed once here.
     """
 
-    omega: MultiVector
-    phi: MultiVector
-    eps: VolumeForm = DEFAULT_VOLUME
-    gram: Gram = field(init=False, repr=False, compare=False)
+    __slots__ = ("omega", "phi", "eps", "gram")
 
-    def __post_init__(self):
-        _check_two_form(self.omega, "omega")
-        _check_two_form(self.phi, "phi")
-        g = gram_matrix(self.omega, self.phi, self.eps)
+    def __init__(self, omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME):
+        _check_two_form(omega, "omega")
+        _check_two_form(phi, "phi")
+        g = gram_matrix(omega, phi, eps)
         if not _elliptic_gram(g):
             raise ValueError("pair is not elliptic: <w,w><p,p> <= <w,p>^2")
-        object.__setattr__(self, "gram", g)
+        self.omega, self.phi, self.eps, self.gram = omega, phi, eps, g
 
 
 def _require_orthogonal(pair: EllipticPair, tol: float) -> Tuple[Scalar, Scalar, Scalar]:
@@ -129,7 +124,6 @@ def kappa_invariant(pair: EllipticPair, tol: float = DEFAULT_TOL) -> float:
     return math.sqrt(float(kappa_invariant_squared(pair, tol)))
 
 
-@dataclass(frozen=True)
 class NormalForm:
     """Coframe rows and κ realizing ω = e¹∧e³−e²∧e⁴, φ = κ(e¹∧e⁴+e²∧e³).
 
@@ -137,19 +131,29 @@ class NormalForm:
     input coordinates.  ``epsilon_flipped`` records whether the volume form
     was negated to make ⟨ω,ω⟩ positive.  ``residual`` is the reconstruction
     residual that :func:`normal_form` checked, and None on a normal form
-    built any other way.
+    built any other way; equality ignores it.
     """
 
-    kappa: float
-    basis: Tuple[Tuple[float, ...], ...]
-    epsilon_flipped: bool = False
-    residual: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("kappa", "basis", "epsilon_flipped", "residual")
 
-    def __post_init__(self):
-        if self.kappa <= 0:
+    def __init__(self, kappa: float, basis: Tuple[Tuple[float, ...], ...], epsilon_flipped: bool = False):
+        if kappa <= 0:
             raise ValueError("kappa must be positive")
-        if len(self.basis) != 4 or any(len(r) != 4 for r in self.basis):
+        if len(basis) != 4 or any(len(r) != 4 for r in basis):
             raise ValueError("basis must be a 4x4 coframe matrix")
+        self.kappa, self.basis, self.epsilon_flipped = kappa, basis, epsilon_flipped
+        self.residual = None
+
+    def _key(self) -> tuple:
+        return self.kappa, self.basis, self.epsilon_flipped
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NormalForm):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def coframe(self) -> list:
         return [MultiVector.one_form(row) for row in self.basis]
@@ -230,7 +234,7 @@ def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
     res = reconstruction_residual(pair, nf)
     if res > tol * max(pair.omega.norm_inf(), pair.phi.norm_inf()):
         raise ValueError(f"normal-form reconstruction residual {res:.3e} exceeds tolerance")
-    object.__setattr__(nf, "residual", res)
+    nf.residual = res
     return nf
 
 

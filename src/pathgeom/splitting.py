@@ -21,14 +21,12 @@ keeps it as ``gram``; the functions below read their pairings from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import linalg
 from .exterior import (
     DEFAULT_VOLUME,
     J0_MATRIX,
-    Gram,
     OMEGA0,
     PHI0,
     LinearMap,
@@ -44,18 +42,16 @@ from .pairs import DEFAULT_TOL, _form_matrix, orthogonalize
 from .scalars import Scalar, is_exact, to_scalar
 
 
-@dataclass(frozen=True)
 class ComplexStructure:
     """Orientation-compatible complex structure J on ℝ⁴ (J² = −Id)."""
 
-    matrix: Tuple[Tuple[Scalar, ...], ...]
-    tol: float = DEFAULT_TOL
+    __slots__ = ("matrix", "tol")
 
-    def __post_init__(self):
-        rows = tuple(tuple(to_scalar(x) for x in row) for row in self.matrix)
+    def __init__(self, matrix: Sequence[Sequence[Scalar]], tol: float = DEFAULT_TOL):
+        rows = tuple(tuple(to_scalar(x) for x in row) for row in matrix)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("J must be a 4x4 matrix")
-        object.__setattr__(self, "matrix", rows)
+        self.matrix, self.tol = rows, tol
         self._check_square()
         # orientation compatibility is certified by positive definiteness of
         # the wedge Gram on Λ_J; plane_of raises for the negative component
@@ -80,26 +76,22 @@ class ComplexStructure:
         return ComplexStructure(m.matrix, tol=self.tol)
 
 
-@dataclass(frozen=True)
 class OrientedPositivePlane:
     """Ordered spanning pair (ω, φ); the order is the orientation.
 
     ``gram`` is the wedge Gram of (ω, φ) under ``eps``, computed once here.
     """
 
-    omega: MultiVector
-    phi: MultiVector
-    eps: VolumeForm = DEFAULT_VOLUME
-    gram: Gram = field(init=False, repr=False, compare=False)
+    __slots__ = ("omega", "phi", "eps", "gram")
 
-    def __post_init__(self):
-        g = gram_matrix(self.omega, self.phi, self.eps)
+    def __init__(self, omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME):
+        g = gram_matrix(omega, phi, eps)
         sign = _gram_definite_sign(g)
         if sign == 0:
             raise ValueError("wedge pairing is not definite on the span")
         if sign < 0:
             raise ValueError("wedge pairing is negative definite on the span: the plane belongs to the opposite orientation")
-        object.__setattr__(self, "gram", g)
+        self.omega, self.phi, self.eps, self.gram = omega, phi, eps, g
 
     def spans_same_oriented_plane(self, other: "OrientedPositivePlane", tol: float = DEFAULT_TOL) -> bool:
         """Equal spans and consistent orientation (exact when inputs are exact).
@@ -123,7 +115,6 @@ class OrientedPositivePlane:
         return linalg.det(coeffs) > 0
 
 
-@dataclass(frozen=True)
 class Splitting:
     """Two lines in Λ²(ℝ⁴)*, each held by a generator, with a volume form.
 
@@ -133,26 +124,22 @@ class Splitting:
     once here.
     """
 
-    line1: MultiVector
-    line2: MultiVector
-    eps: VolumeForm = DEFAULT_VOLUME
-    epsilon_flipped: bool = field(default=False, compare=False)
-    gram: Gram = field(init=False, repr=False, compare=False)
+    __slots__ = ("line1", "line2", "eps", "epsilon_flipped", "gram")
 
-    def __post_init__(self):
-        for f, name in ((self.line1, "line1"), (self.line2, "line2")):
+    def __init__(self, line1: MultiVector, line2: MultiVector, eps: VolumeForm = DEFAULT_VOLUME,
+                 epsilon_flipped: bool = False):
+        for f, name in ((line1, "line1"), (line2, "line2")):
             if f.dim != 4 or f.degree != 2 or f.is_zero:
                 raise ValueError(f"{name} must be a nonzero 2-form on the 4-space")
-        g = gram_matrix(self.line1, self.line2, self.eps)
+        g = gram_matrix(line1, line2, eps)
         sign = _gram_definite_sign(g)
         if sign == 0:
             raise ValueError("wedge pairing is indefinite on the span of the two lines")
         if sign < 0:
             # negating each pairing is exact, so this is the Gram under −ε bit for bit
             g = tuple(tuple(-x for x in row) for row in g)
-            object.__setattr__(self, "eps", self.eps.flipped())
-            object.__setattr__(self, "epsilon_flipped", True)
-        object.__setattr__(self, "gram", g)
+            eps, epsilon_flipped = eps.flipped(), True
+        self.line1, self.line2, self.eps, self.epsilon_flipped, self.gram = line1, line2, eps, epsilon_flipped, g
 
     def to_json(self) -> dict:
         return {

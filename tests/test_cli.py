@@ -253,7 +253,11 @@ class TestHypersurfaceCommand:
         assert rec["contact"] is False and rec["compatible"] is None
 
     def test_far_points_keep_their_coframe(self, tmp_path, capsys):
-        """Exact b₁×b₂ whose floats would underflow (sphere chart) or whose squares would overflow (Heisenberg)."""
+        """Exact b₁×b₂ whose floats would underflow (sphere chart) or whose squares would overflow (Heisenberg).
+
+        At (10⁸¹, 1, 0) η₁ has no normal float left once scaled back, so that
+        record is an error, not a covector printed as zeros and subnormals.
+        """
         from pathgeom import sphere_chart_model
 
         records = []
@@ -267,7 +271,28 @@ class TestHypersurfaceCommand:
         for rec in (near, wide):
             assert "error" not in rec and rec["contact"] is True and rec["compatible"] is True
             assert sum(x * x for x in rec["coframe"]["eta2"]) == pytest.approx(1.0)
-        assert "error" not in far
+        assert far["error"].startswith("adapted coframe underflows") and "coframe" not in far
+
+    @pytest.mark.parametrize("model, point, error", [
+        ("heisenberg", [0, 1e308, 1], "math range error"),
+        ("heisenberg", [0, 10**400, 0], "math range error"),
+        ("sphere", [10**100, 0, 0], "adapted coframe underflows"),
+    ], ids=["heisenberg-1e308", "heisenberg-1e400", "sphere-1e100"])
+    def test_coframe_beyond_float_range_is_a_record_error(self, model, point, error, tmp_path, capsys):
+        """A point whose η is not a float vector fails its own record; the other points keep theirs."""
+        from pathgeom import sphere_chart_model
+
+        u = heisenberg_model() if model == "heisenberg" else sphere_chart_model()
+        near = [["0", "1/2", "1/3"], ["1/5", "2", "2/7"]]
+        path = write_json(tmp_path, "in.json", {"map": u.to_json(), "points": [near[0], point, near[1]]})
+        code, out, err = run(["hypersurface", "--input", path], capsys)
+        assert code == 0 and err == ""
+        first, far, last = json.loads(out)["points"]
+        assert far["error"].startswith(error) and "coframe" not in far
+        path = write_json(tmp_path, "near.json", {"map": u.to_json(), "points": near})
+        _, alone, _ = run(["hypersurface", "--input", path], capsys)
+        assert [first, last] == json.loads(alone)["points"]
+        assert all("error" not in rec for rec in (first, last))
 
     def test_empty_point_list(self, tmp_path, capsys):
         from pathgeom import heisenberg_model
@@ -473,9 +498,8 @@ class TestInputBoundary:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command, payload", [
-        ("hypersurface", {"map": heisenberg_model().to_json(), "points": [[0, 1e308, 1]]}),
         ("pair", pair_payload(OMEGA0, PHI0 * Fraction(10**400))),
-    ], ids=["hypersurface-point-1e308", "pair-exact-1e400"])
+    ], ids=["pair-exact-1e400"])
     def test_overflow_error_rejected(self, command, payload, tmp_path, capfd):
         path = write_json(tmp_path, "in.json", payload)
         code, out, err = run([command, "--input", path], capfd)
@@ -488,6 +512,26 @@ class TestInputBoundary:
         code, out, err = run(["splitting", "--input", path], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Gram determinant overflowed" in err and len(err.splitlines()) == 1
+
+
+class TestBadArguments:
+    """A bad command line is malformed input: exit 1 and one ``error:`` line, as for a bad payload."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--tol", "abc", "pair"], "--tol"),
+        (["eds", "--samples", "x"], "--samples"),
+        (["no-such-command"], "invalid choice"),
+        ([], "required"),
+    ], ids=["tol-abc", "samples-x", "unknown-command", "no-command"])
+    def test_exits_1_with_one_line(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0 and "usage:" in capsys.readouterr().out
 
 
 class TestOutputFile:
@@ -533,24 +577,34 @@ def fresh_python(code, *args, timeout=60):
 
 
 class TestNumpyStaysUnloaded:
-    """Exact requests and float ``pair`` requests never import numpy; only linalg's float branches do."""
+    """Exact requests and float ``pair`` requests never import numpy; only linalg's float branches do.
+
+    No request imports ``dataclasses`` or ``inspect`` either, which would add
+    ``ast``, ``dis`` and ``tokenize`` to the start of every request.
+    """
 
     PROBE = (
         "import sys; from pathgeom.cli import main; code = main(sys.argv[1:]); "
-        "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+        "print(*(m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules), file=sys.stderr); "
+        "sys.exit(code)"
     )
 
     @pytest.mark.parametrize("command, payload", EXACT_REQUESTS, ids=[c for c, _ in EXACT_REQUESTS])
     def test_exact_request(self, command, payload, tmp_path):
         proc = fresh_python(self.PROBE, command, "--input", write_json(tmp_path, "in.json", payload))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.strip() == "False"
+        assert proc.stderr.strip() == ""
 
     def test_float_pair_request(self, tmp_path):
         payload = pair_payload(OMEGA0 * 0.5 + PHI0 * 0.25, PHI0 * 1.5)
         proc = fresh_python(self.PROBE, "pair", "--input", write_json(tmp_path, "in.json", payload))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.strip() == "False"
+        assert proc.stderr.strip() == ""
+
+    def test_zero_eds_samples(self):
+        proc = fresh_python(self.PROBE, "eds", "--samples", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == ""
 
 
 class TestEachCommandLoadsItsOwnPipeline:
