@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 # Config, --epsilon and the pair Gram need these two; each cmd_* imports its
 # own pipeline, so that a request loads only the modules it uses
-from .exterior import DEFAULT_VOLUME, MultiVector, VolumeForm, gram_matrix
+from .exterior import DEFAULT_VOLUME, MultiVector, VolumeForm, _gram_definite_sign, gram_matrix
 from .scalars import scalar_to_json
 
 
@@ -118,7 +118,7 @@ def _two_form(data, name: str) -> MultiVector:
 
 
 def cmd_pair_classify(payload, cfg: Config) -> tuple:
-    from .pairs import EllipticPair, _elliptic_gram, kappa_invariant, normal_form, orthogonalize
+    from .pairs import EllipticPair, kappa_invariant, normal_form, orthogonalize
 
     omega = _two_form(payload.get("omega"), "omega")
     phi = _two_form(payload.get("phi"), "phi")
@@ -128,7 +128,7 @@ def cmd_pair_classify(payload, cfg: Config) -> tuple:
     report = {
         "pairings": {"ww": ww, "wp": wp, "pp": pp},
         "symplectic": {"omega": ww != 0, "phi": pp != 0},
-        "elliptic": _elliptic_gram(gram),
+        "elliptic": _gram_definite_sign(gram) != 0,
     }
     # an elliptic pair has ⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩² ≥ 0, so ω is symplectic and phi_orth is set
     if report["symplectic"]["omega"]:

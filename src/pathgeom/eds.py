@@ -11,9 +11,12 @@ structure equations are dθ = Θ − θ∧θ with curvature
 
 for four free scalars (W₁, W₂, F₁, F₂).  The differential ideal is generated
 by χ₁ = θ²₀∧θ¹₀ − ω₀ and χ₂ = θ²₀∧θ²₁ − φ₀ with independence 3-form
-ζ = θ¹₀∧θ²₀∧θ²₁.  This module computes, in exact rational arithmetic:
-integral elements, polar spaces, Cartan characters, the codimension of the
-conditions cut out near the reference flag, and the involutivity verdict.
+ζ = θ¹₀∧θ²₀∧θ²₁.  The ideal involves only θ¹₀, θ²₀ and θ²₁, and Θ is
+strictly upper triangular, so Θ¹₀ = Θ²₀ = Θ²₁ = 0: the ideal is the same for
+every curvature, and one Cartan test covers every sample.  This module
+computes, in exact rational arithmetic: integral elements, polar spaces,
+Cartan characters, the codimension of the conditions cut out near the
+reference flag, and the involutivity verdict.
 """
 
 from __future__ import annotations
@@ -460,59 +463,26 @@ def _verdict(ideal: ConstantIdeal) -> dict:
     return entry
 
 
-def _ideal_key(ideal: ConstantIdeal) -> tuple:
-    """The ideal's exact content: every generator and differential, term by term."""
-    return tuple(
-        tuple((form.dim, form.degree, tuple(sorted(form.terms.items()))) for form in forms)
-        for forms in (ideal.generators, ideal.differentials)
-    )
-
-
 def verify_sample(curvature: CurvatureSample) -> dict:
     """Full exact pipeline for one curvature sample."""
     return {**curvature.to_json(), **_verdict(ideal_at(curvature))}
 
 
-def _curvature_free_ideal() -> Optional[ConstantIdeal]:
-    """The ideal at zero curvature if it is the ideal at every curvature, else None.
-
-    ``ideal_at`` is affine in (W₁, W₂, F₁, F₂), so it is constant on ℝ⁴
-    exactly when it takes the same value at 0 and at the four unit vectors.
-    """
-    base = ideal_at(CurvatureSample(0, 0, 0, 0))
-    key = _ideal_key(base)
-    for axis in range(4):
-        unit = CurvatureSample(*(1 if i == axis else 0 for i in range(4)))
-        if _ideal_key(ideal_at(unit)) != key:
-            return None
-    return base
-
-
 def verify_involutivity(samples: Sequence[CurvatureSample]) -> InvolutivityReport:
     """Per-sample verification; failures are report entries, never raises.
 
-    The verdict depends on the sample only through its ideal.  A non-empty
-    request first certifies that the ideal does not depend on the curvature:
-    the ideal is affine in the curvature, so it is the same for every sample
-    when ``ideal_at`` agrees, term by term, at 0 and at the four unit vectors.
-    The model's ideal passes, and one verdict on the zero-curvature ideal
-    then covers every sample with no per-sample ``ideal_at``.  If the check
-    fails, each sample's ideal is built and the verdict is computed once per
-    distinct ideal, in a memo local to the call.  An empty request builds
-    no ideal.
+    The ideal involves only θ¹₀, θ²₀ and θ²₁, whose curvature entries are
+    Θ¹₀ = Θ²₀ = Θ²₁ = 0, so ``ideal_at`` never reads the curvature and the
+    verdict is the same for every sample.  A non-empty request builds the
+    ideal and runs the verdict once; each entry is the sample's curvature
+    plus a fresh copy of that verdict.  An empty request builds nothing.
     """
-    constant = _curvature_free_ideal() if samples else None
-    verdicts: Dict[Optional[tuple], dict] = {}
-    entries = []
-    for sample in samples:
-        if constant is not None:
-            ideal, key = constant, None
-        else:
-            ideal = ideal_at(sample)
-            key = _ideal_key(ideal)
-        if key not in verdicts:
-            verdicts[key] = _verdict(ideal)
-        # fresh lists, so that no two entries share a mutable value
-        verdict = {k: list(v) if isinstance(v, list) else v for k, v in verdicts[key].items()}
-        entries.append({**sample.to_json(), **verdict})
-    return InvolutivityReport(tuple(entries), all(e["pass"] for e in entries))
+    if not samples:
+        return InvolutivityReport((), True)
+    verdict = _verdict(ideal_at(samples[0]))
+    # fresh lists, so that no two entries share a mutable value
+    entries = tuple(
+        {**sample.to_json(), **{k: list(v) if isinstance(v, list) else v for k, v in verdict.items()}}
+        for sample in samples
+    )
+    return InvolutivityReport(entries, verdict["pass"])

@@ -364,18 +364,30 @@ def gram_matrix(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_
     return (ww, wp), (wp, pp)
 
 
-def _gram_definite_sign(g: Gram) -> int:
-    """+1 / −1 for a definite 2×2 symmetric matrix, 0 otherwise (exact if exact).
+def _gram_pairings(g: Gram) -> Tuple[Scalar, Scalar, Scalar]:
+    """(⟨ω,ω⟩, ⟨ω,φ⟩, ⟨φ,φ⟩) of a wedge Gram, float pairings divided by a power of two.
 
-    Raises when a float determinant overflows: inf − inf is nan, and
-    ``nan <= 0`` would let the matrix pass as definite.
+    The power of two is the one next to the largest pairing, so a product of
+    two scaled pairings does not overflow wherever the pairings are finite,
+    and the division rounds nothing.  Exact pairings are returned as they are.
     """
-    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    if isinstance(det, float) and not math.isfinite(det):
-        raise ValueError(f"wedge Gram determinant overflowed to {det}")
-    if det <= 0:
+    (ww, wp), (_, pp) = g
+    if is_exact(ww) and is_exact(wp) and is_exact(pp):
+        return ww, wp, pp
+    e = math.frexp(max(abs(ww), abs(wp), abs(pp)))[1]
+    return tuple(math.ldexp(float(x), -e) for x in (ww, wp, pp))
+
+
+def _gram_definite_sign(g: Gram) -> int:
+    """+1 / −1 for a definite 2×2 wedge Gram, 0 otherwise (exact if exact).
+
+    A definite Gram is an elliptic pair: ⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩², tested on the
+    scaled pairings of :func:`_gram_pairings`.
+    """
+    ww, wp, pp = _gram_pairings(g)
+    if ww * pp - wp * wp <= 0:
         return 0
-    return 1 if g[0][0] > 0 else -1
+    return 1 if ww > 0 else -1
 
 
 def pairing_signature(eps: VolumeForm = DEFAULT_VOLUME) -> Tuple[int, int]:

@@ -344,16 +344,20 @@ def _coframe(coords: Tuple[Fraction, ...], b: Sequence, den: int, tol: float) ->
     norm = math.sqrt(_dot(cs, cs))
     e = tuple(x / norm for x in cs)
     scaled = AdaptedCoframe(coords, _cross(b1s, e), e, _cross(b2s, e))
-    res = math.ldexp(coframe_residual(scaled, b1s, b2s), -k)
-    if res > tol * max(1.0, math.ldexp(max(abs(x) for x in bs), -k)):
+    # scaling back is exact unless a value leaves the normal floats: one
+    # beyond them raises OverflowError, one below them keeps too few bits
+    try:
+        res = math.ldexp(coframe_residual(scaled, b1s, b2s), -k)
+        size = math.ldexp(max(abs(x) for x in bs), -k)
+        eta1, eta3 = (tuple(math.ldexp(x, -k) for x in eta) for eta in (scaled.eta1, scaled.eta3))
+    except OverflowError:
+        raise ValueError(f"adapted coframe overflows at {coords}") from None
+    if res > tol * max(1.0, size):
         raise ValueError(f"adapted coframe reconstruction residual {res:.3e}")
     # the volume is −|b₁×b₂|, so compare it with |b₁|·|b₂|: the b's shrink
     # far out on a chart while the frame stays as far from degenerate
     if abs(scaled.volume()) <= tol * math.hypot(*b1s) * math.hypot(*b2s):
         raise ValueError("adapted coframe is degenerate")
-    eta1, eta3 = (tuple(math.ldexp(x, -k) for x in eta) for eta in (scaled.eta1, scaled.eta3))
-    # scaling back is exact unless a component leaves the normal floats: one
-    # beyond them raises OverflowError, one below them keeps too few bits
     tiny = sys.float_info.min
     if any(abs(y) < tiny <= abs(x) for x, y in zip(scaled.eta1 + scaled.eta3, eta1 + eta3)):
         raise ValueError(f"adapted coframe underflows at {coords}")

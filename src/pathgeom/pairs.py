@@ -27,10 +27,10 @@ from typing import Tuple
 from . import linalg
 from .exterior import (
     DEFAULT_VOLUME,
-    Gram,
     LinearMap,
     MultiVector,
     VolumeForm,
+    _gram_definite_sign,
     conformal_pairing,
     gram_matrix,
     pullback,
@@ -52,25 +52,11 @@ def is_symplectic(omega: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> bool:
     return conformal_pairing(omega, omega, eps) != 0
 
 
-def _elliptic_gram(g: Gram) -> bool:
-    """⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩² on a wedge Gram, exact on exact entries.
-
-    Float pairings are first divided by the power of two next to the largest
-    of them: the products then neither overflow nor underflow wherever the
-    pairings are finite, and the division itself rounds nothing.
-    """
-    (ww, wp), (_, pp) = g
-    if not (is_exact(ww) and is_exact(wp) and is_exact(pp)):
-        e = math.frexp(max(abs(ww), abs(wp), abs(pp)))[1]
-        ww, wp, pp = (math.ldexp(float(x), -e) for x in (ww, wp, pp))
-    return ww * pp > wp * wp
-
-
 def is_elliptic(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> bool:
     """Strict inequality ⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩², exact on rational inputs."""
     _check_two_form(omega, "omega")
     _check_two_form(phi, "phi")
-    return _elliptic_gram(gram_matrix(omega, phi, eps))
+    return _gram_definite_sign(gram_matrix(omega, phi, eps)) != 0
 
 
 def orthogonalize(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> MultiVector:
@@ -96,7 +82,7 @@ class EllipticPair:
         _check_two_form(omega, "omega")
         _check_two_form(phi, "phi")
         g = gram_matrix(omega, phi, eps)
-        if not _elliptic_gram(g):
+        if _gram_definite_sign(g) == 0:
             raise ValueError("pair is not elliptic: <w,w><p,p> <= <w,p>^2")
         self.omega, self.phi, self.eps, self.gram = omega, phi, eps, g
 

@@ -21,7 +21,7 @@ keeps it as ``gram``; the functions below read their pairings from it.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from . import linalg
 from .exterior import (
@@ -33,6 +33,7 @@ from .exterior import (
     MultiVector,
     VolumeForm,
     _gram_definite_sign,
+    _gram_pairings,
     conformal_pairing,
     gram_matrix,
     pullback,
@@ -164,48 +165,26 @@ def lines_parallel(a: MultiVector, b: MultiVector) -> bool:
 # -- the correspondence J <-> Lambda_J --------------------------------------
 
 
-def plane_of(j: ComplexStructure, eps: VolumeForm = DEFAULT_VOLUME, seed_covectors: Optional[Tuple[int, int]] = None) -> OrientedPositivePlane:
+#: the basis 2-forms eᵃ∧eᵇ in the order :func:`plane_of` tries them
+_PLANE_SEEDS = ((1, 3), (1, 4), (1, 2), (2, 3), (2, 4), (3, 4))
+
+
+def plane_of(j: ComplexStructure, eps: VolumeForm = DEFAULT_VOLUME) -> OrientedPositivePlane:
     """Λ_J as the oriented plane (Re α, Im α) of a (2,0)-form α.
 
-    α is built from a complex coframe (η¹, η²) with η = ξ − i(ξ∘J); the span
-    and orientation do not depend on the seed covectors ξ (testable via
-    ``seed_covectors``).  Raises when J is incompatible with the orientation,
-    i.e. when the wedge Gram on Λ_J, which the returned plane computes and
-    checks, comes out negative definite.
+    For a basis 2-form β = ξ∧η, α = (ξ − iξ∘J)∧(η − iη∘J) has real part
+    ρ = β − J*β, the projection of β onto the J-anti-invariant forms Λ_J, and
+    imaginary part σ = −(ξ∧(η∘J) + (ξ∘J)∧η) = −ρ(J·, ·).  β ↦ ρ maps onto
+    Λ_J, so the β of largest |ρ|², the first in ``_PLANE_SEEDS`` on a tie,
+    gives ρ ≠ 0.  Raises when J is incompatible with the orientation, i.e.
+    when the wedge Gram on Λ_J, which the returned plane computes and checks,
+    comes out negative definite.
     """
-    jt = [list(col) for col in zip(*j.matrix)]  # action on covectors: xi o J
-
-    def pull(xi):
-        return [sum(jt[r][c] * xi[c] for c in range(4)) for r in range(4)]
-
-    def covector(i):
-        return [to_scalar(1) if k == i else to_scalar(0) for k in range(4)]
-
-    if seed_covectors is not None:
-        i1, i2 = seed_covectors
-        xi1, xi2 = covector(i1 - 1), covector(i2 - 1)
-        if linalg.rank([xi1, pull(xi1), xi2, pull(xi2)]) != 4:
-            raise ValueError("seed covectors do not give a complex coframe")
-    else:
-        xi1 = covector(0)
-        xi2 = None
-        for i in range(1, 4):
-            cand = covector(i)
-            if linalg.rank([xi1, pull(xi1), cand, pull(cand)]) == 4:
-                xi2 = cand
-                break
-        if xi2 is None:
-            raise ValueError("could not complete a complex coframe; J is degenerate")
-
-    j1, j2 = pull(xi1), pull(xi2)
-    w1 = MultiVector.one_form(xi1)
-    w2 = MultiVector.one_form(xi2)
-    jw1 = MultiVector.one_form(j1)
-    jw2 = MultiVector.one_form(j2)
-    # alpha = (xi1 - i J*xi1) ^ (xi2 - i J*xi2)
-    re = wedge(w1, w2) - wedge(jw1, jw2)
-    im = -(wedge(w1, jw2) + wedge(jw1, w2))
-    return OrientedPositivePlane(re, im, eps)
+    e = {i: MultiVector.basis(4, (i,)) for i in range(1, 5)}
+    ej = {i: MultiVector.one_form(j.matrix[i - 1]) for i in range(1, 5)}  # eⁱ∘J is row i of J
+    projections = [(wedge(e[a], e[b]) - wedge(ej[a], ej[b]), a, b) for a, b in _PLANE_SEEDS]
+    rho, a, b = max(projections, key=lambda p: sum(c * c for c in p[0].terms.values()))
+    return OrientedPositivePlane(rho, -(wedge(e[a], ej[b]) + wedge(ej[a], e[b])), eps)
 
 
 def _skew_inverse(w) -> list:
@@ -241,7 +220,7 @@ def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStr
 
 def degree_squared(s: Splitting) -> Scalar:
     """degree² = ⟨ω,ω′⟩² / (⟨ω,ω⟩⟨ω′,ω′⟩ − ⟨ω,ω′⟩²); exact on exact inputs."""
-    (ww, wp), (_, pp) = s.gram
+    ww, wp, pp = _gram_pairings(s.gram)
     denom = ww * pp - wp * wp
     if denom <= 0:
         raise ValueError("splitting invariant violated: nonpositive Gram determinant")

@@ -274,8 +274,8 @@ class TestHypersurfaceCommand:
         assert far["error"].startswith("adapted coframe underflows") and "coframe" not in far
 
     @pytest.mark.parametrize("model, point, error", [
-        ("heisenberg", [0, 1e308, 1], "math range error"),
-        ("heisenberg", [0, 10**400, 0], "math range error"),
+        ("heisenberg", [0, 1e308, 1], "adapted coframe overflows at (Fraction(0, 1), Fraction(1000"),
+        ("heisenberg", [0, 10**400, 0], "adapted coframe overflows at (Fraction(0, 1), Fraction(1000"),
         ("sphere", [10**100, 0, 0], "adapted coframe underflows"),
     ], ids=["heisenberg-1e308", "heisenberg-1e400", "sphere-1e100"])
     def test_coframe_beyond_float_range_is_a_record_error(self, model, point, error, tmp_path, capsys):
@@ -507,11 +507,16 @@ class TestInputBoundary:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_overflowing_gram_rejected(self, tmp_path, capsys):
+        """No longer rejected: ``splitting`` scales the Gram as ``pair`` does, and both accept 1e100·(ω₀, φ₀)."""
         payload = {"L1": (OMEGA0 * 1e100).to_json(), "L2": ((OMEGA0 + PHI0) * 1e100).to_json()}
         path = write_json(tmp_path, "in.json", payload)
         code, out, err = run(["splitting", "--input", path], capsys)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "Gram determinant overflowed" in err and len(err.splitlines()) == 1
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["degree"] == 1 and report["degree_squared"] == 1 and report["epsilon_flipped"] is False
+        path = write_json(tmp_path, "pair.json", pair_payload(OMEGA0 * 1e100, PHI0 * 1e100))
+        code, out, _ = run(["pair", "--input", path], capsys)
+        assert code == 0 and json.loads(out)["elliptic"] is True
 
 
 class TestBadArguments:
