@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 # Config, --epsilon and the pair Gram need these two; each cmd_* imports its
 # own pipeline, so that a request loads only the modules it uses
 from .exterior import DEFAULT_VOLUME, MultiVector, VolumeForm, _gram_definite_sign, gram_matrix
-from .scalars import scalar_to_json
+from .scalars import rational_from_json, scalar_to_json
 
 
 class Config:
@@ -174,7 +174,7 @@ def cmd_hypersurface(payload, cfg: Config) -> tuple:
 
     try:
         u = ParamMap.from_json(payload["map"])
-        points = [[Fraction(str(x)) for x in pt] for pt in payload.get("points", [])]
+        points = [[rational_from_json(x) for x in pt] for pt in payload.get("points", [])]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed hypersurface input: {exc}") from exc
     records = sample_report(u, points, tol=cfg.tolerance)
@@ -239,10 +239,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "hypersurface":
             report, code = cmd_hypersurface(_load_object(args.input), cfg)
         elif args.command == "eds":
-            if args.samples is not None and args.samples < 0:
-                raise InputError("--samples must be nonnegative")
-            if args.samples is not None and args.samples > MAX_SAMPLES:
-                raise InputError(f"--samples must be at most {MAX_SAMPLES}")
+            if args.samples is not None and not 0 <= args.samples <= MAX_SAMPLES:
+                raise InputError(f"--samples must be nonnegative and at most {MAX_SAMPLES}")
             payload = None if args.samples is not None else _load_payload(args.input)
             report, code = cmd_eds_verify(payload, cfg, args.samples)
         else:  # pragma: no cover - argparse enforces the choices

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .exterior import MultiVector, evaluate, wedge
-from .scalars import scalar_to_json
+from .scalars import rational_from_json, scalar_to_json
 
 DIM = 12
 
@@ -92,10 +92,7 @@ class CurvatureSample:
 
     @classmethod
     def from_json(cls, data) -> "CurvatureSample":
-        return cls(
-            Fraction(str(data["W1"])), Fraction(str(data["W2"])),
-            Fraction(str(data["F1"])), Fraction(str(data["F2"])),
-        )
+        return cls(*(rational_from_json(data[k]) for k in ("W1", "W2", "F1", "F2")))
 
 
 def sample_curvatures(n: int, seed: int = 0, bound: int = 10, denominator: int = 100) -> List[CurvatureSample]:

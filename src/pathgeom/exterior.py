@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from . import linalg
-from .scalars import Scalar, is_exact, scalar_from_json, scalar_to_json, to_scalar
+from .scalars import Scalar, index_from_json, is_exact, scalar_from_json, scalar_to_json, to_scalar
 
 MIN_DIM = 3
 MAX_DIM = 12
@@ -187,9 +187,9 @@ class MultiVector:
     @classmethod
     def from_json(cls, data: Mapping) -> "MultiVector":
         return cls.from_terms(
-            int(data["dim"]),
-            [(tuple(t["idx"]), scalar_from_json(t["c"])) for t in data["terms"]],
-            degree=int(data["degree"]),
+            index_from_json(data["dim"]),
+            [(tuple(map(index_from_json, t["idx"])), scalar_from_json(t["c"])) for t in data["terms"]],
+            degree=index_from_json(data["degree"]),
         )
 
 

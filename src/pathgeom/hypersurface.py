@@ -289,10 +289,19 @@ class CompiledMap:
         return values, [tuple(Fraction(x, d0 * d0) for x in first) for _, d0, first, _ in parts]
 
 
+def _rational(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _point_text(coords: Sequence[Fraction]) -> str:
+    """A point in an error message, written as a record's ``point`` field writes it."""
+    return "(" + ", ".join(map(_rational, coords)) + ")"
+
+
 def _require_immersion(coords: Tuple[Fraction, ...], jac: list) -> None:
     # a 4×3 matrix has rank 3 iff one of its four 3×3 minors is nonzero
     if not any(_dot(jac[i], _cross(jac[j], jac[k])) for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))):
-        raise ValueError(f"map is not an immersion at {coords}: Jacobian rank < 3")
+        raise ValueError(f"map is not an immersion at {_point_text(coords)}: Jacobian rank < 3")
 
 
 def _b_pair(jac: list, djac: list) -> Tuple[tuple, list]:
@@ -332,7 +341,7 @@ def _coframe(coords: Tuple[Fraction, ...], b: Sequence, den: int, tol: float) ->
     """The coframe of b₁ + b₂ = b/den, for exact b and a positive integer den."""
     c = _cross(b[:3], b[3:])
     if all(x == 0 for x in c):
-        raise ValueError(f"beta forms are dependent at {coords}")
+        raise ValueError(f"beta forms are dependent at {_point_text(coords)}")
     # b₁, b₂ become floats times 2ᵏ and b₁×b₂ times its own power of two, each
     # near 1: far out on a chart the b's shrink and b₁×b₂ would underflow.  A
     # power of two scales a float exactly, so e, η and the residual are those
@@ -351,7 +360,7 @@ def _coframe(coords: Tuple[Fraction, ...], b: Sequence, den: int, tol: float) ->
         size = math.ldexp(max(abs(x) for x in bs), -k)
         eta1, eta3 = (tuple(math.ldexp(x, -k) for x in eta) for eta in (scaled.eta1, scaled.eta3))
     except OverflowError:
-        raise ValueError(f"adapted coframe overflows at {coords}") from None
+        raise ValueError(f"adapted coframe overflows at {_point_text(coords)}") from None
     if res > tol * max(1.0, size):
         raise ValueError(f"adapted coframe reconstruction residual {res:.3e}")
     # the volume is −|b₁×b₂|, so compare it with |b₁|·|b₂|: the b's shrink
@@ -360,7 +369,7 @@ def _coframe(coords: Tuple[Fraction, ...], b: Sequence, den: int, tol: float) ->
         raise ValueError("adapted coframe is degenerate")
     tiny = sys.float_info.min
     if any(abs(y) < tiny <= abs(x) for x, y in zip(scaled.eta1 + scaled.eta3, eta1 + eta3)):
-        raise ValueError(f"adapted coframe underflows at {coords}")
+        raise ValueError(f"adapted coframe underflows at {_point_text(coords)}")
     return AdaptedCoframe(coords, eta1, e, eta3)
 
 
@@ -395,7 +404,7 @@ def _contact_value(coords: Tuple[Fraction, ...], b: Sequence, grads: Sequence) -
     v1, v2, g1, g2 = b[:3], b[3:], grads[:3], grads[3:]
     m = _cross(v1, v2)
     if all(x == 0 for x in m):
-        raise ValueError(f"beta forms are dependent at {coords}")
+        raise ValueError(f"beta forms are dependent at {_point_text(coords)}")
     dm = []
     for i in range(NVARS):
         d1 = tuple(g[i] for g in g1)
@@ -428,7 +437,7 @@ def is_nondegenerate_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> 
 
 def _line_fields(coords: Tuple[Fraction, ...], b: Sequence, grads: Sequence) -> PathGeometrySample:
     if all(x == 0 for x in _cross(b[:3], b[3:])):
-        raise ValueError(f"line fields are dependent at {coords}")
+        raise ValueError(f"line fields are dependent at {_point_text(coords)}")
     return PathGeometrySample(coords, b[:3], b[3:], _contact_value(coords, b, grads) != 0)
 
 
@@ -467,9 +476,7 @@ def _cr_structure(coords: Tuple[Fraction, ...], jac: list, scale: int = 1) -> CR
     rows, pivots = linalg.echelon([row + m for row, m in zip(jac, minus_j0)])
     free = [c for c in range(2 * NVARS) if c not in pivots]
     if len(free) != 2:
-        raise ValueError(
-            f"complex tangent point at {coords}: dim(T ∩ J0·T) = {len(free)}, expected 2"
-        )
+        raise ValueError(f"complex tangent point at {_point_text(coords)}: dim(T ∩ J0·T) = {len(free)}, expected 2")
     # the null vector of free column f, with its entries over one common denominator:
     # 1 at f and −rows[r][f]/rows[r][pivot] at each pivot
     common = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
@@ -530,16 +537,12 @@ def compatibility_check(u: ParamMap, point: Sequence) -> bool:
     jac, _, djac = CompiledMap(u).at(pt)
     sample = _line_fields(pt.coords, *_b_pair(jac, djac))
     if not sample.contact:
-        raise ValueError(f"hypersurface is degenerate (not contact) at {point}")
+        raise ValueError(f"hypersurface is degenerate (not contact) at {_point_text(pt.coords)}")
     _require_immersion(pt.coords, jac)
     return _compatible(jac, sample)
 
 
 # -- per-point reports -------------------------------------------------------
-
-
-def _rational(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, compiled: Optional[CompiledMap] = None) -> dict:

@@ -186,8 +186,9 @@ def det(a) -> Scalar:
 def inertia(a) -> tuple:
     """Signature (positive, negative, zero) of a symmetric matrix.
 
-    Exact input: Lagrange congruence reduction, diagonalizing by simultaneous
-    row/column operations, which preserves inertia (Sylvester); no tolerances.
+    Exact input: Descartes' rule of signs on det(λ − S), which Faddeev–LeVerrier
+    computes; the rule is exact since a symmetric S has only real eigenvalues, and
+    zero is counted by the trailing zero coefficients.  No tolerances.
     Float input: eigenvalues, with |λ| ≤ 1e-12 counted as zero.
     """
     s = [list(row) for row in a]
@@ -199,48 +200,16 @@ def inertia(a) -> tuple:
         eigs = np.linalg.eigvalsh(np.array(s, dtype=float))
         pos, neg = int((eigs > 1e-12).sum()), int((eigs < -1e-12).sum())
         return pos, neg, n - pos - neg
-    s = mat(s)
-    pos = neg = zero = 0
-
-    def congruence_eliminate(m, k):
-        # clear row/column k against pivot m[k][k]
-        nloc = len(m)
-        pivot = m[k][k]
-        for i in range(k + 1, nloc):
-            if m[i][k] != 0:
-                f = m[i][k] / pivot
-                for j in range(nloc):
-                    m[i][j] -= f * m[k][j]
-                for j in range(nloc):
-                    m[j][i] -= f * m[j][k]
-
-    k = 0
-    m = [row[:] for row in s]
-    while k < n:
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
-            if swap is not None:
-                m[k], m[swap] = m[swap], m[k]
-                for row in m:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if off is None:
-                    zero += 1
-                    k += 1
-                    continue
-                # add row/col `off` into k: new diagonal entry 2*m[off][k] != 0
-                for j in range(n):
-                    m[k][j] += m[off][j]
-                for j in range(n):
-                    m[j][k] += m[j][off]
-        if m[k][k] > 0:
-            pos += 1
-        else:
-            neg += 1
-        congruence_eliminate(m, k)
-        k += 1
-    return pos, neg, zero
+    # cₙ = 1, cₙ₋₁, …, c₀ from M₀ = 0: Mₖ = S·Mₖ₋₁ + cₙ₋ₖ₊₁·I and cₙ₋ₖ = −tr(S·Mₖ)/k
+    coeffs = [Fraction(1)]
+    sm = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        sm = matmul(s, [[x + coeffs[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(sm)])
+        coeffs.append(-sum(sm[i][i] for i in range(n)) / k)
+    zero = next(i for i, c in enumerate(reversed(coeffs)) if c)
+    signs = [c > 0 for c in coeffs if c]
+    pos = sum(x != y for x, y in zip(signs, signs[1:]))
+    return pos, n - zero - pos, zero
 
 
 def intersect_spans(a: Sequence[Vector], b: Sequence[Vector]) -> List[Vector]:

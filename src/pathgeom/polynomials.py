@@ -23,6 +23,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .scalars import index_from_json, rational_from_json
+
 Exponent = Tuple[int, ...]
 
 #: the largest exponent :meth:`Poly.from_json` reads; x^(10^30) at 3/2 would
@@ -180,7 +182,7 @@ class Poly:
 
     @classmethod
     def from_json(cls, data, nvars: int) -> "Poly":
-        p = cls(nvars, {tuple(t["exp"]): Fraction(t["c"]) for t in data})
+        p = cls(nvars, {tuple(map(index_from_json, t["exp"])): rational_from_json(t["c"]) for t in data})
         for exp in p.terms:
             if any(e > MAX_EXPONENT for e in exp):
                 raise ValueError(f"exponents above {MAX_EXPONENT} are not read, got {exp}")

@@ -9,7 +9,8 @@ random integral flags stand in for the ordinary flags of the Cartan test.
 The span and CR references keep the incremental rank tests that the library
 replaced by one null space and one echelon form.  Row reduction in Fraction
 arithmetic and the value/gradient evaluator that compiled each function on its
-own are kept as references for the integer elimination and the jet compile.
+own are kept as references for the integer elimination and the jet compile, and
+Lagrange's congruence reduction as the reference for the exact inertia.
 """
 
 from __future__ import annotations
@@ -438,3 +439,45 @@ class CompiledFunctions:
                 for (pnv, pns), (pdv, pds) in ((raw[pn], raw[pd]) for pn, pd in partials)
             ))
         return values, grads
+
+
+def lagrange_inertia(a) -> tuple:
+    """Signature (positive, negative, zero) of an exact symmetric matrix by Lagrange's
+    congruence reduction: diagonalize by simultaneous row and column operations,
+    which preserve inertia (Sylvester)."""
+    m = linalg.mat(a)
+    n = len(m)
+    pos = neg = zero = 0
+    k = 0
+    while k < n:
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
+            if swap is not None:
+                m[k], m[swap] = m[swap], m[k]
+                for row in m:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                off = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+                if off is None:
+                    zero += 1
+                    k += 1
+                    continue
+                # add row/col `off` into k: new diagonal entry 2*m[off][k] != 0
+                for j in range(n):
+                    m[k][j] += m[off][j]
+                for j in range(n):
+                    m[j][k] += m[j][off]
+        if m[k][k] > 0:
+            pos += 1
+        else:
+            neg += 1
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                f = m[i][k] / pivot
+                for j in range(n):
+                    m[i][j] -= f * m[k][j]
+                for j in range(n):
+                    m[j][i] -= f * m[j][k]
+        k += 1
+    return pos, neg, zero

@@ -14,7 +14,7 @@ from pathgeom import OMEGA0, PHI0, VolumeForm, linalg, pairing_signature
 from pathgeom.splitting import lines_parallel
 
 from conftest import rand_fraction
-from oracles import fraction_nullspace, fraction_rref, greedy_intersect_spans, leibniz_det, span_equal
+from oracles import fraction_nullspace, fraction_rref, greedy_intersect_spans, lagrange_inertia, leibniz_det, span_equal
 
 
 def rand_matrix(rng, rows, cols):
@@ -98,6 +98,15 @@ class TestDispatch:
                           linalg.transpose(b))
         expected = (signs.count(1), signs.count(-1), signs.count(0))
         assert linalg.inertia(s) == linalg.inertia(floats(s)) == expected
+
+    def test_inertia_matches_the_congruence_reduction(self, rng):
+        """Descartes on det(λ − S) against Lagrange's reduction, on sizes 1–7, most of them singular."""
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            b = rank_r_matrix(rng, n, n, rng.randint(1, n)) if rng.random() < 0.5 else rand_matrix(rng, n, n)
+            d = [[rng.choice((0, rand_fraction(rng, -3, 3, 3))) if i == j else 0 for j in range(n)] for i in range(n)]
+            s = linalg.matmul(linalg.matmul(b, d), linalg.transpose(b))
+            assert linalg.inertia(s) == lagrange_inertia(s)
 
     def test_inertia_rejects_asymmetric_input(self):
         with pytest.raises(ValueError):
