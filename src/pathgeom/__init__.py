@@ -7,8 +7,9 @@ with the degree invariant, the path geometry and CR structure induced on
 parametrized hypersurfaces of ℂ², and an exact Cartan-test involutivity
 verification on the associated 12-dimensional model space.
 
-Exact-rational and floating scalar backends coexist; whatever can be decided
-without square roots is computed with zero tolerance.
+Every value is an exact ``fractions.Fraction``, so whatever can be decided
+without square roots is decided with zero tolerance; only values a square
+root away (κ, the degree, the normal-form and adapted coframes) are floats.
 """
 
 import importlib.util

@@ -126,7 +126,8 @@ def cmd_pair_classify(payload, cfg: Config) -> tuple:
     gram = gram_matrix(omega, phi, eps)
     (ww, wp), (_, pp) = gram
     report = {
-        "pairings": {"ww": ww, "wp": wp, "pp": pp},
+        # written now, so that a pairing past the digit limit is refused before any float work
+        "pairings": {"ww": scalar_to_json(ww), "wp": scalar_to_json(wp), "pp": scalar_to_json(pp)},
         "symplectic": {"omega": ww != 0, "phi": pp != 0},
         "elliptic": _gram_definite_sign(gram) != 0,
     }
@@ -137,7 +138,7 @@ def cmd_pair_classify(payload, cfg: Config) -> tuple:
     if report["elliptic"]:
         pair = EllipticPair(omega, phi_orth, eps)
         nf = normal_form(pair, tol=cfg.tolerance)
-        report["kappa"] = kappa_invariant(pair, tol=cfg.tolerance)
+        report["kappa"] = kappa_invariant(pair)
         report["normal_form"] = nf.to_json()
         report["reconstruction_residual"] = nf.residual
     else:
@@ -156,12 +157,13 @@ def cmd_splitting_degree(payload, cfg: Config) -> tuple:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed splitting: {exc}") from exc
     d2 = degree_squared(s)
-    d = math.sqrt(float(d2))
+    d2_text = scalar_to_json(d2)  # refused here, before its square root, past the digit limit
+    d = math.sqrt(d2)
     model_d = degree(canonical_model(d))
     report = {
         "degree": d,
-        "degree_squared": d2 if isinstance(d2, Fraction) else float(d2),
-        "orthogonal": d <= cfg.tolerance,
+        "degree_squared": d2_text,
+        "orthogonal": d2 == 0,
         "epsilon_flipped": s.epsilon_flipped,
         "canonical_model_degree": model_d,
         "canonical_model_residual": abs(model_d - d),
@@ -198,7 +200,7 @@ def cmd_eds_verify(payload, cfg: Config, samples: Optional[int]) -> tuple:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pathgeom", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--tol", type=float, default=1e-9, help="floating-path tolerance (default 1e-9)")
+    parser.add_argument("--tol", type=float, default=1e-9, help="allowance of the float reconstruction residuals (default 1e-9)")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled verifications")
     parser.add_argument("--epsilon", type=str, default=None, help="volume form override as MultiVector JSON")
     parser.add_argument("--out", type=str, default=None, help="write the report to this path instead of stdout")

@@ -92,7 +92,10 @@ class CurvatureSample:
 
     @classmethod
     def from_json(cls, data) -> "CurvatureSample":
-        return cls(*(rational_from_json(data[k]) for k in ("W1", "W2", "F1", "F2")))
+        """Read a sample; one that its report could not write back is refused here."""
+        sample = cls(*(rational_from_json(data[k]) for k in ("W1", "W2", "F1", "F2")))
+        sample.to_json()
+        return sample
 
 
 def sample_curvatures(n: int, seed: int = 0, bound: int = 10, denominator: int = 100) -> List[CurvatureSample]:

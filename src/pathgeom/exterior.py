@@ -3,9 +3,8 @@
 The central object is :class:`MultiVector`, a homogeneous element of
 Λᵏ(ℝⁿ)* stored sparsely: a map from strictly increasing 1-based index
 tuples to scalars.  Index tuples are sign-normalized at construction, so
-equality of values is plain dictionary equality.  Coefficients are either
-exact rationals or floats (see :mod:`pathgeom.scalars`); every operation
-stays exact when all of its inputs are exact.
+equality of values is plain dictionary equality.  Coefficients are
+``Fraction``s (see :mod:`pathgeom.scalars`), so every operation is exact.
 
 The dimension-4 specifics live at the bottom: the wedge pairing
 ⟨ω,φ⟩ defined by ω∧φ = ⟨ω,φ⟩ε for a chosen volume form ε, and its split
@@ -14,13 +13,12 @@ The dimension-4 specifics live at the bottom: the wedge pairing
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from . import linalg
-from .scalars import Scalar, index_from_json, is_exact, scalar_from_json, scalar_to_json, to_scalar
+from .scalars import index_from_json, rational_from_json, scalar_to_json, to_scalar
 
 MIN_DIM = 3
 MAX_DIM = 12
@@ -51,12 +49,12 @@ class MultiVector:
 
     __slots__ = ("dim", "degree", "terms")
 
-    def __init__(self, dim: int, degree: int, terms: Mapping[IndexTuple, Scalar]):
+    def __init__(self, dim: int, degree: int, terms: Mapping[IndexTuple, Fraction]):
         if not MIN_DIM <= dim <= MAX_DIM:
             raise ValueError(f"dimension must be between {MIN_DIM} and {MAX_DIM}, got {dim}")
         if not 0 <= degree <= dim:
             raise ValueError(f"degree must be between 0 and {dim}, got {degree}")
-        clean: Dict[IndexTuple, Scalar] = {}
+        clean: Dict[IndexTuple, Fraction] = {}
         for idx, coeff in terms.items():
             idx = tuple(idx)
             if len(idx) != degree:
@@ -75,9 +73,9 @@ class MultiVector:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_terms(cls, dim: int, terms: Iterable[Tuple[Sequence[int], Scalar]], degree: int | None = None) -> "MultiVector":
+    def from_terms(cls, dim: int, terms: Iterable[Tuple[Sequence[int], Fraction]], degree: int | None = None) -> "MultiVector":
         """Build from (indices, coefficient) pairs; indices may be unsorted."""
-        acc: Dict[IndexTuple, Scalar] = {}
+        acc: Dict[IndexTuple, Fraction] = {}
         deg = degree
         for indices, coeff in terms:
             idx, sign = _normalize_indices(indices)
@@ -103,13 +101,13 @@ class MultiVector:
         return cls.from_terms(dim, [(tuple(indices), Fraction(1))], degree=len(indices))
 
     @classmethod
-    def one_form(cls, components: Sequence[Scalar]) -> "MultiVector":
+    def one_form(cls, components: Sequence[Fraction]) -> "MultiVector":
         """Covector with the given components in the dual basis."""
         return cls(len(components), 1, {(i + 1,): to_scalar(c) for i, c in enumerate(components) if to_scalar(c) != 0})
 
     # -- basic queries -----------------------------------------------------
 
-    def coefficient(self, indices: Sequence[int]) -> Scalar:
+    def coefficient(self, indices: Sequence[int]) -> Fraction:
         """Coefficient on an index tuple, sign-normalizing unsorted input."""
         idx, sign = _normalize_indices(indices)
         if sign == 0:
@@ -120,12 +118,8 @@ class MultiVector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact(c) for c in self.terms.values())
-
-    def norm_inf(self) -> float:
-        return max((abs(float(c)) for c in self.terms.values()), default=0.0)
+    def norm_inf(self) -> Fraction:
+        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
 
     def components(self) -> list:
         """Coefficient vector over all increasing tuples, in lexicographic order."""
@@ -188,7 +182,7 @@ class MultiVector:
     def from_json(cls, data: Mapping) -> "MultiVector":
         return cls.from_terms(
             index_from_json(data["dim"]),
-            [(tuple(map(index_from_json, t["idx"])), scalar_from_json(t["c"])) for t in data["terms"]],
+            [(tuple(map(index_from_json, t["idx"])), rational_from_json(t["c"])) for t in data["terms"]],
             degree=index_from_json(data["degree"]),
         )
 
@@ -198,7 +192,7 @@ class VolumeForm:
 
     __slots__ = ("coefficient",)
 
-    def __init__(self, coefficient: Scalar = Fraction(1)):
+    def __init__(self, coefficient: Fraction = Fraction(1)):
         self.coefficient = to_scalar(coefficient)
         if self.coefficient == 0:
             raise ValueError("volume form must be nonzero")
@@ -232,7 +226,7 @@ class LinearMap:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix: Sequence[Sequence[Scalar]]):
+    def __init__(self, matrix: Sequence[Sequence[Fraction]]):
         rows = tuple(tuple(to_scalar(x) for x in row) for row in matrix)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("matrix must be rectangular and nonempty")
@@ -246,15 +240,11 @@ class LinearMap:
     def source_dim(self) -> int:
         return len(self.matrix[0])
 
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact(x) for row in self.matrix for x in row)
-
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
         return cls(linalg.identity(n))
 
-    def apply(self, v: Sequence[Scalar]) -> list:
+    def apply(self, v: Sequence[Fraction]) -> list:
         if len(v) != self.source_dim:
             raise ValueError("vector has wrong dimension")
         return linalg.matvec(self.matrix, [to_scalar(x) for x in v])
@@ -268,7 +258,7 @@ class LinearMap:
     def rank(self) -> int:
         return linalg.rank(self.matrix)
 
-    def det(self) -> Scalar:
+    def det(self) -> Fraction:
         if self.source_dim != self.target_dim:
             raise ValueError("determinant of a non-square map")
         return linalg.det(self.matrix)
@@ -296,7 +286,7 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     deg = a.degree + b.degree
     if deg > a.dim:
         raise ValueError(f"degree overflow: {a.degree}+{b.degree} exceeds dim {a.dim}")
-    acc: Dict[IndexTuple, Scalar] = {}
+    acc: Dict[IndexTuple, Fraction] = {}
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
             idx, sign = _normalize_indices(ia + ib)
@@ -307,7 +297,7 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     return MultiVector(a.dim, deg, acc)
 
 
-def evaluate(form: MultiVector, vectors: Sequence[Sequence[Scalar]]) -> Scalar:
+def evaluate(form: MultiVector, vectors: Sequence[Sequence[Fraction]]) -> Fraction:
     """Evaluate a degree-k form on k vectors (fully antisymmetric, multilinear)."""
     if len(vectors) != form.degree:
         raise ValueError(f"form of degree {form.degree} needs {form.degree} vectors, got {len(vectors)}")
@@ -317,7 +307,7 @@ def evaluate(form: MultiVector, vectors: Sequence[Sequence[Scalar]]) -> Scalar:
             raise ValueError("vector has wrong dimension")
     if form.degree == 0:
         return form.terms.get((), Fraction(0))
-    total: Scalar = Fraction(0)
+    total = Fraction(0)
     for idx, c in form.terms.items():
         rows = [[v[i - 1] for v in vecs] for i in idx]
         total = total + c * linalg.det(rows)
@@ -332,9 +322,9 @@ def pullback(form: MultiVector, a: LinearMap) -> MultiVector:
     k = form.degree
     if k == 0:
         return MultiVector(m, 0, dict(form.terms))
-    acc: Dict[IndexTuple, Scalar] = {}
+    acc: Dict[IndexTuple, Fraction] = {}
     for jdx in combinations(range(1, m + 1), k):
-        total: Scalar = Fraction(0)
+        total = Fraction(0)
         for idx, c in form.terms.items():
             minor = [[a.matrix[i - 1][j - 1] for j in jdx] for i in idx]
             total = total + c * linalg.det(minor)
@@ -343,17 +333,14 @@ def pullback(form: MultiVector, a: LinearMap) -> MultiVector:
     return MultiVector(m, k, acc)
 
 
-def conformal_pairing(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> Scalar:
+def conformal_pairing(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> Fraction:
     """The scalar ⟨ω,φ⟩ with ω∧φ = ⟨ω,φ⟩ε, for 2-forms on ℝ⁴."""
     if omega.dim != 4 or phi.dim != 4 or omega.degree != 2 or phi.degree != 2:
         raise ValueError("conformal pairing is defined for 2-forms on a 4-space")
-    value = wedge(omega, phi).coefficient((1, 2, 3, 4)) / eps.coefficient
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"wedge pairing overflowed to {value!r}")
-    return value
+    return wedge(omega, phi).coefficient((1, 2, 3, 4)) / eps.coefficient
 
 
-Gram = Tuple[Tuple[Scalar, Scalar], Tuple[Scalar, Scalar]]
+Gram = Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
 
 
 def gram_matrix(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> Gram:
@@ -364,27 +351,12 @@ def gram_matrix(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_
     return (ww, wp), (wp, pp)
 
 
-def _gram_pairings(g: Gram) -> Tuple[Scalar, Scalar, Scalar]:
-    """(⟨ω,ω⟩, ⟨ω,φ⟩, ⟨φ,φ⟩) of a wedge Gram, float pairings divided by a power of two.
+def _gram_definite_sign(g: Gram) -> int:
+    """+1 / −1 for a definite 2×2 wedge Gram, 0 otherwise (exactly).
 
-    The power of two is the one next to the largest pairing, so a product of
-    two scaled pairings does not overflow wherever the pairings are finite,
-    and the division rounds nothing.  Exact pairings are returned as they are.
+    A definite Gram is an elliptic pair: ⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩².
     """
     (ww, wp), (_, pp) = g
-    if is_exact(ww) and is_exact(wp) and is_exact(pp):
-        return ww, wp, pp
-    e = math.frexp(max(abs(ww), abs(wp), abs(pp)))[1]
-    return tuple(math.ldexp(float(x), -e) for x in (ww, wp, pp))
-
-
-def _gram_definite_sign(g: Gram) -> int:
-    """+1 / −1 for a definite 2×2 wedge Gram, 0 otherwise (exact if exact).
-
-    A definite Gram is an elliptic pair: ⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩², tested on the
-    scaled pairings of :func:`_gram_pairings`.
-    """
-    ww, wp, pp = _gram_pairings(g)
     if ww * pp - wp * wp <= 0:
         return 0
     return 1 if ww > 0 else -1
@@ -394,7 +366,7 @@ def pairing_signature(eps: VolumeForm = DEFAULT_VOLUME) -> Tuple[int, int]:
     """Signature (p, q) of the wedge pairing on Λ²(ℝ⁴)*: always (3, 3).
 
     Computed, not asserted: the 6×6 Gram matrix on the basis monomials
-    e^i∧e^j is built and its inertia taken (exactly, for an exact ε).
+    e^i∧e^j is built and its inertia taken exactly.
     """
     basis = [MultiVector.basis(4, idx) for idx in combinations(range(1, 5), 2)]
     gram = [[conformal_pairing(x, y, eps) for y in basis] for x in basis]

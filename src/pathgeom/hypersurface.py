@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .polynomials import Poly, RatFunc, RationalPoint, over_one_denominator
+from .scalars import scalar_to_json as _rational
 
 Coefficient = Union[Poly, RatFunc]
 NVARS = 3
@@ -289,10 +290,6 @@ class CompiledMap:
         return values, [tuple(Fraction(x, d0 * d0) for x in first) for _, d0, first, _ in parts]
 
 
-def _rational(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _point_text(coords: Sequence[Fraction]) -> str:
     """A point in an error message, written as a record's ``point`` field writes it."""
     return "(" + ", ".join(map(_rational, coords)) + ")"
@@ -324,8 +321,8 @@ class AdaptedCoframe:
         self.point, self.eta1, self.eta2, self.eta3 = point, eta1, eta2, eta3
 
     def volume(self) -> float:
-        """η₁∧η₂∧η₃ coefficient: det of the three covectors."""
-        return linalg.det([self.eta1, self.eta2, self.eta3])
+        """η₁∧η₂∧η₃ coefficient: the triple product of the three covectors, in floats."""
+        return _dot(self.eta1, _cross(self.eta2, self.eta3))
 
 
 def _floats_near_one(xs, den: int) -> Tuple[tuple, int]:
@@ -551,11 +548,13 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, compiled: Opti
     ``compiled`` can pass the map's :class:`CompiledMap` to share it across points.
     """
     compiled = compiled if compiled is not None else CompiledMap(u)
-    # the record shows the point whatever its dimension, which is checked below
+    # the record shows the point whatever its dimension, which is checked below,
+    # and null if it has too many digits to be written
     pt = RationalPoint(point, len(point))
     coords = pt.coords
-    rec: dict = {"point": [_rational(x) for x in coords]}
+    rec: dict = {"point": None}
     try:
+        rec["point"] = [_rational(x) for x in coords]
         if len(coords) != NVARS:
             raise ValueError("point has wrong dimension")
         jac, scale, djac = compiled.at(pt)

@@ -1,18 +1,14 @@
-"""Linear algebra on small dense matrices, exact or floating.
+"""Exact linear algebra on small dense matrices of Fractions.
 
-This is the one place that chooses between the exact and the floating path,
-and the only module of the package that uses numpy.  :func:`rank`,
-:func:`inverse` and :func:`inertia` look at their entries once: if every
-entry is exact (int or :class:`fractions.Fraction`) they compute exactly,
-with zero tolerance; otherwise they import numpy and hand it the matrix
-(``matrix_rank`` at its default tolerance, ``inv``, ``eigvalsh`` with a
-1e-12 cut-off), so exact work never loads it.  :func:`det`, :func:`matmul`
-and :func:`matvec` compute in whatever scalars they are given.
-:func:`rref`, :func:`nullspace`, :func:`solve` and :func:`intersect_spans` are
-exact only.  The one row reduction is :func:`echelon`, Gauss–Jordan without
-division on an integer matrix: exact :func:`rank` and :func:`rref` first
-multiply each row by the lcm of its denominators, which leaves the reduced
-row echelon form alone, and :func:`rref` then divides each row by its pivot.
+Every function is exact, with zero tolerance.  The library hands it
+``Fraction``s and ints only (see :mod:`pathgeom.scalars`); a float entry is
+read as its exact binary value, except by :func:`matmul` and :func:`matvec`,
+which compute in the scalars they are given.  The one row reduction
+is :func:`echelon`, Gauss–Jordan without division on an integer matrix:
+:func:`rank` and :func:`rref` first multiply each row by the lcm of its
+denominators, which leaves the reduced row echelon form alone, and
+:func:`rref` then divides each row by its pivot.  :func:`inertia` counts the
+signs of a symmetric matrix's eigenvalues without computing them.
 """
 
 from __future__ import annotations
@@ -21,14 +17,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .scalars import Scalar, is_exact
-
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
-
-
-def _exact(a) -> bool:
-    return all(is_exact(x) for row in a for x in row)
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
@@ -105,10 +95,7 @@ def rref(a: Sequence[Sequence[Fraction]]):
 
 
 def rank(a) -> int:
-    if _exact(a):
-        return len(echelon(_integer_rows(a))[1])
-    import numpy as np
-    return int(np.linalg.matrix_rank(np.array(a, dtype=float)))
+    return len(echelon(_integer_rows(a))[1])
 
 
 def nullspace(a) -> List[Vector]:
@@ -149,9 +136,6 @@ def inverse(a) -> Matrix:
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("not square")
-    if not _exact(a):
-        import numpy as np
-        return np.linalg.inv(np.array(a, dtype=float)).tolist()
     aug = [row + ident_row for row, ident_row in zip(mat(a), identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
@@ -159,18 +143,17 @@ def inverse(a) -> Matrix:
     return [row[n:] for row in red]
 
 
-def det(a) -> Scalar:
-    """Determinant by elimination in the entries' own scalars, largest pivot first."""
-    exact = _exact(a)
-    rows = mat(a) if exact else [[float(x) for x in row] for row in a]
+def det(a) -> Fraction:
+    """Determinant by elimination, largest pivot first."""
+    rows = mat(a)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("not square")
-    result = Fraction(1) if exact else 1.0
+    result = Fraction(1)
     for col in range(n):
         piv = max(range(col, n), key=lambda i: abs(rows[i][col]))
         if rows[piv][col] == 0:
-            return Fraction(0) if exact else 0.0
+            return Fraction(0)
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
             result = -result
@@ -186,20 +169,14 @@ def det(a) -> Scalar:
 def inertia(a) -> tuple:
     """Signature (positive, negative, zero) of a symmetric matrix.
 
-    Exact input: Descartes' rule of signs on det(λ − S), which Faddeev–LeVerrier
-    computes; the rule is exact since a symmetric S has only real eigenvalues, and
-    zero is counted by the trailing zero coefficients.  No tolerances.
-    Float input: eigenvalues, with |λ| ≤ 1e-12 counted as zero.
+    Descartes' rule of signs on det(λ − S), which Faddeev–LeVerrier computes;
+    the rule is exact since a symmetric S has only real eigenvalues, and zero
+    is counted by the trailing zero coefficients.  No tolerances.
     """
-    s = [list(row) for row in a]
+    s = mat(a)
     n = len(s)
     if transpose(s) != s:
         raise ValueError("matrix is not symmetric")
-    if not _exact(s):
-        import numpy as np
-        eigs = np.linalg.eigvalsh(np.array(s, dtype=float))
-        pos, neg = int((eigs > 1e-12).sum()), int((eigs < -1e-12).sum())
-        return pos, neg, n - pos - neg
     # cₙ = 1, cₙ₋₁, …, c₀ from M₀ = 0: Mₖ = S·Mₖ₋₁ + cₙ₋ₖ₊₁·I and cₙ₋ₖ = −tr(S·Mₖ)/k
     coeffs = [Fraction(1)]
     sm = [[0] * n for _ in range(n)]

@@ -9,10 +9,10 @@ The construction contracts the two forms with two vectors.  With e₁ = ∂₁
 and e₃ the minimum-norm solution of ω(e₁,e₃) = 1, φ(e₁,e₃) = 0, the coframe
 is e¹ = −ω(e₃,·), e² = −φ(e₃,·)/κ, e³ = ω(e₁,·), e⁴ = φ(e₁,·)/κ with
 κ² = ⟨φ,φ⟩/⟨ω,ω⟩; then ω + iφ/κ = (e¹ + ie²)∧(e³ + ie⁴).  No matrix is
-inverted.  The coframe is computed in Fractions on the input's values, float
-coefficients included, so the only roundings are κ's square root and the
-storing of the basis as floats.  The result is certified by its
-reconstruction of (ω, φ) before it is returned.
+inverted.  Ellipticity and orthogonality are exact tests on the wedge Gram,
+and the coframe is computed in Fractions, so the only roundings are κ's
+square root and the storing of the basis as floats.  The result is certified
+by its reconstruction of (ω, φ), in floats, before it is returned.
 
 An :class:`EllipticPair` computes its wedge Gram once, when built, and keeps
 it as ``pair.gram``; the functions below that take a pair read it from there.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Tuple
 
 from . import linalg
@@ -36,8 +37,8 @@ from .exterior import (
     pullback,
     wedge,
 )
-from .scalars import Scalar, is_exact
 
+#: the allowance of the float reconstruction residual, relative to the largest coefficient
 DEFAULT_TOL = 1e-9
 
 
@@ -53,14 +54,14 @@ def is_symplectic(omega: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> bool:
 
 
 def is_elliptic(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> bool:
-    """Strict inequality ⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩², exact on rational inputs."""
+    """Strict inequality ⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩², exactly."""
     _check_two_form(omega, "omega")
     _check_two_form(phi, "phi")
     return _gram_definite_sign(gram_matrix(omega, phi, eps)) != 0
 
 
 def orthogonalize(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> MultiVector:
-    """φ′ = φ − (⟨ω,φ⟩/⟨ω,ω⟩)ω, so that ⟨ω,φ′⟩ = 0 (exactly, on exact inputs)."""
+    """φ′ = φ − (⟨ω,φ⟩/⟨ω,ω⟩)ω, so that ⟨ω,φ′⟩ = 0 exactly."""
     _check_two_form(omega, "omega")
     _check_two_form(phi, "phi")
     ww = conformal_pairing(omega, omega, eps)
@@ -87,27 +88,23 @@ class EllipticPair:
         self.omega, self.phi, self.eps, self.gram = omega, phi, eps, g
 
 
-def _require_orthogonal(pair: EllipticPair, tol: float) -> Tuple[Scalar, Scalar, Scalar]:
-    """The pair's pairings (⟨ω,ω⟩, ⟨ω,φ⟩, ⟨φ,φ⟩), once it is checked to be orthogonal."""
+def _require_orthogonal(pair: EllipticPair) -> Tuple[Fraction, Fraction]:
+    """The pair's self-pairings (⟨ω,ω⟩, ⟨φ,φ⟩), once ⟨ω,φ⟩ = 0 is checked."""
     (ww, wp), (_, pp) = pair.gram
-    if is_exact(wp) and pair.omega.is_exact and pair.phi.is_exact:
-        if wp != 0:
-            raise ValueError("pair is not orthogonal (exact check)")
-    else:
-        if abs(float(wp)) > tol * math.sqrt(abs(float(ww))) * math.sqrt(abs(float(pp))):
-            raise ValueError("pair is not orthogonal beyond tolerance")
-    return ww, wp, pp
+    if wp != 0:
+        raise ValueError("pair is not orthogonal")
+    return ww, pp
 
 
-def kappa_invariant_squared(pair: EllipticPair, tol: float = DEFAULT_TOL) -> Scalar:
-    """κ² = ⟨φ,φ⟩/⟨ω,ω⟩ (exact on exact inputs)."""
-    ww, _, pp = _require_orthogonal(pair, tol)
+def kappa_invariant_squared(pair: EllipticPair) -> Fraction:
+    """κ² = ⟨φ,φ⟩/⟨ω,ω⟩, exactly."""
+    ww, pp = _require_orthogonal(pair)
     return pp / ww
 
 
-def kappa_invariant(pair: EllipticPair, tol: float = DEFAULT_TOL) -> float:
+def kappa_invariant(pair: EllipticPair) -> float:
     """κ = sqrt(⟨φ,φ⟩/⟨ω,ω⟩), the complete invariant of an orthogonal elliptic pair."""
-    return math.sqrt(float(kappa_invariant_squared(pair, tol)))
+    return math.sqrt(kappa_invariant_squared(pair))
 
 
 class NormalForm:
@@ -168,7 +165,7 @@ class NormalForm:
 
 
 def _form_matrix(form: MultiVector) -> linalg.Matrix:
-    """The skew matrix W with form(u, v) = uᵀWv, in the coefficients' own scalars."""
+    """The skew matrix W with form(u, v) = uᵀWv."""
     w = [[Fraction(0)] * 4 for _ in range(4)]
     for (i, j), c in form.terms.items():
         w[i - 1][j - 1] = c
@@ -179,38 +176,35 @@ def _form_matrix(form: MultiVector) -> linalg.Matrix:
 def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
     """Normalizing coframe of an orthogonal elliptic pair, exact up to κ.
 
-    Exact input gets exact checks; float input the tolerances below.  Raises
-    for non-elliptic or non-orthogonal input.  If both self-pairings are
-    negative the volume form is flipped and the flip recorded.  The returned
-    form keeps the reconstruction residual it was checked on.
+    Raises for a pair that is not orthogonal, exactly, and for a float
+    reconstruction residual beyond ``tol`` times the largest coefficient.  If
+    both self-pairings are negative the volume form is flipped and the flip
+    recorded.  The returned form keeps the reconstruction residual it was
+    checked on.
     """
-    ww, _, pp = _require_orthogonal(pair, tol)
+    ww, pp = _require_orthogonal(pair)
     # elliptic + orthogonal forces sign(<w,w>) == sign(<p,p>)
     flipped = ww < 0
-    kappa = math.sqrt(float(pp) / float(ww))
+    k2 = pp / ww
+    kappa = math.sqrt(k2)
 
-    # exact on the input's values, floats too (a float is a binary fraction),
-    # so a float basis is rounded once, when it is stored.  e3 is the
+    # exact, so the basis is rounded once, when it is stored.  e3 is the
     # minimum-norm solution of m0·e3 = 1, m1·e3 = 0 for m0 = ω(e1,·),
     # m1 = φ(e1,·), e1 = ∂₁; an elliptic pair has no real eigenvector of A
-    # (φ(u,v) = ω(Au,v)), so m0 ∦ m1
-    k2 = Fraction(pp) / Fraction(ww)
-    w_omega, w_phi = linalg.mat(_form_matrix(pair.omega)), linalg.mat(_form_matrix(pair.phi))
+    # (φ(u,v) = ω(Au,v)), so m0 ∦ m1 and d > 0
+    w_omega, w_phi = _form_matrix(pair.omega), _form_matrix(pair.phi)
     m0, m1 = w_omega[0], w_phi[0]
     g00, g01, g11 = (sum(x * y for x, y in zip(u, v)) for u, v in ((m0, m0), (m0, m1), (m1, m1)))
     d = g00 * g11 - g01 * g01
-    if d == 0:  # only a float pair at the edge of ellipticity gets here
-        raise ValueError("constructed basis is singular")
     e3 = [(g11 * x - g01 * y) / d for x, y in zip(m0, m1)]
     # the coframe dual to (e1, −Ae1, e3, −Ae3), before the (1, κ, 1, κ) scaling:
     # −ω(e3,·) = W_ω·e3, −φ(e3,·)/κ², m0, m1/κ²
     rows = (linalg.matvec(w_omega, e3), [x / k2 for x in linalg.matvec(w_phi, e3)], m0, [x / k2 for x in m1])
 
     # ω∧ω = 2e¹∧e²∧e³∧e⁴ in the normal form and c·<w,w>·e¹²³⁴ for ε = c·e¹²³⁴,
-    # so r = 1 (exactly, on exact input); r > 0 says the rows are independent
-    # and positive on ε exactly when <w,w> > 0, as epsilon_flipped records
-    r = linalg.det(rows) * 2 * k2 / (Fraction(pair.eps.coefficient) * Fraction(ww))
-    if not r > 0:
+    # so r = 1: the rows are independent and positive on ε exactly when
+    # <w,w> > 0, as epsilon_flipped records
+    if linalg.det(rows) * 2 * k2 != pair.eps.coefficient * ww:
         raise ValueError("constructed basis is singular or inconsistently oriented; input violates invariants")
     nf = NormalForm(
         kappa=kappa,
@@ -225,8 +219,23 @@ def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
 
 
 def reconstruction_residual(pair: EllipticPair, nf: NormalForm) -> float:
-    rec_omega, rec_phi = nf.reconstruct()
-    return max((rec_omega - pair.omega).norm_inf(), (rec_phi - pair.phi).norm_inf())
+    """The largest coefficient of (ω, φ) rebuilt from the float basis and κ, minus (ω, φ).
+
+    In floats: the coefficient of e¹∧e³ − e²∧e⁴ and of κ(e¹∧e⁴ + e²∧e³) on
+    dxⁱ∧dxʲ is a sum of 2×2 minors of the basis rows, as in :meth:`NormalForm.reconstruct`.
+    """
+    e1, e2, e3, e4 = nf.basis
+
+    def minor(a, b, i, j):
+        return a[i] * b[j] - a[j] * b[i]
+
+    res = 0.0
+    for i, j in combinations(range(4), 2):
+        omega = pair.omega.terms.get((i + 1, j + 1), 0)
+        phi = pair.phi.terms.get((i + 1, j + 1), 0)
+        res = max(res, abs(minor(e1, e3, i, j) - minor(e2, e4, i, j) - float(omega)),
+                  abs((minor(e1, e4, i, j) + minor(e2, e3, i, j)) * nf.kappa - float(phi)))
+    return res
 
 
 def pullback_pair_independent(pair: EllipticPair, a: LinearMap) -> Tuple[MultiVector, MultiVector, bool]:

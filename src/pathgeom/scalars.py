@@ -1,49 +1,57 @@
-"""Scalar backends, and the one reader for every number and index in JSON input.
+"""The one scalar, :class:`fractions.Fraction`, and the one reader for every number and index.
 
-Two representations coexist: :class:`fractions.Fraction` for the exact path
-and ``float`` for the numerical path.  ``Fraction`` keeps values in lowest
-terms with positive denominator, which makes equality of exact results
-bit-for-bit reproducible.  Mixing the two representations in an arithmetic
-operation promotes the result to ``float``; the promotion is visible in the
-result's type (and in ``is_exact`` of any container built from it).
+Every coefficient, matrix entry, pairing and curvature value of the library is
+a ``Fraction``, kept in lowest terms with a positive denominator, so every
+test that needs no square root (ellipticity, orthogonality, degree², equality
+of planes) is decided exactly and reproducibly.  Values a square root away,
+such as κ, the degree and the coframes built from them, are floats.
 
-Every ``from_json`` reads its numbers here.  A number is an int that is not a
-bool, a ``"p/q"`` or decimal string, or a finite float, read as the decimal it
-prints as (0.1 is 1/10); only :func:`scalar_from_json` keeps a float a float.
-A text of more than :data:`MAX_DIGITS` characters, or a decimal exponent
-beyond ±:data:`MAX_DIGITS`, is refused before ``Fraction`` sees it.  An index
-is a number with an integral value: 4.0 is 4, and bools, strings and 1.5 are
-refused.
+A number becomes a ``Fraction`` by one of two rules, because it comes in one
+of two forms:
+
+* **JSON input** (:func:`rational_from_json`) is decimal text, so a number is
+  read as the decimal it prints as: ``0.1`` is 1/10.  A number is an int that
+  is not a bool, a ``"p/q"`` or decimal string, or a finite float.  A text of
+  more than :data:`MAX_DIGITS` characters, or a decimal exponent beyond
+  ±:data:`MAX_DIGITS`, is refused before ``Fraction`` sees it.
+* **A library caller's Python float** (:func:`to_scalar`) is a binary
+  fraction, so it becomes its exact binary value, ``Fraction(x)``: ``0.1`` is
+  3602879701896397/36028797018963968.  A non-finite float is refused.
+
+An index is a number with an integral value: 4.0 is 4, and bools, strings and
+1.5 are refused.  :func:`scalar_to_json` writes a ``Fraction`` as ``"p/q"`` and
+refuses one whose numerator or denominator has more than :data:`MAX_DIGITS`
+digits, the most that CPython converts to text.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
-
-Scalar = Union[Fraction, float]
 
 #: the most characters, and the largest decimal exponent, of a number that is
-#: read: CPython's own limit for int <-> str conversion
+#: read, and the most digits of a numerator or denominator that is written:
+#: CPython's own limit for int <-> str conversion
 MAX_DIGITS = 4300
 
-
-def to_scalar(value) -> Scalar:
-    """Coerce a number (or a ``"p/q"`` string) to a Scalar: a Fraction or float stays as it is."""
-    return value if isinstance(value, (Fraction, float)) else scalar_from_json(value)
+_TOO_LONG = 10 ** MAX_DIGITS
 
 
-def is_exact(value: Scalar) -> bool:
-    return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
+def to_scalar(value) -> Fraction:
+    """A number or a ``"p/q"`` string as a Fraction; a float is its exact binary value."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float) and math.isfinite(value):
+        return Fraction(value)
+    return rational_from_json(value)  # which refuses a non-finite float
 
 
-def scalar_to_json(value: Scalar):
-    """Exact rationals serialize as "p/q" strings, floats as JSON numbers."""
-    if is_exact(value):
-        f = Fraction(value)
-        return f"{f.numerator}/{f.denominator}"
-    return float(value)
+def scalar_to_json(value: Fraction) -> str:
+    """``"p/q"``; a numerator or denominator past :data:`MAX_DIGITS` digits is refused."""
+    if abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
+        raise ValueError(f"an exact value with more than {MAX_DIGITS} digits in its numerator or denominator "
+                         "cannot be written")
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _fraction(text: str) -> Fraction:
@@ -61,8 +69,8 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def scalar_from_json(value) -> Scalar:
-    """A JSON number as a Scalar: exact, except that a finite float stays a float."""
+def rational_from_json(value) -> Fraction:
+    """The exact value of a JSON number; a float is read as the decimal it prints as."""
     if isinstance(value, str):
         return _fraction(value)
     if isinstance(value, bool):
@@ -72,14 +80,8 @@ def scalar_from_json(value) -> Scalar:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite number {value!r}")
-        return value
+        return _fraction(repr(value))
     raise TypeError(f"cannot parse scalar from {value!r}")
-
-
-def rational_from_json(value) -> Fraction:
-    """The exact value of a JSON number; a float is read as the decimal it prints as."""
-    x = scalar_from_json(value)
-    return _fraction(repr(x)) if isinstance(x, float) else x
 
 
 def index_from_json(value) -> int:

@@ -9,8 +9,10 @@ invariant under pullback equivalence is a single number, the degree
     degree = |⟨ω,ω′⟩| / sqrt(⟨ω,ω⟩⟨ω′,ω′⟩ − ⟨ω,ω′⟩²)
 
 for any generators ω of L₁ and ω′ of L₂.  The model of degree α has
-L₁ = {ω₀} and L₂ = {αω₀ + φ₀}.  Spans, orientations and degree² are exact
-on exact input; only the degree and :func:`j_of_plane` take a square root.
+L₁ = {ω₀} and L₂ = {αω₀ + φ₀}.  Spans, orientations and degree² are exact;
+only the degree and :func:`j_of_plane` take a square root, and J is exact
+when that root is rational.  The checks that take an allowance ``tol``
+(J² = −Id, equal spans, equal degrees) default to 0, which makes them exact.
 Every matrix computation goes through :mod:`pathgeom.linalg`.
 
 An :class:`OrientedPositivePlane` or :class:`Splitting` computes the wedge
@@ -21,7 +23,8 @@ keeps it as ``gram``; the functions below read their pairings from it.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from fractions import Fraction
+from typing import Sequence
 
 from . import linalg
 from .exterior import (
@@ -33,22 +36,21 @@ from .exterior import (
     MultiVector,
     VolumeForm,
     _gram_definite_sign,
-    _gram_pairings,
     conformal_pairing,
     gram_matrix,
     pullback,
     wedge,
 )
 from .pairs import DEFAULT_TOL, _form_matrix, orthogonalize
-from .scalars import Scalar, is_exact, to_scalar
+from .scalars import to_scalar
 
 
 class ComplexStructure:
-    """Orientation-compatible complex structure J on ℝ⁴ (J² = −Id)."""
+    """Orientation-compatible complex structure J on ℝ⁴: J² = −Id to within ``tol``, exactly by default."""
 
     __slots__ = ("matrix", "tol")
 
-    def __init__(self, matrix: Sequence[Sequence[Scalar]], tol: float = DEFAULT_TOL):
+    def __init__(self, matrix: Sequence[Sequence[Fraction]], tol: float = 0):
         rows = tuple(tuple(to_scalar(x) for x in row) for row in matrix)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("J must be a 4x4 matrix")
@@ -61,12 +63,8 @@ class ComplexStructure:
     def _check_square(self):
         sq = linalg.matmul(self.matrix, self.matrix)
         residual = max(abs(sq[i][j] + (1 if i == j else 0)) for i in range(4) for j in range(4))
-        if residual > (0 if self.is_exact else self.tol):
-            raise ValueError("J^2 != -Id" + (" (exact check)" if self.is_exact else " beyond tolerance"))
-
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact(x) for row in self.matrix for x in row)
+        if residual > self.tol:
+            raise ValueError(f"J^2 != -Id to within {self.tol}")
 
     def as_map(self) -> LinearMap:
         return LinearMap(self.matrix)
@@ -94,23 +92,22 @@ class OrientedPositivePlane:
             raise ValueError("wedge pairing is negative definite on the span: the plane belongs to the opposite orientation")
         self.omega, self.phi, self.eps, self.gram = omega, phi, eps, g
 
-    def spans_same_oriented_plane(self, other: "OrientedPositivePlane", tol: float = DEFAULT_TOL) -> bool:
-        """Equal spans and consistent orientation (exact when inputs are exact).
+    def spans_same_oriented_plane(self, other: "OrientedPositivePlane", tol: float = 0) -> bool:
+        """Equal spans and consistent orientation, exactly by default.
 
         Each generator x of ``other`` is projected onto this span through the
         wedge Gram G, which is positive definite here: its coefficients are
-        c = G⁻¹(⟨ω,x⟩, ⟨φ,x⟩).  x lies in the span iff x − c₁ω − c₂φ vanishes,
-        exactly on exact input and to ``tol`` times the size of ``other``
-        otherwise; the orientations agree iff det[c] > 0.
+        c = G⁻¹(⟨ω,x⟩, ⟨φ,x⟩).  x lies in the span iff no coefficient of
+        x − c₁ω − c₂φ exceeds ``tol`` times the size of ``other``, so iff it
+        vanishes at ``tol`` = 0; the orientations agree iff det[c] > 0.
         """
         mine = (self.omega, self.phi)
-        exact = all(f.is_exact for f in mine + (other.omega, other.phi)) and is_exact(self.eps.coefficient)
-        scale = max(1.0, other.omega.norm_inf(), other.phi.norm_inf())
+        scale = max(1, other.omega.norm_inf(), other.phi.norm_inf())
         gram_inv = linalg.inverse(self.gram)
         coeffs = []
         for x in (other.omega, other.phi):
             c = linalg.matvec(gram_inv, [conformal_pairing(f, x, self.eps) for f in mine])
-            if (x - self.omega * c[0] - self.phi * c[1]).norm_inf() > (0 if exact else tol * scale):
+            if (x - self.omega * c[0] - self.phi * c[1]).norm_inf() > tol * scale:
                 return False
             coeffs.append(c)
         return linalg.det(coeffs) > 0
@@ -137,7 +134,7 @@ class Splitting:
         if sign == 0:
             raise ValueError("wedge pairing is indefinite on the span of the two lines")
         if sign < 0:
-            # negating each pairing is exact, so this is the Gram under −ε bit for bit
+            # negated pairings: the Gram under −ε
             g = tuple(tuple(-x for x in row) for row in g)
             eps, epsilon_flipped = eps.flipped(), True
         self.line1, self.line2, self.eps, self.epsilon_flipped, self.gram = line1, line2, eps, epsilon_flipped, g
@@ -158,7 +155,7 @@ class Splitting:
 
 
 def lines_parallel(a: MultiVector, b: MultiVector) -> bool:
-    """Whether two 2-forms span the same line (exact when inputs are exact)."""
+    """Whether two 2-forms span the same line, exactly."""
     return linalg.rank([a.components(), b.components()]) <= 1
 
 
@@ -198,11 +195,12 @@ def _skew_inverse(w) -> list:
 
 
 def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStructure:
-    """Inverse of :func:`plane_of` up to tolerance.
+    """Inverse of :func:`plane_of`, exact when ⟨ω,ω⟩/⟨φ₁,φ₁⟩ is the square of a rational.
 
     With φ₁ = φ orthogonalized against ω, the pair (ω, √(⟨ω,ω⟩/⟨φ₁,φ₁⟩)·φ₁)
     has κ = 1, so J = −A for the A with φ(u,v) = ω(Au,v) of that pair, A² = −Id:
-    J = −√(⟨ω,ω⟩/⟨φ₁,φ₁⟩)·W_ω⁻¹W_φ₁, exact up to the one square root.
+    J = −√(⟨ω,ω⟩/⟨φ₁,φ₁⟩)·W_ω⁻¹W_φ₁.  An irrational root is a float, and J
+    is then checked to a multiple of ``tol``.
     """
     omega = p.omega
     phi1 = orthogonalize(omega, p.phi, p.eps)
@@ -210,7 +208,9 @@ def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStr
     pp = conformal_pairing(phi1, phi1, p.eps)
     if pp <= 0 or ww <= 0:
         raise ValueError("plane is not positive; cannot build a complex structure")
-    s = -math.sqrt(float(ww) / float(pp))
+    q = ww / pp
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    s = -(Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else math.sqrt(q))
     a = linalg.matmul(_skew_inverse(_form_matrix(omega)), _form_matrix(phi1))
     return ComplexStructure(tuple(tuple(s * x for x in row) for row in a), tol=max(tol, 1e-12) * 100)
 
@@ -218,9 +218,9 @@ def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStr
 # -- degree and canonical models --------------------------------------------
 
 
-def degree_squared(s: Splitting) -> Scalar:
-    """degree² = ⟨ω,ω′⟩² / (⟨ω,ω⟩⟨ω′,ω′⟩ − ⟨ω,ω′⟩²); exact on exact inputs."""
-    ww, wp, pp = _gram_pairings(s.gram)
+def degree_squared(s: Splitting) -> Fraction:
+    """degree² = ⟨ω,ω′⟩² / (⟨ω,ω⟩⟨ω′,ω′⟩ − ⟨ω,ω′⟩²), exactly."""
+    (ww, wp), (_, pp) = s.gram
     denom = ww * pp - wp * wp
     if denom <= 0:
         raise ValueError("splitting invariant violated: nonpositive Gram determinant")
@@ -229,7 +229,7 @@ def degree_squared(s: Splitting) -> Scalar:
 
 def degree(s: Splitting) -> float:
     """The degree invariant; 0 for orthogonal splittings."""
-    return math.sqrt(float(degree_squared(s)))
+    return math.sqrt(degree_squared(s))
 
 
 def canonical_model(alpha, eps: VolumeForm = DEFAULT_VOLUME) -> Splitting:
@@ -240,15 +240,14 @@ def canonical_model(alpha, eps: VolumeForm = DEFAULT_VOLUME) -> Splitting:
     return Splitting(OMEGA0, OMEGA0 * a + PHI0, eps)
 
 
-def equivalent(s1: Splitting, s2: Splitting, tol: float = DEFAULT_TOL) -> bool:
+def equivalent(s1: Splitting, s2: Splitting, tol: float = 0) -> bool:
     """Splittings are equivalent iff their degrees agree (complete invariant).
 
-    Exact splittings compare degree² exactly; otherwise degrees agree to ``tol``.
+    The degrees δ₁, δ₂ agree to within ``tol`` iff |δ₁² − δ₂²| ≤ tol·(δ₁ + δ₂),
+    which at the default ``tol`` = 0 compares the exact degree² values.
     """
     d1, d2 = degree_squared(s1), degree_squared(s2)
-    if is_exact(d1) and is_exact(d2):
-        return d1 == d2
-    return abs(math.sqrt(float(d1)) - math.sqrt(float(d2))) <= tol
+    return abs(d1 - d2) <= tol * (math.sqrt(d1) + math.sqrt(d2))
 
 
 def act(a: LinearMap, s: Splitting) -> Splitting:

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import pathgeom
-from pathgeom import LinearMap, MultiVector, OMEGA0, PHI0, act, canonical_model, heisenberg_model, pullback
+from pathgeom import (
+    LinearMap, MultiVector, OMEGA0, PHI0, act, canonical_model, conformal_pairing, heisenberg_model, pullback,
+)
 from pathgeom.cli import MAX_SAMPLES, main, render_json
 from pathgeom.polynomials import MAX_EXPONENT
 
@@ -121,11 +123,33 @@ class TestPairCommand:
             assert report["kappa"] == pytest.approx(2.0, rel=1e-12)
 
     def test_overflowing_pairing_is_a_one_line_error(self, tmp_path, capsys):
+        """No longer an error: the pairings are exact, so no product of them overflows."""
         a = float_gl_plus(random.Random(3))
         payload = pair_payload(pullback(OMEGA0 * 1e160, a), pullback(PHI0 * 2e160, a))
         code, out, err = run(["pair", "--input", write_json(tmp_path, "in.json", payload)], capsys)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["elliptic"] is True and report["kappa"] == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-12"])
+    def test_float_pairs_are_orthogonalized_exactly(self, tol, tmp_path, capsys):
+        """Float GL⁺ pullbacks at condition 1e5–1e7: one exact verdict, and ⟨ω,φ′⟩ = 0 exactly."""
+        for seed in range(100):
+            rng = random.Random(seed)
+            a = LinearMap(((1, 0, 0, 0),) * 4)
+            while a.det() <= 0:
+                rows = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(4)]
+                rows[0] = [x * 10 ** rng.uniform(5, 7) for x in rows[0]]
+                a = LinearMap(rows)
+            omega, phi = (pullback(form, a) for form in (OMEGA0, PHI0 * rng.uniform(0.1, 10) + OMEGA0 * rng.uniform(-2, 2)))
+            payload = {name: {"dim": 4, "degree": 2, "terms": [{"idx": list(i), "c": float(c)} for i, c in f.terms.items()]}
+                       for name, f in (("omega", omega), ("phi", phi))}
+            code, out, err = run(["--tol", tol, "pair", "--input", write_json(tmp_path, "in.json", payload)], capsys)
+            assert code == 0, (seed, err)
+            report = json.loads(out)
+            assert report["elliptic"] is True and report["normal_form"] is not None
+            phi_orth = MultiVector.from_json(report["orthogonalized_phi"])
+            assert conformal_pairing(MultiVector.from_json(payload["omega"]), phi_orth) == 0
 
     @pytest.mark.parametrize("c", [Fraction(-1), Fraction(-1, 2), Fraction(-3)], ids=str)
     def test_negative_epsilon_flips_and_keeps_kappa(self, c, tmp_path, capsys):
@@ -294,6 +318,25 @@ class TestHypersurfaceCommand:
         assert [first, last] == json.loads(alone)["points"]
         assert all("error" not in rec for rec in (first, last))
 
+    @pytest.mark.parametrize("model, point, field", [
+        ("heisenberg", ["1e4300", "1", "1"], "point"),
+        ("sphere", ["1e1500", "1", "1"], "b1"),
+    ], ids=["heisenberg-point-1e4300", "sphere-b1-at-1e1500"])
+    def test_value_past_the_digit_limit_is_a_record_error(self, model, point, field, tmp_path, capsys):
+        """A point with a field that could not be written fails its own record; the other points keep theirs."""
+        from pathgeom import sphere_chart_model
+
+        u = heisenberg_model() if model == "heisenberg" else sphere_chart_model()
+        near = [["0", "1/2", "1/3"], ["1/5", "2", "2/7"]]
+        path = write_json(tmp_path, "in.json", {"map": u.to_json(), "points": [near[0], point, near[1]]})
+        code, out, err = run(["hypersurface", "--input", path], capsys)
+        assert code == 0 and err == ""
+        first, far, last = json.loads(out)["points"]
+        assert "more than 4300 digits" in far["error"] and far.get(field) is None
+        path = write_json(tmp_path, "near.json", {"map": u.to_json(), "points": near})
+        _, alone, _ = run(["hypersurface", "--input", path], capsys)
+        assert [first, last] == json.loads(alone)["points"]
+
     def test_empty_point_list(self, tmp_path, capsys):
         from pathgeom import heisenberg_model
 
@@ -400,8 +443,9 @@ class TestSplittingGoldenOutput:
          "bae0b19cb2010cf0b3d2590307497fcb93b4cfdec081d4444f015a9f1000bb57"),
         ({"L1": ASD.to_json(), "L2": (ASD * 2 + E(4, (1, 4)) - E(4, (2, 3))).to_json()},
          "8d10da46cdaac969d94590d211d552c85b4f8a6bec3f5cd760e61862b66ed54d"),
+        # recaptured when float coefficients became exact: degree² is now "1/36", not 0.027777777777777776
         ({"L1": (OMEGA0 * 0.5).to_json(), "L2": (OMEGA0 * 0.25 + PHI0 * 1.5).to_json()},
-         "539b7fe37962ad28012bae371f6375fec9b1ef3712b9028ef9e91cdf4aba9dd3"),
+         "c46b447b272e73581bf12f727e4e82c763f132f31d497428762e66419555f700"),
     ], ids=["model-0", "model-13/4", "pullback-2/3", "flipped", "float"])
     def test_report(self, payload, digest, tmp_path, capsys):
         code, out, _ = run(["splitting", "--input", write_json(tmp_path, "in.json", payload)], capsys)
@@ -485,17 +529,32 @@ class TestInputBoundary:
         assert err.startswith("error:") and "non-finite" in err and len(err.splitlines()) == 1
 
 
-    @pytest.mark.parametrize("command, payload", [
-        ("pair", pair_payload(OMEGA0 * 1e308, PHI0 * -1e308)),
-        ("pair", pair_payload(OMEGA0 * 1e200, MultiVector.basis(4, (1, 2)))),
-        ("splitting", {"L1": (OMEGA0 * 1e200).to_json(), "L2": ((OMEGA0 + PHI0) * 1e200).to_json()}),
+    @pytest.mark.parametrize("command, payload, expected", [
+        ("pair", pair_payload(OMEGA0 * 1e308, PHI0 * -1e308), {"elliptic": True, "kappa": 1}),
+        ("pair", pair_payload(OMEGA0 * 1e200, MultiVector.basis(4, (1, 2))), {"elliptic": False}),
+        ("splitting", {"L1": (OMEGA0 * 1e200).to_json(), "L2": ((OMEGA0 + PHI0) * 1e200).to_json()},
+         {"degree": 1, "degree_squared": "1/1"}),
     ], ids=["pair-1e308", "pair-1e200-omega", "splitting-1e200"])
-    def test_overflowing_pairing_rejected(self, command, payload, tmp_path, capfd):
-        # capfd, not capsys: LAPACK warnings go to file descriptor 2
+    def test_overflowing_pairing_rejected(self, command, payload, expected, tmp_path, capsys):
+        """No longer rejected: the pairings are exact, so they do not overflow, and the report is printed."""
         path = write_json(tmp_path, "in.json", payload)
-        code, out, err = run([command, "--input", path], capfd)
+        code, out, err = run([command, "--input", path], capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert {k: report[k] for k in expected} == expected
+
+    @pytest.mark.parametrize("command, payload", [
+        ("pair", {"omega": {"dim": 4, "degree": 2, "terms": [{"idx": [1, 3], "c": "1e4300"}, {"idx": [2, 4], "c": -1}]},
+                  "phi": PHI0.to_json()}),
+        ("splitting", {"L1": OMEGA0.to_json(), "L2": {"dim": 4, "degree": 2, "terms": [
+            {"idx": [1, 3], "c": "1e2200"}, {"idx": [2, 4], "c": "-1e2200"}, {"idx": [1, 4], "c": 1}, {"idx": [2, 3], "c": 1}]}}),
+        ("eds", {"samples": [{"W1": "1/2", "W2": "0", "F1": "0", "F2": "0"}, {"W1": "1", "W2": "-1e-4300", "F1": "0", "F2": "0"}]}),
+    ], ids=["pair-1e4300", "splitting-degree-1e4400", "eds-1e-4300"])
+    def test_value_past_the_digit_limit_is_refused(self, command, payload, tmp_path, capsys):
+        """An exact value that could not be written is refused with a message that names the limit."""
+        code, out, err = run([command, "--input", write_json(tmp_path, "in.json", payload)], capsys)
         assert code == 1 and out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert err.startswith("error:") and "more than 4300 digits" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command, payload", [
         ("pair", pair_payload(OMEGA0, PHI0 * Fraction(10**400))),
@@ -507,13 +566,13 @@ class TestInputBoundary:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_overflowing_gram_rejected(self, tmp_path, capsys):
-        """No longer rejected: ``splitting`` scales the Gram as ``pair`` does, and both accept 1e100·(ω₀, φ₀)."""
+        """No longer rejected: the pairings are exact, and ``splitting`` and ``pair`` both accept 1e100·(ω₀, φ₀)."""
         payload = {"L1": (OMEGA0 * 1e100).to_json(), "L2": ((OMEGA0 + PHI0) * 1e100).to_json()}
         path = write_json(tmp_path, "in.json", payload)
         code, out, err = run(["splitting", "--input", path], capsys)
         assert code == 0 and err == ""
         report = json.loads(out)
-        assert report["degree"] == 1 and report["degree_squared"] == 1 and report["epsilon_flipped"] is False
+        assert report["degree"] == 1 and report["degree_squared"] == "1/1" and report["epsilon_flipped"] is False
         path = write_json(tmp_path, "pair.json", pair_payload(OMEGA0 * 1e100, PHI0 * 1e100))
         code, out, _ = run(["pair", "--input", path], capsys)
         assert code == 0 and json.loads(out)["elliptic"] is True
@@ -582,7 +641,7 @@ def fresh_python(code, *args, timeout=60):
 
 
 class TestNumpyStaysUnloaded:
-    """Exact requests and float ``pair`` requests never import numpy; only linalg's float branches do.
+    """No request imports numpy, which no module of the library uses.
 
     No request imports ``dataclasses`` or ``inspect`` either, which would add
     ``ast``, ``dis`` and ``tokenize`` to the start of every request.

@@ -46,11 +46,22 @@ class TestMultiVector:
         with pytest.raises(ValueError):
             MultiVector(13, 2, {})
 
-    def test_mixed_exactness_promotes(self):
+    def test_float_coefficient_is_its_binary_value(self):
         a = MultiVector(4, 2, {(1, 2): Fraction(1)})
-        b = MultiVector(4, 2, {(1, 2): 0.5})
-        assert a.is_exact and not b.is_exact
-        assert not (a + b).is_exact
+        b = MultiVector(4, 2, {(1, 2): 0.5, (3, 4): 0.1})
+        assert b.terms == {(1, 2): Fraction(1, 2), (3, 4): Fraction(3602879701896397, 36028797018963968)}
+        assert (a + b).coefficient((1, 2)) == Fraction(3, 2)
+        assert all(type(c) is Fraction for c in (a + b * 0.25).terms.values())
+        # JSON text is decimal: the same 0.1 read from a payload is 1/10
+        read = MultiVector.from_json({"dim": 4, "degree": 2, "terms": [{"idx": [3, 4], "c": 0.1}]})
+        assert read.terms == {(3, 4): Fraction(1, 10)}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_refused(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            MultiVector(4, 2, {(1, 2): value})
+        with pytest.raises(ValueError, match="non-finite"):
+            OMEGA0 * value
 
     def test_json_round_trip(self):
         a = MultiVector(4, 2, {(1, 3): Fraction(-7, 3), (2, 4): 1.25})
@@ -279,5 +290,5 @@ def test_exact_operations_are_reproducible(rng):
     b = rand_form(rng, 4, 2)
     first = wedge(a, b)
     second = wedge(a, b)
-    assert first == second and first.is_exact
+    assert first == second and all(type(c) is Fraction for c in first.terms.values())
     assert conformal_pairing(a, b) == conformal_pairing(a, b)

@@ -174,15 +174,15 @@ class TestNormalForm:
 
     def test_parallel_contractions_are_refused(self):
         # φ's e¹-row is exactly ½ω's, so ∂₁ is a real eigenvector of A and the
-        # pair is not elliptic; its float Gram still rounds to elliptic
+        # pair is not elliptic; its exact Gram says so, where a float Gram rounded to elliptic
         omega = MultiVector(4, 2, {
             (1, 2): 0.08282494558699316, (1, 3): 0.8782983255570211, (1, 4): -0.23759152462357513,
             (2, 3): -0.5668012057387732, (2, 4): -0.15576684883456537, (3, 4): -0.9419184248502641})
         phi = MultiVector(4, 2, {
             (1, 2): 0.04141247279349658, (1, 3): 0.43914916277851057, (1, 4): -0.11879576231178757,
             (2, 3): -0.2834006028068198, (2, 4): -0.07788342431308401, (3, 4): -0.47095921241259037})
-        with pytest.raises(ValueError, match="singular"):
-            normal_form(EllipticPair(omega, phi), tol=1e3)
+        with pytest.raises(ValueError, match="not elliptic"):
+            EllipticPair(omega, phi)
 
     def test_keeps_the_residual_it_checked(self):
         pair = EllipticPair(OMEGA0 * 2, PHI0 * Fraction(3))

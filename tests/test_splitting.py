@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pathgeom import (
     J0,
@@ -41,7 +43,7 @@ def random_splitting(rng):
 
 class TestComplexStructure:
     def test_j0_valid(self):
-        assert J0.is_exact
+        assert J0.tol == 0 and all(type(x) is Fraction for row in J0.matrix for x in row)
 
     def test_square_violation_rejected(self):
         with pytest.raises(ValueError):
@@ -58,9 +60,11 @@ class TestComplexStructure:
             ComplexStructure(bad)
 
     def test_float_matrix_with_tolerance(self):
-        j = np.array(J0_MATRIX, dtype=float) + 1e-13
-        cs = ComplexStructure(tuple(tuple(row) for row in j.tolist()))
-        assert not cs.is_exact
+        rows = tuple(tuple(row) for row in (np.array(J0_MATRIX, dtype=float) + 1e-13).tolist())
+        with pytest.raises(ValueError, match="J\\^2 != -Id"):
+            ComplexStructure(rows)
+        cs = ComplexStructure(rows, tol=1e-9)
+        assert cs.matrix[0][0] == Fraction(1e-13)
 
 
 class TestPlaneOf:
@@ -83,7 +87,7 @@ class TestPlaneOf:
         monkeypatch.setattr(linalg, "rank", no_rank)
         for _ in range(5):
             conj = J0.conjugate(rand_invertible(rng))
-            as_float = ComplexStructure(tuple(tuple(float(x) for x in row) for row in conj.matrix))
+            as_float = ComplexStructure(tuple(tuple(float(x) for x in row) for row in conj.matrix), tol=1e-9)
             assert plane_of(as_float).spans_same_oriented_plane(plane_of(conj), tol=1e-9)
 
     def test_equivariance_exact(self, rng):
@@ -100,6 +104,20 @@ class TestJOfPlane:
         j = j_of_plane(OrientedPositivePlane(OMEGA0, PHI0))
         res = np.max(np.abs(np.array(j.matrix, dtype=float) - np.array(J0_MATRIX, dtype=float)))
         assert res <= 1e-9
+
+    def test_rational_root_gives_the_exact_structure(self, rng):
+        """⟨ω,ω⟩/⟨φ₁,φ₁⟩ a rational square: J is exact; otherwise the float root is checked to tolerance."""
+        assert j_of_plane(OrientedPositivePlane(OMEGA0, PHI0)).matrix == J0.matrix
+        assert j_of_plane(OrientedPositivePlane(OMEGA0 * 3, PHI0 * Fraction(1, 2))).matrix == J0.matrix
+        for _ in range(10):
+            conj = J0.conjugate(rand_invertible(rng))
+            assert j_of_plane(plane_of(conj)).matrix == conj.matrix
+        # ⟨ω,ω⟩/⟨φ,φ⟩ = 2
+        plane = OrientedPositivePlane(OMEGA0 + E(4, (1, 2)) + E(4, (3, 4)), PHI0)
+        j = j_of_plane(plane)
+        assert plane_of(j).spans_same_oriented_plane(plane, tol=1e-9)
+        with pytest.raises(ValueError, match="J\\^2 != -Id"):
+            ComplexStructure(j.matrix)
 
     def test_reversed_orientation_round_trip(self):
         p = OrientedPositivePlane(PHI0, OMEGA0)
@@ -180,10 +198,7 @@ class TestSplittingInvariants:
         assert degree_squared(flipped) == degree_squared(direct)
 
     def test_overflowing_gram_rejected(self):
-        """No longer rejected: the Gram determinant is taken on pairings scaled by a power of two.
-
-        The pairings are finite (1e±200), but their products leave the floats.
-        """
+        """No longer rejected: the Gram is exact, so no product of pairings leaves the floats."""
         for scale in (1e-100, 1e100):
             s = Splitting(OMEGA0 * scale, (OMEGA0 + PHI0) * scale)
             assert not s.epsilon_flipped
@@ -246,8 +261,18 @@ class TestEquivalence:
         assert equivalent(canonical_model(1), canonical_model(Fraction(3, 3)))
 
     def test_float_splittings_compare_within_tolerance(self):
-        assert equivalent(canonical_model(1.0), canonical_model(1.0 + 1e-12))
-        assert not equivalent(canonical_model(1.0), canonical_model(1.001))
+        assert equivalent(canonical_model(1.0), canonical_model(1.0 + 1e-12), tol=1e-9)
+        assert not equivalent(canonical_model(1.0), canonical_model(1.0 + 1e-12))
+        assert not equivalent(canonical_model(1.0), canonical_model(1.001), tol=1e-9)
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.lists(st.floats(-4, 4, allow_subnormal=False), min_size=16, max_size=16),
+           st.fractions(0, 5, max_denominator=7))
+    def test_float_action_keeps_the_exact_degree(self, entries, alpha):
+        a = LinearMap([entries[i:i + 4] for i in range(0, 16, 4)])
+        assume(a.det() > 0)
+        s = canonical_model(alpha)
+        assert degree_squared(act(a, s)) == degree_squared(s) == alpha * alpha
 
 
 class TestAct:
