@@ -35,7 +35,6 @@ from .exterior import (
     conformal_pairing,
     gram_matrix,
     pullback,
-    wedge,
 )
 
 #: the allowance of the float reconstruction residual, relative to the largest coefficient
@@ -141,13 +140,6 @@ class NormalForm:
     def coframe(self) -> list:
         return [MultiVector.one_form(row) for row in self.basis]
 
-    def reconstruct(self) -> Tuple[MultiVector, MultiVector]:
-        """Rebuild (ω, φ) from the stored coframe and κ."""
-        c = self.coframe()
-        omega = wedge(c[0], c[2]) - wedge(c[1], c[3])
-        phi = (wedge(c[0], c[3]) + wedge(c[1], c[2])) * self.kappa
-        return omega, phi
-
     def to_json(self) -> dict:
         return {
             "kappa": float(self.kappa),
@@ -222,7 +214,7 @@ def reconstruction_residual(pair: EllipticPair, nf: NormalForm) -> float:
     """The largest coefficient of (ω, φ) rebuilt from the float basis and κ, minus (ω, φ).
 
     In floats: the coefficient of e¹∧e³ − e²∧e⁴ and of κ(e¹∧e⁴ + e²∧e³) on
-    dxⁱ∧dxʲ is a sum of 2×2 minors of the basis rows, as in :meth:`NormalForm.reconstruct`.
+    dxⁱ∧dxʲ is a sum of 2×2 minors of the basis rows.
     """
     e1, e2, e3, e4 = nf.basis
 

@@ -244,10 +244,11 @@ def equivalent(s1: Splitting, s2: Splitting, tol: float = 0) -> bool:
     """Splittings are equivalent iff their degrees agree (complete invariant).
 
     The degrees δ₁, δ₂ agree to within ``tol`` iff |δ₁² − δ₂²| ≤ tol·(δ₁ + δ₂),
-    which at the default ``tol`` = 0 compares the exact degree² values.
+    which at the default ``tol`` = 0 compares the exact degree² values and
+    takes no square root.
     """
     d1, d2 = degree_squared(s1), degree_squared(s2)
-    return abs(d1 - d2) <= tol * (math.sqrt(d1) + math.sqrt(d2))
+    return d1 == d2 or (tol > 0 and abs(d1 - d2) <= tol * (math.sqrt(d1) + math.sqrt(d2)))
 
 
 def act(a: LinearMap, s: Splitting) -> Splitting:

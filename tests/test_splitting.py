@@ -260,6 +260,11 @@ class TestEquivalence:
         assert not equivalent(canonical_model(1), canonical_model(1 + Fraction(1, 10**12)))
         assert equivalent(canonical_model(1), canonical_model(Fraction(3, 3)))
 
+    def test_degree_beyond_the_float_range_compares_exactly(self):
+        big = canonical_model(10**200)
+        assert equivalent(big, canonical_model(10**200))
+        assert not equivalent(big, canonical_model(10**200 + 1))
+
     def test_float_splittings_compare_within_tolerance(self):
         assert equivalent(canonical_model(1.0), canonical_model(1.0 + 1e-12), tol=1e-9)
         assert not equivalent(canonical_model(1.0), canonical_model(1.0 + 1e-12))
