@@ -14,66 +14,69 @@ as "p/q" strings.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps(str) writes
 from typing import Optional, Sequence
 
-# Config, --epsilon and the pair Gram need these two; each cmd_* imports its
-# own pipeline, so that a request loads only the modules it uses
-from .exterior import DEFAULT_VOLUME, MultiVector, VolumeForm, _gram_definite_sign, gram_matrix
-from .scalars import rational_from_json, scalar_to_json
+# each cmd_* imports its own pipeline, and only ``pair``, ``splitting`` and
+# ``--epsilon`` import ``exterior``, so that a request loads only the modules it uses
+from .scalars import rational_from_json, scalar_to_json, sqrt_of
+
+#: the most curvature samples ``eds --samples`` draws; 10000 take about 0.5 s
+MAX_SAMPLES = 10_000
+
+USAGE = f"""\
+usage: pathgeom [--tol TOL] [--seed SEED] [--epsilon JSON] [--out PATH] COMMAND [--input PATH]
+       pathgeom [...] eds [--input PATH] [--samples N]
+
+  COMMAND           pair, splitting, hypersurface or eds
+  --tol TOL         allowance of the float reconstruction residuals (default 1e-9)
+  --seed SEED       seed for sampled verifications (default 0)
+  --epsilon JSON    volume form override as MultiVector JSON
+  --out PATH        write the report to this path instead of stdout
+  --input PATH      JSON input file ('-' or omitted: stdin)
+  --samples N       number of seeded curvature samples, at most {MAX_SAMPLES}
+  -h, --help        print this text and exit
+
+Options are spelled in full, as --name value or --name=value; the last one
+given wins.  --tol, --seed, --epsilon and --out come before the command.
+"""
 
 
 class Config:
+    """The options of one request; ``epsilon`` None is the default volume form."""
+
     __slots__ = ("tolerance", "seed", "epsilon", "out")
 
-    def __init__(self, tolerance: float = 1e-9, seed: int = 0, epsilon: VolumeForm = DEFAULT_VOLUME,
-                 out: Optional[str] = None):
+    def __init__(self, tolerance: float = 1e-9, seed: int = 0, epsilon=None, out: Optional[str] = None):
         if not 0 < tolerance < math.inf:
             raise ValueError(f"tolerance must be a finite number > 0, not {tolerance!r}")
         self.tolerance, self.seed, self.epsilon, self.out = tolerance, seed, epsilon, out
 
 
-#: the most curvature samples ``eds --samples`` draws; 10000 take about 0.5 s
-MAX_SAMPLES = 10_000
-
-
 class InputError(Exception):
-    """Malformed input; maps to exit code 1."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are :class:`InputError`s, not usage text and exit 2.
-
-    Exit 2 means a verification failure with a report on stdout; a bad
-    command line is malformed input like any other.
-    """
-
-    def error(self, message):
-        raise InputError(message)
+    """Malformed input, the command line included; maps to exit code 1."""
 
 
 def render_json(value, indent: int = 0) -> str:
     """Deterministic JSON with floats at 17 significant digits; NaN and ±inf are refused."""
+    if isinstance(value, str):
+        return _quote(value)
     pad = " " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {render_json(v, indent + 2)}' for k, v in value.items()
-        )
+        items = ",\n".join(f"{pad}  {_quote(str(k))}: {render_json(v, indent + 2)}" for k, v in value.items())
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
+        if not value:
             return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
-        if flat:
-            return "[" + ", ".join(render_json(v) for v in seq) + "]"
-        items = ",\n".join(f"{pad}  {render_json(v, indent + 2)}" for v in seq)
+        if all(not isinstance(v, (dict, list, tuple)) for v in value):
+            return "[" + ", ".join(map(render_json, value)) + "]"
+        items = ",\n".join(f"{pad}  {render_json(v, indent + 2)}" for v in value)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -86,7 +89,7 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Fraction):
-        return json.dumps(scalar_to_json(value))
+        return _quote(scalar_to_json(value))
     return json.dumps(value)
 
 
@@ -107,7 +110,9 @@ def _load_object(path: Optional[str]) -> dict:
     return payload
 
 
-def _two_form(data, name: str) -> MultiVector:
+def _two_form(data, name: str):
+    from .exterior import MultiVector
+
     try:
         form = MultiVector.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -118,11 +123,12 @@ def _two_form(data, name: str) -> MultiVector:
 
 
 def cmd_pair_classify(payload, cfg: Config) -> tuple:
+    from .exterior import DEFAULT_VOLUME, _gram_definite_sign, gram_matrix
     from .pairs import EllipticPair, kappa_invariant, normal_form, orthogonalize
 
     omega = _two_form(payload.get("omega"), "omega")
     phi = _two_form(payload.get("phi"), "phi")
-    eps = cfg.epsilon
+    eps = cfg.epsilon or DEFAULT_VOLUME
     gram = gram_matrix(omega, phi, eps)
     (ww, wp), (_, pp) = gram
     report = {
@@ -151,14 +157,14 @@ def cmd_splitting_degree(payload, cfg: Config) -> tuple:
     from .splitting import Splitting, canonical_model, degree, degree_squared
 
     try:
-        if "epsilon" not in payload and cfg.epsilon is not DEFAULT_VOLUME:
+        if "epsilon" not in payload and cfg.epsilon is not None:
             payload = dict(payload, epsilon=cfg.epsilon.as_form().to_json())
         s = Splitting.from_json(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed splitting: {exc}") from exc
     d2 = degree_squared(s)
     d2_text = scalar_to_json(d2)  # refused here, before its square root, past the digit limit
-    d = math.sqrt(d2)
+    d = sqrt_of(d2)
     model_d = degree(canonical_model(d))
     report = {
         "degree": d,
@@ -198,55 +204,79 @@ def cmd_eds_verify(payload, cfg: Config, samples: Optional[int]) -> tuple:
     return report.to_json(), 0 if report.all_pass else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pathgeom", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--tol", type=float, default=1e-9, help="allowance of the float reconstruction residuals (default 1e-9)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled verifications")
-    parser.add_argument("--epsilon", type=str, default=None, help="volume form override as MultiVector JSON")
-    parser.add_argument("--out", type=str, default=None, help="write the report to this path instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
+#: the options before the command, and those of each command, with the reader of each value
+_GLOBAL_OPTIONS = {"--tol": float, "--seed": int, "--epsilon": str, "--out": str}
+_COMMANDS = {
+    "pair": {"--input": str},
+    "splitting": {"--input": str},
+    "hypersurface": {"--input": str},
+    "eds": {"--input": str, "--samples": int},
+}
 
-    p = sub.add_parser("pair", help="classify a pair of 2-forms")
-    p.add_argument("--input", default=None, help="JSON file ('-' or omitted: stdin)")
 
-    p = sub.add_parser("splitting", help="degree of a splitting")
-    p.add_argument("--input", default=None)
+def _read_argv(argv: Sequence[str]) -> tuple:
+    """(command, {option: value}) from ``[global options] command [command options]``.
 
-    p = sub.add_parser("hypersurface", help="per-point reports for a parametrized hypersurface")
-    p.add_argument("--input", default=None)
-
-    p = sub.add_parser("eds", help="involutivity verification")
-    p.add_argument("--input", default=None)
-    p.add_argument("--samples", type=int, default=None,
-                   help=f"number of seeded curvature samples, at most {MAX_SAMPLES}")
-    return parser
+    An option is ``--name value`` or ``--name=value``, spelled in full, and
+    the last value given wins.  ``-h`` or ``--help`` anywhere prints the
+    usage and exits 0.
+    """
+    if "-h" in argv or "--help" in argv:
+        print(USAGE + "\n" + (__doc__ or ""))
+        raise SystemExit(0)
+    command, options, values = None, _GLOBAL_OPTIONS, {}
+    args = iter(argv)
+    for arg in args:
+        if not arg.startswith("-") or arg == "-":
+            if command is not None:
+                raise InputError(f"unrecognized argument {arg!r}")
+            if arg not in _COMMANDS:
+                raise InputError(f"invalid choice {arg!r} for the command (choose from {', '.join(_COMMANDS)})")
+            command, options = arg, _COMMANDS[arg]
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in options:
+            raise InputError(f"{name} is not an option {'before the command' if command is None else 'of ' + command}")
+        if not eq:
+            value = next(args, None)
+            if value is None:
+                raise InputError(f"{name} expects a value")
+        try:
+            values[name] = options[name](value)
+        except ValueError:
+            raise InputError(f"{name} expects {'a number' if options[name] is float else 'an integer'}, "
+                             f"not {value!r}") from None
+    if command is None:
+        raise InputError(f"a command is required ({', '.join(_COMMANDS)})")
+    return command, values
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        eps = DEFAULT_VOLUME
-        if args.epsilon:
-            eps = VolumeForm.from_form(MultiVector.from_json(json.loads(args.epsilon)))
-        cfg = Config(tolerance=args.tol, seed=args.seed, epsilon=eps, out=args.out)
+        command, opts = _read_argv(sys.argv[1:] if argv is None else argv)
+        eps = None
+        if "--epsilon" in opts:
+            from .exterior import MultiVector, VolumeForm
+
+            eps = VolumeForm.from_form(MultiVector.from_json(json.loads(opts["--epsilon"])))
+        cfg = Config(tolerance=opts.get("--tol", 1e-9), seed=opts.get("--seed", 0), epsilon=eps,
+                     out=opts.get("--out"))
     except (InputError, ValueError, TypeError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    path, samples = opts.get("--input"), opts.get("--samples")
     try:
-        if args.command == "pair":
-            report, code = cmd_pair_classify(_load_object(args.input), cfg)
-        elif args.command == "splitting":
-            report, code = cmd_splitting_degree(_load_object(args.input), cfg)
-        elif args.command == "hypersurface":
-            report, code = cmd_hypersurface(_load_object(args.input), cfg)
-        elif args.command == "eds":
-            if args.samples is not None and not 0 <= args.samples <= MAX_SAMPLES:
+        if command == "pair":
+            report, code = cmd_pair_classify(_load_object(path), cfg)
+        elif command == "splitting":
+            report, code = cmd_splitting_degree(_load_object(path), cfg)
+        elif command == "hypersurface":
+            report, code = cmd_hypersurface(_load_object(path), cfg)
+        else:
+            if samples is not None and not 0 <= samples <= MAX_SAMPLES:
                 raise InputError(f"--samples must be nonnegative and at most {MAX_SAMPLES}")
-            payload = None if args.samples is not None else _load_payload(args.input)
-            report, code = cmd_eds_verify(payload, cfg, args.samples)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise InputError(f"unknown command {args.command!r}")
+            report, code = cmd_eds_verify(None if samples is not None else _load_payload(path), cfg, samples)
         text = render_json(report) + "\n"
     except (InputError, ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

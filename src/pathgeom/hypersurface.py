@@ -13,7 +13,8 @@ arithmetic on the coefficient vectors b₁, b₂:
 * contact test     μ = (b₁×b₂)·dx, nondegenerate iff μ∧dμ ≠ 0, computed
   exactly as (b₁×b₂)·curl(b₁×b₂);
 * CR structure     D = T ∩ J₀T with I the restriction of J₀, both read off
-  the null space of [du | −J₀du].
+  the null space of [du | −J₀du], which T's normal covector n gives in
+  closed form.
 
 The line fields and the contact predicate are exact rational computations;
 only the coframe normalization needs floating point.
@@ -39,7 +40,6 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from . import linalg
 from .polynomials import Poly, RatFunc, RationalPoint, over_one_denominator
 from .scalars import scalar_to_json as _rational
 
@@ -172,17 +172,20 @@ def _minors(a, c) -> tuple:
     """b₁ + b₂ (six entries) from the 2×2 minors a[i₁][j₁]·c[i₂][j₂] − a[i₁][j₂]·c[i₂][j₁].
 
     With a = c = du these are u*ω₀ = du¹∧du³ − du²∧du⁴ and
-    u*φ₀ = du¹∧du⁴ + du²∧du³ in ⋆dx coordinates; the product rule gives
+    u*φ₀ = du¹∧du⁴ + du²∧du³ in ⋆dx coordinates, where the ⋆ of rows x∧y is
+    x×y: b₁ = a₀×c₂ − a₁×c₃ and b₂ = a₀×c₃ + a₁×c₂.  The product rule gives
     ∂ₖb = _minors(∂ₖdu, du) + _minors(du, ∂ₖdu).
     """
-
-    def minor(i1, i2, j1, j2):
-        return a[i1][j1] * c[i2][j2] - a[i1][j2] * c[i2][j1]
-
-    pairs = [(1, 2), (1, 3), (2, 3)]
-    beta1 = {(j, k): minor(0, 2, j - 1, k - 1) - minor(1, 3, j - 1, k - 1) for j, k in pairs}
-    beta2 = {(j, k): minor(0, 3, j - 1, k - 1) + minor(1, 2, j - 1, k - 1) for j, k in pairs}
-    return _star(beta1, 0) + _star(beta2, 0)
+    (a00, a01, a02), (a10, a11, a12) = a[0], a[1]
+    (c20, c21, c22), (c30, c31, c32) = c[2], c[3]
+    return (
+        a01 * c22 - a02 * c21 - (a11 * c32 - a12 * c31),
+        a02 * c20 - a00 * c22 - (a12 * c30 - a10 * c32),
+        a00 * c21 - a01 * c20 - (a10 * c31 - a11 * c30),
+        a01 * c32 - a02 * c31 + (a11 * c22 - a12 * c21),
+        a02 * c30 - a00 * c32 + (a12 * c20 - a10 * c22),
+        a00 * c31 - a01 * c30 + (a10 * c21 - a11 * c20),
+    )
 
 
 def _jet(p: Poly, order: int) -> list:
@@ -295,10 +298,18 @@ def _point_text(coords: Sequence[Fraction]) -> str:
     return "(" + ", ".join(map(_rational, coords)) + ")"
 
 
-def _require_immersion(coords: Tuple[Fraction, ...], jac: list) -> None:
-    # a 4×3 matrix has rank 3 iff one of its four 3×3 minors is nonzero
-    if not any(_dot(jac[i], _cross(jac[j], jac[k])) for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))):
+def _require_immersion(coords: Tuple[Fraction, ...], jac: list) -> tuple:
+    """The normal covector n of T = im du, n·v = det[v | du]; raises where du has rank < 3.
+
+    nᵢ is ±the 3×3 minor of du without row i, and a 4×3 matrix has rank 3
+    iff one of its four 3×3 minors is nonzero.
+    """
+    r0, r1, r2, r3 = jac
+    c23, c13 = _cross(r2, r3), _cross(r1, r3)
+    n = (_dot(r1, c23), -_dot(r0, c23), _dot(r0, c13), -_dot(r0, _cross(r1, r2)))
+    if not any(n):
         raise ValueError(f"map is not an immersion at {_point_text(coords)}: Jacobian rank < 3")
+    return n
 
 
 def _b_pair(jac: list, djac: list) -> Tuple[tuple, list]:
@@ -460,49 +471,56 @@ def _J0(v: Sequence[Fraction]) -> list:
     return [-v[1], v[0], -v[3], v[2]]
 
 
-def _cr_structure(coords: Tuple[Fraction, ...], jac: list, scale: int = 1) -> CRSample:
-    """D and I at a point where du = jac/scale has rank 3; ``jac`` may hold ints or Fractions."""
+def _cr_structure(coords: Tuple[Fraction, ...], jac: list, normal: tuple, scale: int = 1) -> CRSample:
+    """D and I where du = jac/scale has rank 3; ``normal`` is T's n from :func:`_require_immersion`.
+
+    ``jac`` may hold ints or Fractions.
+    """
     # a null vector (p, q) of [du | −J₀du] gives d = du·p = J₀(du·q) in D, with
     # J₀d = −du·q; du is injective, so independent null vectors give independent d's.
-    # Scaling du scales the matrix, which leaves its null space alone.
-    den = math.lcm(*(x.denominator for row in jac for x in row))
-    jac = [[x.numerator * (den // x.denominator) for x in row] for row in jac]
-    scale *= den
-    # the rows of −J₀du: −J₀v = (v₂, −v₁, v₄, −v₃)
-    minus_j0 = (jac[1], [-x for x in jac[0]], jac[3], [-x for x in jac[2]])
-    rows, pivots = linalg.echelon([row + m for row, m in zip(jac, minus_j0)])
-    free = [c for c in range(2 * NVARS) if c not in pivots]
-    if len(free) != 2:
-        raise ValueError(f"complex tangent point at {_point_text(coords)}: dim(T ∩ J0·T) = {len(free)}, expected 2")
-    # the null vector of free column f, with its entries over one common denominator:
-    # 1 at f and −rows[r][f]/rows[r][pivot] at each pivot
-    common = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
-    null = []
-    for f in free:
-        v = [0] * (2 * NVARS)
-        v[f] = common
-        for row, c in zip(rows, pivots):
-            v[c] = -row[f] * (common // row[c])
-        null.append(v)
-    param_basis = tuple(tuple(Fraction(x, common) for x in v[:3]) for v in null)
-    d_basis = tuple(tuple(Fraction(_dot(row, v), scale * common) for row in jac) for v in null)
+    # du's columns are pivots of the echelon form, and −J₀duⱼ is one where
+    # rⱼ = n·J₀duⱼ ≠ 0; the first such j is the last pivot, the other two columns f
+    # are free, with null vectors (p, q)/r_pivot, q = r_pivot·e_f − r_f·e_pivot.
+    n0, n1, n2, n3 = normal
+    r = [n1 * c0 - n0 * c1 + n3 * c2 - n2 * c3 for c0, c1, c2, c3 in zip(*jac)]
+    pivot = next((j for j in range(NVARS) if r[j]), None)
+    if pivot is None:
+        raise ValueError(f"complex tangent point at {_point_text(coords)}: dim(T ∩ J0·T) = 3, expected 2")
+    rp = r[pivot]
+    qs = []
+    for f in (f for f in range(NVARS) if f != pivot):
+        q = [0] * NVARS
+        q[f], q[pivot] = rp, -r[f]
+        qs.append(q)
+    # du·p = w = J₀(du·q) lies in T (n·w = r·q = 0).  Cramer's rule on the rows
+    # s₀, s₁, s₂ of du but row i, nᵢ ≠ 0, gives p = (w₀·s₁×s₂ + w₁·s₂×s₀ + w₂·s₀×s₁)/det,
+    # where det = det(s₀, s₁, s₂) = ±nᵢ
+    i = next(k for k, x in enumerate(normal) if x)
+    s0, s1, s2 = (row for k, row in enumerate(jac) if k != i)
+    adj = tuple(zip(_cross(s1, s2), _cross(s2, s0), _cross(s0, s1)))
+    det = -normal[i] if i % 2 else normal[i]
+    ws = [_J0([_dot(row, q) for row in jac]) for q in qs]
+    ps = [[_dot([x for k, x in enumerate(w) if k != i], column) for column in adj] for w in ws]
+    param_basis = tuple(tuple(Fraction(x, det * rp) for x in p) for p in ps)
+    d_basis = tuple(tuple(Fraction(x, rp * scale) for x in w) for w in ws)
     # J₀d_k = Σⱼ I_jk d_j pulls back through du to −q_k = Σⱼ I_jk p_j: a 3×2
-    # system of rank 2, solved by Cramer's rule on two rows and checked on all three
-    p = [[v[i] for v in null] for i in range(NVARS)]
-    minors = [(r, s, p[r][0] * p[s][1] - p[r][1] * p[s][0]) for r, s in ((0, 1), (0, 2), (1, 2))]
-    r, s, det = next((t for t in minors if t[2]), minors[0])
+    # system of rank 2, solved by Cramer's rule on two rows and checked on all three;
+    # det·(p, q) puts both null vectors over the common denominator det·r_pivot
+    p = [[v[k] for v in ps] for k in range(NVARS)]
+    minors = [(k, l, p[k][0] * p[l][1] - p[k][1] * p[l][0]) for k, l in ((0, 1), (0, 2), (1, 2))]
+    k, l, det2 = next((t for t in minors if t[2]), minors[0])
     i_num = []
-    for v in null:
-        q = [-x for x in v[3:]]
-        x0, x1 = q[r] * p[s][1] - p[r][1] * q[s], p[r][0] * q[s] - q[r] * p[s][0]
-        if not det or any(row[0] * x0 + row[1] * x1 != qi * det for row, qi in zip(p, q)):
+    for v in qs:
+        q = [-det * x for x in v]
+        x0, x1 = q[k] * p[l][1] - p[k][1] * q[l], p[k][0] * q[l] - q[k] * p[l][0]
+        if not det2 or any(row[0] * x0 + row[1] * x1 != qi * det2 for row, qi in zip(p, q)):
             raise ValueError("D is not J0-invariant; inconsistent intersection")
         i_num.append((x0, x1))
-    # I = i_num/det column by column, so I² = −Id reads (i_num)² = −det²·Id
+    # I = i_num/det2 column by column, so I² = −Id reads (i_num)² = −det2²·Id
     (a, c), (b, d) = i_num
-    if (a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d) != (-det * det, 0, 0, -det * det):
+    if (a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d) != (-det2 * det2, 0, 0, -det2 * det2):
         raise ValueError("restriction of J0 to D does not square to -Id")
-    i_matrix = ((Fraction(a, det), Fraction(b, det)), (Fraction(c, det), Fraction(d, det)))
+    i_matrix = ((Fraction(a, det2), Fraction(b, det2)), (Fraction(c, det2), Fraction(d, det2)))
     return CRSample(coords, d_basis, param_basis, i_matrix)
 
 
@@ -510,8 +528,7 @@ def cr_structure_at(u: ParamMap, point: Sequence) -> CRSample:
     """Exact CR data of the parametrized hypersurface at a rational point."""
     pt = RationalPoint(point, NVARS)
     jac, scale, _ = CompiledMap(u).at(pt)
-    _require_immersion(pt.coords, jac)
-    return _cr_structure(pt.coords, jac, scale)
+    return _cr_structure(pt.coords, jac, _require_immersion(pt.coords, jac), scale)
 
 
 def _compatible(jac: list, sample: PathGeometrySample) -> bool:
@@ -558,12 +575,12 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, compiled: Opti
         if len(coords) != NVARS:
             raise ValueError("point has wrong dimension")
         jac, scale, djac = compiled.at(pt)
-        _require_immersion(coords, jac)
+        normal = _require_immersion(coords, jac)
         # b̂ = Δ²·b and ∇b̂: the contact, compatibility and CR tests read them as they are
         bh, gh = _b_pair(jac, djac)
         b1, b2 = (tuple(Fraction(x, scale * scale) for x in bh[i:i + 3]) for i in (0, 3))
-        rec["b1"] = [_rational(x) for x in b1]
-        rec["b2"] = [_rational(x) for x in b2]
+        rec["b1"] = b1_text = [_rational(x) for x in b1]
+        rec["b2"] = b2_text = [_rational(x) for x in b2]
         independent = any(x != 0 for x in _cross(bh[:3], bh[3:]))
         rec["independent"] = independent
         if not independent:
@@ -576,10 +593,9 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, compiled: Opti
             "eta3": list(frame.eta3),
         }
         sample = _line_fields(coords, bh, gh)
-        rec["P1"] = [_rational(x) for x in b1]
-        rec["P2"] = [_rational(x) for x in b2]
+        rec["P1"], rec["P2"] = b1_text, b2_text
         rec["contact"] = sample.contact
-        cr = _cr_structure(coords, jac, scale)
+        cr = _cr_structure(coords, jac, normal, scale)
         rec["cr"] = {
             "D": [[_rational(x) for x in b] for b in cr.d_basis],
             "I": [[_rational(x) for x in row] for row in cr.i_matrix],

@@ -20,7 +20,6 @@ it as ``pair.gram``; the functions below that take a pair read it from there.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Tuple
@@ -36,6 +35,7 @@ from .exterior import (
     gram_matrix,
     pullback,
 )
+from .scalars import sqrt_of
 
 #: the allowance of the float reconstruction residual, relative to the largest coefficient
 DEFAULT_TOL = 1e-9
@@ -103,7 +103,7 @@ def kappa_invariant_squared(pair: EllipticPair) -> Fraction:
 
 def kappa_invariant(pair: EllipticPair) -> float:
     """κ = sqrt(⟨φ,φ⟩/⟨ω,ω⟩), the complete invariant of an orthogonal elliptic pair."""
-    return math.sqrt(kappa_invariant_squared(pair))
+    return sqrt_of(kappa_invariant_squared(pair))
 
 
 class NormalForm:
@@ -178,7 +178,7 @@ def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
     # elliptic + orthogonal forces sign(<w,w>) == sign(<p,p>)
     flipped = ww < 0
     k2 = pp / ww
-    kappa = math.sqrt(k2)
+    kappa = sqrt_of(k2)
 
     # exact, so the basis is rounded once, when it is stored.  e3 is the
     # minimum-norm solution of m0·e3 = 1, m1·e3 = 0 for m0 = ω(e1,·),

@@ -54,6 +54,23 @@ def scalar_to_json(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def sqrt_of(q: Fraction) -> float:
+    """√q rounded to a float, also where ``float(q)`` would overflow or underflow.
+
+    It takes the root of q/4ᵏ, a float near 1, and scales it back by 2ᵏ, both
+    exactly, so it equals ``math.sqrt(q)`` wherever ``float(q)`` is a normal
+    float.  A root beyond the float range raises OverflowError.
+    """
+    n, d = q.numerator, q.denominator
+    if n <= 0:
+        return math.sqrt(n)  # 0.0, or the ValueError of a negative value
+    k = (n.bit_length() - d.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(n / (d << 2 * k) if k >= 0 else (n << -2 * k) / d), k)
+    except OverflowError:
+        raise OverflowError(f"a square root near 2**{k} is beyond the float range") from None
+
+
 def _fraction(text: str) -> Fraction:
     """``Fraction(text)``, refused before the conversion where its digits would be unbounded."""
     _, e, exponent = text.lower().partition("e")

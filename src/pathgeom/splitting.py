@@ -42,7 +42,7 @@ from .exterior import (
     wedge,
 )
 from .pairs import DEFAULT_TOL, _form_matrix, orthogonalize
-from .scalars import to_scalar
+from .scalars import sqrt_of, to_scalar
 
 
 class ComplexStructure:
@@ -210,7 +210,7 @@ def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStr
         raise ValueError("plane is not positive; cannot build a complex structure")
     q = ww / pp
     num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    s = -(Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else math.sqrt(q))
+    s = -(Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else sqrt_of(q))
     a = linalg.matmul(_skew_inverse(_form_matrix(omega)), _form_matrix(phi1))
     return ComplexStructure(tuple(tuple(s * x for x in row) for row in a), tol=max(tol, 1e-12) * 100)
 
@@ -229,7 +229,7 @@ def degree_squared(s: Splitting) -> Fraction:
 
 def degree(s: Splitting) -> float:
     """The degree invariant; 0 for orthogonal splittings."""
-    return math.sqrt(degree_squared(s))
+    return sqrt_of(degree_squared(s))
 
 
 def canonical_model(alpha, eps: VolumeForm = DEFAULT_VOLUME) -> Splitting:
@@ -248,7 +248,7 @@ def equivalent(s1: Splitting, s2: Splitting, tol: float = 0) -> bool:
     takes no square root.
     """
     d1, d2 = degree_squared(s1), degree_squared(s2)
-    return d1 == d2 or (tol > 0 and abs(d1 - d2) <= tol * (math.sqrt(d1) + math.sqrt(d2)))
+    return d1 == d2 or (tol > 0 and abs(d1 - d2) <= tol * (sqrt_of(d1) + sqrt_of(d2)))
 
 
 def act(a: LinearMap, s: Splitting) -> Splitting:

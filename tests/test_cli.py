@@ -565,6 +565,31 @@ class TestInputBoundary:
         assert code == 1 and out == "" and "Traceback" not in err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command, payload, field, expected, square", [
+        ("splitting", {"L1": OMEGA0.to_json(), "L2": (OMEGA0 * Fraction(10**200) + PHI0).to_json()}, "degree", 1e200,
+         f"{10**400}/1"),
+        ("splitting", {"L1": OMEGA0.to_json(), "L2": (OMEGA0 * Fraction(1, 10**200) + PHI0).to_json()}, "degree",
+         1e-200, f"1/{10**400}"),
+        ("pair", pair_payload(OMEGA0, PHI0 * Fraction(10**200)), "kappa", 1e200, None),
+    ], ids=["splitting-degree-1e200", "splitting-degree-1e-200", "pair-kappa-1e200"])
+    def test_root_of_a_square_past_the_float_range(self, command, payload, field, expected, square, tmp_path, capsys):
+        """A degree or κ whose exact square is beyond the float range is printed."""
+        code, out, err = run([command, "--input", write_json(tmp_path, "in.json", payload)], capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report[field] == expected
+        if square is not None:
+            assert report["degree_squared"] == square and report["canonical_model_residual"] == 0
+
+    @pytest.mark.parametrize("command, payload", [
+        ("pair", pair_payload(OMEGA0, PHI0 * Fraction(10**400))),
+        ("splitting", {"L1": OMEGA0.to_json(), "L2": (OMEGA0 * Fraction(10**400) + PHI0).to_json()}),
+    ], ids=["pair-kappa-1e400", "splitting-degree-1e400"])
+    def test_root_past_the_float_range_is_one_line(self, command, payload, tmp_path, capsys):
+        code, out, err = run([command, "--input", write_json(tmp_path, "in.json", payload)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "beyond the float range" in err and len(err.splitlines()) == 1
+
     def test_overflowing_gram_rejected(self, tmp_path, capsys):
         """No longer rejected: the pairings are exact, and ``splitting`` and ``pair`` both accept 1e100·(ω₀, φ₀)."""
         payload = {"L1": (OMEGA0 * 1e100).to_json(), "L2": ((OMEGA0 + PHI0) * 1e100).to_json()}
@@ -596,6 +621,49 @@ class TestBadArguments:
         with pytest.raises(SystemExit) as exit_info:
             main(["--help"])
         assert exit_info.value.code == 0 and "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["pair", "--help"], ["-h"], ["eds", "--samples", "3", "-h"]])
+    def test_help_after_the_command_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0 and "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pair", "--tol", "1e-3"], "--tol"),
+        (["hypersurface", "--out", "report.json"], "--out"),
+        (["pair", "--samples", "3"], "--samples"),
+        (["--input", "in.json", "pair"], "--input"),
+        (["pair", "--inp", "in.json"], "--inp"),
+        (["--to", "1e-3", "pair"], "--to"),
+        (["pair", "extra"], "extra"),
+        (["pair", "--input"], "--input"),
+        (["--seed", "1.5", "eds", "--samples", "1"], "--seed"),
+    ], ids=["global-after-command", "out-after-command", "samples-on-pair", "input-before-command",
+            "abbreviated-input", "abbreviated-tol", "extra-argument", "missing-value", "seed-not-integer"])
+    def test_misplaced_or_unknown_option(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+
+    def test_equals_form_reads_the_same(self, tmp_path, capsys):
+        path = write_json(tmp_path, "in.json", pair_payload(OMEGA0, PHI0 * 2))
+        spaced = run(["--tol", "1e-6", "pair", "--input", path], capsys)
+        assert spaced[0] == 0 and run(["--tol=1e-6", "pair", f"--input={path}"], capsys) == spaced
+
+    def test_last_value_wins(self, tmp_path, capsys):
+        path = write_json(tmp_path, "in.json", pair_payload(OMEGA0, PHI0 * 2))
+        expected = run(["pair", "--input", path], capsys)
+        assert expected[0] == 0
+        assert run(["--tol", "nan", "--tol=1e-9", "pair", "--input", str(tmp_path / "missing.json"), "--input", path],
+                   capsys) == expected
+        assert run(["--seed", "7", "--seed=3", "eds", "--samples", "2"], capsys) == run(
+            ["--seed", "3", "eds", "--samples", "2"], capsys)
+
+    def test_no_argv_reads_the_command_line(self, monkeypatch, capsys):
+        """The ``pathgeom`` console script calls ``main()`` with no arguments."""
+        monkeypatch.setattr(sys, "argv", ["pathgeom", "eds", "--samples", "1"])
+        code, out, err = run(None, capsys)
+        assert code == 0 and err == "" and json.loads(out)["all_pass"] is True
 
 
 class TestOutputFile:
@@ -644,12 +712,14 @@ class TestNumpyStaysUnloaded:
     """No request imports numpy, which no module of the library uses.
 
     No request imports ``dataclasses`` or ``inspect`` either, which would add
-    ``ast``, ``dis`` and ``tokenize`` to the start of every request.
+    ``ast``, ``dis`` and ``tokenize`` to the start of every request, nor
+    ``argparse`` with its ``gettext`` and ``locale``.
     """
 
     PROBE = (
         "import sys; from pathgeom.cli import main; code = main(sys.argv[1:]); "
-        "print(*(m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules), file=sys.stderr); "
+        "print(*(m for m in ('numpy', 'dataclasses', 'inspect', 'argparse', 'gettext', 'locale') "
+        "if m in sys.modules), file=sys.stderr); "
         "sys.exit(code)"
     )
 
@@ -684,12 +754,12 @@ class TestEachCommandLoadsItsOwnPipeline:
         "if n.startswith('pathgeom') and type(m) is types.ModuleType)), file=sys.stderr)"
     )
     PROBE = f"import sys; from pathgeom.cli import main; code = main(sys.argv[1:]); {EXECUTED}; sys.exit(code)"
-    BASE = {"pathgeom", "pathgeom.cli", "pathgeom.exterior", "pathgeom.scalars"}
+    BASE = {"pathgeom", "pathgeom.cli", "pathgeom.scalars"}
     OWN = {
-        "pair": {"pathgeom.linalg", "pathgeom.pairs"},
-        "splitting": {"pathgeom.linalg", "pathgeom.pairs", "pathgeom.splitting"},
-        "hypersurface": {"pathgeom.linalg", "pathgeom.polynomials", "pathgeom.hypersurface"},
-        "eds": {"pathgeom.linalg", "pathgeom.eds"},
+        "pair": {"pathgeom.exterior", "pathgeom.linalg", "pathgeom.pairs"},
+        "splitting": {"pathgeom.exterior", "pathgeom.linalg", "pathgeom.pairs", "pathgeom.splitting"},
+        "hypersurface": {"pathgeom.polynomials", "pathgeom.hypersurface"},
+        "eds": {"pathgeom.exterior", "pathgeom.linalg", "pathgeom.eds"},
     }
     #: each submodule with one name it defines
     SUBMODULES = {
@@ -706,7 +776,7 @@ class TestEachCommandLoadsItsOwnPipeline:
     def test_zero_eds_samples(self):
         proc = fresh_python(self.PROBE, "eds", "--samples", "0")
         assert proc.returncode == 0, proc.stderr
-        assert set(proc.stderr.split()) == self.BASE | {"pathgeom.eds"}
+        assert set(proc.stderr.split()) == self.BASE | {"pathgeom.exterior", "pathgeom.eds"}
 
     def test_bare_import(self):
         proc = fresh_python(f"import pathgeom; {self.EXECUTED}")

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pathgeom import (
     J0_MATRIX,
@@ -21,10 +24,12 @@ from pathgeom import (
 from pathgeom.hypersurface import (
     CompiledMap,
     PathGeometrySample,
+    _J0,
     _compatible,
     _b_pair,
     _cr_structure,
     _line_fields,
+    _require_immersion,
     contact_value_at,
     coframe_residual,
     point_record,
@@ -280,7 +285,7 @@ class TestCRStructureOracle:
     """One null space of [du | −J₀du] and one rank test against the incremental reference."""
 
     def assert_matches(self, jac, p1, p2):
-        cr = _cr_structure((0, 0, 0), jac)
+        cr = _cr_structure((0, 0, 0), jac, _require_immersion((0, 0, 0), jac))
         assert (cr.d_basis, cr.param_basis, cr.i_matrix) == cr_structure_oracle(jac)
         sample = PathGeometrySample((0, 0, 0), tuple(p1), tuple(p2), True)
         verdict = _compatible(jac, sample)
@@ -332,6 +337,47 @@ class TestCRStructureOracle:
             p1, p2 = (solve(jac, v) for v in (v1, v2))
             verdicts.append(self.assert_matches(jac, p1, p2))
         assert verdicts.count(True) > 30 and verdicts.count(False) > 30
+
+
+_ENTRY = st.one_of(st.integers(-4, 4).map(Fraction), st.fractions(-3, 3, max_denominator=5))
+_VECTOR = st.lists(_ENTRY, min_size=4, max_size=4)
+
+
+class TestClosedFormCRStructure:
+    """D and I from T's normal n agree with the span-intersection oracle on every rank-3 Jacobian.
+
+    rⱼ = n·J₀duⱼ picks the last pivot of [du | −J₀du]: with J₀du₀ in T, r₀ = 0
+    and the pivot is the 2nd −J₀du column; with J₀du₀ and J₀du₁ in T, the 3rd.
+    """
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(_VECTOR, _VECTOR, _VECTOR, st.sampled_from(["first", "second", "third"]), _ENTRY, _ENTRY)
+    def test_matches_oracle(self, c0, c1, c2, pivot, s, t):
+        j0c0 = _J0(c0)
+        if pivot == "second":  # J₀c₀ = c₂ − s·c₀ − t·c₁ lies in T
+            c2 = [a + s * b + t * c for a, b, c in zip(j0c0, c0, c1)]
+        elif pivot == "third":  # J₀c₀ lies in T, and so does J₀c₁ = −c₀ + s·J₀c₀
+            c1 = [a + s * b for a, b in zip(j0c0, c0)]
+        jac = [list(row) for row in zip(c0, c1, c2)]
+        assume(rank(jac) == 3)
+        expected = cr_structure_oracle(jac)
+        cr = _cr_structure((0, 0, 0), jac, _require_immersion((0, 0, 0), jac))
+        assert (cr.d_basis, cr.param_basis, cr.i_matrix) == expected
+        # the integer route of point_record: du = jac/scale, and n from the same integers
+        scale = math.lcm(*(x.denominator for row in jac for x in row))
+        ints = [[int(x * scale) for x in row] for row in jac]
+        cr = _cr_structure((0, 0, 0), ints, _require_immersion((0, 0, 0), ints), scale)
+        assert (cr.d_basis, cr.param_basis, cr.i_matrix) == expected
+
+    def test_complex_tangent_keeps_its_message(self):
+        """No rank-3 T is J₀-invariant, whose dimension would be even, so r ≠ 0 for T's own normal;
+        a covector that vanishes on J₀T instead, J₀n, makes every rⱼ zero."""
+        coords = (Fraction(0), Fraction(1, 2), Fraction(-3))
+        jac = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 3, 5]]
+        wrong = tuple(_J0(_require_immersion(coords, jac)))
+        with pytest.raises(ValueError) as info:
+            _cr_structure(coords, jac, wrong)
+        assert str(info.value) == "complex tangent point at (0/1, 1/2, -3/1): dim(T ∩ J0·T) = 3, expected 2"
 
 
 class TestSphereChart:

@@ -27,6 +27,7 @@ from pathgeom import (
     pullback,
 )
 from pathgeom import linalg
+from pathgeom.scalars import sqrt_of
 from pathgeom.splitting import _skew_inverse, lines_parallel
 
 from conftest import rand_invertible
@@ -242,6 +243,37 @@ class TestDegree:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             canonical_model(-1)
+
+    @pytest.mark.parametrize("alpha, expected", [(10**200, 1e200), (Fraction(1, 10**200), 1e-200)])
+    def test_degree_beyond_the_float_range(self, alpha, expected):
+        """degree² = 10^±400 has no float, and its root is still the nearest float to 10^±200."""
+        assert degree(canonical_model(alpha)) == expected
+
+    def test_root_beyond_the_float_range_overflows(self):
+        with pytest.raises(OverflowError, match="float range"):
+            degree(canonical_model(10**400))
+
+
+class TestSqrtOf:
+    """``sqrt_of(q)`` is ``math.sqrt(q)`` wherever q has a normal float, and a root is found beyond."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.integers(1, 10**40), st.integers(1, 10**40), st.integers(-300, 300))
+    def test_equals_math_sqrt_on_normal_floats(self, num, den, exponent):
+        q = Fraction(num, den) * Fraction(10) ** exponent
+        assume(2.3e-308 < q < 1.7e308)
+        assert sqrt_of(q) == np.sqrt(float(q)) == sqrt_of(Fraction(float(q)))
+
+    @pytest.mark.parametrize("q, expected", [
+        (Fraction(1e300) ** 2, 1e300), (Fraction(1e-300) ** 2, 1e-300), (Fraction(2**1500), 2.0**750),
+        (Fraction(0), 0.0),
+    ], ids=["1e300", "1e-300", "2^750", "zero"])
+    def test_roots_of_squares_past_the_float_range(self, q, expected):
+        assert sqrt_of(q) == expected
+
+    def test_negative_value_refused(self):
+        with pytest.raises(ValueError):
+            sqrt_of(Fraction(-1, 3))
 
 
 class TestEquivalence:
