@@ -127,14 +127,14 @@ class MultiVector:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_compatible(self, other: "MultiVector"):
+    def _check_same_space(self, other: "MultiVector"):
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
     def __add__(self, other: "MultiVector") -> "MultiVector":
-        self._check_compatible(other)
+        self._check_same_space(other)
         acc = dict(self.terms)
         for idx, c in other.terms.items():
             acc[idx] = acc.get(idx, Fraction(0)) + c

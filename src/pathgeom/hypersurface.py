@@ -17,7 +17,10 @@ arithmetic on the coefficient vectors b₁, b₂:
   closed form.
 
 The line fields and the contact predicate are exact rational computations;
-only the coframe normalization needs floating point.
+only the coframe normalization needs floating point.  The compatibility
+theorem, proved in :func:`compatibility_check`: wherever du has rank 3, J₀
+maps the P₁ line onto the P₂ line, so b₁×b₂ ≠ 0 there, and a point record
+prints ``independent`` and ``compatible`` without computing them.
 
 All of it is pointwise: b₁, b₂ are the 2×2 minors of du, the contact test
 needs their first derivatives and so the second derivatives of u, and the CR
@@ -109,7 +112,7 @@ class ParamMap:
 
 
 # ``perfbench/layers.py`` wraps ``_ParamMap.jacobian_at`` by this name; the
-# line goes when the tracer reads the library's own stage collector (ROADMAP item 4)
+# line goes when the tracer reads the library's own stage collector (ROADMAP item 1)
 _ParamMap = ParamMap
 
 
@@ -312,6 +315,14 @@ def _require_immersion(coords: Tuple[Fraction, ...], jac: list) -> tuple:
     return n
 
 
+def _require_independent(coords: Tuple[Fraction, ...], b: Sequence, what: str) -> tuple:
+    """b₁×b₂ for b = b₁ + b₂, or "<what> are dependent at …": for pairs that no immersion made."""
+    c = _cross(b[:3], b[3:])
+    if not any(c):
+        raise ValueError(f"{what} are dependent at {_point_text(coords)}")
+    return c
+
+
 def _b_pair(jac: list, djac: list) -> Tuple[tuple, list]:
     """(b₁ + b₂, ∇b₁ + ∇b₂) from du and ∂ₖdu, as scaled as they are: six entries each.
 
@@ -345,11 +356,8 @@ def _floats_near_one(xs, den: int) -> Tuple[tuple, int]:
     return tuple(n / (d << -k) for n, d in fracs), k
 
 
-def _coframe(coords: Tuple[Fraction, ...], b: Sequence, den: int, tol: float) -> AdaptedCoframe:
-    """The coframe of b₁ + b₂ = b/den, for exact b and a positive integer den."""
-    c = _cross(b[:3], b[3:])
-    if all(x == 0 for x in c):
-        raise ValueError(f"beta forms are dependent at {_point_text(coords)}")
+def _coframe(coords: Tuple[Fraction, ...], b: Sequence, c: Sequence, den: int, tol: float) -> AdaptedCoframe:
+    """The coframe of b₁ + b₂ = b/den, for exact b, c = b[:3]×b[3:] ≠ 0 and an integer den > 0."""
     # b₁, b₂ become floats times 2ᵏ and b₁×b₂ times its own power of two, each
     # near 1: far out on a chart the b's shrink and b₁×b₂ would underflow.  A
     # power of two scales a float exactly, so e, η and the residual are those
@@ -384,7 +392,8 @@ def _coframe(coords: Tuple[Fraction, ...], b: Sequence, den: int, tol: float) ->
 def adapted_coframe_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence, tol: float = 1e-10) -> AdaptedCoframe:
     """Cross-product coframe at a point where β₁, β₂ are independent."""
     pt = tuple(Fraction(x) for x in point)
-    return _coframe(pt, beta1.b_at(pt) + beta2.b_at(pt), 1, tol)
+    b = beta1.b_at(pt) + beta2.b_at(pt)
+    return _coframe(pt, b, _require_independent(pt, b, "beta forms"), 1, tol)
 
 
 def coframe_residual(frame: AdaptedCoframe, b1: Sequence, b2: Sequence) -> float:
@@ -407,12 +416,9 @@ class PathGeometrySample:
         self.point, self.p1, self.p2, self.contact = point, p1, p2, contact
 
 
-def _contact_value(coords: Tuple[Fraction, ...], b: Sequence, grads: Sequence) -> Fraction:
-    """m·curl(m) for m = b₁×b₂, from b = b₁ + b₂ and the six gradients."""
+def _contact_value(b: Sequence, grads: Sequence, m: Sequence) -> Fraction:
+    """m·curl(m) for m = b₁×b₂, from b = b₁ + b₂, the six gradients and m."""
     v1, v2, g1, g2 = b[:3], b[3:], grads[:3], grads[3:]
-    m = _cross(v1, v2)
-    if all(x == 0 for x in m):
-        raise ValueError(f"beta forms are dependent at {_point_text(coords)}")
     dm = []
     for i in range(NVARS):
         d1 = tuple(g[i] for g in g1)
@@ -431,7 +437,8 @@ def contact_value_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> Fra
     ∂ᵢ(b₁×b₂) = ∂ᵢb₁×b₂ + b₁×∂ᵢb₂, then m·curl(m).
     """
     pt = RationalPoint(point, NVARS)
-    return _contact_value(pt.coords, *CompiledMap(beta1.b + beta2.b, order=1).gradients(pt))
+    b, grads = CompiledMap(beta1.b + beta2.b, order=1).gradients(pt)
+    return _contact_value(b, grads, _require_independent(pt.coords, b, "beta forms"))
 
 
 def is_nondegenerate_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> bool:
@@ -443,16 +450,12 @@ def is_nondegenerate_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> 
     return contact_value_at(beta1, beta2, point) != 0
 
 
-def _line_fields(coords: Tuple[Fraction, ...], b: Sequence, grads: Sequence) -> PathGeometrySample:
-    if all(x == 0 for x in _cross(b[:3], b[3:])):
-        raise ValueError(f"line fields are dependent at {_point_text(coords)}")
-    return PathGeometrySample(coords, b[:3], b[3:], _contact_value(coords, b, grads) != 0)
-
-
 def line_fields_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> PathGeometrySample:
     """P₁ ∥ b₁(point), P₂ ∥ b₂(point); exact on rational inputs."""
     pt = RationalPoint(point, NVARS)
-    return _line_fields(pt.coords, *CompiledMap(beta1.b + beta2.b, order=1).gradients(pt))
+    b, grads = CompiledMap(beta1.b + beta2.b, order=1).gradients(pt)
+    m = _require_independent(pt.coords, b, "line fields")
+    return PathGeometrySample(pt.coords, b[:3], b[3:], _contact_value(b, grads, m) != 0)
 
 
 class CRSample:
@@ -531,29 +534,23 @@ def cr_structure_at(u: ParamMap, point: Sequence) -> CRSample:
     return _cr_structure(pt.coords, jac, _require_immersion(pt.coords, jac), scale)
 
 
-def _compatible(jac: list, sample: PathGeometrySample) -> bool:
-    # vᵢ = du·Pᵢ ≠ 0; J₀v₁ ∥ v₂ puts J₀v₁ in T, so v₁ ∈ T ∩ J₀T = D and
-    # span(v₁, v₂) = span(v₁, J₀v₁) = D.  J₀v₁ ≠ 0, so J₀v₁ ∥ v₂ iff every
-    # 2×2 minor of [J₀v₁; v₂] vanishes, whatever scale du and the Pᵢ carry.
-    a = _J0([_dot(row, sample.p1) for row in jac])
-    v2 = [_dot(row, sample.p2) for row in jac]
-    return all(a[i] * v2[j] == a[j] * v2[i] for i in range(4) for j in range(i + 1, 4))
-
-
 def compatibility_check(u: ParamMap, point: Sequence) -> bool:
-    """Whether the CR structure maps the P₁ line onto the P₂ line.
+    """Whether the CR structure maps the P₁ line onto the P₂ line: always, at a contact point.
 
-    Checks, exactly on rational inputs, that J₀(du·P₁) spans du·P₂.  That
-    implies du·P₁ ⊕ du·P₂ = D: J₀(du·P₁) lies in T, so du·P₁ lies in
-    T ∩ J₀T = D, and D is spanned by du·P₁ and J₀(du·P₁).
+    Let v = du·P₁ span the kernel of ω₀ on T = im du, with normal n.  Then
+    ι_v ω₀ = λ·n with λ ≠ 0, and φ₀(v, w) = −ω₀(J₀v, w) because dz¹∧dz² is
+    complex bilinear, so n(J₀v) = λ⁻¹ω₀(v, J₀v) = λ⁻¹φ₀(v, v) = 0: J₀v lies
+    in T.  For w ∈ T, φ₀(J₀v, w) = ω₀(v, w) = 0, so J₀v spans du·P₂, and
+    du·P₁ ⊕ du·P₂ = span(v, J₀v) = T ∩ J₀T = D.  Raises where u has a pole,
+    where du has rank < 3, and where the hypersurface is not contact.
     """
     pt = RationalPoint(point, NVARS)
     jac, _, djac = CompiledMap(u).at(pt)
-    sample = _line_fields(pt.coords, *_b_pair(jac, djac))
-    if not sample.contact:
-        raise ValueError(f"hypersurface is degenerate (not contact) at {_point_text(pt.coords)}")
     _require_immersion(pt.coords, jac)
-    return _compatible(jac, sample)
+    b, grads = _b_pair(jac, djac)
+    if not _contact_value(b, grads, _cross(b[:3], b[3:])):
+        raise ValueError(f"hypersurface is degenerate (not contact) at {_point_text(pt.coords)}")
+    return True
 
 
 # -- per-point reports -------------------------------------------------------
@@ -576,31 +573,29 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, compiled: Opti
             raise ValueError("point has wrong dimension")
         jac, scale, djac = compiled.at(pt)
         normal = _require_immersion(coords, jac)
-        # b̂ = Δ²·b and ∇b̂: the contact, compatibility and CR tests read them as they are
+        # b̂ = Δ²·b and ∇b̂: the coframe and the contact test read them as they are
         bh, gh = _b_pair(jac, djac)
         b1, b2 = (tuple(Fraction(x, scale * scale) for x in bh[i:i + 3]) for i in (0, 3))
         rec["b1"] = b1_text = [_rational(x) for x in b1]
         rec["b2"] = b2_text = [_rational(x) for x in b2]
-        independent = any(x != 0 for x in _cross(bh[:3], bh[3:]))
-        rec["independent"] = independent
-        if not independent:
-            rec["error"] = "dependent pullbacks"
-            return rec
-        frame = _coframe(coords, bh, scale * scale, max(tol, 1e-10))
+        # the compatibility theorem (module docstring) makes b̂₁×b̂₂ ≠ 0 at an immersion point
+        rec["independent"] = True
+        cross = _cross(bh[:3], bh[3:])
+        frame = _coframe(coords, bh, cross, scale * scale, max(tol, 1e-10))
         rec["coframe"] = {
             "eta1": list(frame.eta1),
             "eta2": list(frame.eta2),
             "eta3": list(frame.eta3),
         }
-        sample = _line_fields(coords, bh, gh)
         rec["P1"], rec["P2"] = b1_text, b2_text
-        rec["contact"] = sample.contact
+        rec["contact"] = contact = _contact_value(bh, gh, cross) != 0
         cr = _cr_structure(coords, jac, normal, scale)
         rec["cr"] = {
             "D": [[_rational(x) for x in b] for b in cr.d_basis],
             "I": [[_rational(x) for x in row] for row in cr.i_matrix],
         }
-        rec["compatible"] = _compatible(jac, sample) if sample.contact else None
+        # the same theorem gives J₀(du·P₁) ∥ du·P₂; the field is asked only of a contact point
+        rec["compatible"] = True if contact else None
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         rec["error"] = str(exc)
     return rec

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .scalars import index_from_json, rational_from_json
+from .scalars import index_from_json, rational_from_json, scalar_to_json
 
 Exponent = Tuple[int, ...]
 
@@ -178,7 +178,7 @@ class Poly:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list:
-        return [{"exp": list(e), "c": f"{c.numerator}/{c.denominator}"} for e, c in sorted(self.terms.items())]
+        return [{"exp": list(e), "c": scalar_to_json(c)} for e, c in sorted(self.terms.items())]
 
     @classmethod
     def from_json(cls, data, nvars: int) -> "Poly":

@@ -55,11 +55,15 @@ def scalar_to_json(value: Fraction) -> str:
 
 
 def sqrt_of(q: Fraction) -> float:
-    """√q rounded to a float, also where ``float(q)`` would overflow or underflow.
+    """√q as a float, also where ``float(q)`` would overflow or underflow.
 
-    It takes the root of q/4ᵏ, a float near 1, and scales it back by 2ᵏ, both
-    exactly, so it equals ``math.sqrt(q)`` wherever ``float(q)`` is a normal
-    float.  A root beyond the float range raises OverflowError.
+    It rounds q/4ᵏ to a float near 1, takes its root, and scales that back by
+    2ᵏ exactly, so it equals ``math.sqrt(q)`` wherever ``float(q)`` is a normal
+    float.  That rounds twice, so the result can be one ulp off the correctly
+    rounded root: ``sqrt_of(Fraction(10**600))`` is 9.999999999999999e+299.  A
+    correctly rounded root would change printed κ and degree digits, so it
+    needs a declared output change.  A root beyond the float range raises
+    OverflowError.
     """
     n, d = q.numerator, q.denominator
     if n <= 0:

@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,25 +23,25 @@ from pathgeom import (
     sphere_chart_model,
     star_coefficients,
 )
+import pathgeom.hypersurface as hs
 from pathgeom.hypersurface import (
     CompiledMap,
-    PathGeometrySample,
     _J0,
-    _compatible,
     _b_pair,
     _cr_structure,
-    _line_fields,
+    _cross,
+    _minors,
     _require_immersion,
     contact_value_at,
     coframe_residual,
     point_record,
     sample_report,
 )
-from pathgeom.linalg import matvec, rank, solve
+from pathgeom.linalg import matvec, rank
 from pathgeom.polynomials import RationalPoint
 
 from conftest import rand_fraction
-from oracles import compatible_oracle, contact_scalar, cr_structure_oracle, greedy_intersect_spans, span_equal
+from oracles import compatible_oracle, contact_scalar, cr_structure_oracle, span_equal
 
 
 def rand_point(rng, lo=-5, hi=5, den=7):
@@ -78,8 +80,6 @@ class TestPullbackSplitting:
             graph = ParamMap((X1, X2, X3, X1 * X2 + X3 * X3 * X2))
             beta1, beta2 = pullback_splitting(graph)
             pt = rand_point(rng)
-            from pathgeom.hypersurface import _cross
-
             assert any(x != 0 for x in _cross(beta1.b_at(pt), beta2.b_at(pt)))
 
 
@@ -118,8 +118,6 @@ class TestAdaptedCoframe:
         for _ in range(100):
             b1 = [rand_fraction(rng) for _ in range(3)]
             b2 = [rand_fraction(rng) for _ in range(3)]
-            from pathgeom.hypersurface import _cross
-
             if all(x == 0 for x in _cross(b1, b2)):
                 continue
             frame = adapted_coframe_at(constant_form(b1), constant_form(b2), [0, 0, 0])
@@ -156,6 +154,17 @@ class TestLineFields:
         b = constant_form((1, 0, 0))
         with pytest.raises(ValueError):
             line_fields_at(b, b, [0, 0, 0])
+
+
+@pytest.mark.parametrize("entry, what", [
+    (adapted_coframe_at, "beta forms"), (contact_value_at, "beta forms"), (line_fields_at, "line fields"),
+])
+def test_dependent_pair_keeps_its_message(entry, what):
+    """The entry points that take an arbitrary pair (β₁, β₂) share one dependence guard."""
+    b = constant_form((2, -1, 3))
+    with pytest.raises(ValueError) as info:
+        entry(b, b.scaled(Fraction(-1, 2)), [0, Fraction(1, 2), 0])
+    assert str(info.value) == f"{what} are dependent at (0/1, 1/2, 0/1)"
 
 
 class TestContact:
@@ -269,6 +278,23 @@ class TestCompatibility:
         with pytest.raises(ValueError, match="degenerate"):
             compatibility_check(affine_plane_model(), [0, Fraction(1, 2), 0])
 
+    def test_non_immersion_is_named(self):
+        with pytest.raises(ValueError) as info:
+            compatibility_check(ParamMap((X1, X1, X1, X1)), [1, 2, 3])
+        assert str(info.value) == "map is not an immersion at (1/1, 2/1, 3/1): Jacobian rank < 3"
+
+    def test_oracle_at_criterion_10_points(self):
+        """The 100 Heisenberg points of acceptance criterion 10, drawn as it draws them."""
+        rng = random.Random(10)
+        u = heisenberg_model()
+        compiled = CompiledMap(u)
+        for _ in range(100):
+            pt = RationalPoint([rand_fraction(rng) for _ in range(3)], 3)
+            jac, _, djac = compiled.at(pt)
+            b, _ = _b_pair(jac, djac)
+            assert compatible_oracle(jac, b[:3], b[3:])
+            assert point_record(u, pt.coords, compiled=compiled)["compatible"] is True
+
 
 def _random_graph(rng) -> ParamMap:
     """(x₁, x₂, x₃, f) for a random cubic f, in a random order of the four components."""
@@ -282,29 +308,28 @@ def _random_graph(rng) -> ParamMap:
 
 
 class TestCRStructureOracle:
-    """One null space of [du | −J₀du] and one rank test against the incremental reference."""
+    """One null space of [du | −J₀du] and one rank test against the incremental reference.
 
-    def assert_matches(self, jac, p1, p2):
+    At map points the line fields P₁ ∥ b₁, P₂ ∥ b₂ are also checked against
+    the compatibility oracle, which the theorem says holds at every immersion
+    point, contact or not.
+    """
+
+    def assert_matches(self, jac):
         cr = _cr_structure((0, 0, 0), jac, _require_immersion((0, 0, 0), jac))
         assert (cr.d_basis, cr.param_basis, cr.i_matrix) == cr_structure_oracle(jac)
-        sample = PathGeometrySample((0, 0, 0), tuple(p1), tuple(p2), True)
-        verdict = _compatible(jac, sample)
-        assert verdict == compatible_oracle(jac, p1, p2)
-        return verdict
 
     def assert_map_matches(self, u, points):
         compiled = CompiledMap(u)
-        verdicts = []
         for point in points:
-            pt = RationalPoint(point, 3)
-            jac, _, djac = compiled.at(pt)
-            sample = _line_fields(pt.coords, *_b_pair(jac, djac))
-            verdicts.append(self.assert_matches(jac, sample.p1, sample.p2))
-        return verdicts
+            jac, _, djac = compiled.at(RationalPoint(point, 3))
+            self.assert_matches(jac)
+            b, _ = _b_pair(jac, djac)
+            assert compatible_oracle(jac, b[:3], b[3:])
 
     def test_models(self, rng):
-        assert all(self.assert_map_matches(heisenberg_model(), [rand_point(rng) for _ in range(10)]))
-        assert all(self.assert_map_matches(sphere_chart_model(), [rand_point(rng, -2, 2, 5) for _ in range(5)]))
+        self.assert_map_matches(heisenberg_model(), [rand_point(rng) for _ in range(10)])
+        self.assert_map_matches(sphere_chart_model(), [rand_point(rng, -2, 2, 5) for _ in range(5)])
 
     def test_affine_plane(self, rng):
         # J₀∂₁u = ∂₂u lies in T, so M has a pivot past du's own columns
@@ -315,32 +340,29 @@ class TestCRStructureOracle:
             self.assert_map_matches(_random_graph(rng), [rand_point(rng, -2, 2, 3)])
 
     def test_synthetic_triples(self, rng):
-        verdicts = []
-        for k in range(120):
+        """D, the parameter basis and I on random rank-3 Jacobians."""
+        checked = 0
+        for _ in range(120):
             jac = [[rand_fraction(rng, -3, 3, 2) for _ in range(3)] for _ in range(4)]
-            if rank(jac) != 3:
-                continue
-            cols = [[jac[i][j] for i in range(4)] for j in range(3)]
-            j0 = [[Fraction(x) for x in row] for row in J0_MATRIX]
-            d1, d2 = greedy_intersect_spans(cols, [matvec(j0, c) for c in cols])
-            s, t = rand_fraction(rng, -3, 3, 2), rand_fraction(rng, -3, 3, 2)
-            v1 = [s * a + t * b for a, b in zip(d1, d2)] if (s, t) != (0, 0) else d1
-            if k % 2 == 0:  # J₀v₁ ∥ v₂
-                lam = rand_fraction(rng, 1, 3, 2)
-                v2 = [lam * x for x in matvec(j0, v1)]
-            elif k % 4 == 1:  # v₂ in D and independent of v₁: span(v₁, v₂) = D either way
-                v2 = [a + Fraction(1, 2) * b for a, b in zip(v1, d2 if rank([v1, d1]) == 1 else d1)]
-            else:  # random v₂ in T
-                v2 = matvec(jac, [rand_fraction(rng, -3, 3, 2) for _ in range(3)])
-            if all(x == 0 for x in v2):
-                continue
-            p1, p2 = (solve(jac, v) for v in (v1, v2))
-            verdicts.append(self.assert_matches(jac, p1, p2))
-        assert verdicts.count(True) > 30 and verdicts.count(False) > 30
+            if rank(jac) == 3:
+                self.assert_matches(jac)
+                checked += 1
+        assert checked > 60
 
 
 _ENTRY = st.one_of(st.integers(-4, 4).map(Fraction), st.fractions(-3, 3, max_denominator=5))
 _VECTOR = st.lists(_ENTRY, min_size=4, max_size=4)
+_JACOBIAN = (_VECTOR, _VECTOR, _VECTOR, st.sampled_from(["first", "second", "third"]), _ENTRY, _ENTRY)
+
+
+def _jacobian(c0, c1, c2, pivot, s, t) -> list:
+    """du with columns c₀, c₁, c₂, bent so that the last pivot of [du | −J₀du] is the given one."""
+    j0c0 = _J0(c0)
+    if pivot == "second":  # J₀c₀ = c₂ − s·c₀ − t·c₁ lies in T
+        c2 = [a + s * b + t * c for a, b, c in zip(j0c0, c0, c1)]
+    elif pivot == "third":  # J₀c₀ lies in T, and so does J₀c₁ = −c₀ + s·J₀c₀
+        c1 = [a + s * b for a, b in zip(j0c0, c0)]
+    return [list(row) for row in zip(c0, c1, c2)]
 
 
 class TestClosedFormCRStructure:
@@ -351,14 +373,9 @@ class TestClosedFormCRStructure:
     """
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(_VECTOR, _VECTOR, _VECTOR, st.sampled_from(["first", "second", "third"]), _ENTRY, _ENTRY)
+    @given(*_JACOBIAN)
     def test_matches_oracle(self, c0, c1, c2, pivot, s, t):
-        j0c0 = _J0(c0)
-        if pivot == "second":  # J₀c₀ = c₂ − s·c₀ − t·c₁ lies in T
-            c2 = [a + s * b + t * c for a, b, c in zip(j0c0, c0, c1)]
-        elif pivot == "third":  # J₀c₀ lies in T, and so does J₀c₁ = −c₀ + s·J₀c₀
-            c1 = [a + s * b for a, b in zip(j0c0, c0)]
-        jac = [list(row) for row in zip(c0, c1, c2)]
+        jac = _jacobian(c0, c1, c2, pivot, s, t)
         assume(rank(jac) == 3)
         expected = cr_structure_oracle(jac)
         cr = _cr_structure((0, 0, 0), jac, _require_immersion((0, 0, 0), jac))
@@ -368,6 +385,16 @@ class TestClosedFormCRStructure:
         ints = [[int(x * scale) for x in row] for row in jac]
         cr = _cr_structure((0, 0, 0), ints, _require_immersion((0, 0, 0), ints), scale)
         assert (cr.d_basis, cr.param_basis, cr.i_matrix) == expected
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(*_JACOBIAN)
+    def test_compatibility_theorem(self, c0, c1, c2, pivot, s, t):
+        """J₀(du·P₁) spans du·P₂ and b₁×b₂ ≠ 0 on every rank-3 Jacobian, so point_record prints both unchecked."""
+        jac = _jacobian(c0, c1, c2, pivot, s, t)
+        assume(rank(jac) == 3)
+        b = _minors(jac, jac)
+        assert any(_cross(b[:3], b[3:]))
+        assert compatible_oracle(jac, b[:3], b[3:])
 
     def test_complex_tangent_keeps_its_message(self):
         """No rank-3 T is J₀-invariant, whose dimension would be even, so r ≠ 0 for T's own normal;
@@ -396,7 +423,7 @@ class TestSphereChart:
 class TestReports:
     def test_heisenberg_record_shape(self):
         rec = point_record(heisenberg_model(), [0, Fraction(1, 2), Fraction(1, 3)])
-        assert rec["contact"] is True and rec["compatible"] is True
+        assert rec["independent"] is True and rec["contact"] is True and rec["compatible"] is True
         assert "error" not in rec
         assert set(rec) >= {"point", "b1", "b2", "coframe", "P1", "P2", "cr"}
 
@@ -415,6 +442,28 @@ class TestReports:
     def test_rank_drop_flagged(self):
         rec = point_record(ParamMap((X1, X1, X1, X1)), [1, 2, 3])
         assert "error" in rec
+
+    def test_b1_cross_b2_formed_once_per_point(self, monkeypatch, rng):
+        """A full sphere-chart record takes at most 18 cross and 21 dot products."""
+        calls = Counter()
+
+        def counted(name):
+            f = getattr(hs, name)
+
+            def wrapper(a, b):
+                calls[name] += 1
+                return f(a, b)
+
+            return wrapper
+
+        u = sphere_chart_model()
+        compiled = CompiledMap(u)
+        monkeypatch.setattr(hs, "_cross", counted("_cross"))
+        monkeypatch.setattr(hs, "_dot", counted("_dot"))
+        for _ in range(10):
+            calls.clear()
+            assert "error" not in point_record(u, rand_point(rng, -2, 2, 5), compiled=compiled)
+            assert calls["_cross"] <= 18 and calls["_dot"] <= 21
 
     def test_sample_report_order(self, rng):
         pts = [rand_point(rng) for _ in range(3)]

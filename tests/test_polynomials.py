@@ -105,6 +105,13 @@ class TestPoly:
         p = rand_poly(rng)
         assert Poly.from_json(p.to_json(), 3) == p
 
+    def test_json_coefficients_use_the_one_writer(self):
+        p = Poly(3, {(1, 0, 0): Fraction(-3, 7), (0, 0, 0): Fraction(2)})
+        assert p.to_json() == [{"exp": [0, 0, 0], "c": "2/1"}, {"exp": [1, 0, 0], "c": "-3/7"}]
+        # past CPython's int-to-text limit the library's own message, not CPython's
+        with pytest.raises(ValueError, match="more than 4300 digits in its numerator or denominator"):
+            Poly(3, {(0, 0, 0): Fraction(10**4400)}).to_json()
+
 
 class TestRatFunc:
     def test_zero_denominator_rejected(self):
