@@ -182,7 +182,10 @@ def cmd_hypersurface(payload, cfg: Config) -> tuple:
 
     try:
         u = ParamMap.from_json(payload["map"])
-        points = [[rational_from_json(x) for x in pt] for pt in payload.get("points", [])]
+        points = payload.get("points", [])
+        if not isinstance(points, list) or not all(isinstance(pt, list) for pt in points):
+            raise TypeError("points must be an array of arrays")
+        points = [[rational_from_json(x) for x in pt] for pt in points]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed hypersurface input: {exc}") from exc
     records = sample_report(u, points, tol=cfg.tolerance)

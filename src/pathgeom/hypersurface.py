@@ -27,13 +27,13 @@ needs their first derivatives and so the second derivatives of u, and the CR
 structure is linear algebra on du.  :class:`CompiledMap` is the one evaluator
 of exact jets: it takes the partials of each distinct numerator and
 denominator once, writes them over one shared denominator, and applies the
-quotient rule in integers at each point.  A map is compiled once per request
-to second order, which gives Ĵ = Δ·du and ∂ₖĴ up to one positive factor
-each, and every test runs on Python ints: each is homogeneous in du and in
-∂du, so the factors do not change its verdict.  ``Fraction``s are built only
-for the printed fields.  :func:`pullback_splitting` keeps the formal pullback
-in rational functions; the per-point functions that take a pair (β₁, β₂)
-compile its six coefficients to first order for exact values and gradients.
+quotient rule in integers at each point.  A :class:`ParamMap` keeps its jets
+to second order from when it is built, which give Ĵ = Δ·du and ∂ₖĴ up to one
+positive factor each, and every test runs on Python ints: each is homogeneous
+in du and in ∂du, so the factors do not change its verdict.  ``Fraction``s
+are built only for the printed fields.  :func:`pullback_splitting` keeps the
+formal pullback in rational functions, and a :class:`PolyForm3` keeps the
+first-order jets of its three coefficients for exact values and gradients.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .polynomials import Poly, RatFunc, RationalPoint, over_one_denominator
 from .scalars import scalar_to_json as _rational
@@ -65,12 +65,13 @@ def _dot(a: Sequence, b: Sequence):
 class ParamMap:
     """Hypersurface parametrization u : ℝ³ → ℝ⁴ with four rational-function components.
 
-    A :class:`Poly` component is stored as ``RatFunc(p)``.  ``to_json`` writes
-    the polynomial form when every denominator is the constant 1 and the
-    ``"type": "rational"`` form otherwise; ``from_json`` reads both.
+    A :class:`Poly` component is stored as ``RatFunc(p)``, and ``jets`` is the
+    :class:`CompiledMap` of the components to second order.  ``to_json``
+    writes the polynomial form when every denominator is the constant 1 and
+    the ``"type": "rational"`` form otherwise; ``from_json`` reads both.
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "jets")
 
     def __init__(self, components: Sequence[Coefficient]):
         comps = tuple(RatFunc(c) if isinstance(c, Poly) else c for c in components)
@@ -79,6 +80,7 @@ class ParamMap:
         if any(c.nvars != NVARS for c in comps):
             raise ValueError("components must be functions of three variables")
         self.components = comps
+        self.jets = CompiledMap(comps)
 
     def jacobian(self):
         """4×3 matrix of coefficient functions ∂uⁱ/∂xʲ."""
@@ -86,9 +88,7 @@ class ParamMap:
 
     def jacobian_at(self, point: Sequence) -> list:
         """Exact Jacobian at a rational point; raises on rank drop."""
-        pt = RationalPoint(point, NVARS)
-        jac, scale, _ = CompiledMap(self).at(pt)
-        _require_immersion(pt.coords, jac)
+        _, jac, scale, _, _ = _immersion_jets(self, point)
         return [[Fraction(x, scale) for x in row] for row in jac]
 
     def to_json(self) -> dict:
@@ -130,12 +130,13 @@ def _star(coeffs, zero) -> tuple:
 
 
 class PolyForm3:
-    """2-form on ℝ³ with function coefficients, stored as β = b·⋆dx."""
+    """2-form on ℝ³ with function coefficients, stored as β = b·⋆dx, and the first-order ``jets`` of b."""
 
-    __slots__ = ("b",)
+    __slots__ = ("b", "jets")
 
     def __init__(self, b: Tuple[Coefficient, Coefficient, Coefficient]):
         self.b = b
+        self.jets = CompiledMap(b, order=1)
 
     @classmethod
     def from_wedge_coefficients(cls, coeffs) -> "PolyForm3":
@@ -143,8 +144,7 @@ class PolyForm3:
         return cls(_star(coeffs, Poly.zero(NVARS)))
 
     def b_at(self, point: Sequence) -> Tuple[Fraction, Fraction, Fraction]:
-        pt = [Fraction(x) for x in point]
-        return tuple(c(pt) for c in self.b)
+        return self.jets.gradients(RationalPoint(point, NVARS))[0]
 
     def scaled(self, factor) -> "PolyForm3":
         return PolyForm3(tuple(c * factor for c in self.b))
@@ -161,7 +161,7 @@ def star_coefficients(beta) -> tuple:
     coeffs = dict(beta)
     if all(isinstance(v, (int, Fraction)) for v in coeffs.values()):
         return tuple(Fraction(x) for x in _star(coeffs, 0))
-    return PolyForm3.from_wedge_coefficients(coeffs).b
+    return _star(coeffs, Poly.zero(NVARS))
 
 
 def pullback_splitting(u: ParamMap) -> Tuple[PolyForm3, PolyForm3]:
@@ -220,16 +220,13 @@ def _num_den(f: Coefficient) -> Tuple[Poly, Poly]:
 class CompiledMap:
     """The jets of rational functions of three variables, built once for many points.
 
-    ``functions`` is a :class:`ParamMap` or a sequence of Polys and
-    RatFuncs.  Each function Nᵢ/Dᵢ keeps the values and the partials up to
-    ``order`` (1 or 2) of Nᵢ and Dᵢ; identical polynomials are stored once,
-    and all of them over one shared denominator, which cancels in every
+    Each of the Polys and RatFuncs Nᵢ/Dᵢ keeps the values and the partials
+    up to ``order`` (1 or 2) of Nᵢ and Dᵢ; identical polynomials are stored
+    once, and all of them over one shared denominator, which cancels in every
     quotient taken at a point.  No product of functions is multiplied out.
     """
 
-    def __init__(self, functions: Union[ParamMap, Sequence[Coefficient]], order: int = 2):
-        if isinstance(functions, ParamMap):
-            functions = functions.components
+    def __init__(self, functions: Sequence[Coefficient], order: int = 2):
         slots: Dict[Poly, int] = {}
         jets: Dict[Poly, Tuple[int, ...]] = {}
         polys: List[Poly] = []
@@ -315,12 +312,21 @@ def _require_immersion(coords: Tuple[Fraction, ...], jac: list) -> tuple:
     return n
 
 
-def _require_independent(coords: Tuple[Fraction, ...], b: Sequence, what: str) -> tuple:
-    """b₁×b₂ for b = b₁ + b₂, or "<what> are dependent at …": for pairs that no immersion made."""
-    c = _cross(b[:3], b[3:])
+def _immersion_jets(u: ParamMap, point: Sequence) -> tuple:
+    """(coords, Ĵ, Δ, ∂Ĵ, n) of ``u.jets`` at a rational point; raises where du has rank < 3."""
+    pt = RationalPoint(point, NVARS)
+    jac, scale, djac = u.jets.at(pt)
+    return pt.coords, jac, scale, djac, _require_immersion(pt.coords, jac)
+
+
+def _beta_jets(beta1: PolyForm3, beta2: PolyForm3, point: Sequence, what: str) -> tuple:
+    """(coords, b₁ + b₂, the six gradients, b₁×b₂) at a rational point; raises "<what> are dependent at …"."""
+    pt = RationalPoint(point, NVARS)
+    (b1, g1), (b2, g2) = beta1.jets.gradients(pt), beta2.jets.gradients(pt)
+    c = _cross(b1, b2)
     if not any(c):
-        raise ValueError(f"{what} are dependent at {_point_text(coords)}")
-    return c
+        raise ValueError(f"{what} are dependent at {_point_text(pt.coords)}")
+    return pt.coords, b1 + b2, g1 + g2, c
 
 
 def _b_pair(jac: list, djac: list) -> Tuple[tuple, list]:
@@ -391,9 +397,8 @@ def _coframe(coords: Tuple[Fraction, ...], b: Sequence, c: Sequence, den: int, t
 
 def adapted_coframe_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence, tol: float = 1e-10) -> AdaptedCoframe:
     """Cross-product coframe at a point where β₁, β₂ are independent."""
-    pt = tuple(Fraction(x) for x in point)
-    b = beta1.b_at(pt) + beta2.b_at(pt)
-    return _coframe(pt, b, _require_independent(pt, b, "beta forms"), 1, tol)
+    coords, b, _, c = _beta_jets(beta1, beta2, point, "beta forms")
+    return _coframe(coords, b, c, 1, tol)
 
 
 def coframe_residual(frame: AdaptedCoframe, b1: Sequence, b2: Sequence) -> float:
@@ -436,9 +441,8 @@ def contact_value_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> Fra
     Built from values and first derivatives of b₁, b₂ at the point only:
     ∂ᵢ(b₁×b₂) = ∂ᵢb₁×b₂ + b₁×∂ᵢb₂, then m·curl(m).
     """
-    pt = RationalPoint(point, NVARS)
-    b, grads = CompiledMap(beta1.b + beta2.b, order=1).gradients(pt)
-    return _contact_value(b, grads, _require_independent(pt.coords, b, "beta forms"))
+    _, b, grads, m = _beta_jets(beta1, beta2, point, "beta forms")
+    return _contact_value(b, grads, m)
 
 
 def is_nondegenerate_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> bool:
@@ -452,10 +456,8 @@ def is_nondegenerate_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> 
 
 def line_fields_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> PathGeometrySample:
     """P₁ ∥ b₁(point), P₂ ∥ b₂(point); exact on rational inputs."""
-    pt = RationalPoint(point, NVARS)
-    b, grads = CompiledMap(beta1.b + beta2.b, order=1).gradients(pt)
-    m = _require_independent(pt.coords, b, "line fields")
-    return PathGeometrySample(pt.coords, b[:3], b[3:], _contact_value(b, grads, m) != 0)
+    coords, b, grads, m = _beta_jets(beta1, beta2, point, "line fields")
+    return PathGeometrySample(coords, b[:3], b[3:], _contact_value(b, grads, m) != 0)
 
 
 class CRSample:
@@ -529,9 +531,8 @@ def _cr_structure(coords: Tuple[Fraction, ...], jac: list, normal: tuple, scale:
 
 def cr_structure_at(u: ParamMap, point: Sequence) -> CRSample:
     """Exact CR data of the parametrized hypersurface at a rational point."""
-    pt = RationalPoint(point, NVARS)
-    jac, scale, _ = CompiledMap(u).at(pt)
-    return _cr_structure(pt.coords, jac, _require_immersion(pt.coords, jac), scale)
+    coords, jac, scale, _, normal = _immersion_jets(u, point)
+    return _cr_structure(coords, jac, normal, scale)
 
 
 def compatibility_check(u: ParamMap, point: Sequence) -> bool:
@@ -544,35 +545,25 @@ def compatibility_check(u: ParamMap, point: Sequence) -> bool:
     du·P₁ ⊕ du·P₂ = span(v, J₀v) = T ∩ J₀T = D.  Raises where u has a pole,
     where du has rank < 3, and where the hypersurface is not contact.
     """
-    pt = RationalPoint(point, NVARS)
-    jac, _, djac = CompiledMap(u).at(pt)
-    _require_immersion(pt.coords, jac)
+    coords, jac, _, djac, _ = _immersion_jets(u, point)
     b, grads = _b_pair(jac, djac)
     if not _contact_value(b, grads, _cross(b[:3], b[3:])):
-        raise ValueError(f"hypersurface is degenerate (not contact) at {_point_text(pt.coords)}")
+        raise ValueError(f"hypersurface is degenerate (not contact) at {_point_text(coords)}")
     return True
 
 
 # -- per-point reports -------------------------------------------------------
 
 
-def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, compiled: Optional[CompiledMap] = None) -> dict:
-    """One JSON-ready record per query point; degeneracies are flagged, not fatal.
-
-    ``compiled`` can pass the map's :class:`CompiledMap` to share it across points.
-    """
-    compiled = compiled if compiled is not None else CompiledMap(u)
-    # the record shows the point whatever its dimension, which is checked below,
+def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9) -> dict:
+    """One JSON-ready record per query point; degeneracies are flagged, not fatal."""
+    # the record shows the point whatever its dimension, which the jets check,
     # and null if it has too many digits to be written
-    pt = RationalPoint(point, len(point))
-    coords = pt.coords
+    coords = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in point)
     rec: dict = {"point": None}
     try:
         rec["point"] = [_rational(x) for x in coords]
-        if len(coords) != NVARS:
-            raise ValueError("point has wrong dimension")
-        jac, scale, djac = compiled.at(pt)
-        normal = _require_immersion(coords, jac)
+        _, jac, scale, djac, normal = _immersion_jets(u, coords)
         # b̂ = Δ²·b and ∇b̂: the coframe and the contact test read them as they are
         bh, gh = _b_pair(jac, djac)
         b1, b2 = (tuple(Fraction(x, scale * scale) for x in bh[i:i + 3]) for i in (0, 3))
@@ -602,8 +593,7 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9, compiled: Opti
 
 
 def sample_report(u: ParamMap, points: Sequence[Sequence], tol: float = 1e-9) -> list:
-    compiled = CompiledMap(u)
-    return [point_record(u, p, tol, compiled=compiled) for p in points]
+    return [point_record(u, p, tol) for p in points]
 
 
 # -- named models ------------------------------------------------------------

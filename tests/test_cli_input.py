@@ -128,6 +128,23 @@ def test_float_poly_coefficient_reads_as_its_decimal():
     assert call(["hypersurface"], as_float)[:3] == call(["hypersurface"], as_text)[:3]
 
 
+@pytest.mark.parametrize("points", [["123"], "102", [["1", "2", "3"], "456"], {"0": [1, 2, 3]}, 7, None],
+                         ids=["string-point", "string", "one-string-point", "object", "number", "null"])
+def test_points_must_be_an_array_of_arrays(points):
+    """A string is not a point: its characters would otherwise be read as coordinates."""
+    payload = hypersurface_payload()
+    payload["points"] = points
+    code, out, err, _ = call(["hypersurface"], payload)
+    assert_one_error_line(code, out, err)
+    assert err.startswith("error: malformed hypersurface input: ")
+
+
+def test_missing_points_is_an_empty_report():
+    payload = hypersurface_payload()
+    del payload["points"]
+    assert call(["hypersurface"], payload)[:3] == (0, '{\n  "points": []\n}\n', "")
+
+
 # -- fuzz ------------------------------------------------------------------------
 
 FUZZ_BASES = {

@@ -25,7 +25,6 @@ from pathgeom import (
 )
 import pathgeom.hypersurface as hs
 from pathgeom.hypersurface import (
-    CompiledMap,
     _J0,
     _b_pair,
     _cr_structure,
@@ -287,13 +286,12 @@ class TestCompatibility:
         """The 100 Heisenberg points of acceptance criterion 10, drawn as it draws them."""
         rng = random.Random(10)
         u = heisenberg_model()
-        compiled = CompiledMap(u)
         for _ in range(100):
             pt = RationalPoint([rand_fraction(rng) for _ in range(3)], 3)
-            jac, _, djac = compiled.at(pt)
+            jac, _, djac = u.jets.at(pt)
             b, _ = _b_pair(jac, djac)
             assert compatible_oracle(jac, b[:3], b[3:])
-            assert point_record(u, pt.coords, compiled=compiled)["compatible"] is True
+            assert point_record(u, pt.coords)["compatible"] is True
 
 
 def _random_graph(rng) -> ParamMap:
@@ -320,9 +318,8 @@ class TestCRStructureOracle:
         assert (cr.d_basis, cr.param_basis, cr.i_matrix) == cr_structure_oracle(jac)
 
     def assert_map_matches(self, u, points):
-        compiled = CompiledMap(u)
         for point in points:
-            jac, _, djac = compiled.at(RationalPoint(point, 3))
+            jac, _, djac = u.jets.at(RationalPoint(point, 3))
             self.assert_matches(jac)
             b, _ = _b_pair(jac, djac)
             assert compatible_oracle(jac, b[:3], b[3:])
@@ -457,12 +454,11 @@ class TestReports:
             return wrapper
 
         u = sphere_chart_model()
-        compiled = CompiledMap(u)
         monkeypatch.setattr(hs, "_cross", counted("_cross"))
         monkeypatch.setattr(hs, "_dot", counted("_dot"))
         for _ in range(10):
             calls.clear()
-            assert "error" not in point_record(u, rand_point(rng, -2, 2, 5), compiled=compiled)
+            assert "error" not in point_record(u, rand_point(rng, -2, 2, 5))
             assert calls["_cross"] <= 18 and calls["_dot"] <= 21
 
     def test_sample_report_order(self, rng):

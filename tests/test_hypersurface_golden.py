@@ -21,7 +21,7 @@ import pytest
 
 from pathgeom import linalg
 from pathgeom.cli import render_json
-from pathgeom.hypersurface import CompiledMap, ParamMap, point_record, sample_report
+from pathgeom.hypersurface import ParamMap, point_record, sample_report
 from pathgeom.polynomials import Poly
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "hypersurface_golden.json").read_text(encoding="utf-8"))
@@ -40,7 +40,6 @@ def test_per_point_evaluation_does_no_calculus(name, monkeypatch):
     at most two 2-column solves, no span intersection and no span comparison."""
     case = GOLDEN[name]
     u = ParamMap.from_json(case["map"])
-    compiled = CompiledMap(u)
     calls = Counter()
 
     def counted(key, fn):
@@ -57,7 +56,7 @@ def test_per_point_evaluation_does_no_calculus(name, monkeypatch):
             monkeypatch.setattr(linalg, fname, counted(f"linalg.{fname}", fn))
     for p in case["points"]:
         calls.clear()
-        point_record(u, [Fraction(x) for x in p], compiled=compiled)
+        point_record(u, [Fraction(x) for x in p])
         assert calls["diff"] == calls["jacobian_at"] == 0
         assert calls["linalg.solve"] <= 2
         assert calls["linalg.intersect_spans"] == calls["linalg.span_equal"] == 0

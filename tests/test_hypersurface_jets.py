@@ -5,10 +5,11 @@ and denominators, in integers.  Its b₁, b₂, contact flag, D, I and
 compatibility verdict are checked here against the formal route:
 ``pullback_splitting`` in rational functions, ``PolyForm3.b_at``,
 ``contact_value_at``, and the CR references of ``tests/oracles.py``.  The
-gradients of b₁, b₂ are checked against the same compile of the formal
-pair to first order and against the reference evaluator of
-``tests/oracles.py``.  The compile itself multiplies no polynomials, so a map
-with four distinct denominators costs about what a polynomial map does.
+gradients of b₁, b₂ are checked against the jets of the formal pair and
+against the reference evaluator of ``tests/oracles.py``.
+A map and a pair are differentiated once, when they are built, and never per
+point.  The compile itself multiplies no polynomials, so a map with four
+distinct denominators costs about what a polynomial map does.
 """
 
 import random
@@ -22,9 +23,14 @@ from hypothesis import strategies as st
 from pathgeom.hypersurface import (
     CompiledMap,
     ParamMap,
+    PolyForm3,
     _b_pair,
+    adapted_coframe_at,
     compatibility_check,
     contact_value_at,
+    cr_structure_at,
+    is_nondegenerate_at,
+    line_fields_at,
     point_record,
     pullback_splitting,
     sample_report,
@@ -71,9 +77,8 @@ def assert_positive_multiple(a, b):
 
 
 def assert_matches_formal(u: ParamMap, points):
-    compiled = CompiledMap(u)
     for point in points:
-        rec = point_record(u, point, compiled=compiled)
+        rec = point_record(u, point)
         want = formal_fields(u, point)
         if want.get("error") == "not an immersion":
             assert rec["error"].startswith("map is not an immersion at")
@@ -88,9 +93,10 @@ def assert_matches_formal(u: ParamMap, points):
             assert {k: rec[k] for k in want} == want
         # the contact flag reads only a zero; the jet gradients of b₁, b₂ are the formal ones times one λ > 0
         pt = RationalPoint(point, 3)
-        jac, _, djac = compiled.at(pt)
+        jac, _, djac = u.jets.at(pt)
         beta1, beta2 = pullback_splitting(u)
-        formal = CompiledMap(beta1.b + beta2.b, order=1).gradients(pt)
+        (v1, g1), (v2, g2) = beta1.jets.gradients(pt), beta2.jets.gradients(pt)
+        formal = v1 + v2, g1 + g2
         assert (list(formal[0]), formal[1]) == CompiledFunctions(beta1.b + beta2.b, 3).at(pt)
         assert_positive_multiple(*([x for g in t[1] for x in g] for t in (_b_pair(jac, djac), formal)))
 
@@ -158,6 +164,18 @@ def test_constant_quotient_has_no_pole():
     assert {k: rec[k] for k in ("b1", "b2", "contact", "cr", "compatible")} == formal_fields(u, point)
 
 
+def test_constant_quotient_coefficient_has_no_pole():
+    """A pair reads a coefficient c·D/D as c at every point, D = 0 included, in each per-point function."""
+    one_minus_x1 = 1 - X[0]
+    beta1 = PolyForm3((RatFunc(2 * one_minus_x1, one_minus_x1), Poly.zero(3), Poly.zero(3)))
+    beta2 = PolyForm3((Poly.zero(3), Poly.zero(3), Poly.constant(1, 3)))
+    point = [1, Fraction(1, 2), -2]
+    assert beta1.b_at(point) == (2, 0, 0)
+    assert adapted_coframe_at(beta1, beta2, point).eta2 == (0.0, -1.0, 0.0)
+    assert contact_value_at(beta1, beta2, point) == 0
+    assert line_fields_at(beta1, beta2, point).p1 == (2, 0, 0)
+
+
 def test_values_over_one_denominator(rng):
     polys = [Poly(3, {tuple(rng.randint(0, 3) for _ in range(3)): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                       for _ in range(rng.randint(0, 4))}) for _ in range(6)]
@@ -171,7 +189,7 @@ def test_values_over_one_denominator(rng):
 
 
 def test_compile_multiplies_no_polynomials(monkeypatch):
-    u = sphere_chart_model()
+    components = sphere_chart_model().components
     calls = Counter()
 
     def counted(cls, name):
@@ -186,24 +204,58 @@ def test_compile_multiplies_no_polynomials(monkeypatch):
     for cls in (Poly, RatFunc):
         counted(cls, "__mul__")
         counted(cls, "__rmul__")
-    CompiledMap(u)
+    ParamMap(components)
     assert sum(calls.values()) == 0
 
 
+def count_calculus(monkeypatch) -> Counter:
+    """Counts of ``Poly.diff`` and ``CompiledMap.__init__`` calls from now on."""
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Poly, "diff", counted("diff", Poly.diff))
+    monkeypatch.setattr(CompiledMap, "__init__", counted("compile", CompiledMap.__init__))
+    return calls
+
+
 def test_compatibility_check_differentiates_once_per_jet(monkeypatch):
-    """One call differentiates each distinct numerator and denominator to second order, nothing more."""
+    """Building the map differentiates each distinct numerator and denominator to second order; a call, nothing."""
+    calls = count_calculus(monkeypatch)
     u = sphere_chart_model()
-    diffs = Counter()
-    diff = Poly.diff
-
-    def counted(self, var):
-        diffs["diff"] += 1
-        return diff(self, var)
-
-    monkeypatch.setattr(Poly, "diff", counted)
-    assert compatibility_check(u, [Fraction(1, 2), Fraction(-1, 3), 2])
     # 1−q, 1+q and the three 2xᵢ: three first and six second partials each
-    assert diffs["diff"] == 5 * 9
+    assert calls == {"diff": 5 * 9, "compile": 1}
+    calls.clear()
+    assert compatibility_check(u, [Fraction(1, 2), Fraction(-1, 3), 2])
+    assert sum(calls.values()) == 0
+
+
+def test_a_map_and_a_pair_are_differentiated_when_built(monkeypatch, rng):
+    """100 calls of each per-point function on the sphere chart and its pullback pair make no diff and no compile."""
+    calls = count_calculus(monkeypatch)
+    u = sphere_chart_model()
+    assert calls == {"diff": 45, "compile": 1}
+    points = [[Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(3)] for _ in range(100)]
+    calls.clear()
+    for f in (u.jacobian_at, lambda p: cr_structure_at(u, p), lambda p: compatibility_check(u, p),
+              lambda p: point_record(u, p)):
+        for p in points:
+            f(p)
+    assert sum(calls.values()) == 0
+    beta1, beta2 = pullback_splitting(u)
+    assert calls["compile"] == 2
+    calls.clear()
+    for f in (contact_value_at, is_nondegenerate_at, line_fields_at, adapted_coframe_at):
+        for p in points:
+            f(beta1, beta2, p)
+    for p in points:
+        beta1.b_at(p), beta2.b_at(p)
+    assert sum(calls.values()) == 0
 
 
 def distinct_denominator_map(seed: int) -> ParamMap:
