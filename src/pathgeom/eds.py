@@ -45,10 +45,6 @@ _THETA_SLOT: Dict[Tuple[int, int], int] = {
 }
 
 
-def slot_of(label: str) -> int:
-    return _SLOT[label]
-
-
 def frame_vector(slot: int) -> Tuple[Fraction, ...]:
     """Dual frame vector for a coframe slot (1-based)."""
     return tuple(Fraction(1 if i == slot else 0) for i in range(1, DIM + 1))
@@ -152,22 +148,6 @@ class ConstantIdeal:
     def __init__(self, generators: Tuple[MultiVector, ...], differentials: Tuple[MultiVector, ...],
                  curvature: CurvatureSample):
         self.generators, self.differentials, self.curvature = generators, differentials, curvature
-
-    @property
-    def chi1(self) -> MultiVector:
-        return self.generators[0]
-
-    @property
-    def chi2(self) -> MultiVector:
-        return self.generators[1]
-
-    @property
-    def dchi1(self) -> MultiVector:
-        return self.differentials[0]
-
-    @property
-    def dchi2(self) -> MultiVector:
-        return self.differentials[1]
 
 
 def ideal_at(curvature: CurvatureSample) -> ConstantIdeal:

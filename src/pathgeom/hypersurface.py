@@ -12,9 +12,8 @@ arithmetic on the coefficient vectors b₁, b₂:
 * line fields      P₁ ∥ b₁, P₂ ∥ b₂ (the kernels of {η₁,η₂} and {η₂,η₃});
 * contact test     μ = (b₁×b₂)·dx, nondegenerate iff μ∧dμ ≠ 0, computed
   exactly as (b₁×b₂)·curl(b₁×b₂);
-* CR structure     D = T ∩ J₀T with I the restriction of J₀, both read off
-  the null space of [du | −J₀du], which T's normal covector n gives in
-  closed form.
+* CR structure     D = T ∩ J₀T in closed form from T's normal covector n,
+  and I, the restriction of J₀, solved in ℝ⁴ on D's own basis.
 
 The line fields and the contact predicate are exact rational computations;
 only the coframe normalization needs floating point.  The compatibility
@@ -41,6 +40,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .polynomials import Poly, RatFunc, RationalPoint, over_one_denominator
@@ -138,29 +138,17 @@ class PolyForm3:
         self.b = b
         self.jets = CompiledMap(b, order=1)
 
-    @classmethod
-    def from_wedge_coefficients(cls, coeffs) -> "PolyForm3":
-        """Build from coefficients on dx¹∧dx², dx¹∧dx³, dx²∧dx³ (keys (i,j), i<j)."""
-        return cls(_star(coeffs, Poly.zero(NVARS)))
-
-    def b_at(self, point: Sequence) -> Tuple[Fraction, Fraction, Fraction]:
-        return self.jets.gradients(RationalPoint(point, NVARS))[0]
-
-    def scaled(self, factor) -> "PolyForm3":
-        return PolyForm3(tuple(c * factor for c in self.b))
-
 
 def star_coefficients(beta) -> tuple:
     """Coefficient vector b of β = b·⋆dx.
 
     Accepts a :class:`PolyForm3` or a mapping from index pairs (i,j) to
-    coefficients (numbers or coefficient functions).
+    coefficients, numbers or coefficient functions; a number becomes a
+    constant :class:`Poly`, so the three entries are always functions.
     """
     if isinstance(beta, PolyForm3):
         return beta.b
-    coeffs = dict(beta)
-    if all(isinstance(v, (int, Fraction)) for v in coeffs.values()):
-        return tuple(Fraction(x) for x in _star(coeffs, 0))
+    coeffs = {k: v if isinstance(v, (Poly, RatFunc)) else Poly.constant(v, NVARS) for k, v in dict(beta).items()}
     return _star(coeffs, Poly.zero(NVARS))
 
 
@@ -476,63 +464,46 @@ def _J0(v: Sequence[Fraction]) -> list:
     return [-v[1], v[0], -v[3], v[2]]
 
 
-def _cr_structure(coords: Tuple[Fraction, ...], jac: list, normal: tuple, scale: int = 1) -> CRSample:
-    """D and I where du = jac/scale has rank 3; ``normal`` is T's n from :func:`_require_immersion`.
+def _cr_structure(jac: list, normal: tuple, scale: int) -> tuple:
+    """(D's basis, I in it) where du = jac/scale has rank 3; ``normal`` is T's n from :func:`_require_immersion`.
 
-    ``jac`` may hold ints or Fractions.
+    Nothing here can fail.  T = im du is not J₀-invariant, since a complex
+    subspace has even dimension, so D = T ∩ J₀T is a plane; D is
+    J₀-invariant by construction, and I = J₀|_D squares to −Id because J₀ does.
     """
-    # a null vector (p, q) of [du | −J₀du] gives d = du·p = J₀(du·q) in D, with
-    # J₀d = −du·q; du is injective, so independent null vectors give independent d's.
-    # du's columns are pivots of the echelon form, and −J₀duⱼ is one where
-    # rⱼ = n·J₀duⱼ ≠ 0; the first such j is the last pivot, the other two columns f
-    # are free, with null vectors (p, q)/r_pivot, q = r_pivot·e_f − r_f·e_pivot.
+    # w = J₀(du·q) lies in J₀T, and in T iff n·w = r·q = 0 for rⱼ = n·J₀duⱼ; r ≠ 0,
+    # or J₀T = T.  For the first rⱼ ≠ 0, q = rⱼ·e_f − r_f·eⱼ over the other two
+    # columns f gives w₁, w₂, independent since du is injective: a basis of D
     n0, n1, n2, n3 = normal
     r = [n1 * c0 - n0 * c1 + n3 * c2 - n2 * c3 for c0, c1, c2, c3 in zip(*jac)]
-    pivot = next((j for j in range(NVARS) if r[j]), None)
-    if pivot is None:
-        raise ValueError(f"complex tangent point at {_point_text(coords)}: dim(T ∩ J0·T) = 3, expected 2")
+    pivot = next(j for j in range(NVARS) if r[j])
     rp = r[pivot]
-    qs = []
+    vs = []
     for f in (f for f in range(NVARS) if f != pivot):
         q = [0] * NVARS
         q[f], q[pivot] = rp, -r[f]
-        qs.append(q)
-    # du·p = w = J₀(du·q) lies in T (n·w = r·q = 0).  Cramer's rule on the rows
-    # s₀, s₁, s₂ of du but row i, nᵢ ≠ 0, gives p = (w₀·s₁×s₂ + w₁·s₂×s₀ + w₂·s₀×s₁)/det,
-    # where det = det(s₀, s₁, s₂) = ±nᵢ
-    i = next(k for k, x in enumerate(normal) if x)
-    s0, s1, s2 = (row for k, row in enumerate(jac) if k != i)
-    adj = tuple(zip(_cross(s1, s2), _cross(s2, s0), _cross(s0, s1)))
-    det = -normal[i] if i % 2 else normal[i]
-    ws = [_J0([_dot(row, q) for row in jac]) for q in qs]
-    ps = [[_dot([x for k, x in enumerate(w) if k != i], column) for column in adj] for w in ws]
-    param_basis = tuple(tuple(Fraction(x, det * rp) for x in p) for p in ps)
-    d_basis = tuple(tuple(Fraction(x, rp * scale) for x in w) for w in ws)
-    # J₀d_k = Σⱼ I_jk d_j pulls back through du to −q_k = Σⱼ I_jk p_j: a 3×2
-    # system of rank 2, solved by Cramer's rule on two rows and checked on all three;
-    # det·(p, q) puts both null vectors over the common denominator det·r_pivot
-    p = [[v[k] for v in ps] for k in range(NVARS)]
-    minors = [(k, l, p[k][0] * p[l][1] - p[k][1] * p[l][0]) for k, l in ((0, 1), (0, 2), (1, 2))]
-    k, l, det2 = next((t for t in minors if t[2]), minors[0])
-    i_num = []
-    for v in qs:
-        q = [-det * x for x in v]
-        x0, x1 = q[k] * p[l][1] - p[k][1] * q[l], p[k][0] * q[l] - q[k] * p[l][0]
-        if not det2 or any(row[0] * x0 + row[1] * x1 != qi * det2 for row, qi in zip(p, q)):
-            raise ValueError("D is not J0-invariant; inconsistent intersection")
-        i_num.append((x0, x1))
-    # I = i_num/det2 column by column, so I² = −Id reads (i_num)² = −det2²·Id
-    (a, c), (b, d) = i_num
-    if (a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d) != (-det2 * det2, 0, 0, -det2 * det2):
-        raise ValueError("restriction of J0 to D does not square to -Id")
-    i_matrix = ((Fraction(a, det2), Fraction(b, det2)), (Fraction(c, det2), Fraction(d, det2)))
-    return CRSample(coords, d_basis, param_basis, i_matrix)
+        vs.append([_dot(row, q) for row in jac])
+    w1, w2 = ws = [_J0(v) for v in vs]
+    # J₀w_k = −du·q_k = Σⱼ I_jk wⱼ, by Cramer's rule on the first rows a, b of
+    # (w₁ w₂) with a nonzero minor, which exist since w₁, w₂ are independent
+    a, b, det = next((a, b, m) for a, b in combinations(range(4), 2) if (m := w1[a] * w2[b] - w1[b] * w2[a]))
+    columns = [(Fraction(w2[a] * v[b] - v[a] * w2[b], det), Fraction(v[a] * w1[b] - w1[a] * v[b], det)) for v in vs]
+    return tuple(tuple(Fraction(x, rp * scale) for x in w) for w in ws), tuple(zip(*columns))
 
 
 def cr_structure_at(u: ParamMap, point: Sequence) -> CRSample:
     """Exact CR data of the parametrized hypersurface at a rational point."""
     coords, jac, scale, _, normal = _immersion_jets(u, point)
-    return _cr_structure(coords, jac, normal, scale)
+    d_basis, i_matrix = _cr_structure(jac, normal, scale)
+    # du·p = d reads jac·p = scale·d: Cramer's rule on the rows s₀, s₁, s₂ of jac but
+    # row i, nᵢ ≠ 0, gives p = scale·(d₀·s₁×s₂ + d₁·s₂×s₀ + d₂·s₀×s₁)/det, det = ±nᵢ
+    i = next(k for k, x in enumerate(normal) if x)
+    s0, s1, s2 = (row for k, row in enumerate(jac) if k != i)
+    adj = tuple(zip(_cross(s1, s2), _cross(s2, s0), _cross(s0, s1)))
+    det = Fraction(-normal[i] if i % 2 else normal[i], scale)
+    param_basis = tuple(tuple(_dot([x for k, x in enumerate(d) if k != i], column) / det for column in adj)
+                        for d in d_basis)
+    return CRSample(coords, d_basis, param_basis, i_matrix)
 
 
 def compatibility_check(u: ParamMap, point: Sequence) -> bool:
@@ -580,10 +551,10 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9) -> dict:
         }
         rec["P1"], rec["P2"] = b1_text, b2_text
         rec["contact"] = contact = _contact_value(bh, gh, cross) != 0
-        cr = _cr_structure(coords, jac, normal, scale)
+        d_basis, i_matrix = _cr_structure(jac, normal, scale)
         rec["cr"] = {
-            "D": [[_rational(x) for x in b] for b in cr.d_basis],
-            "I": [[_rational(x) for x in row] for row in cr.i_matrix],
+            "D": [[_rational(x) for x in b] for b in d_basis],
+            "I": [[_rational(x) for x in row] for row in i_matrix],
         }
         # the same theorem gives J₀(du·P₁) ∥ du·P₂; the field is asked only of a contact point
         rec["compatible"] = True if contact else None

@@ -137,9 +137,6 @@ class NormalForm:
     def __hash__(self):
         return hash(self._key())
 
-    def coframe(self) -> list:
-        return [MultiVector.one_form(row) for row in self.basis]
-
     def to_json(self) -> dict:
         return {
             "kappa": float(self.kappa),

@@ -69,11 +69,6 @@ class ComplexStructure:
     def as_map(self) -> LinearMap:
         return LinearMap(self.matrix)
 
-    def conjugate(self, a: LinearMap) -> "ComplexStructure":
-        """A⁻¹JA: the pullback action of GL⁺ on complex structures."""
-        m = a.inverse().compose(self.as_map()).compose(a)
-        return ComplexStructure(m.matrix, tol=self.tol)
-
 
 class OrientedPositivePlane:
     """Ordered spanning pair (ω, φ); the order is the orientation.
@@ -91,26 +86,6 @@ class OrientedPositivePlane:
         if sign < 0:
             raise ValueError("wedge pairing is negative definite on the span: the plane belongs to the opposite orientation")
         self.omega, self.phi, self.eps, self.gram = omega, phi, eps, g
-
-    def spans_same_oriented_plane(self, other: "OrientedPositivePlane", tol: float = 0) -> bool:
-        """Equal spans and consistent orientation, exactly by default.
-
-        Each generator x of ``other`` is projected onto this span through the
-        wedge Gram G, which is positive definite here: its coefficients are
-        c = G⁻¹(⟨ω,x⟩, ⟨φ,x⟩).  x lies in the span iff no coefficient of
-        x − c₁ω − c₂φ exceeds ``tol`` times the size of ``other``, so iff it
-        vanishes at ``tol`` = 0; the orientations agree iff det[c] > 0.
-        """
-        mine = (self.omega, self.phi)
-        scale = max(1, other.omega.norm_inf(), other.phi.norm_inf())
-        gram_inv = linalg.inverse(self.gram)
-        coeffs = []
-        for x in (other.omega, other.phi):
-            c = linalg.matvec(gram_inv, [conformal_pairing(f, x, self.eps) for f in mine])
-            if (x - self.omega * c[0] - self.phi * c[1]).norm_inf() > tol * scale:
-                return False
-            coeffs.append(c)
-        return linalg.det(coeffs) > 0
 
 
 class Splitting:
@@ -152,11 +127,6 @@ class Splitting:
         if data.get("epsilon") is not None:
             eps = VolumeForm.from_form(MultiVector.from_json(data["epsilon"]))
         return cls(MultiVector.from_json(data["L1"]), MultiVector.from_json(data["L2"]), eps)
-
-
-def lines_parallel(a: MultiVector, b: MultiVector) -> bool:
-    """Whether two 2-forms span the same line, exactly."""
-    return linalg.rank([a.components(), b.components()]) <= 1
 
 
 # -- the correspondence J <-> Lambda_J --------------------------------------

@@ -11,6 +11,8 @@ replaced by one null space and one echelon form.  Row reduction in Fraction
 arithmetic and the value/gradient evaluator that compiled each function on its
 own are kept as references for the integer elimination and the jet compile, and
 Lagrange's congruence reduction as the reference for the exact inertia.
+The helpers at the end build test data and compare results; no code in the
+library calls them.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from pathgeom import J0_MATRIX, MultiVector, evaluate, linalg
+from pathgeom import J0_MATRIX, ComplexStructure, LinearMap, MultiVector, PolyForm3, conformal_pairing, evaluate, linalg
 from pathgeom.polynomials import IntPoly, Poly, RatFunc, RationalPoint, _quotient
 from pathgeom.eds import (
+    COFRAME_LABELS,
     DIM,
     Flag,
     complement_frame,
@@ -481,3 +484,53 @@ def lagrange_inertia(a) -> tuple:
                     m[j][i] -= f * m[j][k]
         k += 1
     return pos, neg, zero
+
+
+# -- test helpers --------------------------------------------------------------
+
+
+def slot_of(label: str) -> int:
+    """The 1-based coframe slot of an ``eds.COFRAME_LABELS`` label."""
+    return COFRAME_LABELS.index(label) + 1
+
+
+def lines_parallel(a: MultiVector, b: MultiVector) -> bool:
+    """Whether two 2-forms span the same line, exactly."""
+    return linalg.rank([a.components(), b.components()]) <= 1
+
+
+def conjugate(j: ComplexStructure, a: LinearMap) -> ComplexStructure:
+    """A⁻¹JA: the pullback action of GL⁺ on complex structures."""
+    m = a.inverse().compose(j.as_map()).compose(a)
+    return ComplexStructure(m.matrix, tol=j.tol)
+
+
+def spans_same_oriented_plane(p, q, tol: float = 0) -> bool:
+    """Whether the oriented planes p and q have equal spans and consistent orientation, exactly by default.
+
+    Each generator x of q is projected onto p's span through p's wedge Gram
+    G, which is positive definite: its coefficients are
+    c = G⁻¹(⟨ω,x⟩, ⟨φ,x⟩).  x lies in the span iff no coefficient of
+    x − c₁ω − c₂φ exceeds ``tol`` times the size of q, so iff it vanishes at
+    ``tol`` = 0; the orientations agree iff det[c] > 0.
+    """
+    mine = (p.omega, p.phi)
+    scale = max(1, q.omega.norm_inf(), q.phi.norm_inf())
+    gram_inv = linalg.inverse(p.gram)
+    coeffs = []
+    for x in (q.omega, q.phi):
+        c = linalg.matvec(gram_inv, [conformal_pairing(f, x, p.eps) for f in mine])
+        if (x - p.omega * c[0] - p.phi * c[1]).norm_inf() > tol * scale:
+            return False
+        coeffs.append(c)
+    return linalg.det(coeffs) > 0
+
+
+def b_at(beta: PolyForm3, point) -> tuple:
+    """The exact coefficient vector b of β = b·⋆dx at a rational point."""
+    return beta.jets.gradients(RationalPoint(point, 3))[0]
+
+
+def scaled(beta: PolyForm3, factor) -> PolyForm3:
+    """factor·β."""
+    return PolyForm3(tuple(c * factor for c in beta.b))

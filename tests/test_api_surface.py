@@ -3,11 +3,14 @@
 ``perfbench/layers.py`` wraps each function of its ``TARGETS`` table by
 replacing the attribute on its owner (a module or a class), so the function
 must sit in the owner's own ``vars``.  A rename would otherwise surface only
-in a traced benchmark run.  ``perfbench/`` is only read here.
+in a traced benchmark run.  ``perfbench/`` is only read here.  Every other
+definition of the library has a caller in the library.
 """
 
+import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,38 @@ def test_star_import_binds_every_exported_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         pathgeom.no_such_name
+
+
+def _references(node) -> Counter:
+    """Each identifier named under ``node``: a Name, an Attribute's attribute or a whole string constant."""
+    refs = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            refs[n.value] += 1
+    return refs
+
+
+def test_every_internal_definition_has_a_library_caller():
+    """A module-level def or class of ``src/pathgeom`` is named there outside its own body.
+
+    Exported names, dunders and the functions the tracer wraps are exempt; a
+    helper that only tests call belongs in ``tests/``.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(pathgeom.__file__).parent.glob("*.py"))}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    exempt = set(pathgeom._SOURCE) | {attr.split(".")[0] for _, _, attr in TARGETS}
+    uncalled = [
+        f"{mod}.{node.name}"
+        for mod, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exempt
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and everywhere[node.name] == _references(node)[node.name]
+    ]
+    assert uncalled == []

@@ -22,7 +22,6 @@ from pathgeom.eds import (
     polar_space,
     reference_flag,
     sample_curvatures,
-    slot_of,
     structure_d,
     theta,
     verify_involutivity,
@@ -32,7 +31,7 @@ from pathgeom.eds import (
 from pathgeom.linalg import rank
 
 from conftest import rand_fraction
-from oracles import greedy_complement_frame, in_span, random_integral_flag, second_order_probe
+from oracles import greedy_complement_frame, in_span, random_integral_flag, second_order_probe, slot_of
 
 
 MV = MultiVector
@@ -100,10 +99,10 @@ class TestStructureEquations:
 class TestIdeal:
     def test_generator_coefficients(self, rng):
         ideal = ideal_at(rand_curvature(rng))
-        assert ideal.chi1.coefficient((slot_of("t20"), slot_of("t10"))) == 1
-        assert ideal.chi1.coefficient((slot_of("dx1"), slot_of("dx3"))) == -1
-        assert ideal.chi2.coefficient((slot_of("t20"), slot_of("t21"))) == 1
-        assert ideal.chi2.coefficient((slot_of("dx2"), slot_of("dx3"))) == -1
+        assert ideal.generators[0].coefficient((slot_of("t20"), slot_of("t10"))) == 1
+        assert ideal.generators[0].coefficient((slot_of("dx1"), slot_of("dx3"))) == -1
+        assert ideal.generators[1].coefficient((slot_of("t20"), slot_of("t21"))) == 1
+        assert ideal.generators[1].coefficient((slot_of("dx2"), slot_of("dx3"))) == -1
 
     def test_differentials_frozen_and_curvature_free(self, rng):
         # dchi1 = -3 t00^t10^t20 and dchi2 = 3 (t00+t11)^t20^t21,
@@ -113,8 +112,8 @@ class TestIdeal:
         flat = ideal_at(CurvatureSample(0, 0, 0, 0))
         for _ in range(5):
             ideal = ideal_at(rand_curvature(rng))
-            assert ideal.dchi1 == expected1
-            assert ideal.dchi2 == expected2
+            assert ideal.differentials[0] == expected1
+            assert ideal.differentials[1] == expected2
             # Θ¹₀ = Θ²₀ = Θ²₁ = 0: every generator and differential is the flat one, term by term
             for forms in ("generators", "differentials"):
                 for form, flat_form in zip(getattr(ideal, forms), getattr(flat, forms), strict=True):
@@ -127,7 +126,7 @@ class TestIdeal:
         t10, t20 = theta(1, 0), theta(2, 0)
         dt20 = structure_d("t20", zero)
         dt10 = structure_d("t10", zero)
-        assert ideal.dchi1 == wedge(dt20, t10) - wedge(t20, dt10)
+        assert ideal.differentials[0] == wedge(dt20, t10) - wedge(t20, dt10)
 
     def test_model_forms(self):
         assert omega0_model().coefficient((9, 11)) == 1
@@ -160,7 +159,7 @@ class TestIntegrality:
         ideal = ideal_at(rand_curvature(rng))
         e_x1 = frame_vector(slot_of("dx1"))
         e_x3 = frame_vector(slot_of("dx3"))
-        assert evaluate(ideal.chi1, [list(e_x1), list(e_x3)]) == -1
+        assert evaluate(ideal.generators[0], [list(e_x1), list(e_x3)]) == -1
         assert not is_integral_element([e_x1, e_x3], ideal)
 
     def test_empty_element_is_integral(self, rng):
@@ -224,7 +223,7 @@ class TestCharacters:
 
     def test_reduced_ideal_changes_characters(self, rng):
         full = ideal_at(rand_curvature(rng))
-        reduced = ConstantIdeal((full.chi1,), (full.dchi1,), full.curvature)
+        reduced = ConstantIdeal((full.generators[0],), (full.differentials[0],), full.curvature)
         ch = characters(reference_flag(), reduced)
         assert ch.as_tuple() != (0, 2, 4, 3)
 

@@ -10,10 +10,17 @@ from hypothesis import strategies as st
 
 import pathgeom
 from pathgeom import OMEGA0, PHI0, VolumeForm, linalg, pairing_signature
-from pathgeom.splitting import lines_parallel
 
 from conftest import rand_fraction
-from oracles import fraction_nullspace, fraction_rref, greedy_intersect_spans, lagrange_inertia, leibniz_det, span_equal
+from oracles import (
+    fraction_nullspace,
+    fraction_rref,
+    greedy_intersect_spans,
+    lagrange_inertia,
+    leibniz_det,
+    lines_parallel,
+    span_equal,
+)
 
 
 def rand_matrix(rng, rows, cols):

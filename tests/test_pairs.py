@@ -241,7 +241,7 @@ class TestIllConditionedFloatPairs:
     def test_reconstructs_within_tolerance(self, seed):
         pair = ill_conditioned_float_pair(seed)
         nf = normal_form(pair)
-        c = nf.coframe()
+        c = [MultiVector.one_form(row) for row in nf.basis]
         omega = wedge_oracle(c[0], c[2]) - wedge_oracle(c[1], c[3])
         phi = (wedge_oracle(c[0], c[3]) + wedge_oracle(c[1], c[2])) * nf.kappa
         residual = max((omega - pair.omega).norm_inf(), (phi - pair.phi).norm_inf())
