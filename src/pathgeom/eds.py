@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .exterior import MultiVector, evaluate, wedge
-from .scalars import rational_from_json, scalar_to_json
+from .scalars import rational_from_json, scalar_to_json, to_scalar
 
 DIM = 12
 
@@ -65,7 +65,7 @@ class CurvatureSample:
     __slots__ = ("w1", "w2", "f1", "f2")
 
     def __init__(self, w1: Fraction, w2: Fraction, f1: Fraction, f2: Fraction):
-        self.w1, self.w2, self.f1, self.f2 = Fraction(w1), Fraction(w2), Fraction(f1), Fraction(f2)
+        self.w1, self.w2, self.f1, self.f2 = to_scalar(w1), to_scalar(w2), to_scalar(f1), to_scalar(f2)
 
     def _key(self) -> tuple:
         return self.w1, self.w2, self.f1, self.f2
@@ -169,7 +169,7 @@ class Flag:
     __slots__ = ("vectors",)
 
     def __init__(self, vectors: Sequence[Sequence[Fraction]]):
-        vecs = tuple(tuple(Fraction(x) for x in v) for v in vectors)
+        vecs = tuple(tuple(to_scalar(x) for x in v) for v in vectors)
         if any(len(v) != DIM for v in vecs):
             raise ValueError("flag vectors must have dimension 12")
         if len(vecs) > 3:
@@ -182,7 +182,7 @@ class Flag:
 def _named_vector(**components) -> Tuple[Fraction, ...]:
     v = [Fraction(0)] * DIM
     for label, value in components.items():
-        v[_SLOT[label] - 1] = Fraction(value)
+        v[_SLOT[label] - 1] = to_scalar(value)
     return tuple(v)
 
 

@@ -44,7 +44,7 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .polynomials import Poly, RatFunc, RationalPoint, over_one_denominator
-from .scalars import scalar_to_json as _rational
+from .scalars import scalar_to_json as _rational, to_scalar
 
 Coefficient = Union[Poly, RatFunc]
 NVARS = 3
@@ -530,7 +530,7 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9) -> dict:
     """One JSON-ready record per query point; degeneracies are flagged, not fatal."""
     # the record shows the point whatever its dimension, which the jets check,
     # and null if it has too many digits to be written
-    coords = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in point)
+    coords = tuple(to_scalar(x) for x in point)
     rec: dict = {"point": None}
     try:
         rec["point"] = [_rational(x) for x in coords]

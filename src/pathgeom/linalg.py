@@ -1,21 +1,26 @@
 """Exact linear algebra on small dense matrices of Fractions.
 
-Every function is exact, with zero tolerance.  The library hands it
-``Fraction``s and ints only (see :mod:`pathgeom.scalars`); a float entry is
-read as its exact binary value, except by :func:`matmul` and :func:`matvec`,
-which compute in the scalars they are given.  The one row reduction
-is :func:`echelon`, Gauss–Jordan without division on an integer matrix:
-:func:`rank` and :func:`rref` first multiply each row by the lcm of its
-denominators, which leaves the reduced row echelon form alone, and
-:func:`rref` then divides each row by its pivot.  :func:`inertia` counts the
-signs of a symmetric matrix's eigenvalues without computing them.
+Every function is exact, with zero tolerance.  Every entry is read by
+:func:`pathgeom.scalars.to_scalar`, so a float is its exact binary value;
+:func:`matmul` and :func:`matvec` alone compute in the scalars they are given.
+The one elimination is :func:`echelon`, Bareiss's fraction-free Gauss–Jordan
+pass on an integer matrix, whose entries stay integer minors.  :func:`rank`,
+:func:`rref`, :func:`nullspace`, :func:`solve`, :func:`inverse` and
+:func:`det` first multiply each row by the lcm of its denominators, which
+leaves the reduced row echelon form alone and scales the determinant by the
+product of those lcms; :func:`rref` then divides each row by its pivot, and
+:func:`det` is the last pivot, signed by the row permutation.
+:func:`inertia` counts the signs of a symmetric matrix's eigenvalues without
+computing them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
+
+from .scalars import to_scalar
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
@@ -23,7 +28,7 @@ Vector = List[Fraction]
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
     """Copy ``rows`` into a rectangular Fraction matrix."""
-    out = [[Fraction(x) for x in row] for row in rows]
+    out = [[to_scalar(x) for x in row] for row in rows]
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out
@@ -46,56 +51,65 @@ def matvec(a, v) -> Vector:
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
-def _integer_rows(a) -> List[List[int]]:
-    """Each row of ``a`` times the lcm of its entries' denominators, as ints."""
-    out = []
+def _integer_rows(a) -> Tuple[List[List[int]], int]:
+    """Each row of ``a`` times the lcm of its entries' denominators, as ints, and the product of those lcms."""
+    out, scale = [], 1
     for row in a:
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        row = [x if isinstance(x, Fraction) or type(x) is int else to_scalar(x) for x in row]
         den = lcm(*(x.denominator for x in row))
+        scale *= den
         out.append([x.numerator * (den // x.denominator) for x in row])
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
-    return out
+    return out, scale
 
 
-def echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
-    """Fraction-free Gauss–Jordan elimination of an integer matrix: (rows, pivot columns).
+def echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int], int]:
+    """Bareiss's fraction-free Gauss–Jordan elimination of an integer matrix: (rows, pivot columns, sign).
 
-    Each pivot column is zero off its pivot row, and row r divided by its
-    pivot entry is row r of the reduced row echelon form, which no scaling
-    of the input rows changes.  Rows below the pivot rows are zero.  Rows
-    are kept divided by the gcd of their entries.
+    Each step multiplies every other row by the new pivot, subtracts the
+    multiple of the pivot row that clears the pivot column, and divides by
+    the previous pivot (Bareiss, Math. Comp. 22, 1968).  The division is
+    exact: every entry stays a minor of the input, and every pivot entry is
+    the last pivot, the minor on the pivot rows and columns so far.  ``sign``
+    is the sign of the row permutation, so a square matrix of full rank has
+    determinant ``sign`` × the last pivot.  Each pivot column is zero off its
+    pivot row, and row r divided by its pivot entry is row r of the reduced
+    row echelon form, which no scaling of the input rows changes.  Rows below
+    the pivot rows are zero.
     """
     rows = [list(r) for r in rows]
     pivots: List[int] = []
+    sign = prev = 1
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv], sign = rows[piv], rows[r], -sign
         top = rows[r]
+        p = top[col]
         for i, row in enumerate(rows):
-            f = row[col]
-            if i != r and f:
-                new = [top[col] * x - f * y for x, y in zip(row, top)]
-                g = gcd(*new) or 1
-                rows[i] = [x // g for x in new]
+            if i != r:
+                f = row[col]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(col)
         if len(pivots) == len(rows):
             break
-    return rows, pivots
+    return rows, pivots, sign
 
 
 def rref(a: Sequence[Sequence[Fraction]]):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows, pivots = echelon(_integer_rows(a))
+    rows, pivots, _ = echelon(_integer_rows(a)[0])
     out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
     return out + [[Fraction(0)] * len(row) for row in rows[len(pivots):]], pivots
 
 
 def rank(a) -> int:
-    return len(echelon(_integer_rows(a))[1])
+    return len(echelon(_integer_rows(a)[0])[1])
 
 
 def nullspace(a) -> List[Vector]:
@@ -121,7 +135,7 @@ def solve(a, b) -> Optional[Vector]:
     n = len(rows)
     if len(b) != n:
         raise ValueError("shape mismatch")
-    aug = [row + [Fraction(bi)] for row, bi in zip(rows, b)]
+    aug = [row + [to_scalar(bi)] for row, bi in zip(rows, b)]
     red, pivots = rref(aug)
     ncols = len(rows[0]) if rows else 0
     if ncols in pivots:
@@ -144,26 +158,15 @@ def inverse(a) -> Matrix:
 
 
 def det(a) -> Fraction:
-    """Determinant by elimination, largest pivot first."""
-    rows = mat(a)
+    """Determinant: ``sign`` × the last pivot of :func:`echelon` on the integer rows, over the lcms that made them."""
+    rows, scale = _integer_rows(a)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("not square")
-    result = Fraction(1)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(rows[i][col]))
-        if rows[piv][col] == 0:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            result = -result
-        pivot = rows[col][col]
-        result *= pivot
-        for i in range(col + 1, n):
-            f = rows[i][col] / pivot
-            if f != 0:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return result
+    rows, pivots, sign = echelon(rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * rows[-1][-1] if n else 1, scale)
 
 
 def inertia(a) -> tuple:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .scalars import index_from_json, rational_from_json, scalar_to_json
+from .scalars import index_from_json, rational_from_json, scalar_to_json, to_scalar
 
 Exponent = Tuple[int, ...]
 
@@ -48,7 +48,7 @@ class Poly:
             exp = ints
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent tuple {exp}")
-            c = Fraction(c)
+            c = to_scalar(c)
             if c != 0:
                 clean[exp] = clean.get(exp, Fraction(0)) + c
                 if clean[exp] == 0:
@@ -60,7 +60,7 @@ class Poly:
 
     @classmethod
     def constant(cls, value, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: to_scalar(value)})
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Poly":
@@ -81,7 +81,7 @@ class Poly:
             if other.nvars != self.nvars:
                 raise ValueError("variable count mismatch")
             return other
-        return Poly.constant(Fraction(other), self.nvars)
+        return Poly.constant(other, self.nvars)
 
     # a RatFunc operand hands the operation to RatFunc's reflected method
     def __add__(self, other) -> "Poly":
@@ -160,7 +160,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == Poly.constant(other, self.nvars)
         return NotImplemented
 
@@ -217,7 +217,7 @@ class RatFunc:
             return other
         if isinstance(other, Poly):
             return RatFunc(other)
-        return RatFunc(Poly.constant(Fraction(other), self.nvars))
+        return RatFunc(Poly.constant(other, self.nvars))
 
     def __add__(self, other) -> "RatFunc":
         o = self._coerce(other)
@@ -256,7 +256,7 @@ class RatFunc:
         return self.num.is_zero
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (RatFunc, Poly, int, Fraction)):
+        if isinstance(other, (RatFunc, Poly, int, Fraction)) and not isinstance(other, bool):
             o = self._coerce(other)
             return (self.num * o.den - o.num * self.den).is_zero
         return NotImplemented
@@ -283,7 +283,7 @@ class RationalPoint:
     def __init__(self, point: Sequence, nvars: int):
         if len(point) != nvars:
             raise ValueError("point has wrong dimension")
-        coords = self.coords = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in point)
+        coords = self.coords = tuple(to_scalar(x) for x in point)
         den = lcm(*(x.denominator for x in coords))
         self.nums = tuple(x.numerator * (den // x.denominator) for x in coords)
         self.den = den

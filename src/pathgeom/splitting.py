@@ -154,16 +154,6 @@ def plane_of(j: ComplexStructure, eps: VolumeForm = DEFAULT_VOLUME) -> OrientedP
     return OrientedPositivePlane(rho, -(wedge(e[a], ej[b]) + wedge(ej[a], e[b])), eps)
 
 
-def _skew_inverse(w) -> list:
-    """W⁻¹ = M/Pf(W) for a 4×4 skew matrix W, Pf(W) = w₁₂w₃₄ − w₁₃w₂₄ + w₁₄w₂₃ ≠ 0."""
-    w12, w13, w14, w23, w24, w34 = w[0][1], w[0][2], w[0][3], w[1][2], w[1][3], w[2][3]
-    pf = w12 * w34 - w13 * w24 + w14 * w23
-    if pf == 0:
-        raise ValueError("matrix is singular")
-    m = ((0, -w34, w24, -w23), (w34, 0, -w14, w13), (-w24, w14, 0, -w12), (w23, -w13, w12, 0))
-    return [[x / pf for x in row] for row in m]
-
-
 def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStructure:
     """Inverse of :func:`plane_of`, exact when ⟨ω,ω⟩/⟨φ₁,φ₁⟩ is the square of a rational.
 
@@ -181,7 +171,7 @@ def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStr
     q = ww / pp
     num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
     s = -(Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else sqrt_of(q))
-    a = linalg.matmul(_skew_inverse(_form_matrix(omega)), _form_matrix(phi1))
+    a = linalg.matmul(linalg.inverse(_form_matrix(omega)), _form_matrix(phi1))
     return ComplexStructure(tuple(tuple(s * x for x in row) for row in a), tol=max(tol, 1e-12) * 100)
 
 

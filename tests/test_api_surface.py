@@ -4,7 +4,8 @@
 replacing the attribute on its owner (a module or a class), so the function
 must sit in the owner's own ``vars``.  A rename would otherwise surface only
 in a traced benchmark run.  ``perfbench/`` is only read here.  Every other
-definition of the library has a caller in the library.
+definition of the library has a caller in the library, and every number a
+caller hands in is read by ``scalars.to_scalar``.
 """
 
 import ast
@@ -16,6 +17,9 @@ from pathlib import Path
 import pytest
 
 import pathgeom
+from pathgeom import linalg
+from pathgeom.eds import CurvatureSample
+from pathgeom.polynomials import Poly
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -93,3 +97,41 @@ def test_every_internal_definition_has_a_library_caller():
         and everywhere[node.name] == _references(node)[node.name]
     ]
     assert uncalled == []
+
+
+def _is_int_literal(node) -> bool:
+    """An int literal, its negation, or a conditional between two such."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    if isinstance(node, ast.IfExp):
+        return _is_int_literal(node.body) and _is_int_literal(node.orelse)
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def test_scalars_are_read_in_one_place():
+    """Outside ``scalars``, a one-argument ``Fraction(...)`` takes only an int literal or unpacks ``*args``.
+
+    Any other value is read by ``to_scalar``, which refuses a number whose
+    digits would take unbounded work before ``Fraction`` expands them.
+    """
+    src = Path(pathgeom.__file__).parent
+    reads = sorted({
+        f"{path.name}:{node.lineno}"
+        for path in src.glob("*.py") if path.name != "scalars.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "Fraction"
+        and len(node.args) == 1 and not node.keywords
+        and not isinstance(node.args[0], ast.Starred) and not _is_int_literal(node.args[0])
+    })
+    assert reads == []
+
+
+@pytest.mark.parametrize("read", [
+    lambda: linalg.det([["1e5000"]]),
+    lambda: Poly.constant("1e5000", 3),
+    lambda: CurvatureSample("1e5000", 0, 0, 0),
+], ids=["det", "poly-constant", "curvature-sample"])
+def test_caller_scalars_past_the_digit_limit_are_refused(read):
+    with pytest.raises(ValueError, match="decimal exponents"):
+        read()

@@ -2,6 +2,7 @@
 
 import ast
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -146,8 +147,40 @@ def rational_matrices(draw, with_floats: bool):
     return rows
 
 
+@st.composite
+def square_matrices(draw, n: int):
+    """An n×n matrix of ints, Fractions or floats; some rows zero or combinations of earlier rows, and
+    some diagonal entries zero, so that many are singular and some need a row swap."""
+    entry = draw(st.sampled_from((st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12),
+                                  st.floats(-9, 9, allow_nan=False, width=32))))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("random", "random", "random", "zero", "combination")))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "combination" and rows:
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([s * p + t * q for p, q in zip(x, y)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else ():
+        rows[i][i] = 0
+    return rows
+
+
+def integer_rows(a):
+    """Each row of ``a`` times the lcm of its denominators, as ints."""
+    out = []
+    for row in linalg.mat(a):
+        den = lcm(*(x.denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
+
+
 class TestIntegerRowReduction:
-    """``rref``, ``rank`` and ``nullspace`` run one integer elimination; Gauss–Jordan in Fractions is the reference."""
+    """``rref``, ``rank``, ``nullspace`` and ``det`` run one integer elimination; Gauss–Jordan in Fractions and the
+    permutation sum are the references."""
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(rational_matrices(with_floats=True))
@@ -170,10 +203,27 @@ class TestIntegerRowReduction:
             linalg.rref([[1, 2], [3]])
 
     def test_echelon_keeps_rows_integral(self):
-        rows, pivots = linalg.echelon([[2, 4, 6], [3, 6, 10], [1, 1, 1]])
-        assert pivots == [0, 1, 2]
+        m = [[2, 4, 6], [3, 6, 10], [1, 1, 1]]
+        rows, pivots, sign = linalg.echelon(m)
+        # the second step finds a zero pivot entry and swaps the last two rows
+        assert pivots == [0, 1, 2] and sign == -1
         assert all(type(x) is int for row in rows for x in row)
         assert [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)] == linalg.identity(3)
+        assert sign * rows[-1][-1] == leibniz_det(m) == 2
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(square_matrices(n), square_matrices(n))))
+    def test_det_is_the_signed_last_pivot(self, ab):
+        """Bareiss's pass: sign × the last pivot is the permutation sum of the integer rows, and det is multiplicative."""
+        a, b = ab
+        ints = integer_rows(a)
+        rows, pivots, sign = linalg.echelon(ints)
+        assert all(type(x) is int for row in rows for x in row)
+        last = rows[-1][-1] if rows else 1
+        assert (sign * last if len(pivots) == len(a) else 0) == leibniz_det(ints)
+        exact_a, exact_b = linalg.mat(a), linalg.mat(b)
+        assert linalg.det(a) == leibniz_det(exact_a)
+        assert linalg.det(linalg.matmul(exact_a, exact_b)) == linalg.det(a) * linalg.det(b)
 
 
 def _dependent_rows(rng, count, dim, shared):

@@ -28,7 +28,6 @@ from pathgeom import (
 )
 from pathgeom import linalg
 from pathgeom.scalars import sqrt_of
-from pathgeom.splitting import _skew_inverse
 
 from conftest import rand_invertible
 from oracles import conjugate, degree_by_normalization, lines_parallel, spans_same_oriented_plane
@@ -138,23 +137,6 @@ class TestJOfPlane:
             j2 = j_of_plane(plane_of(conj))
             res = np.max(np.abs(np.array(j2.matrix, dtype=float) - np.array(conj.matrix, dtype=float)))
             assert res <= 1e-9
-
-    def test_skew_inverse_matches_linalg_inverse(self, rng):
-        checked = 0
-        for _ in range(200):
-            w12, w13, w14, w23, w24, w34 = (Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(6))
-            w = [[0, w12, w13, w14], [-w12, 0, w23, w24], [-w13, -w23, 0, w34], [-w14, -w24, -w34, 0]]
-            w = [[Fraction(x) for x in row] for row in w]
-            if w12 * w34 - w13 * w24 + w14 * w23 == 0:
-                with pytest.raises(ValueError, match="singular"):
-                    _skew_inverse(w)
-                continue
-            inv = _skew_inverse(w)
-            assert inv == linalg.inverse(w) and all(type(x) is Fraction for row in inv for x in row)
-            checked += 1
-        assert checked > 150
-        with pytest.raises(ValueError, match="singular"):
-            _skew_inverse([[Fraction(0)] * 4 for _ in range(4)])
 
     def test_indefinite_span_rejected(self):
         with pytest.raises(ValueError):
