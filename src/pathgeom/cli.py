@@ -124,7 +124,7 @@ def _two_form(data, name: str):
 
 def cmd_pair_classify(payload, cfg: Config) -> tuple:
     from .exterior import DEFAULT_VOLUME, _gram_definite_sign, gram_matrix
-    from .pairs import EllipticPair, kappa_invariant, normal_form, orthogonalize
+    from .pairs import EllipticPair, normal_form, orthogonalize
 
     omega = _two_form(payload.get("omega"), "omega")
     phi = _two_form(payload.get("phi"), "phi")
@@ -144,7 +144,7 @@ def cmd_pair_classify(payload, cfg: Config) -> tuple:
     if report["elliptic"]:
         pair = EllipticPair(omega, phi_orth, eps)
         nf = normal_form(pair, tol=cfg.tolerance)
-        report["kappa"] = kappa_invariant(pair)
+        report["kappa"] = nf.kappa
         report["normal_form"] = nf.to_json()
         report["reconstruction_residual"] = nf.residual
     else:

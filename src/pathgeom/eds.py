@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .exterior import MultiVector, evaluate, wedge
@@ -94,12 +94,17 @@ class CurvatureSample:
         return sample
 
 
-def sample_curvatures(n: int, seed: int = 0, bound: int = 10, denominator: int = 100) -> List[CurvatureSample]:
-    """n deterministic pseudo-random rational samples in [-bound, bound]^4."""
+#: ``sample_curvatures`` draws each value as k/SAMPLE_DENOMINATOR with |k| ≤ SAMPLE_BOUND·SAMPLE_DENOMINATOR
+SAMPLE_BOUND, SAMPLE_DENOMINATOR = 10, 100
+
+
+def sample_curvatures(n: int, seed: int = 0) -> List[CurvatureSample]:
+    """n deterministic pseudo-random rational samples in [-SAMPLE_BOUND, SAMPLE_BOUND]^4."""
     rng = random.Random(seed)
     out = []
+    top = SAMPLE_BOUND * SAMPLE_DENOMINATOR
     for _ in range(n):
-        vals = [Fraction(rng.randint(-bound * denominator, bound * denominator), denominator) for _ in range(4)]
+        vals = [Fraction(rng.randint(-top, top), SAMPLE_DENOMINATOR) for _ in range(4)]
         out.append(CurvatureSample(*vals))
     return out
 
@@ -351,23 +356,22 @@ class CodimResult:
         self.pivot_columns, self.complement_slots = pivot_columns, complement_slots
 
 
-def linearized_conditions(flag: Flag, forms: Sequence[MultiVector], complement_slots: Optional[Sequence[int]] = None) -> List[List[Fraction]]:
-    """Jacobian of p ↦ (forms on (v₁+Σp·u, v₂+Σp·u, v₃+Σp·u)) at p = 0.
+def linearized_conditions(flag: Flag, forms: Sequence[MultiVector], complement_slots: Sequence[int]) -> List[List[Fraction]]:
+    """Jacobian of p ↦ (forms on (v₁+Σp·u, v₂+Σp·u, v₃+Σp·u)) at p = 0, u over the complement slots.
 
     Entry for (form, slot a, direction u): the form on the flag triple with
     vₐ replaced by u; computed through the three contracted covectors
     form(v_b, v_c, ·) instead of one evaluation per entry.
     """
     v1, v2, v3 = (list(v) for v in flag.vectors)
-    slots = list(complement_slots) if complement_slots is not None else complement_frame(flag)
     jac: List[List[Fraction]] = []
     for form in forms:
         c23 = _contract_three_form(form, v2, v3)
         c13 = _contract_three_form(form, v1, v3)
         c12 = _contract_three_form(form, v1, v2)
-        row = [c23[s - 1] for s in slots]          # form(u, v2, v3)
-        row += [-c13[s - 1] for s in slots]        # form(v1, u, v3)
-        row += [c12[s - 1] for s in slots]         # form(v1, v2, u)
+        row = [c23[s - 1] for s in complement_slots]          # form(u, v2, v3)
+        row += [-c13[s - 1] for s in complement_slots]        # form(v1, u, v3)
+        row += [c12[s - 1] for s in complement_slots]         # form(v1, v2, u)
         jac.append(row)
     return jac
 

@@ -73,23 +73,18 @@ class MultiVector:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_terms(cls, dim: int, terms: Iterable[Tuple[Sequence[int], Fraction]], degree: int | None = None) -> "MultiVector":
-        """Build from (indices, coefficient) pairs; indices may be unsorted."""
+    def from_terms(cls, dim: int, terms: Iterable[Tuple[Sequence[int], Fraction]], degree: int) -> "MultiVector":
+        """Build from (indices, coefficient) pairs of ``degree`` indices each; indices may be unsorted."""
         acc: Dict[IndexTuple, Fraction] = {}
-        deg = degree
         for indices, coeff in terms:
             idx, sign = _normalize_indices(indices)
-            if deg is None:
-                deg = len(idx)
-            if len(idx) != deg:
+            if len(idx) != degree:
                 raise ValueError("mixed degrees in term list")
             if sign == 0:
                 continue
             c = sign * to_scalar(coeff)
             acc[idx] = acc.get(idx, Fraction(0)) + c
-        if deg is None:
-            raise ValueError("cannot infer degree from an empty term list; pass degree=")
-        return cls(dim, deg, acc)
+        return cls(dim, degree, acc)
 
     @classmethod
     def zero(cls, dim: int, degree: int) -> "MultiVector":

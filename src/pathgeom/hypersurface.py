@@ -12,14 +12,16 @@ arithmetic on the coefficient vectors b₁, b₂:
 * line fields      P₁ ∥ b₁, P₂ ∥ b₂ (the kernels of {η₁,η₂} and {η₂,η₃});
 * contact test     μ = (b₁×b₂)·dx, nondegenerate iff μ∧dμ ≠ 0, computed
   exactly as (b₁×b₂)·curl(b₁×b₂);
-* CR structure     D = T ∩ J₀T in closed form from T's normal covector n,
-  and I, the restriction of J₀, solved in ℝ⁴ on D's own basis.
+* CR structure     D = T ∩ J₀T = du(ker μ) for T = im du, and I, the
+  restriction of J₀, solved in ℝ⁴ on D's own basis.
 
-The line fields and the contact predicate are exact rational computations;
-only the coframe normalization needs floating point.  The compatibility
-theorem, proved in :func:`compatibility_check`: wherever du has rank 3, J₀
-maps the P₁ line onto the P₂ line, so b₁×b₂ ≠ 0 there, and a point record
-prints ``independent`` and ``compatible`` without computing them.
+μ is the one covector of a point: μ = −n·J₀du for T's normal covector n, so
+μ ≠ 0 exactly where du has rank 3, and μ is the immersion test, the contact
+form and the kernel behind D.  The line fields and the contact predicate are
+exact rational computations; only the coframe normalization needs floating
+point.  The compatibility theorem, proved in :func:`compatibility_check`:
+wherever du has rank 3, J₀ maps the P₁ line onto the P₂ line, so a point
+record prints ``independent`` and ``compatible`` without computing them.
 
 All of it is pointwise: b₁, b₂ are the 2×2 minors of du, the contact test
 needs their first derivatives and so the second derivatives of u, and the CR
@@ -44,10 +46,13 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .polynomials import Poly, RatFunc, RationalPoint, over_one_denominator
-from .scalars import scalar_to_json as _rational, to_scalar
+from .scalars import MAX_DIGITS, scalar_to_json as _rational, to_scalar
 
 Coefficient = Union[Poly, RatFunc]
 NVARS = 3
+#: the most digits of an integer that the jets evaluate: twice those of a written value
+MAX_JET_DIGITS = 2 * MAX_DIGITS
+_MAX_JET_BITS = math.ceil(MAX_JET_DIGITS * math.log2(10))
 
 
 def _cross(a: Sequence, b: Sequence):
@@ -88,7 +93,7 @@ class ParamMap:
 
     def jacobian_at(self, point: Sequence) -> list:
         """Exact Jacobian at a rational point; raises on rank drop."""
-        _, jac, scale, _, _ = _immersion_jets(self, point)
+        _, jac, scale, _, _, _ = _immersion_jets(self, point)
         return [[Fraction(x, scale) for x in row] for row in jac]
 
     def to_json(self) -> dict:
@@ -233,14 +238,23 @@ class CompiledMap:
         self._order = order
         self._functions = [tuple(jet(p) for p in _num_den(f)) for f in functions]
         self._polys = over_one_denominator(polys)
+        # at a point a/d every term is c·dᵏ·∏aᵢ^eᵢ with k + Σeᵢ = D, so a value has fewer
+        # bits than the largest c and the term count together, plus D times those of max(d, |aᵢ|)
+        self._degree = self._polys[0].degree
+        self._size = (max((c.bit_length() for p in self._polys for c, _, _ in p.terms), default=0)
+                      + max(len(p.terms) for p in self._polys).bit_length())
 
     def _quotients(self, pt: RationalPoint) -> list:
         """Per function (n, d, first, second) in ints: f = n/d, ∂ⱼf = first[j]/d², ∂ₖ∂ⱼf = second[k][j]/d³.
 
         Quotient rule on the jets: ∂ⱼf = (nⱼd − ndⱼ)/d² and
         ∂ₖ∂ⱼf = ((nⱼₖd + nⱼdₖ − nₖdⱼ − ndⱼₖ)·d − 2dₖ(nⱼd − ndⱼ))/d³; ``second``
-        is empty at order 1.
+        is empty at order 1.  Raises before evaluating where a value could
+        have more than :data:`MAX_JET_DIGITS` digits.
         """
+        if self._size + self._degree * max(x.bit_length() for x in (pt.den, *pt.nums)) > _MAX_JET_BITS:
+            raise ValueError(f"exact jets at {_point_text(pt.coords)} would need integers "
+                             f"of more than {MAX_JET_DIGITS} digits")
         vals = [p.numerator(pt) for p in self._polys]
         parts = []
         for num, den in self._functions:
@@ -286,25 +300,21 @@ def _point_text(coords: Sequence[Fraction]) -> str:
     return "(" + ", ".join(map(_rational, coords)) + ")"
 
 
-def _require_immersion(coords: Tuple[Fraction, ...], jac: list) -> tuple:
-    """The normal covector n of T = im du, n·v = det[v | du]; raises where du has rank < 3.
-
-    nᵢ is ±the 3×3 minor of du without row i, and a 4×3 matrix has rank 3
-    iff one of its four 3×3 minors is nonzero.
-    """
-    r0, r1, r2, r3 = jac
-    c23, c13 = _cross(r2, r3), _cross(r1, r3)
-    n = (_dot(r1, c23), -_dot(r0, c23), _dot(r0, c13), -_dot(r0, _cross(r1, r2)))
-    if not any(n):
-        raise ValueError(f"map is not an immersion at {_point_text(coords)}: Jacobian rank < 3")
-    return n
-
-
 def _immersion_jets(u: ParamMap, point: Sequence) -> tuple:
-    """(coords, Ĵ, Δ, ∂Ĵ, n) of ``u.jets`` at a rational point; raises where du has rank < 3."""
+    """(coords, Ĵ, Δ, ∂Ĵ, b̂, μ̂) of ``u.jets`` at a rational point; raises where du has rank < 3.
+
+    b̂ = _minors(Ĵ, Ĵ) = Δ²·(b₁ + b₂) and μ̂ = b̂₁×b̂₂.  μ = −n·J₀du for T's
+    normal covector n, n·v = det[v | du], so μ = 0 where du has rank < 3 and
+    n = 0.  Where du has rank 3, μ = 0 would put J₀T in ker n = T, and no
+    3-space is J₀-invariant: μ ≠ 0 is the immersion test.
+    """
     pt = RationalPoint(point, NVARS)
     jac, scale, djac = u.jets.at(pt)
-    return pt.coords, jac, scale, djac, _require_immersion(pt.coords, jac)
+    b = _minors(jac, jac)
+    mu = _cross(b[:3], b[3:])
+    if not any(mu):
+        raise ValueError(f"map is not an immersion at {_point_text(pt.coords)}: Jacobian rank < 3")
+    return pt.coords, jac, scale, djac, b, mu
 
 
 def _beta_jets(beta1: PolyForm3, beta2: PolyForm3, point: Sequence, what: str) -> tuple:
@@ -317,14 +327,10 @@ def _beta_jets(beta1: PolyForm3, beta2: PolyForm3, point: Sequence, what: str) -
     return pt.coords, b1 + b2, g1 + g2, c
 
 
-def _b_pair(jac: list, djac: list) -> Tuple[tuple, list]:
-    """(b₁ + b₂, ∇b₁ + ∇b₂) from du and ∂ₖdu, as scaled as they are: six entries each.
-
-    The gradient list holds the gradient of each component.
-    """
-    b = _minors(jac, jac)
+def _b_gradients(jac: list, djac: list) -> list:
+    """∇b₁ + ∇b₂ from du and ∂ₖdu, as scaled as they are: the gradient of each of the six components."""
     db = [[x + y for x, y in zip(_minors(dk, jac), _minors(jac, dk))] for dk in djac]
-    return b, [tuple(dbk[c] for dbk in db) for c in range(6)]
+    return [tuple(dbk[c] for dbk in db) for c in range(6)]
 
 
 class AdaptedCoframe:
@@ -464,61 +470,52 @@ def _J0(v: Sequence[Fraction]) -> list:
     return [-v[1], v[0], -v[3], v[2]]
 
 
-def _cr_structure(jac: list, normal: tuple, scale: int) -> tuple:
-    """(D's basis, I in it) where du = jac/scale has rank 3; ``normal`` is T's n from :func:`_require_immersion`.
+def _cr_structure(jac: list, mu: tuple, scale: int) -> tuple:
+    """(D's basis, I in it, q₁, q₂) where du = jac/scale has rank 3 and μ̂ = b̂₁×b̂₂ ≠ 0.
 
-    Nothing here can fail.  T = im du is not J₀-invariant, since a complex
-    subspace has even dimension, so D = T ∩ J₀T is a plane; D is
-    J₀-invariant by construction, and I = J₀|_D squares to −Id because J₀ does.
+    D = T ∩ J₀T = du(ker μ): μ = −n·J₀du (see :func:`_immersion_jets`), so
+    μ·q = 0 iff J₀(du·q) lies in ker n = T, iff du·q lies in J₀T.  Nothing
+    here can fail.  D is a plane because ker μ is one and du is injective; D
+    is J₀-invariant, and I = J₀|_D squares to −Id because J₀ does.
     """
-    # w = J₀(du·q) lies in J₀T, and in T iff n·w = r·q = 0 for rⱼ = n·J₀duⱼ; r ≠ 0,
-    # or J₀T = T.  For the first rⱼ ≠ 0, q = rⱼ·e_f − r_f·eⱼ over the other two
-    # columns f gives w₁, w₂, independent since du is injective: a basis of D
-    n0, n1, n2, n3 = normal
-    r = [n1 * c0 - n0 * c1 + n3 * c2 - n2 * c3 for c0, c1, c2, c3 in zip(*jac)]
-    pivot = next(j for j in range(NVARS) if r[j])
-    rp = r[pivot]
-    vs = []
-    for f in (f for f in range(NVARS) if f != pivot):
-        q = [0] * NVARS
-        q[f], q[pivot] = rp, -r[f]
-        vs.append([_dot(row, q) for row in jac])
+    # for the first μ_p ≠ 0, q = μ_p·e_f − μ_f·e_p over the other two columns f
+    # spans ker μ, and w = J₀(du·q) gives w₁, w₂: a basis of J₀D = D
+    pivot = next(j for j in range(NVARS) if mu[j])
+    mp = mu[pivot]
+    qs = [[mp if k == f else -mu[f] if k == pivot else 0 for k in range(NVARS)] for f in range(NVARS) if f != pivot]
+    vs = [[_dot(row, q) for row in jac] for q in qs]
     w1, w2 = ws = [_J0(v) for v in vs]
     # J₀w_k = −du·q_k = Σⱼ I_jk wⱼ, by Cramer's rule on the first rows a, b of
     # (w₁ w₂) with a nonzero minor, which exist since w₁, w₂ are independent
     a, b, det = next((a, b, m) for a, b in combinations(range(4), 2) if (m := w1[a] * w2[b] - w1[b] * w2[a]))
     columns = [(Fraction(w2[a] * v[b] - v[a] * w2[b], det), Fraction(v[a] * w1[b] - w1[a] * v[b], det)) for v in vs]
-    return tuple(tuple(Fraction(x, rp * scale) for x in w) for w in ws), tuple(zip(*columns))
+    return tuple(tuple(Fraction(x, mp * scale) for x in w) for w in ws), tuple(zip(*columns)), qs
 
 
 def cr_structure_at(u: ParamMap, point: Sequence) -> CRSample:
     """Exact CR data of the parametrized hypersurface at a rational point."""
-    coords, jac, scale, _, normal = _immersion_jets(u, point)
-    d_basis, i_matrix = _cr_structure(jac, normal, scale)
-    # du·p = d reads jac·p = scale·d: Cramer's rule on the rows s₀, s₁, s₂ of jac but
-    # row i, nᵢ ≠ 0, gives p = scale·(d₀·s₁×s₂ + d₁·s₂×s₀ + d₂·s₀×s₁)/det, det = ±nᵢ
-    i = next(k for k, x in enumerate(normal) if x)
-    s0, s1, s2 = (row for k, row in enumerate(jac) if k != i)
-    adj = tuple(zip(_cross(s1, s2), _cross(s2, s0), _cross(s0, s1)))
-    det = Fraction(-normal[i] if i % 2 else normal[i], scale)
-    param_basis = tuple(tuple(_dot([x for k, x in enumerate(d) if k != i], column) / det for column in adj)
-                        for d in d_basis)
+    coords, jac, scale, _, _, mu = _immersion_jets(u, point)
+    d_basis, i_matrix, qs = _cr_structure(jac, mu, scale)
+    # J₀W = −Ĵ·Q for W = (w₁ w₂) and Q = (q₁ q₂), and J₀W = W·I, so W = Ĵ·Q·I as
+    # I² = −Id: D's vector wⱼ/(μ_p·Δ) is du·Σₖ qₖ·I_kj/μ_p
+    mp = next(x for x in mu if x)
+    param_basis = tuple(tuple((x * i0 + y * i1) / mp for x, y in zip(*qs)) for i0, i1 in zip(*i_matrix))
     return CRSample(coords, d_basis, param_basis, i_matrix)
 
 
 def compatibility_check(u: ParamMap, point: Sequence) -> bool:
     """Whether the CR structure maps the P₁ line onto the P₂ line: always, at a contact point.
 
-    Let v = du·P₁ span the kernel of ω₀ on T = im du, with normal n.  Then
-    ι_v ω₀ = λ·n with λ ≠ 0, and φ₀(v, w) = −ω₀(J₀v, w) because dz¹∧dz² is
-    complex bilinear, so n(J₀v) = λ⁻¹ω₀(v, J₀v) = λ⁻¹φ₀(v, v) = 0: J₀v lies
-    in T.  For w ∈ T, φ₀(J₀v, w) = ω₀(v, w) = 0, so J₀v spans du·P₂, and
-    du·P₁ ⊕ du·P₂ = span(v, J₀v) = T ∩ J₀T = D.  Raises where u has a pole,
-    where du has rank < 3, and where the hypersurface is not contact.
+    P₁ ∥ b₁ and P₂ ∥ b₂ lie in ker μ, μ = b₁×b₂, so v = du·P₁ lies in the
+    J₀-invariant plane D = du(ker μ) (see :func:`_cr_structure`), and J₀v lies
+    in T = im du.  φ₀(v, w) = −ω₀(J₀v, w) because dz¹∧dz² is complex
+    bilinear, so for w ∈ T, φ₀(J₀v, w) = ω₀(v, w) = 0, as v spans the kernel
+    of ω₀ on T: J₀v spans du·P₂, and du·P₁ ⊕ du·P₂ = span(v, J₀v) = D.
+    Raises where u has a pole, where du has rank < 3, and where the
+    hypersurface is not contact.
     """
-    coords, jac, _, djac, _ = _immersion_jets(u, point)
-    b, grads = _b_pair(jac, djac)
-    if not _contact_value(b, grads, _cross(b[:3], b[3:])):
+    coords, jac, _, djac, b, mu = _immersion_jets(u, point)
+    if not _contact_value(b, _b_gradients(jac, djac), mu):
         raise ValueError(f"hypersurface is degenerate (not contact) at {_point_text(coords)}")
     return True
 
@@ -534,29 +531,27 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9) -> dict:
     rec: dict = {"point": None}
     try:
         rec["point"] = [_rational(x) for x in coords]
-        _, jac, scale, djac, normal = _immersion_jets(u, coords)
-        # b̂ = Δ²·b and ∇b̂: the coframe and the contact test read them as they are
-        bh, gh = _b_pair(jac, djac)
+        _, jac, scale, djac, bh, mu = _immersion_jets(u, coords)
+        # b̂ = Δ²·b, μ̂ = b̂₁×b̂₂ and ∇b̂: the coframe and the contact test read them as they are
         b1, b2 = (tuple(Fraction(x, scale * scale) for x in bh[i:i + 3]) for i in (0, 3))
         rec["b1"] = b1_text = [_rational(x) for x in b1]
         rec["b2"] = b2_text = [_rational(x) for x in b2]
-        # the compatibility theorem (module docstring) makes b̂₁×b̂₂ ≠ 0 at an immersion point
+        # μ̂ ≠ 0 is the immersion test
         rec["independent"] = True
-        cross = _cross(bh[:3], bh[3:])
-        frame = _coframe(coords, bh, cross, scale * scale, max(tol, 1e-10))
+        frame = _coframe(coords, bh, mu, scale * scale, max(tol, 1e-10))
         rec["coframe"] = {
             "eta1": list(frame.eta1),
             "eta2": list(frame.eta2),
             "eta3": list(frame.eta3),
         }
         rec["P1"], rec["P2"] = b1_text, b2_text
-        rec["contact"] = contact = _contact_value(bh, gh, cross) != 0
-        d_basis, i_matrix = _cr_structure(jac, normal, scale)
+        rec["contact"] = contact = _contact_value(bh, _b_gradients(jac, djac), mu) != 0
+        d_basis, i_matrix, _ = _cr_structure(jac, mu, scale)
         rec["cr"] = {
             "D": [[_rational(x) for x in b] for b in d_basis],
             "I": [[_rational(x) for x in row] for row in i_matrix],
         }
-        # the same theorem gives J₀(du·P₁) ∥ du·P₂; the field is asked only of a contact point
+        # the compatibility theorem gives J₀(du·P₁) ∥ du·P₂; the field is asked only of a contact point
         rec["compatible"] = True if contact else None
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         rec["error"] = str(exc)

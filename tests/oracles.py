@@ -204,8 +204,8 @@ def second_order_probe(flag, ideal, seed: int = 0, step: float = 1e-3, newton_st
     and reports the numerical Jacobian rank at the projected point.
     """
     forms = condition_forms(ideal)
-    jac0 = np.array([[float(x) for x in row] for row in linearized_conditions(flag, forms)])
     comp_slots = complement_frame(flag)
+    jac0 = np.array([[float(x) for x in row] for row in linearized_conditions(flag, forms, comp_slots)])
     comp = [np.array([float(x) for x in frame_vector(s)]) for s in comp_slots]
     vecs = [np.array([float(x) for x in v]) for v in flag.vectors]
     nparams = 3 * len(comp)
@@ -335,6 +335,11 @@ def greedy_intersect_spans(a, b) -> list:
 
 def _j0_apply(v) -> list:
     return linalg.matvec(linalg.mat(J0_MATRIX), list(v))
+
+
+def normal_covector(jac) -> tuple:
+    """The normal covector n of T = im du, n·v = det[v | du]: nᵢ is (−1)ⁱ times the minor of du without row i."""
+    return tuple((-1) ** i * leibniz_det([row for k, row in enumerate(jac) if k != i]) for i in range(4))
 
 
 def cr_structure_oracle(jac):

@@ -213,6 +213,23 @@ class TestPairingsComputedOnce:
         # one wedge per pairing; the normal form is checked without wedges
         assert wedges["calls"] <= 8
 
+    def test_elliptic_pair_takes_one_square_root(self, tmp_path, capsys, monkeypatch):
+        """κ is printed from the normal form, which took the root of ⟨φ,φ⟩/⟨ω,ω⟩ itself."""
+        import pathgeom.pairs as pairs
+
+        roots = []
+        original = pairs.sqrt_of
+
+        def counted(q):
+            roots.append(q)
+            return original(q)
+
+        monkeypatch.setattr(pairs, "sqrt_of", counted)
+        path = write_json(tmp_path, "in.json", pair_payload(OMEGA0 * 3, OMEGA0 + PHI0 * Fraction(2, 5)))
+        code, out, _ = run(["pair", "--input", path], capsys)
+        assert code == 0 and json.loads(out)["kappa"] == original(roots[0])
+        assert len(roots) == 1
+
     def test_splitting_request(self, tmp_path, capsys, monkeypatch):
         a = LinearMap(((2, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 3), (0, 0, 0, 1)))
         path = write_json(tmp_path, "in.json", act(a, canonical_model(Fraction(3, 4))).to_json())
@@ -828,3 +845,37 @@ class TestWorkLimits:
         path = write_json(tmp_path, "in.json", {"map": data, "points": [["3/2", "1/2", "1/3"]]})
         code, out, _ = run(["hypersurface", "--input", path], capsys)
         assert code == 0 and len(json.loads(out)["points"]) == 1
+
+    def test_jets_past_the_digit_limit_end_at_once(self, tmp_path):
+        """A 28 KB request of 4000-digit coefficients, exponents up to 100 and 2000-digit coordinates.
+
+        Its one record is an error, in a fresh interpreter within the timeout;
+        evaluated, its jets would be integers of about 1.8 million digits.
+        """
+        nines = "9" * 4000
+        exps = [[100, 0, 0], [0, 100, 0], [0, 0, 100], [100, 100, 100]]
+        linear = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        components = [[{"exp": e, "c": nines}, {"exp": x, "c": "1"}] for e, x in zip(exps, linear)]
+        point = [f"{str(k) * 2000}/{str(k + 2) * 1999}1" for k in (1, 3, 5)]
+        path = write_json(tmp_path, "in.json", {"map": {"vars": ["x1", "x2", "x3"], "components": components},
+                                                "points": [point]})
+        assert 28_000 <= Path(path).stat().st_size <= 29_000
+        proc = fresh_python(self.MAIN, "hypersurface", "--input", path, timeout=10)
+        assert proc.returncode == 0 and proc.stderr == ""
+        (rec,) = json.loads(proc.stdout)["points"]
+        assert rec["error"].startswith("exact jets at (") and "would need integers of more than" in rec["error"]
+
+
+def test_output_digest_is_pinned(capsys):
+    """The CLI's output on the 540 benchmark requests is byte-identical to the pinned digest.
+
+    ``tests/cli_digest.py`` builds the requests from ``perfbench/inputs.py``,
+    which this test only reads, and hashes exit codes, stdout and stderr in
+    order.  A declared output change re-pins the digest here.
+    """
+    import cli_digest
+
+    assert cli_digest.main() == 0
+    assert capsys.readouterr().out == (
+        "540 requests sha256 5baeeb1530e0425b18a1a5a09993a23ec96e5e1cc77ec3d781a028d0fd82a68d\n"
+    )

@@ -240,7 +240,8 @@ class TestCodim:
         ideal = ideal_at(rand_curvature(rng))
         forms = condition_forms(ideal)
         assert len(forms) == 8
-        jac = linearized_conditions(reference_flag(), forms[:-1])
+        flag = reference_flag()
+        jac = linearized_conditions(flag, forms[:-1], complement_frame(flag))
         assert rank(jac) <= 7
 
     def test_linearization_matches_direct_evaluation(self, rng):

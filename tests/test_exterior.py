@@ -24,7 +24,7 @@ E = MultiVector.basis
 
 class TestMultiVector:
     def test_sign_normalization_at_construction(self):
-        a = MultiVector.from_terms(4, [((3, 1), Fraction(5))])
+        a = MultiVector.from_terms(4, [((3, 1), Fraction(5))], degree=2)
         assert a.coefficient((1, 3)) == -5
         assert a.coefficient((3, 1)) == 5
 

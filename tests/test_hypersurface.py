@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,6 @@ from pathgeom import (
 import pathgeom.hypersurface as hs
 from pathgeom.hypersurface import (
     _J0,
-    _b_pair,
     _cross,
     _minors,
     contact_value_at,
@@ -37,7 +37,9 @@ from pathgeom.linalg import matvec, rank
 from pathgeom.polynomials import RationalPoint
 
 from conftest import rand_fraction
-from oracles import b_at, compatible_oracle, contact_scalar, cr_structure_oracle, scaled, span_equal
+from oracles import (
+    b_at, compatible_oracle, contact_scalar, cr_structure_oracle, normal_covector, scaled, span_equal,
+)
 
 
 def rand_point(rng, lo=-5, hi=5, den=7):
@@ -49,6 +51,25 @@ def constant_form(b):
 
 
 X1, X2, X3 = (Poly.variable(i, 3) for i in range(3))
+
+
+@pytest.fixture
+def counted_products(monkeypatch):
+    """The calls of ``hypersurface._cross`` and ``_dot`` from here on, by name."""
+    calls = Counter()
+
+    def counted(name):
+        f = getattr(hs, name)
+
+        def wrapper(a, b):
+            calls[name] += 1
+            return f(a, b)
+
+        return wrapper
+
+    for name in ("_cross", "_dot"):
+        monkeypatch.setattr(hs, name, counted(name))
+    return calls
 
 
 class TestPullbackSplitting:
@@ -294,8 +315,8 @@ class TestCompatibility:
         u = heisenberg_model()
         for _ in range(100):
             pt = RationalPoint([rand_fraction(rng) for _ in range(3)], 3)
-            jac, _, djac = u.jets.at(pt)
-            b, _ = _b_pair(jac, djac)
+            jac, _, _ = u.jets.at(pt)
+            b = _minors(jac, jac)
             assert compatible_oracle(jac, b[:3], b[3:])
             assert point_record(u, pt.coords)["compatible"] is True
 
@@ -331,8 +352,8 @@ class TestCRStructureOracle:
     def assert_map_matches(self, u, points):
         for point in points:
             self.assert_matches(u, point, u.jacobian_at(point))
-            jac, _, djac = u.jets.at(RationalPoint(point, 3))
-            b, _ = _b_pair(jac, djac)
+            jac, _, _ = u.jets.at(RationalPoint(point, 3))
+            b = _minors(jac, jac)
             assert compatible_oracle(jac, b[:3], b[3:])
 
     def test_models(self, rng):
@@ -400,6 +421,36 @@ class TestClosedFormCRStructure:
         assert compatible_oracle(jac, b[:3], b[3:])
 
 
+class TestOneCovector:
+    """μ = b₁×b₂ is the immersion test and the kernel behind D: μ = −n·J₀du for T's normal covector n."""
+
+    def test_mu_is_minus_n_j0_du(self):
+        """b₁×b₂ + n·J₀·du expands to 0 over a symbolic 4×3 du."""
+        jac = [list(row) for row in sympy.Matrix(4, 3, sympy.symbols("a0:12")).tolist()]
+        b = _minors(jac, jac)
+        n = normal_covector(jac)
+        columns = [[row[j] for row in jac] for j in range(3)]
+        for m, column in zip(_cross(b[:3], b[3:]), columns):
+            assert sympy.expand(m + sum(x * y for x, y in zip(n, _J0(column)))) == 0
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(_VECTOR, _VECTOR, _ENTRY, _ENTRY, st.permutations(range(3)))
+    def test_rank_drop_is_refused(self, c0, c1, s, t, order):
+        """A du of rank < 3 has μ = 0, and the CR structure names the point."""
+        columns = (c0, c1, [s * x + t * y for x, y in zip(c0, c1)])
+        jac = [list(row) for row in zip(*(columns[k] for k in order))]
+        with pytest.raises(ValueError, match=r"^map is not an immersion at \(0/1, 0/1, 0/1\): Jacobian rank < 3$"):
+            cr_structure_at(_linear_map(jac), (0, 0, 0))
+
+    def test_cr_structure_forms_mu_once(self, counted_products, rng):
+        """cr_structure_at takes one cross product, μ̂, and the 8 dot products of du·q: no 3×3 solve."""
+        u = sphere_chart_model()
+        for _ in range(10):
+            counted_products.clear()
+            cr_structure_at(u, rand_point(rng, -2, 2, 5))
+            assert counted_products["_cross"] <= 1 and counted_products["_dot"] <= 8
+
+
 class TestSphereChart:
     def test_lands_on_unit_sphere(self, rng):
         u = sphere_chart_model()
@@ -436,30 +487,19 @@ class TestReports:
         rec = point_record(ParamMap((X1, X1, X1, X1)), [1, 2, 3])
         assert "error" in rec
 
-    def test_b1_cross_b2_formed_once_per_point(self, monkeypatch, rng):
-        """A full sphere-chart record takes at most 15 cross and 15 dot products.
+    def test_b1_cross_b2_formed_once_per_point(self, counted_products, rng):
+        """A full sphere-chart record takes at most 12 cross and 11 dot products.
 
-        D and I are solved in ℝ⁴ on D's own basis, so a record builds no
+        μ̂ = b̂₁×b̂₂ is the immersion test, the coframe's e, the contact form
+        and the kernel behind D, so a record forms no normal covector.  D and I
+        are solved in ℝ⁴ on D's own basis, so a record builds no
         parameter-space preimage of D.
         """
-        calls = Counter()
-
-        def counted(name):
-            f = getattr(hs, name)
-
-            def wrapper(a, b):
-                calls[name] += 1
-                return f(a, b)
-
-            return wrapper
-
         u = sphere_chart_model()
-        monkeypatch.setattr(hs, "_cross", counted("_cross"))
-        monkeypatch.setattr(hs, "_dot", counted("_dot"))
         for _ in range(10):
-            calls.clear()
+            counted_products.clear()
             assert "error" not in point_record(u, rand_point(rng, -2, 2, 5))
-            assert calls["_cross"] <= 15 and calls["_dot"] <= 15
+            assert counted_products["_cross"] <= 12 and counted_products["_dot"] <= 11
 
     def test_sample_report_order(self, rng):
         pts = [rand_point(rng) for _ in range(3)]

@@ -21,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathgeom.hypersurface import (
+    MAX_JET_DIGITS,
     CompiledMap,
     ParamMap,
     PolyForm3,
-    _b_pair,
+    _b_gradients,
     adapted_coframe_at,
     compatibility_check,
     contact_value_at,
@@ -37,7 +38,7 @@ from pathgeom.hypersurface import (
     sphere_chart_model,
 )
 from pathgeom.linalg import rank
-from pathgeom.polynomials import Poly, RatFunc, RationalPoint, over_one_denominator
+from pathgeom.polynomials import IntPoly, Poly, RatFunc, RationalPoint, over_one_denominator
 
 from oracles import CompiledFunctions, b_at, compatible_oracle, cr_structure_oracle
 
@@ -98,7 +99,7 @@ def assert_matches_formal(u: ParamMap, points):
         (v1, g1), (v2, g2) = beta1.jets.gradients(pt), beta2.jets.gradients(pt)
         formal = v1 + v2, g1 + g2
         assert (list(formal[0]), formal[1]) == CompiledFunctions(beta1.b + beta2.b, 3).at(pt)
-        assert_positive_multiple(*([x for g in t[1] for x in g] for t in (_b_pair(jac, djac), formal)))
+        assert_positive_multiple(*([x for g in grads for x in g] for grads in (_b_gradients(jac, djac), formal[1])))
 
 
 # -- strategies --------------------------------------------------------------
@@ -283,3 +284,52 @@ def test_distinct_denominators_are_cheap():
     records = sample_report(u, pts)
     assert time.perf_counter() - start < 2.0
     assert all("cr" in r for r in records)
+
+
+# -- the size of the jets ----------------------------------------------------
+
+
+def nines_map(digits: int, exponent: int) -> ParamMap:
+    """9…9 (``digits`` nines) times x₁ᵉ, x₂ᵉ, x₃ᵉ and x₁ᵉx₂ᵉx₃ᵉ, plus x₁, x₂, x₃ and x₁."""
+    nines = 10**digits - 1
+    monomials = [x**exponent for x in X] + [(X[0] * X[1] * X[2]) ** exponent]
+    return ParamMap(tuple(nines * m + x for m, x in zip(monomials, X + X[:1])))
+
+
+def test_jets_past_the_digit_limit_are_not_evaluated(monkeypatch):
+    """Degree 90 and 1000-digit coefficients at 100-digit coordinates: a record error, and no polynomial is summed.
+
+    Every value would be a sum of terms near 10⁹⁰⁰⁰·10¹⁰⁰⁰, and the products and
+    gcds after it grow with the square of that; a 28 KB request of this kind
+    did not end.
+    """
+    calls = Counter()
+    numerator = IntPoly.numerator
+
+    def counted(self, pt):
+        calls["numerator"] += 1
+        return numerator(self, pt)
+
+    u = nines_map(1000, 30)
+    point = [Fraction(10**99 + i, 10**100 + 7) for i in (1, 3, 5)]
+    monkeypatch.setattr(IntPoly, "numerator", counted)
+    rec = point_record(u, point)
+    text = ", ".join(_rational(x) for x in point)
+    assert rec["error"] == f"exact jets at ({text}) would need integers of more than {MAX_JET_DIGITS} digits"
+    assert calls["numerator"] == 0
+    # the same map at a small point is evaluated
+    assert "b1" in point_record(u, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
+    assert calls["numerator"] > 0
+
+
+big = st.one_of(small, st.integers(-10**40, 10**40).map(Fraction), st.fractions(max_denominator=10**30))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(rational_maps(), st.lists(big, min_size=3, max_size=3))
+def test_size_bound_holds(u, point):
+    """No evaluated numerator is longer than the bound the jets check before evaluating."""
+    pt = RationalPoint(point, 3)
+    jets = u.jets
+    bound = jets._size + jets._degree * max(x.bit_length() for x in (pt.den, *pt.nums))
+    assert all(p.numerator(pt).bit_length() <= bound for p in jets._polys)
