@@ -30,7 +30,7 @@ MAX_SAMPLES = 10_000
 
 USAGE = f"""\
 usage: pathgeom [--tol TOL] [--seed SEED] [--epsilon JSON] [--out PATH] COMMAND [--input PATH]
-       pathgeom [...] eds [--input PATH] [--samples N]
+       pathgeom [...] eds [--input PATH | --samples N]
 
   COMMAND           pair, splitting, hypersurface or eds
   --tol TOL         allowance of the float reconstruction residuals (default 1e-9)
@@ -277,6 +277,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif command == "hypersurface":
             report, code = cmd_hypersurface(_load_object(path), cfg)
         else:
+            if samples is not None and path is not None:
+                raise InputError("eds reads --input or draws --samples, not both")
             if samples is not None and not 0 <= samples <= MAX_SAMPLES:
                 raise InputError(f"--samples must be nonnegative and at most {MAX_SAMPLES}")
             report, code = cmd_eds_verify(None if samples is not None else _load_payload(path), cfg, samples)

@@ -26,9 +26,10 @@ record prints ``independent`` and ``compatible`` without computing them.
 All of it is pointwise: b₁, b₂ are the 2×2 minors of du, the contact test
 needs their first derivatives and so the second derivatives of u, and the CR
 structure is linear algebra on du.  :class:`CompiledMap` is the one evaluator
-of exact jets: it takes the partials of each distinct numerator and
-denominator once, writes them over one shared denominator, and applies the
-quotient rule in integers at each point.  A :class:`ParamMap` keeps its jets
+of exact jets.  When it is built, it reads the Taylor coefficients ∂ᵉp/e! of
+each distinct numerator and denominator off the terms and writes them over
+one shared denominator; at a point, N = f·D gives f's Taylor coefficients by
+one integer recurrence, order by order.  A :class:`ParamMap` keeps its jets
 to second order from when it is built, which give Ĵ = Δ·du and ∂ₖĴ up to one
 positive factor each, and every test runs on Python ints: each is homogeneous
 in du and in ∂du, so the factors do not change its verdict.  ``Fraction``s
@@ -39,11 +40,13 @@ first-order jets of its three coefficients for exact values and gradients.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, List, Sequence, Tuple, Union
+from itertools import combinations, combinations_with_replacement
+from operator import add, ge, sub
+from typing import Dict, Sequence, Tuple, Union
 
 from .polynomials import Poly, RatFunc, RationalPoint, over_one_denominator
 from .scalars import MAX_DIGITS, scalar_to_json as _rational, to_scalar
@@ -184,15 +187,12 @@ def _minors(a, c) -> tuple:
     )
 
 
-def _jet(p: Poly, order: int) -> list:
-    """p, ∂₁p, ∂₂p, ∂₃p, then at order 2 ∂ⱼ∂ₖp for j ≤ k in the order 11, 12, 13, 22, 23, 33."""
-    first = [p.diff(j) for j in range(NVARS)]
-    second = [first[j].diff(k) for j in range(NVARS) for k in range(j, NVARS)] if order == 2 else []
-    return [p] + first + second
-
-
-#: the jet slot of ∂ⱼ∂ₖ, for every j and k
-_SLOT2 = ((4, 5, 6), (5, 7, 8), (6, 8, 9))
+def _taylor(p: Poly, e: Tuple[int, ...]) -> Poly:
+    """∂ᵉp/e!, read off the terms: c·xᵃ with a ≥ e gives c·∏ C(aᵢ, eᵢ)·x^(a−e)."""
+    if not any(e):
+        return p
+    return Poly(NVARS, {tuple(map(sub, a, e)): c * math.prod(map(math.comb, a, e))
+                        for a, c in p.terms.items() if all(map(ge, a, e))})
 
 
 def _num_den(f: Coefficient) -> Tuple[Poly, Poly]:
@@ -211,88 +211,90 @@ def _num_den(f: Coefficient) -> Tuple[Poly, Poly]:
 
 
 class CompiledMap:
-    """The jets of rational functions of three variables, built once for many points.
+    """The Taylor series of rational functions of three variables, built once for many points.
 
-    Each of the Polys and RatFuncs Nᵢ/Dᵢ keeps the values and the partials
-    up to ``order`` (1 or 2) of Nᵢ and Dᵢ; identical polynomials are stored
-    once, and all of them over one shared denominator, which cancels in every
-    quotient taken at a point.  No product of functions is multiplied out.
+    Each of the Polys and RatFuncs Nᵢ/Dᵢ keeps the Taylor coefficients
+    ∂ᵉp/e! up to ``order`` (2 for a map, 1 for a pair) of Nᵢ and Dᵢ, e in graded
+    order (1; h₁, h₂, h₃; then h₁², h₁h₂, … h₃²); identical polynomials are
+    stored once, and all of them over one shared denominator, which cancels in
+    every quotient taken at a point.  No product of functions is multiplied out.
     """
 
     def __init__(self, functions: Sequence[Coefficient], order: int = 2):
+        exps = [tuple(map(c.count, range(NVARS)))
+                for n in range(order + 1) for c in combinations_with_replacement(range(NVARS), n)]
+        index = {e: m for m, e in enumerate(exps)}
+        # each distinct polynomial gets its Taylor coefficients once, and each distinct one of those a slot
         slots: Dict[Poly, int] = {}
-        jets: Dict[Poly, Tuple[int, ...]] = {}
-        polys: List[Poly] = []
-
-        def slot(p: Poly) -> int:
-            if p not in slots:
-                slots[p] = len(polys)
-                polys.append(p)
-            return slots[p]
-
-        def jet(p: Poly) -> Tuple[int, ...]:
-            if p not in jets:
-                jets[p] = tuple(slot(q) for q in _jet(p, order))
-            return jets[p]
-
+        jet = functools.cache(lambda p: tuple(slots.setdefault(_taylor(p, e), len(slots)) for e in exps))
         self._order = order
         self._functions = [tuple(jet(p) for p in _num_den(f)) for f in functions]
-        self._polys = over_one_denominator(polys)
+        self._polys = over_one_denominator(list(slots))
+        # nₑ is taken times d₀^|e| and d_f times d₀^(|f|−1); the recurrence's terms as index triples
+        # (e, f, e − f), 0 < f ≤ e, in graded order of e, so that q′ₑ₋f is complete when it is read
+        self._orders = [sum(e) for e in exps]
+        self._weights = [max(sum(f) - 1, 0) for f in exps]
+        self._terms = [(index[e], index[f], index[tuple(map(sub, e, f))])
+                       for e in exps for f in exps[1:] if all(map(ge, e, f))]
+        # the index of hⱼhₖ, for every j and k
+        self._hessian = [[index.get(tuple(map(add, a, b))) for a in exps[1:1 + NVARS]] for b in exps[1:1 + NVARS]]
         # at a point a/d every term is c·dᵏ·∏aᵢ^eᵢ with k + Σeᵢ = D, so a value has fewer
         # bits than the largest c and the term count together, plus D times those of max(d, |aᵢ|)
         self._degree = self._polys[0].degree
         self._size = (max((c.bit_length() for p in self._polys for c, _, _ in p.terms), default=0)
                       + max(len(p.terms) for p in self._polys).bit_length())
 
-    def _quotients(self, pt: RationalPoint) -> list:
-        """Per function (n, d, first, second) in ints: f = n/d, ∂ⱼf = first[j]/d², ∂ₖ∂ⱼf = second[k][j]/d³.
+    def _series(self, pt: RationalPoint) -> list:
+        """Per function (d₀, q′) in ints, where f's coefficient of hᵉ is q′ₑ/d₀^(|e|+1).
 
-        Quotient rule on the jets: ∂ⱼf = (nⱼd − ndⱼ)/d² and
-        ∂ₖ∂ⱼf = ((nⱼₖd + nⱼdₖ − nₖdⱼ − ndⱼₖ)·d − 2dₖ(nⱼd − ndⱼ))/d³; ``second``
-        is empty at order 1.  Raises before evaluating where a value could
-        have more than :data:`MAX_JET_DIGITS` digits.
+        N = f·D gives q′ₑ = nₑ·d₀^|e| − Σ_{0<f≤e} d_f·d₀^(|f|−1)·q′ₑ₋f.  Raises where a value, or
+        one written over the lcm of the |d₀|, could have more than :data:`MAX_JET_DIGITS` digits.
         """
-        if self._size + self._degree * max(x.bit_length() for x in (pt.den, *pt.nums)) > _MAX_JET_BITS:
+        bits = self._size + self._degree * max(x.bit_length() for x in (pt.den, *pt.nums))
+        if bits <= _MAX_JET_BITS:
+            vals = [p.numerator(pt) for p in self._polys]
+            d0s = [vals[den[0]] for _, den in self._functions]
+            if not all(d0s):
+                raise ZeroDivisionError("denominator vanishes at the query point")
+            # an output of `at` is q′ₑ·(L/|d₀|)^(|e|+1), L the lcm of the |d₀|: a sum of products of
+            # |e|+1 values, each over L, and L/|d₀| is less than the product of the other distinct |d₀|
+            sizes = [x.bit_length() for x in set(map(abs, d0s))]
+            bits = max(map(int.bit_length, vals)) + sum(sizes) - min(sizes)
+        if bits > _MAX_JET_BITS:
             raise ValueError(f"exact jets at {_point_text(pt.coords)} would need integers "
                              f"of more than {MAX_JET_DIGITS} digits")
-        vals = [p.numerator(pt) for p in self._polys]
-        parts = []
-        for num, den in self._functions:
-            n, d = [vals[i] for i in num], [vals[i] for i in den]
-            d0 = d[0]
-            if d0 == 0:
-                raise ZeroDivisionError("denominator vanishes at the query point")
-            first = [n[1 + j] * d0 - n[0] * d[1 + j] for j in range(NVARS)]
-            second = [
-                [
-                    (n[s] * d0 + n[1 + j] * d[1 + k] - n[1 + k] * d[1 + j] - n[0] * d[s]) * d0
-                    - 2 * d[1 + k] * first[j]
-                    for j, s in enumerate(_SLOT2[k])
-                ]
-                for k in range(NVARS)
-            ] if self._order == 2 else []
-            parts.append((n[0], d0, first, second))
-        return parts
+        series = []
+        for (num, den), d0 in zip(self._functions, d0s):
+            powers = [d0**k for k in range(self._order + 1)]
+            q = [vals[i] * powers[k] for i, k in zip(num, self._orders)]
+            d = [vals[i] * powers[w] for i, w in zip(den, self._weights)]
+            for e, f, g in self._terms:
+                q[e] -= d[f] * q[g]
+            series.append((d0, q))
+        return series
 
     def at(self, pt: RationalPoint) -> Tuple[list, int, list]:
         """(Ĵ, Δ, ∂Ĵ) of a map compiled to order 2, in ints.
 
         du = Ĵ/Δ with Δ > 0, and ∂Ĵ[k] = Δ′·∂ₖdu for one Δ′ > 0; Δ and Δ′ are
-        the lcm of the d² and of the |d|³ over the components.
+        the lcm of the d₀² and of the |d₀|³ over the components, and ∂ⱼ∂ₖf is
+        (1 + δⱼₖ) times the coefficient of hⱼhₖ.
         """
-        parts = self._quotients(pt)
-        scale = math.lcm(*(d0 * d0 for _, d0, _, _ in parts))
-        jac = [[x * (scale // (d0 * d0)) for x in first] for _, d0, first, _ in parts]
+        series = self._series(pt)
+        scale = math.lcm(*(d0 * d0 for d0, _ in series))
+        jac = [[x * (scale // (d0 * d0)) for x in q[1:1 + NVARS]] for d0, q in series]
         g = math.gcd(scale, *(x for row in jac for x in row))
-        dscale = math.lcm(*(abs(d0) ** 3 for _, d0, _, _ in parts))
-        djac = [[[x * (dscale // d0**3) for x in second[k]] for _, d0, _, second in parts] for k in range(NVARS)]
+        dscale = math.lcm(*(abs(d0) ** 3 for d0, _ in series))
+        rows = [(q, dscale // d0**3) for d0, q in series]
+        djac = [[[q[s] * t << (j == k) for j, s in enumerate(hk)] for q, t in rows]
+                for k, hk in enumerate(self._hessian)]
         return [[x // g for x in row] for row in jac], scale // g, djac
 
     def gradients(self, pt: RationalPoint) -> Tuple[tuple, list]:
         """The exact value of each function at the point, and its gradient."""
-        parts = self._quotients(pt)
-        values = tuple(Fraction(n, d0) for n, d0, _, _ in parts)
-        return values, [tuple(Fraction(x, d0 * d0) for x in first) for _, d0, first, _ in parts]
+        series = self._series(pt)
+        return (tuple(Fraction(q[0], d0) for d0, q in series),
+                [tuple(Fraction(x, d0 * d0) for x in q[1:1 + NVARS]) for d0, q in series])
 
 
 def _point_text(coords: Sequence[Fraction]) -> str:

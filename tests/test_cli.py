@@ -15,6 +15,7 @@ from pathgeom import (
     LinearMap, MultiVector, OMEGA0, PHI0, act, canonical_model, conformal_pairing, heisenberg_model, pullback,
 )
 from pathgeom.cli import MAX_SAMPLES, main, render_json
+from pathgeom.hypersurface import MAX_JET_DIGITS
 from pathgeom.polynomials import MAX_EXPONENT
 
 
@@ -865,17 +866,36 @@ class TestWorkLimits:
         (rec,) = json.loads(proc.stdout)["points"]
         assert rec["error"].startswith("exact jets at (") and "would need integers of more than" in rec["error"]
 
+    def test_values_over_distinct_denominators_past_the_digit_limit_end_at_once(self, tmp_path):
+        """A cubic map over four distinct denominators at three points of one 2861-digit denominator.
+
+        Each record is the jets error, in a fresh interpreter within the
+        timeout; unrefused, each took 3 s to end in the error that a printed
+        value has more than 4300 digits.
+        """
+        from cli_digest import CUBIC_OVER_FOUR, SHARED_DENOMINATOR_POINTS
+
+        path = write_json(tmp_path, "in.json", {"map": CUBIC_OVER_FOUR, "points": SHARED_DENOMINATOR_POINTS})
+        proc = fresh_python(self.MAIN, "hypersurface", "--input", path, timeout=10)
+        assert proc.returncode == 0 and proc.stderr == ""
+        records = json.loads(proc.stdout)["points"]
+        assert len(records) == 3
+        assert all(rec["error"].startswith("exact jets at (") and rec["error"].endswith(
+            f"would need integers of more than {MAX_JET_DIGITS} digits") for rec in records)
+
 
 def test_output_digest_is_pinned(capsys):
-    """The CLI's output on the 540 benchmark requests is byte-identical to the pinned digest.
+    """The CLI's output on the 540 benchmark requests and on the edge requests is byte-identical to the pinned digests.
 
-    ``tests/cli_digest.py`` builds the requests from ``perfbench/inputs.py``,
-    which this test only reads, and hashes exit codes, stdout and stderr in
-    order.  A declared output change re-pins the digest here.
+    ``tests/cli_digest.py`` builds the first requests from
+    ``perfbench/inputs.py``, which this test only reads, and the edge requests
+    itself, and hashes exit codes, stdout and stderr in order.  A declared
+    output change re-pins the digests here.
     """
     import cli_digest
 
     assert cli_digest.main() == 0
     assert capsys.readouterr().out == (
         "540 requests sha256 5baeeb1530e0425b18a1a5a09993a23ec96e5e1cc77ec3d781a028d0fd82a68d\n"
+        "38 edge requests sha256 29ce75c81adfab80583f9169d4aa889dc03877f2a1b446ce2c9c33b5c27f8462\n"
     )

@@ -145,6 +145,15 @@ def test_missing_points_is_an_empty_report():
     assert call(["hypersurface"], payload)[:3] == (0, '{\n  "points": []\n}\n', "")
 
 
+@pytest.mark.parametrize("path", ["/nonexistent/samples.json", "-"], ids=["missing-file", "stdin"])
+def test_eds_input_and_samples_exclude_each_other(path):
+    """``eds`` either reads its samples or draws them: given both, it reads neither and exits 1."""
+    code, out, err, _ = call(["eds", "--input", path, "--samples", "0"], {"samples": []})
+    assert_one_error_line(code, out, err)
+    assert err == "error: eds reads --input or draws --samples, not both\n"
+    assert call(["eds", "--samples", "0"], None)[:3] == (0, '{\n  "samples": [],\n  "all_pass": true\n}\n', "")
+
+
 # -- fuzz ------------------------------------------------------------------------
 
 FUZZ_BASES = {

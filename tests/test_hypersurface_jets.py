@@ -7,19 +7,27 @@ compatibility verdict are checked here against the formal route:
 ``contact_value_at``, and the CR references of ``tests/oracles.py``.  The
 gradients of b₁, b₂ are checked against the jets of the formal pair and
 against the reference evaluator of ``tests/oracles.py``.
-A map and a pair are differentiated once, when they are built, and never per
-point.  The compile itself multiplies no polynomials, so a map with four
-distinct denominators costs about what a polynomial map does.
+A map and a pair get their Taylor coefficients once, when they are built, and
+never per point.  The compile itself multiplies no polynomials, so a map with
+four distinct denominators costs about what a polynomial map does.  The
+series at a point is checked against sympy's Taylor coefficients of N/D up to
+order 3, and ``at``'s Ĵ and ∂Ĵ against the formal derivatives of
+``u.jacobian()``; the size checks against the integers they bound.
 """
 
+import math
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
+import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathgeom import hypersurface
 from pathgeom.hypersurface import (
     MAX_JET_DIGITS,
     CompiledMap,
@@ -30,6 +38,7 @@ from pathgeom.hypersurface import (
     compatibility_check,
     contact_value_at,
     cr_structure_at,
+    heisenberg_model,
     is_nondegenerate_at,
     line_fields_at,
     point_record,
@@ -40,6 +49,7 @@ from pathgeom.hypersurface import (
 from pathgeom.linalg import rank
 from pathgeom.polynomials import IntPoly, Poly, RatFunc, RationalPoint, over_one_denominator
 
+from cli_digest import CUBIC_OVER_FOUR, SHARED_DENOMINATOR_POINTS
 from oracles import CompiledFunctions, b_at, compatible_oracle, cr_structure_oracle
 
 X = tuple(Poly.variable(i, 3) for i in range(3))
@@ -209,8 +219,8 @@ def test_compile_multiplies_no_polynomials(monkeypatch):
     assert sum(calls.values()) == 0
 
 
-def count_calculus(monkeypatch) -> Counter:
-    """Counts of ``Poly.diff`` and ``CompiledMap.__init__`` calls from now on."""
+def count_calls(monkeypatch, **targets) -> Counter:
+    """Counts of calls from now on, per key, of each (owner, name) in ``targets``."""
     calls = Counter()
 
     def counted(key, fn):
@@ -220,17 +230,23 @@ def count_calculus(monkeypatch) -> Counter:
 
         return wrapper
 
-    monkeypatch.setattr(Poly, "diff", counted("diff", Poly.diff))
-    monkeypatch.setattr(CompiledMap, "__init__", counted("compile", CompiledMap.__init__))
+    for key, (owner, name) in targets.items():
+        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
     return calls
 
 
+def count_calculus(monkeypatch) -> Counter:
+    """Counts of ``Poly.diff``, Taylor-coefficient and ``CompiledMap.__init__`` calls from now on."""
+    return count_calls(monkeypatch, diff=(Poly, "diff"), taylor=(hypersurface, "_taylor"),
+                       compile=(CompiledMap, "__init__"))
+
+
 def test_compatibility_check_differentiates_once_per_jet(monkeypatch):
-    """Building the map differentiates each distinct numerator and denominator to second order; a call, nothing."""
+    """Building the map reads each distinct numerator's and denominator's Taylor coefficients once; a call, nothing."""
     calls = count_calculus(monkeypatch)
     u = sphere_chart_model()
-    # 1−q, 1+q and the three 2xᵢ: three first and six second partials each
-    assert calls == {"diff": 5 * 9, "compile": 1}
+    # 1−q, 1+q and the three 2xᵢ: ten coefficients each, to second order, and no Poly.diff
+    assert calls == {"taylor": 5 * 10, "compile": 1}
     calls.clear()
     assert compatibility_check(u, [Fraction(1, 2), Fraction(-1, 3), 2])
     assert sum(calls.values()) == 0
@@ -240,7 +256,7 @@ def test_a_map_and_a_pair_are_differentiated_when_built(monkeypatch, rng):
     """100 calls of each per-point function on the sphere chart and its pullback pair make no diff and no compile."""
     calls = count_calculus(monkeypatch)
     u = sphere_chart_model()
-    assert calls == {"diff": 45, "compile": 1}
+    assert calls == {"taylor": 50, "compile": 1}
     points = [[Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(3)] for _ in range(100)]
     calls.clear()
     for f in (u.jacobian_at, lambda p: cr_structure_at(u, p), lambda p: compatibility_check(u, p),
@@ -328,8 +344,109 @@ big = st.one_of(small, st.integers(-10**40, 10**40).map(Fraction), st.fractions(
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(rational_maps(), st.lists(big, min_size=3, max_size=3))
 def test_size_bound_holds(u, point):
-    """No evaluated numerator is longer than the bound the jets check before evaluating."""
+    """No evaluated numerator is longer than the bound the jets check before evaluating, and no output of ``at``
+    longer than |e| + 1 values written over the lcm of the |d₀|, the size they check before the recurrence."""
     pt = RationalPoint(point, 3)
     jets = u.jets
     bound = jets._size + jets._degree * max(x.bit_length() for x in (pt.den, *pt.nums))
-    assert all(p.numerator(pt).bit_length() <= bound for p in jets._polys)
+    values = [p.numerator(pt) for p in jets._polys]
+    assert all(v.bit_length() <= bound for v in values)
+    try:
+        jac, scale, djac = jets.at(RationalPoint(point, 3))
+    except ZeroDivisionError:
+        return
+    sizes = [d0.bit_length() for d0 in {abs(d0) for d0, _ in jets._series(pt)}]
+    over_lcm = max(v.bit_length() for v in values) + sum(sizes) - min(sizes)
+    # a coefficient of order |e| sums at most 6 products of |e| + 1 of them, and ∂ⱼ∂ⱼ doubles it
+    assert scale.bit_length() <= 2 * over_lcm and all(x.bit_length() <= 2 * over_lcm + 2 for r in jac for x in r)
+    assert all(x.bit_length() <= 3 * over_lcm + 4 for dk in djac for r in dk for x in r)
+
+
+def test_values_past_the_digit_limit_over_their_lcm_are_refused(monkeypatch):
+    """A cubic map over four distinct denominators, at a point of one 2861-digit denominator: a record error.
+
+    Each value fits the limit, so they are evaluated; over the lcm of the four
+    denominators they would not.  Unrefused, ``at`` built integers of
+    152 015 bits there, and the record ended after 3 s in the error that a
+    printed value has more than 4300 digits.
+    """
+    u = ParamMap.from_json(CUBIC_OVER_FOUR)
+    calls = count_calls(monkeypatch, numerator=(IntPoly, "numerator"), minors=(hypersurface, "_minors"))
+    point = [Fraction(x) for x in SHARED_DENOMINATOR_POINTS[0]]
+    rec = point_record(u, point)
+    text = ", ".join(_rational(x) for x in point)
+    assert rec["error"] == f"exact jets at ({text}) would need integers of more than {MAX_JET_DIGITS} digits"
+    assert calls["numerator"] > 0 and calls["minors"] == 0
+    assert "cr" in point_record(u, [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)])
+
+
+# -- the Taylor series -------------------------------------------------------
+
+SX = sympy.symbols("x1:4")
+
+
+def exponents(order: int) -> list:
+    """The exponents e with |e| ≤ order, in the graded order of ``CompiledMap``'s series."""
+    return [tuple(c.count(i) for i in range(3)) for n in range(order + 1) for c in combinations_with_replacement(range(3), n)]
+
+
+def sympy_of(f) -> sympy.Expr:
+    def poly(p: Poly):
+        return sum((sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**k for x, k in zip(SX, e)))
+                    for e, c in p.terms.items()), sympy.Integer(0))
+
+    return poly(f.num) / poly(f.den) if isinstance(f, RatFunc) else poly(f)
+
+
+def assert_series_is_sympys(functions, points, order: int):
+    """The coefficient of hᵉ in ``CompiledMap``'s series at each point is sympy's ∂ᵉ(N/D)/e! there."""
+    jets = CompiledMap(functions, order)
+    coefficients = [[(e, sympy.diff(f, *((x, k) for x, k in zip(SX, e) if k)) / math.prod(map(math.factorial, e))
+                      if any(e) else f) for e in exponents(order)] for f in map(sympy_of, functions)]
+    for point in points:
+        at = dict(zip(SX, (sympy.Rational(x.numerator, x.denominator) for x in map(Fraction, point))))
+        if any(f.den(point) == 0 for f in functions if isinstance(f, RatFunc)):
+            continue
+        series = jets._series(RationalPoint(point, 3))
+        for (d0, q), want in zip(series, coefficients):
+            for m, (e, c) in enumerate(want):
+                value = c.subs(at)
+                assert Fraction(q[m], d0 ** (sum(e) + 1)) == Fraction(int(value.p), int(value.q)), (point, e)
+
+
+@st.composite
+def four_denominator_quotients(draw) -> list:
+    """Four quotients, each numerator with a mixed monomial, over the distinct denominators c + …, c = 1, 2, 3, 5."""
+    return [RatFunc(draw(polys(3, 3)) + X[i % 3] * X[(i + 1) % 3] ** (1 + i % 2), draw(polys(2, 3, constant=c)))
+            for i, c in enumerate((1, 2, 3, 5))]
+
+
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(four_denominator_quotients(), points, st.sampled_from([1, 2]))
+def test_series_of_random_quotients_is_sympys(functions, pts, order):
+    assert_series_is_sympys(functions, pts, order)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("model", [sphere_chart_model, heisenberg_model])
+def test_series_of_the_models_is_sympys(model, order, rng):
+    pts = [[Fraction(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(3)] for _ in range(3)]
+    assert_series_is_sympys(model().components, pts + [[0, 0, 0], [Fraction(1, 2), -1, 3]], order)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.one_of(rational_maps(), four_denominator_quotients().map(ParamMap), st.just(sphere_chart_model())), points)
+def test_jets_are_the_formal_derivatives_scaled(u, pts):
+    """Ĵ = Δ·du and ∂Ĵ[k] = Δ′·∂ₖdu entry by entry, Δ′ the lcm of the |d₀|³, against ``u.jacobian()`` differentiated."""
+    jacobian = u.jacobian()
+    hessian = [[[f.diff(k) for f in row] for row in jacobian] for k in range(3)]
+    for point in pts:
+        pt = RationalPoint(point, 3)
+        try:
+            want = [[f(point) for f in row] for row in jacobian], [[[f(point) for f in r] for r in hk] for hk in hessian]
+        except ZeroDivisionError:
+            continue
+        jac, scale, djac = u.jets.at(pt)
+        dscale = math.lcm(*(abs(d0) ** 3 for d0, _ in u.jets._series(pt)))
+        assert jac == [[scale * x for x in row] for row in want[0]]
+        assert djac == [[[dscale * x for x in r] for r in hk] for hk in want[1]]
