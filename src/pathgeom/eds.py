@@ -13,20 +13,24 @@ for four free scalars (W₁, W₂, F₁, F₂).  The differential ideal is gener
 by χ₁ = θ²₀∧θ¹₀ − ω₀ and χ₂ = θ²₀∧θ²₁ − φ₀ with independence 3-form
 ζ = θ¹₀∧θ²₀∧θ²₁.  The ideal involves only θ¹₀, θ²₀ and θ²₁, and Θ is
 strictly upper triangular, so Θ¹₀ = Θ²₀ = Θ²₁ = 0: the ideal is the same for
-every curvature, and one Cartan test covers every sample.  This module
-computes, in exact rational arithmetic: integral elements, polar spaces,
-Cartan characters, the codimension of the conditions cut out near the
-reference flag, and the involutivity verdict.
+every curvature, and one Cartan test covers every sample.  The test reads
+the polar equations of each element E as integer rows: E is integral iff
+they vanish on E, its polar space is their kernel and the characters are
+their ranks.  The codimension near the flag is the rank of the linearized
+conditions, and ζ is one 3×3 minor, all in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
-from .exterior import MultiVector, evaluate, wedge
+from .exterior import MultiVector, wedge
 from .scalars import rational_from_json, scalar_to_json, to_scalar
 
 DIM = 12
@@ -122,12 +126,10 @@ def _curvature_form(i: int, j: int, c: CurvatureSample) -> MultiVector:
 
 def structure_d(component: str, curvature: CurvatureSample) -> MultiVector:
     """dθⁱⱼ = Θⁱⱼ − θⁱₖ∧θᵏⱼ for connection components; d(dxˡ) = 0."""
-    if component.startswith("dx"):
-        if component not in _SLOT:
-            raise ValueError(f"unknown coframe component {component!r}")
-        return MultiVector.zero(DIM, 2)
-    if component not in _SLOT or not component.startswith("t"):
+    if component not in _SLOT:
         raise ValueError(f"unknown coframe component {component!r}")
+    if component.startswith("dx"):
+        return MultiVector.zero(DIM, 2)
     i, j = int(component[1]), int(component[2])
     acc = _curvature_form(i, j, curvature)
     for k in range(3):
@@ -148,11 +150,10 @@ def phi0_model() -> MultiVector:
 class ConstantIdeal:
     """Generators and their differentials frozen at a point."""
 
-    __slots__ = ("generators", "differentials", "curvature")
+    __slots__ = ("generators", "differentials")
 
-    def __init__(self, generators: Tuple[MultiVector, ...], differentials: Tuple[MultiVector, ...],
-                 curvature: CurvatureSample):
-        self.generators, self.differentials, self.curvature = generators, differentials, curvature
+    def __init__(self, generators: Tuple[MultiVector, ...], differentials: Tuple[MultiVector, ...]):
+        self.generators, self.differentials = generators, differentials
 
 
 def ideal_at(curvature: CurvatureSample) -> ConstantIdeal:
@@ -165,7 +166,7 @@ def ideal_at(curvature: CurvatureSample) -> ConstantIdeal:
     dt21 = structure_d("t21", curvature)
     dchi1 = wedge(dt20, t10) - wedge(t20, dt10)
     dchi2 = wedge(dt20, t21) - wedge(t20, dt21)
-    return ConstantIdeal((chi1, chi2), (dchi1, dchi2), curvature)
+    return ConstantIdeal((chi1, chi2), (dchi1, dchi2))
 
 
 class Flag:
@@ -209,79 +210,78 @@ def zeta_forms() -> Tuple[MultiVector, MultiVector, MultiVector]:
 
 
 def independence_check(vectors: Sequence[Sequence[Fraction]]) -> bool:
-    """ζ = ζ¹∧ζ²∧ζ³ nonzero on the span (exact determinant test)."""
+    """ζ = ζ¹∧ζ²∧ζ³ nonzero on the span: the 3×3 minor of the θ¹₀, θ²₀, θ²₁ components."""
     if len(vectors) != 3:
         raise ValueError("independence condition applies to 3-dimensional elements")
-    z1, z2, z3 = zeta_forms()
-    return evaluate(wedge(wedge(z1, z2), z3), vectors) != 0
+    if any(len(v) != DIM for v in vectors):
+        raise ValueError("vector has wrong dimension")
+    slots = [_THETA_SLOT[ij] - 1 for ij in ((1, 0), (2, 0), (2, 1))]
+    return linalg.det([[v[s] for s in slots] for v in vectors]) != 0
 
 
-def is_integral_element(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> bool:
-    """All generators vanish on pairs, all differentials on triples."""
-    vecs = [list(v) for v in vectors]
-    if vecs and linalg.rank(vecs) != len(vecs):
-        raise ValueError("vectors are linearly dependent")
-    n = len(vecs)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for chi in ideal.generators:
-                if evaluate(chi, [vecs[a], vecs[b]]) != 0:
-                    return False
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for dchi in ideal.differentials:
-                    if evaluate(dchi, [vecs[a], vecs[b], vecs[c]]) != 0:
-                        return False
-    return True
+def _integer_terms(form: MultiVector) -> Tuple[dict, int]:
+    """The form's terms times the lcm of their denominators, as ints, and that lcm."""
+    den = lcm(*(c.denominator for c in form.terms.values()))
+    return {idx: c.numerator * (den // c.denominator) for idx, c in form.terms.items()}, den
 
 
-def _contract_two_form(form: MultiVector, v: Sequence[Fraction]) -> List[Fraction]:
-    """Row of the covector w ↦ form(v, w)."""
-    row = [Fraction(0)] * DIM
-    for (a, b), c in form.terms.items():
+def _contract_two_form(terms: dict, v: Sequence[Fraction]) -> list:
+    """Row of the covector w ↦ form(v, w), for the form with these terms."""
+    row = [0] * DIM
+    for (a, b), c in terms.items():
         row[b - 1] += c * v[a - 1]
         row[a - 1] -= c * v[b - 1]
     return row
 
 
-def _contract_three_form(form: MultiVector, va: Sequence[Fraction], vb: Sequence[Fraction]) -> List[Fraction]:
-    """Row of the covector w ↦ form(va, vb, w)."""
-    row = [Fraction(0)] * DIM
-    for (a, b, c), coeff in form.terms.items():
-        # expand det[[va_a, vb_a, w_a], [va_b, vb_b, w_b], [va_c, vb_c, w_c]]
-        minors = (
-            va[b - 1] * vb[c - 1] - va[c - 1] * vb[b - 1],
-            -(va[a - 1] * vb[c - 1] - va[c - 1] * vb[a - 1]),
-            va[a - 1] * vb[b - 1] - va[b - 1] * vb[a - 1],
-        )
-        row[a - 1] += coeff * minors[0]
-        row[b - 1] += coeff * minors[1]
-        row[c - 1] += coeff * minors[2]
+def _contract_three_form(terms: dict, va: Sequence[Fraction], vb: Sequence[Fraction]) -> list:
+    """Row of the covector w ↦ form(va, vb, w), for the form with these terms."""
+    row = [0] * DIM
+    for (a, b, c), coeff in terms.items():
+        # expand det[[va_a, vb_a, w_a], [va_b, vb_b, w_b], [va_c, vb_c, w_c]] along w
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            row[i - 1] += coeff * (va[j - 1] * vb[k - 1] - va[k - 1] * vb[j - 1])
     return row
+
+
+def _polar_rows(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> List[List[int]]:
+    """The polar equations of E = span(vectors) as integer rows: χ(v, ·), then dχ(v, v′, ·).
+
+    Scaling a form or a vector to integers scales rows by nonzero factors,
+    which changes no zero test, span, rank or pivot column.
+    """
+    vecs = linalg._integer_rows(vectors)[0]
+    generators = [_integer_terms(chi)[0] for chi in ideal.generators]
+    differentials = [_integer_terms(dchi)[0] for dchi in ideal.differentials]
+    rows = [_contract_two_form(chi, v) for v in vecs for chi in generators]
+    return rows + [_contract_three_form(dchi, va, vb) for va, vb in combinations(vecs, 2) for dchi in differentials]
+
+
+def is_integral_element(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> bool:
+    """E is integral iff every polar row of E vanishes on every vector of E.
+
+    χ(v, ·) on v′ is χ(v, v′) and dχ(v, v′, ·) on v″ is dχ(v, v′, v″): every
+    generator on every pair and every differential on every triple.
+    """
+    vecs = linalg._integer_rows(vectors)[0]
+    if any(len(v) != DIM for v in vecs):
+        raise ValueError("vector has wrong dimension")
+    if vecs and linalg.rank(vecs) != len(vecs):
+        raise ValueError("vectors are linearly dependent")
+    return not any(sum(map(mul, row, v)) for row in _polar_rows(vecs, ideal) for v in vecs)
 
 
 def polar_space(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> Tuple[List[List[Fraction]], int]:
     """Polar space H(E) of an integral element E and its codimension.
 
-    H(E) = {v : χ(w, v) = 0 and dχ(w, w′, v) = 0 for all w, w′ ∈ E}; with no
-    1-forms in the ideal, H(E⁰) is the whole tangent space.
+    H(E) = {v : χ(w, v) = 0 and dχ(w, w′, v) = 0 for all w, w′ ∈ E}, the
+    kernel of the polar rows; with no 1-forms in the ideal, E⁰ has no polar
+    rows and H(E⁰) is the whole tangent space.
     """
-    vecs = [list(v) for v in vectors]
-    if not is_integral_element(vecs, ideal):
+    if not is_integral_element(vectors, ideal):
         raise ValueError("polar space of a non-integral element")
-    rows: List[List[Fraction]] = []
-    for v in vecs:
-        for chi in ideal.generators:
-            rows.append(_contract_two_form(chi, v))
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            for dchi in ideal.differentials:
-                rows.append(_contract_three_form(dchi, vecs[a], vecs[b]))
-    if not rows:
-        basis = [list(frame_vector(s)) for s in range(1, DIM + 1)]
-        return basis, 0
-    basis = linalg.nullspace(rows)
+    rows = _polar_rows(vectors, ideal)
+    basis = linalg.nullspace(rows) if rows else [list(frame_vector(s)) for s in range(1, DIM + 1)]
     return basis, DIM - len(basis)
 
 
@@ -301,16 +301,16 @@ class Characters:
 def characters(flag: Flag, ideal: ConstantIdeal) -> Characters:
     """Characters s₀..s₃ from polar-space codimensions, plus Cartan's test.
 
-    cₖ = codim H(Eᵏ); s₀ = c₀, s₁ = c₁−c₀, s₂ = c₂−c₁, s₃ = 9−c₂; the bound
-    is c₀+c₁+c₂ and the ideal is involutive at the flag iff the actual
-    codimension equals the bound.
+    cₖ = codim H(Eᵏ), the rank of the polar rows of Eᵏ; s₀ = c₀, s₁ = c₁−c₀,
+    s₂ = c₂−c₁, s₃ = 9−c₂; the bound is c₀+c₁+c₂ and the ideal is involutive
+    at the flag iff the actual codimension equals the bound.
     """
     if len(flag.vectors) != 3:
         raise ValueError("need a full flag (three vectors)")
     vecs = flag.vectors
-    _, c0 = polar_space([], ideal)
-    _, c1 = polar_space([vecs[0]], ideal)
-    _, c2 = polar_space([vecs[0], vecs[1]], ideal)
+    if not is_integral_element(vecs[:2], ideal):
+        raise ValueError("polar space of a non-integral element")
+    c0, c1, c2 = (linalg.rank(_polar_rows(vecs[:k], ideal)) for k in range(3))
     bound = c0 + c1 + c2
     actual = codim_at(flag, ideal).rank
     return Characters(
@@ -326,24 +326,19 @@ def characters(flag: Flag, ideal: ConstantIdeal) -> Characters:
 
 def condition_forms(ideal: ConstantIdeal) -> List[MultiVector]:
     """The eight 3-forms dχᵢ, χᵢ∧ζᵏ imposing conditions on graph-like 3-planes."""
-    out = list(ideal.differentials)
-    for chi in ideal.generators:
-        for z in zeta_forms():
-            out.append(wedge(chi, z))
-    return out
+    return list(ideal.differentials) + [wedge(chi, z) for chi in ideal.generators for z in zeta_forms()]
 
 
 def complement_frame(flag: Flag) -> List[int]:
     """Deterministic 9-slot complement of span(flag) among the frame vectors.
 
-    The pivot columns of [v₁ … v_k, e₁ … e₁₂] past the flag's own: a frame
-    vector is kept iff it is independent of the flag and the frame vectors
-    before it, greedy in slot order.
+    Greedy in slot order, the frame vector eₛ is kept iff it is independent of
+    the flag and the frame vectors before it, that is iff no vector of
+    span(flag) has its last nonzero component at s.  Those last components are
+    the pivot columns of the flag's echelon form with the slots read backwards.
     """
-    k = len(flag.vectors)
-    columns = list(flag.vectors) + [frame_vector(slot) for slot in range(1, DIM + 1)]
-    _, pivots = linalg.rref(linalg.transpose(columns))
-    return [p - k + 1 for p in pivots if p >= k]
+    _, pivots, _ = linalg.echelon([v[::-1] for v in linalg._integer_rows(flag.vectors)[0]])
+    return [s for s in range(1, DIM + 1) if DIM - s not in pivots]
 
 
 class CodimResult:
@@ -360,19 +355,21 @@ def linearized_conditions(flag: Flag, forms: Sequence[MultiVector], complement_s
     """Jacobian of p ↦ (forms on (v₁+Σp·u, v₂+Σp·u, v₃+Σp·u)) at p = 0, u over the complement slots.
 
     Entry for (form, slot a, direction u): the form on the flag triple with
-    vₐ replaced by u; computed through the three contracted covectors
-    form(v_b, v_c, ·) instead of one evaluation per entry.
+    vₐ replaced by u, read off the three contracted covectors form(v_b, v_c, ·).
+    Each entry is linear in the form and in two flag vectors, so it is computed
+    in integers, from the form's integer terms and the vectors times the lcm Λ
+    of their denominators, and divided by Λ² and the form's scale.
     """
-    v1, v2, v3 = (list(v) for v in flag.vectors)
+    lam = lcm(*(x.denominator for v in flag.vectors for x in v))
+    v1, v2, v3 = ([x.numerator * (lam // x.denominator) for x in v] for v in flag.vectors)
     jac: List[List[Fraction]] = []
     for form in forms:
-        c23 = _contract_three_form(form, v2, v3)
-        c13 = _contract_three_form(form, v1, v3)
-        c12 = _contract_three_form(form, v1, v2)
+        terms, den = _integer_terms(form)
+        c23, c13, c12 = (_contract_three_form(terms, va, vb) for va, vb in ((v2, v3), (v1, v3), (v1, v2)))
         row = [c23[s - 1] for s in complement_slots]          # form(u, v2, v3)
         row += [-c13[s - 1] for s in complement_slots]        # form(v1, u, v3)
         row += [c12[s - 1] for s in complement_slots]         # form(v1, v2, u)
-        jac.append(row)
+        jac.append([Fraction(x, den * lam * lam) for x in row])
     return jac
 
 
@@ -390,10 +387,9 @@ def codim_at(flag: Flag, ideal: ConstantIdeal) -> CodimResult:
         raise ValueError("flag is not integral")
     if not independence_check(flag.vectors):
         raise ValueError("independence condition fails on the flag")
-    forms = condition_forms(ideal)
     comp_slots = complement_frame(flag)
-    jac = linearized_conditions(flag, forms, comp_slots)
-    red, pivots = linalg.rref(jac)
+    jac = linearized_conditions(flag, condition_forms(ideal), comp_slots)
+    _, pivots, _ = linalg.echelon(linalg._integer_rows(jac)[0])
     return CodimResult(
         rank=len(pivots),
         free_parameters=3 * len(comp_slots) - len(pivots),

@@ -275,7 +275,7 @@ def greedy_complement_frame(flag: Flag) -> list:
 
     A frame vector is kept iff it is independent of the flag and of the
     vectors kept so far; ``eds.complement_frame`` reads the same choice off
-    the pivot columns of one reduced echelon form.
+    the pivot columns of the flag's echelon form, with the slots read backwards.
     """
     rows, pivots = [], []
 
@@ -365,6 +365,66 @@ def compatible_oracle(jac, p1, p2) -> bool:
     if linalg.rank([_j0_apply(v1), v2]) != 1:
         return False
     return span_equal([v1, v2], cr_structure_oracle(jac)[0])
+
+
+def polar_rows_oracle(vectors, ideal) -> list:
+    """χ(v, eₛ) and dχ(v, v′, eₛ) over the frame vectors eₛ, by :func:`evaluate_oracle`."""
+    frame = [frame_vector(s) for s in range(1, DIM + 1)]
+    rows = [[evaluate_oracle(chi, [v, e]) for e in frame] for v in vectors for chi in ideal.generators]
+    return rows + [[evaluate_oracle(dchi, [va, vb, e]) for e in frame]
+                   for va, vb in combinations(vectors, 2) for dchi in ideal.differentials]
+
+
+def cartan_test_oracle(flag: Flag, ideal) -> dict:
+    """What the Cartan test of ``eds`` reports at a flag, from dense tensors and Gauss–Jordan in Fractions.
+
+    Every value of a form is :func:`evaluate_oracle`; a polar space is the
+    :func:`fraction_nullspace` of :func:`polar_rows_oracle`; the codimension
+    is the rank of the forms dχ and χ∧ζᵏ on the flag with one vector replaced
+    by a complement frame vector, that frame chosen by
+    :func:`greedy_complement_frame`.  Keys: ``integral`` for E⁰..E³,
+    ``zeta``, ``polar`` (the codimension of H(Eᵏ), k = 0, 1, 2),
+    ``characters`` (characters, bound, codimension, verdict) and ``codim``;
+    where ``eds`` refuses, the value is the refusal's message.
+    """
+    vecs = [list(v) for v in flag.vectors]
+    frame = [frame_vector(s) for s in range(1, DIM + 1)]
+    zeta = [MultiVector.basis(DIM, (slot_of(label),)) for label in ("t10", "t20", "t21")]
+
+    def integral(k):
+        return (all(evaluate_oracle(chi, list(pair)) == 0 for pair in combinations(vecs[:k], 2)
+                    for chi in ideal.generators)
+                and all(evaluate_oracle(dchi, list(triple)) == 0 for triple in combinations(vecs[:k], 3)
+                        for dchi in ideal.differentials))
+
+    def polar_codim(k):
+        if not integral(k):
+            return "polar space of a non-integral element"
+        rows = polar_rows_oracle(vecs[:k], ideal)
+        return DIM - len(fraction_nullspace(rows)) if rows else 0
+
+    out = {"integral": [integral(k) for k in range(4)],
+           "zeta": evaluate_oracle(wedge_oracle(wedge_oracle(zeta[0], zeta[1]), zeta[2]), vecs) != 0,
+           "polar": [polar_codim(k) for k in range(3)]}
+    if not out["integral"][3]:
+        out["codim"] = "flag is not integral"
+    elif not out["zeta"]:
+        out["codim"] = "independence condition fails on the flag"
+    else:
+        forms = list(ideal.differentials) + [wedge_oracle(chi, z) for chi in ideal.generators for z in zeta]
+        slots = greedy_complement_frame(flag)
+        jac = [[evaluate_oracle(form, vecs[:a] + [frame[s - 1]] + vecs[a + 1:]) for a in range(3) for s in slots]
+               for form in forms]
+        out["codim"] = len(fraction_rref(jac)[1])
+    if not out["integral"][2]:
+        out["characters"] = "polar space of a non-integral element"
+    elif isinstance(out["codim"], str):
+        out["characters"] = out["codim"]
+    else:
+        c0, c1, c2 = out["polar"]
+        out["characters"] = ((c0, c1 - c0, c2 - c1, DIM - 3 - c2), c0 + c1 + c2, out["codim"],
+                             out["codim"] == c0 + c1 + c2)
+    return out
 
 
 def fraction_rref(a):

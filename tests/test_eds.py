@@ -1,7 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathgeom import MultiVector, evaluate, wedge
 from pathgeom.eds import (
@@ -31,7 +34,16 @@ from pathgeom.eds import (
 from pathgeom.linalg import rank
 
 from conftest import rand_fraction
-from oracles import greedy_complement_frame, in_span, random_integral_flag, second_order_probe, slot_of
+from oracles import (
+    cartan_test_oracle,
+    fraction_nullspace,
+    greedy_complement_frame,
+    in_span,
+    polar_rows_oracle,
+    random_integral_flag,
+    second_order_probe,
+    slot_of,
+)
 
 
 MV = MultiVector
@@ -165,6 +177,15 @@ class TestIntegrality:
     def test_empty_element_is_integral(self, rng):
         assert is_integral_element([], ideal_at(rand_curvature(rng)))
 
+    @pytest.mark.parametrize("length", [11, 13])
+    def test_vectors_of_another_dimension_are_refused(self, rng, length):
+        ideal = ideal_at(rand_curvature(rng))
+        vecs = [[rand_fraction(rng) for _ in range(length)] for _ in range(3)]
+        for call in (lambda: is_integral_element(vecs[:1], ideal), lambda: is_integral_element(vecs, ideal),
+                     lambda: polar_space(vecs[:1], ideal), lambda: independence_check(vecs)):
+            with pytest.raises(ValueError, match="wrong dimension"):
+                call()
+
     def test_wedge_with_one_form_vanishes_on_integral_elements(self, rng):
         # chi^lambda automatically vanishes wherever chi does
         ideal = ideal_at(rand_curvature(rng))
@@ -223,7 +244,7 @@ class TestCharacters:
 
     def test_reduced_ideal_changes_characters(self, rng):
         full = ideal_at(rand_curvature(rng))
-        reduced = ConstantIdeal((full.generators[0],), (full.differentials[0],), full.curvature)
+        reduced = ConstantIdeal((full.generators[0],), (full.differentials[0],))
         ch = characters(reference_flag(), reduced)
         assert ch.as_tuple() != (0, 2, 4, 3)
 
@@ -245,19 +266,22 @@ class TestCodim:
         assert rank(jac) <= 7
 
     def test_linearization_matches_direct_evaluation(self, rng):
-        # contraction-based rows agree with literal per-entry evaluation
+        # contraction-based rows agree with literal per-entry evaluation, also on rational
+        # flags and forms, whose denominators the integer arithmetic behind the rows undoes
         ideal = ideal_at(rand_curvature(rng))
-        flag = reference_flag()
-        forms = condition_forms(ideal)
-        slots = complement_frame(flag)
-        jac = linearized_conditions(flag, forms, slots)
-        vecs = [list(v) for v in flag.vectors]
-        for r, form in enumerate(forms):
-            for a in range(3):
-                for m, s in enumerate(slots):
-                    triple = list(vecs)
-                    triple[a] = list(frame_vector(s))
-                    assert jac[r][a * len(slots) + m] == evaluate(form, triple)
+        cases = [(reference_flag(), condition_forms(ideal))] + [
+            (_random_flag("rational", rng, ideal), [form * rand_fraction(rng, 1, 4, 9) for form in condition_forms(ideal)])
+            for _ in range(3)]
+        for flag, forms in cases:
+            slots = complement_frame(flag)
+            jac = linearized_conditions(flag, forms, slots)
+            vecs = [list(v) for v in flag.vectors]
+            for r, form in enumerate(forms):
+                for a in range(3):
+                    for m, s in enumerate(slots):
+                        triple = list(vecs)
+                        triple[a] = list(frame_vector(s))
+                        assert jac[r][a * len(slots) + m] == evaluate(form, triple)
 
     def test_complement_frame_matches_greedy_elimination(self, rng):
         ideal = ideal_at(rand_curvature(rng))
@@ -337,18 +361,38 @@ class TestVerification:
 
 class TestVerdictReuse:
     @staticmethod
-    def count_calls(monkeypatch, name):
-        from pathgeom import eds
+    def count_calls(monkeypatch, name, module="eds"):
+        """Count the calls of ``pathgeom.<module>.<name>`` made through the module attribute."""
+        import importlib
 
-        original = getattr(eds, name)
+        owner = importlib.import_module(f"pathgeom.{module}")
+        original = getattr(owner, name)
         counter = {"calls": 0}
 
         def counted(*args, **kwargs):
             counter["calls"] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(eds, name, counted)
+        monkeypatch.setattr(owner, name, counted)
         return counter
+
+    def test_one_verdict_computes_each_quantity_once(self, rng, monkeypatch):
+        """The test reads integer polar rows: no form is evaluated through ``linalg.det``, nothing is reduced twice.
+
+        ``eds`` and ``exterior.evaluate`` call ``linalg`` through its module
+        attributes.  The two determinants are ζ on the flag, once for the
+        verdict's entry and once for ``codim_at``; the flag's integrality is
+        read by the entry and by ``codim_at``, and that of E² by ``characters``.
+        """
+        from pathgeom.eds import _verdict
+
+        ideal = ideal_at(rand_curvature(rng))
+        limits = {("linalg", "det"): 2, ("linalg", "nullspace"): 0, ("linalg", "rref"): 0,
+                  ("eds", "is_integral_element"): 3}
+        counters = {key: self.count_calls(monkeypatch, key[1], key[0]) for key in limits}
+        assert _verdict(ideal)["pass"]
+        calls = {key: counter["calls"] for key, counter in counters.items()}
+        assert all(calls[key] <= limit for key, limit in limits.items()), calls
 
     def test_curvature_free_ideal_runs_the_pipeline_once(self, rng, monkeypatch):
         counters = {name: self.count_calls(monkeypatch, name)
@@ -427,6 +471,93 @@ def test_random_integral_flags_are_ordinary(rng):
             assert ch.as_tuple() == (0, 2, 3, 4)
             assert ch.codim_bound == 7 < ch.codim_actual == 8 and not ch.involutive
     assert admissible >= 20 and ordinary >= 0.9 * admissible
+
+
+def _cartan_test(flag, ideal) -> dict:
+    """What ``eds`` reports at a flag, in the keys of ``cartan_test_oracle``; a refusal is its message."""
+    def or_refusal(compute):
+        try:
+            return compute()
+        except ValueError as exc:
+            return str(exc)
+
+    vecs = flag.vectors
+    ch = or_refusal(lambda: characters(flag, ideal))
+    return {
+        "integral": [is_integral_element(vecs[:k], ideal) for k in range(4)],
+        "zeta": independence_check(vecs),
+        "polar": [or_refusal(lambda: polar_space(vecs[:k], ideal)[1]) for k in range(3)],
+        "characters": ch if isinstance(ch, str) else (ch.as_tuple(), ch.codim_bound, ch.codim_actual, ch.involutive),
+        "codim": or_refusal(lambda: codim_at(flag, ideal).rank),
+    }
+
+
+def _random_flag(kind, rng, ideal) -> Flag:
+    """A flag of the given kind; the ``non-integral`` kinds are not integral, every other kind is."""
+    if kind == "reference":
+        return reference_flag()
+    while True:
+        if kind == "zeta-degenerate":
+            # θ¹₀ = θ²₀ = θ²₁ = 0 kills ζ and every differential, and dx parts on one line kill ω₀ and φ₀
+            d = [rng.randint(-2, 2) for _ in range(4)]
+            vecs = []
+            for _ in range(3):
+                v = [Fraction(rng.randint(-2, 2)) if s in (1, 2, 3, 5, 6) else Fraction(0) for s in range(1, 9)]
+                k = rand_fraction(rng, -2, 2, 3)
+                vecs.append(v + [k * x for x in d])
+        elif kind in ("non-integral", "non-integral-below"):
+            vecs = [[rand_fraction(rng, -2, 2, 3) for _ in range(DIM)] for _ in range(3)]
+            if kind == "non-integral-below":
+                # E² is not integral, while v₃ meets every condition that involves it
+                coeffs = [(rng.randint(-3, 3), b) for b in fraction_nullspace(polar_rows_oracle(vecs[:2], ideal))]
+                vecs[2] = [sum(k * b[s] for k, b in coeffs) for s in range(DIM)]
+        else:
+            vecs = [list(v) for v in random_integral_flag(rng, ideal).vectors]
+            if kind == "rational":
+                # a triangular change of basis keeps every Eᵏ
+                coeffs = [[rand_fraction(rng, 1, 3, 7) if i == j else rand_fraction(rng, -3, 3, 7) for j in range(i + 1)]
+                          for i in range(3)]
+                vecs = [[sum(c * v[s] for c, v in zip(row, vecs)) for s in range(DIM)] for row in coeffs]
+            elif kind == "non-integral-top":
+                vecs[2] = [rand_fraction(rng, -2, 2, 3) for _ in range(DIM)]
+        if rank(vecs) == 3:
+            return Flag(tuple(tuple(v) for v in vecs))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("reference", "integral", "rational", "non-integral", "non-integral-below",
+                             "non-integral-top", "zeta-degenerate")),
+       generators=st.sampled_from(((0, 1), (0,), (1,))),
+       weights=st.sampled_from(("none", "per form", "per term")))
+def test_cartan_test_matches_the_oracle(seed, kind, generators, weights):
+    """Integrality, ζ, polar codimensions, characters and codimension against dense tensors and Fraction elimination.
+
+    The ideal is the full one or reduced to one generator, its forms taken as
+    they are, each times a rational, or with each term times its own rational;
+    the flag is the reference flag, a random integral flag, one written in
+    rational entries, a non-integral one (from E², also where v₃ meets every
+    condition on it, or only at E³) or an integral one on which ζ vanishes.
+    The same flag with each vector times a rational reports the same.
+    """
+    rng = random.Random(seed)
+    full = ideal_at(rand_curvature(rng))
+
+    def weigh(form):
+        if weights == "none":
+            return form
+        w = rand_fraction(rng, 1, 4, 9) * rng.choice((-1, 1))
+        return MV(DIM, form.degree, {idx: c * (w if weights == "per form" else rand_fraction(rng, 1, 4, 9))
+                                     for idx, c in form.terms.items()})
+
+    ideal = ConstantIdeal(tuple(weigh(full.generators[i]) for i in generators),
+                          tuple(weigh(full.differentials[i]) for i in generators))
+    flag = _random_flag(kind, rng, ideal)
+    factors = [rand_fraction(rng, 1, 5, 11) * rng.choice((-1, 1)) for _ in flag.vectors]
+    scaled = Flag(tuple(tuple(x * k for x in v) for v, k in zip(flag.vectors, factors)))
+    expected = cartan_test_oracle(flag, ideal)
+    assert _cartan_test(flag, ideal) == expected
+    assert _cartan_test(scaled, ideal) == expected
 
 
 def test_second_order_smoothness_probe(rng):
