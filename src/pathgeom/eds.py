@@ -13,11 +13,12 @@ for four free scalars (W₁, W₂, F₁, F₂).  The differential ideal is gener
 by χ₁ = θ²₀∧θ¹₀ − ω₀ and χ₂ = θ²₀∧θ²₁ − φ₀ with independence 3-form
 ζ = θ¹₀∧θ²₀∧θ²₁.  The ideal involves only θ¹₀, θ²₀ and θ²₁, and Θ is
 strictly upper triangular, so Θ¹₀ = Θ²₀ = Θ²₁ = 0: the ideal is the same for
-every curvature, and one Cartan test covers every sample.  The test reads
-the polar equations of each element E as integer rows: E is integral iff
-they vanish on E, its polar space is their kernel and the characters are
-their ranks.  The codimension near the flag is the rank of the linearized
-conditions, and ζ is one 3×3 minor, all in exact integer arithmetic.
+every curvature, and one Cartan test covers every sample.  The test builds
+the polar equations of each element E once, as integer rows, and reads them
+three ways: E is integral iff they vanish on E, its polar space is their
+kernel and the characters are their ranks.  The codimension near the flag is
+the rank of the linearized conditions, whose integer rows never become
+Fractions, and ζ is one 3×3 minor, all in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .exterior import MultiVector, wedge
@@ -180,7 +181,7 @@ class Flag:
             raise ValueError("flag vectors must have dimension 12")
         if len(vecs) > 3:
             raise ValueError("flags here go up to dimension 3")
-        if vecs and linalg.rank([list(v) for v in vecs]) != len(vecs):
+        if vecs and linalg.rank(vecs) != len(vecs):
             raise ValueError("flag vectors are linearly dependent")
         self.vectors = vecs
 
@@ -244,31 +245,37 @@ def _contract_three_form(terms: dict, va: Sequence[Fraction], vb: Sequence[Fract
     return row
 
 
-def _polar_rows(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> List[List[int]]:
-    """The polar equations of E = span(vectors) as integer rows: χ(v, ·), then dχ(v, v′, ·).
+def _polar_rows(vecs: Sequence[Sequence[int]], ideal: ConstantIdeal) -> List[List[int]]:
+    """The polar equations of E = span(vecs) as integer rows: χ(v, ·), then dχ(v, v′, ·).
 
     Scaling a form or a vector to integers scales rows by nonzero factors,
     which changes no zero test, span, rank or pivot column.
     """
-    vecs = linalg._integer_rows(vectors)[0]
     generators = [_integer_terms(chi)[0] for chi in ideal.generators]
     differentials = [_integer_terms(dchi)[0] for dchi in ideal.differentials]
     rows = [_contract_two_form(chi, v) for v in vecs for chi in generators]
     return rows + [_contract_three_form(dchi, va, vb) for va, vb in combinations(vecs, 2) for dchi in differentials]
 
 
-def is_integral_element(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> bool:
-    """E is integral iff every polar row of E vanishes on every vector of E.
+def _integral_rows(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> Optional[List[List[int]]]:
+    """The polar rows of E = span(vectors) if E is integral, None if it is not.
 
-    χ(v, ·) on v′ is χ(v, v′) and dχ(v, v′, ·) on v″ is dχ(v, v′, v″): every
+    E is integral iff every polar row of E vanishes on every vector of E:
+    χ(v, ·) on v′ is χ(v, v′) and dχ(v, v′, ·) on v″ is dχ(v, v′, v″), every
     generator on every pair and every differential on every triple.
     """
     vecs = linalg._integer_rows(vectors)[0]
     if any(len(v) != DIM for v in vecs):
         raise ValueError("vector has wrong dimension")
-    if vecs and linalg.rank(vecs) != len(vecs):
+    if vecs and len(linalg.echelon(vecs)[1]) != len(vecs):
         raise ValueError("vectors are linearly dependent")
-    return not any(sum(map(mul, row, v)) for row in _polar_rows(vecs, ideal) for v in vecs)
+    rows = _polar_rows(vecs, ideal)
+    return None if any(sum(map(mul, row, v)) for row in rows for v in vecs) else rows
+
+
+def is_integral_element(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> bool:
+    """E is integral iff every polar row of E vanishes on every vector of E."""
+    return _integral_rows(vectors, ideal) is not None
 
 
 def polar_space(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> Tuple[List[List[Fraction]], int]:
@@ -278,9 +285,9 @@ def polar_space(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> 
     kernel of the polar rows; with no 1-forms in the ideal, E⁰ has no polar
     rows and H(E⁰) is the whole tangent space.
     """
-    if not is_integral_element(vectors, ideal):
+    rows = _integral_rows(vectors, ideal)
+    if rows is None:
         raise ValueError("polar space of a non-integral element")
-    rows = _polar_rows(vectors, ideal)
     basis = linalg.nullspace(rows) if rows else [list(frame_vector(s)) for s in range(1, DIM + 1)]
     return basis, DIM - len(basis)
 
@@ -303,25 +310,17 @@ def characters(flag: Flag, ideal: ConstantIdeal) -> Characters:
 
     cₖ = codim H(Eᵏ), the rank of the polar rows of Eᵏ; s₀ = c₀, s₁ = c₁−c₀,
     s₂ = c₂−c₁, s₃ = 9−c₂; the bound is c₀+c₁+c₂ and the ideal is involutive
-    at the flag iff the actual codimension equals the bound.
+    at the flag iff the actual codimension equals the bound.  E⁰ has no polar
+    rows, so c₀ = 0, and those of E¹ are the first of E²'s, one per generator.
     """
     if len(flag.vectors) != 3:
         raise ValueError("need a full flag (three vectors)")
-    vecs = flag.vectors
-    if not is_integral_element(vecs[:2], ideal):
+    rows = _integral_rows(flag.vectors[:2], ideal)
+    if rows is None:
         raise ValueError("polar space of a non-integral element")
-    c0, c1, c2 = (linalg.rank(_polar_rows(vecs[:k], ideal)) for k in range(3))
-    bound = c0 + c1 + c2
-    actual = codim_at(flag, ideal).rank
-    return Characters(
-        s0=c0,
-        s1=c1 - c0,
-        s2=c2 - c1,
-        s3=(DIM - 3) - c2,
-        codim_bound=bound,
-        codim_actual=actual,
-        involutive=(actual == bound),
-    )
+    c1, c2 = (len(linalg.echelon(r)[1]) for r in (rows[:len(ideal.generators)], rows))
+    bound, actual = c1 + c2, codim_at(flag, ideal).rank
+    return Characters(0, c1, c2 - c1, (DIM - 3) - c2, bound, actual, actual == bound)
 
 
 def condition_forms(ideal: ConstantIdeal) -> List[MultiVector]:
@@ -351,6 +350,19 @@ class CodimResult:
         self.pivot_columns, self.complement_slots = pivot_columns, complement_slots
 
 
+def _integer_linearization(flag: Flag, forms: Sequence[MultiVector], complement_slots: Sequence[int]):
+    """Each row of :func:`linearized_conditions` in integers, with the divisor that makes it exact."""
+    lam = lcm(*(x.denominator for v in flag.vectors for x in v))
+    v1, v2, v3 = ([x.numerator * (lam // x.denominator) for x in v] for v in flag.vectors)
+    for form in forms:
+        terms, den = _integer_terms(form)
+        c23, c13, c12 = (_contract_three_form(terms, va, vb) for va, vb in ((v2, v3), (v1, v3), (v1, v2)))
+        row = [c23[s - 1] for s in complement_slots]          # form(u, v2, v3)
+        row += [-c13[s - 1] for s in complement_slots]        # form(v1, u, v3)
+        row += [c12[s - 1] for s in complement_slots]         # form(v1, v2, u)
+        yield row, den * lam * lam
+
+
 def linearized_conditions(flag: Flag, forms: Sequence[MultiVector], complement_slots: Sequence[int]) -> List[List[Fraction]]:
     """Jacobian of p ↦ (forms on (v₁+Σp·u, v₂+Σp·u, v₃+Σp·u)) at p = 0, u over the complement slots.
 
@@ -360,17 +372,7 @@ def linearized_conditions(flag: Flag, forms: Sequence[MultiVector], complement_s
     in integers, from the form's integer terms and the vectors times the lcm Λ
     of their denominators, and divided by Λ² and the form's scale.
     """
-    lam = lcm(*(x.denominator for v in flag.vectors for x in v))
-    v1, v2, v3 = ([x.numerator * (lam // x.denominator) for x in v] for v in flag.vectors)
-    jac: List[List[Fraction]] = []
-    for form in forms:
-        terms, den = _integer_terms(form)
-        c23, c13, c12 = (_contract_three_form(terms, va, vb) for va, vb in ((v2, v3), (v1, v3), (v1, v2)))
-        row = [c23[s - 1] for s in complement_slots]          # form(u, v2, v3)
-        row += [-c13[s - 1] for s in complement_slots]        # form(v1, u, v3)
-        row += [c12[s - 1] for s in complement_slots]         # form(v1, v2, u)
-        jac.append([Fraction(x, den * lam * lam) for x in row])
-    return jac
+    return [[Fraction(x, d) for x in row] for row, d in _integer_linearization(flag, forms, complement_slots)]
 
 
 def codim_at(flag: Flag, ideal: ConstantIdeal) -> CodimResult:
@@ -383,13 +385,13 @@ def codim_at(flag: Flag, ideal: ConstantIdeal) -> CodimResult:
     """
     if len(flag.vectors) != 3:
         raise ValueError("codimension is computed at a 3-dimensional element")
-    if not is_integral_element(flag.vectors, ideal):
+    if _integral_rows(flag.vectors, ideal) is None:
         raise ValueError("flag is not integral")
     if not independence_check(flag.vectors):
         raise ValueError("independence condition fails on the flag")
     comp_slots = complement_frame(flag)
-    jac = linearized_conditions(flag, condition_forms(ideal), comp_slots)
-    _, pivots, _ = linalg.echelon(linalg._integer_rows(jac)[0])
+    # scaling a row by its divisor changes no pivot column
+    _, pivots, _ = linalg.echelon([row for row, _ in _integer_linearization(flag, condition_forms(ideal), comp_slots)])
     return CodimResult(
         rank=len(pivots),
         free_parameters=3 * len(comp_slots) - len(pivots),
@@ -423,24 +425,15 @@ class InvolutivityReport:
 def _verdict(ideal: ConstantIdeal) -> dict:
     """Integrality, ζ, characters and codimension at the reference flag."""
     flag = reference_flag()
-    integral = is_integral_element(flag.vectors, ideal)
-    zeta_ok = independence_check(flag.vectors)
-    entry = {"integral": integral, "zeta_nonzero": zeta_ok}
-    if integral and zeta_ok:
+    try:
         ch = characters(flag, ideal)
-        entry["characters"] = list(ch.as_tuple())
-        entry["codim"] = ch.codim_actual
-        entry["codim_bound"] = ch.codim_bound
-        entry["involutive"] = ch.involutive
-        entry["pass"] = (
-            ch.as_tuple() == EXPECTED_CHARACTERS
-            and ch.codim_actual == EXPECTED_CODIM
-            and ch.codim_bound == EXPECTED_CODIM
-            and ch.involutive
-        )
-    else:
-        entry["pass"] = False
-    return entry
+    except ValueError:
+        # only a flag that is not integral, or on which ζ vanishes, is refused
+        return {"integral": is_integral_element(flag.vectors, ideal),
+                "zeta_nonzero": independence_check(flag.vectors), "pass": False}
+    return {"integral": True, "zeta_nonzero": True, "characters": list(ch.as_tuple()), "codim": ch.codim_actual,
+            "codim_bound": ch.codim_bound, "involutive": ch.involutive,
+            "pass": ch.as_tuple() == EXPECTED_CHARACTERS and ch.codim_actual == ch.codim_bound == EXPECTED_CODIM}
 
 
 def verify_sample(curvature: CurvatureSample) -> dict:

@@ -242,6 +242,21 @@ class TestCharacters:
         ch = characters(reference_flag(), ideal_at(CurvatureSample(0, 0, 0, 0)))
         assert ch.as_tuple() == (0, 2, 4, 3)
 
+    def test_non_integral_elements_are_refused_by_name(self):
+        """A non-integral E² is refused by its polar space and by ``characters``; one that fails only at E³ by ``codim_at``."""
+        flag = reference_flag()
+        vecs = flag.vectors
+        below = ConstantIdeal((wedge(theta(1, 0), theta(2, 0)),), ())
+        top = ConstantIdeal((wedge(theta(1, 1), MV.basis(DIM, (slot_of("dx4"),))),), ())
+        assert not is_integral_element(vecs[:2], below)
+        assert is_integral_element(vecs[:2], top) and not is_integral_element(vecs, top)
+        polar, refused = "polar space of a non-integral element", "flag is not integral"
+        for call, message in ((lambda: polar_space(vecs[:2], below), polar), (lambda: characters(flag, below), polar),
+                              (lambda: codim_at(flag, below), refused), (lambda: polar_space(vecs, top), polar),
+                              (lambda: characters(flag, top), refused), (lambda: codim_at(flag, top), refused)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
     def test_reduced_ideal_changes_characters(self, rng):
         full = ideal_at(rand_curvature(rng))
         reduced = ConstantIdeal((full.generators[0],), (full.differentials[0],))
@@ -354,6 +369,19 @@ class TestVerification:
         samples = [rand_curvature(rng) for _ in range(3)]
         assert verify_involutivity(samples) == verify_involutivity(samples)
 
+    def test_refused_and_failing_ideals_are_entries(self, rng):
+        """A flag the test refuses gives integrality and ζ read on their own; an ideal that fails it, its figures."""
+        from pathgeom.eds import _verdict
+
+        refused = {"integral": False, "zeta_nonzero": True, "pass": False}
+        for generator in (omega0_model(), wedge(theta(1, 0), theta(2, 0)),
+                          wedge(theta(1, 1), MV.basis(DIM, (slot_of("dx4"),)))):
+            assert _verdict(ConstantIdeal((generator,), ())) == refused
+        full = ideal_at(rand_curvature(rng))
+        assert _verdict(ConstantIdeal(full.generators[:1], full.differentials[:1])) == {
+            "integral": True, "zeta_nonzero": True, "characters": [0, 1, 2, 6], "codim": 4, "codim_bound": 4,
+            "involutive": True, "pass": False}
+
     def test_curvature_json_round_trip(self):
         c = CurvatureSample(Fraction(1, 3), Fraction(-2), Fraction(7, 5), Fraction(0))
         assert CurvatureSample.from_json(c.to_json()) == c
@@ -377,18 +405,22 @@ class TestVerdictReuse:
         return counter
 
     def test_one_verdict_computes_each_quantity_once(self, rng, monkeypatch):
-        """The test reads integer polar rows: no form is evaluated through ``linalg.det``, nothing is reduced twice.
+        """Each element's polar rows are built once, ζ is read once, and the linearization stays in integers.
 
-        ``eds`` and ``exterior.evaluate`` call ``linalg`` through its module
-        attributes.  The two determinants are ζ on the flag, once for the
-        verdict's entry and once for ``codim_at``; the flag's integrality is
-        read by the entry and by ``codim_at``, and that of E² by ``characters``.
+        ``eds`` calls ``linalg`` through its module attributes, and ``linalg``
+        its own helpers through its globals, so each call below is counted.
+        ``characters`` builds E²'s rows, whose ranks give c₁ and c₂, and
+        ``codim_at`` E³'s; the one rank is the flag's independence, the one
+        determinant ζ on the flag.  The five integer conversions are the flag's
+        rank, E² and E³ for their rows, ζ and the complement frame; the
+        linearization is echelonned from its integer rows, never from Fractions.
         """
         from pathgeom.eds import _verdict
 
         ideal = ideal_at(rand_curvature(rng))
-        limits = {("linalg", "det"): 2, ("linalg", "nullspace"): 0, ("linalg", "rref"): 0,
-                  ("eds", "is_integral_element"): 3}
+        limits = {("eds", "_polar_rows"): 2, ("linalg", "_integer_rows"): 5, ("linalg", "rank"): 1,
+                  ("linalg", "det"): 1, ("linalg", "nullspace"): 0, ("linalg", "rref"): 0,
+                  ("eds", "is_integral_element"): 0, ("eds", "linearized_conditions"): 0}
         counters = {key: self.count_calls(monkeypatch, key[1], key[0]) for key in limits}
         assert _verdict(ideal)["pass"]
         calls = {key: counter["calls"] for key, counter in counters.items()}
