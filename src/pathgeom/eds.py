@@ -18,7 +18,9 @@ the polar equations of each element E once, as integer rows, and reads them
 three ways: E is integral iff they vanish on E, its polar space is their
 kernel and the characters are their ranks.  The codimension near the flag is
 the rank of the linearized conditions, whose integer rows never become
-Fractions, and ζ is one 3×3 minor, all in exact integer arithmetic.
+Fractions, and ζ is one 3×3 minor, all in exact integer arithmetic.  A
+:class:`Flag` keeps its vectors as integers and the pivots of their echelon
+form, which check their independence once and give the complement frame.
 """
 
 from __future__ import annotations
@@ -65,38 +67,30 @@ def theta(i: int, j: int) -> MultiVector:
 
 
 class CurvatureSample:
-    """Values of the four free curvature functions at the base point."""
+    """Values of the four free curvature functions at the base point, written to JSON once, when built."""
 
-    __slots__ = ("w1", "w2", "f1", "f2")
+    __slots__ = ("w1", "w2", "f1", "f2", "_text")
+    _KEYS = ("W1", "W2", "F1", "F2")
 
     def __init__(self, w1: Fraction, w2: Fraction, f1: Fraction, f2: Fraction):
-        self.w1, self.w2, self.f1, self.f2 = to_scalar(w1), to_scalar(w2), to_scalar(f1), to_scalar(f2)
+        values = self.w1, self.w2, self.f1, self.f2 = tuple(map(to_scalar, (w1, w2, f1, f2)))
+        self._text = tuple(map(scalar_to_json, values))
 
-    def _key(self) -> tuple:
-        return self.w1, self.w2, self.f1, self.f2
-
+    # "p/q" in lowest terms: equal strings are equal values
     def __eq__(self, other) -> bool:
         if not isinstance(other, CurvatureSample):
             return NotImplemented
-        return self._key() == other._key()
+        return self._text == other._text
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._text)
 
     def to_json(self) -> dict:
-        return {
-            "W1": scalar_to_json(self.w1),
-            "W2": scalar_to_json(self.w2),
-            "F1": scalar_to_json(self.f1),
-            "F2": scalar_to_json(self.f2),
-        }
+        return dict(zip(self._KEYS, self._text))
 
     @classmethod
     def from_json(cls, data) -> "CurvatureSample":
-        """Read a sample; one that its report could not write back is refused here."""
-        sample = cls(*(rational_from_json(data[k]) for k in ("W1", "W2", "F1", "F2")))
-        sample.to_json()
-        return sample
+        return cls(*(rational_from_json(data[k]) for k in cls._KEYS))
 
 
 #: ``sample_curvatures`` draws each value as k/SAMPLE_DENOMINATOR with |k| ≤ SAMPLE_BOUND·SAMPLE_DENOMINATOR
@@ -171,9 +165,13 @@ def ideal_at(curvature: CurvatureSample) -> ConstantIdeal:
 
 
 class Flag:
-    """Nested integral elements E¹ ⊂ E² ⊂ E³ given by up to three vectors."""
+    """Nested integral elements E¹ ⊂ E² ⊂ E³ given by up to three vectors.
 
-    __slots__ = ("vectors",)
+    It keeps them times the lcm ``_scale`` of their denominators, as ints, and
+    the pivots of their echelon form with the slots read backwards.
+    """
+
+    __slots__ = ("vectors", "_integers", "_scale", "_pivots")
 
     def __init__(self, vectors: Sequence[Sequence[Fraction]]):
         vecs = tuple(tuple(to_scalar(x) for x in v) for v in vectors)
@@ -181,9 +179,12 @@ class Flag:
             raise ValueError("flag vectors must have dimension 12")
         if len(vecs) > 3:
             raise ValueError("flags here go up to dimension 3")
-        if vecs and linalg.rank(vecs) != len(vecs):
+        lam = lcm(*(x.denominator for v in vecs for x in v))
+        ints = [[x.numerator * (lam // x.denominator) for x in v] for v in vecs]
+        pivots = linalg.echelon([v[::-1] for v in ints])[1]
+        if len(pivots) != len(vecs):
             raise ValueError("flag vectors are linearly dependent")
-        self.vectors = vecs
+        self.vectors, self._integers, self._scale, self._pivots = vecs, ints, lam, pivots
 
 
 def _named_vector(**components) -> Tuple[Fraction, ...]:
@@ -257,25 +258,30 @@ def _polar_rows(vecs: Sequence[Sequence[int]], ideal: ConstantIdeal) -> List[Lis
     return rows + [_contract_three_form(dchi, va, vb) for va, vb in combinations(vecs, 2) for dchi in differentials]
 
 
-def _integral_rows(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> Optional[List[List[int]]]:
-    """The polar rows of E = span(vectors) if E is integral, None if it is not.
+def _integral_rows(vecs: Sequence[Sequence[int]], ideal: ConstantIdeal) -> Optional[List[List[int]]]:
+    """The polar rows of E = span(vecs), independent integer vectors, if E is integral, None if it is not.
 
     E is integral iff every polar row of E vanishes on every vector of E:
     χ(v, ·) on v′ is χ(v, v′) and dχ(v, v′, ·) on v″ is dχ(v, v′, v″), every
     generator on every pair and every differential on every triple.
     """
+    rows = _polar_rows(vecs, ideal)
+    return None if any(sum(map(mul, row, v)) for row in rows for v in vecs) else rows
+
+
+def _checked_integral_rows(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal):
+    """:func:`_integral_rows` of any vectors, refused unless they are independent and 12-dimensional."""
     vecs = linalg._integer_rows(vectors)[0]
     if any(len(v) != DIM for v in vecs):
         raise ValueError("vector has wrong dimension")
     if vecs and len(linalg.echelon(vecs)[1]) != len(vecs):
         raise ValueError("vectors are linearly dependent")
-    rows = _polar_rows(vecs, ideal)
-    return None if any(sum(map(mul, row, v)) for row in rows for v in vecs) else rows
+    return _integral_rows(vecs, ideal)
 
 
 def is_integral_element(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> bool:
     """E is integral iff every polar row of E vanishes on every vector of E."""
-    return _integral_rows(vectors, ideal) is not None
+    return _checked_integral_rows(vectors, ideal) is not None
 
 
 def polar_space(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> Tuple[List[List[Fraction]], int]:
@@ -285,7 +291,7 @@ def polar_space(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> 
     kernel of the polar rows; with no 1-forms in the ideal, E⁰ has no polar
     rows and H(E⁰) is the whole tangent space.
     """
-    rows = _integral_rows(vectors, ideal)
+    rows = _checked_integral_rows(vectors, ideal)
     if rows is None:
         raise ValueError("polar space of a non-integral element")
     basis = linalg.nullspace(rows) if rows else [list(frame_vector(s)) for s in range(1, DIM + 1)]
@@ -315,7 +321,7 @@ def characters(flag: Flag, ideal: ConstantIdeal) -> Characters:
     """
     if len(flag.vectors) != 3:
         raise ValueError("need a full flag (three vectors)")
-    rows = _integral_rows(flag.vectors[:2], ideal)
+    rows = _integral_rows(flag._integers[:2], ideal)
     if rows is None:
         raise ValueError("polar space of a non-integral element")
     c1, c2 = (len(linalg.echelon(r)[1]) for r in (rows[:len(ideal.generators)], rows))
@@ -334,10 +340,10 @@ def complement_frame(flag: Flag) -> List[int]:
     Greedy in slot order, the frame vector eₛ is kept iff it is independent of
     the flag and the frame vectors before it, that is iff no vector of
     span(flag) has its last nonzero component at s.  Those last components are
-    the pivot columns of the flag's echelon form with the slots read backwards.
+    the pivot columns of the flag's echelon form with the slots read backwards,
+    which the flag keeps.
     """
-    _, pivots, _ = linalg.echelon([v[::-1] for v in linalg._integer_rows(flag.vectors)[0]])
-    return [s for s in range(1, DIM + 1) if DIM - s not in pivots]
+    return [s for s in range(1, DIM + 1) if DIM - s not in flag._pivots]
 
 
 class CodimResult:
@@ -352,15 +358,14 @@ class CodimResult:
 
 def _integer_linearization(flag: Flag, forms: Sequence[MultiVector], complement_slots: Sequence[int]):
     """Each row of :func:`linearized_conditions` in integers, with the divisor that makes it exact."""
-    lam = lcm(*(x.denominator for v in flag.vectors for x in v))
-    v1, v2, v3 = ([x.numerator * (lam // x.denominator) for x in v] for v in flag.vectors)
+    v1, v2, v3 = flag._integers
     for form in forms:
         terms, den = _integer_terms(form)
         c23, c13, c12 = (_contract_three_form(terms, va, vb) for va, vb in ((v2, v3), (v1, v3), (v1, v2)))
         row = [c23[s - 1] for s in complement_slots]          # form(u, v2, v3)
         row += [-c13[s - 1] for s in complement_slots]        # form(v1, u, v3)
         row += [c12[s - 1] for s in complement_slots]         # form(v1, v2, u)
-        yield row, den * lam * lam
+        yield row, den * flag._scale ** 2
 
 
 def linearized_conditions(flag: Flag, forms: Sequence[MultiVector], complement_slots: Sequence[int]) -> List[List[Fraction]]:
@@ -385,7 +390,7 @@ def codim_at(flag: Flag, ideal: ConstantIdeal) -> CodimResult:
     """
     if len(flag.vectors) != 3:
         raise ValueError("codimension is computed at a 3-dimensional element")
-    if _integral_rows(flag.vectors, ideal) is None:
+    if _integral_rows(flag._integers, ideal) is None:
         raise ValueError("flag is not integral")
     if not independence_check(flag.vectors):
         raise ValueError("independence condition fails on the flag")

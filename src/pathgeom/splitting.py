@@ -17,7 +17,9 @@ Every matrix computation goes through :mod:`pathgeom.linalg`.
 
 An :class:`OrientedPositivePlane` or :class:`Splitting` computes the wedge
 Gram of its generators once, when built, checks it for definiteness there and
-keeps it as ``gram``; the functions below read their pairings from it.
+keeps it as ``gram``; the functions below read their pairings from it.  In
+the same way a :class:`ComplexStructure` builds Λ_J once, which checks J's
+orientation, and keeps it as ``plane``: :func:`plane_of` reads it.
 """
 
 from __future__ import annotations
@@ -36,38 +38,12 @@ from .exterior import (
     MultiVector,
     VolumeForm,
     _gram_definite_sign,
-    conformal_pairing,
     gram_matrix,
     pullback,
     wedge,
 )
-from .pairs import DEFAULT_TOL, _form_matrix, orthogonalize
+from .pairs import DEFAULT_TOL, _form_matrix
 from .scalars import sqrt_of, to_scalar
-
-
-class ComplexStructure:
-    """Orientation-compatible complex structure J on ℝ⁴: J² = −Id to within ``tol``, exactly by default."""
-
-    __slots__ = ("matrix", "tol")
-
-    def __init__(self, matrix: Sequence[Sequence[Fraction]], tol: float = 0):
-        rows = tuple(tuple(to_scalar(x) for x in row) for row in matrix)
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
-            raise ValueError("J must be a 4x4 matrix")
-        self.matrix, self.tol = rows, tol
-        self._check_square()
-        # orientation compatibility is certified by positive definiteness of
-        # the wedge Gram on Λ_J; plane_of raises for the negative component
-        plane_of(self)
-
-    def _check_square(self):
-        sq = linalg.matmul(self.matrix, self.matrix)
-        residual = max(abs(sq[i][j] + (1 if i == j else 0)) for i in range(4) for j in range(4))
-        if residual > self.tol:
-            raise ValueError(f"J^2 != -Id to within {self.tol}")
-
-    def as_map(self) -> LinearMap:
-        return LinearMap(self.matrix)
 
 
 class OrientedPositivePlane:
@@ -88,6 +64,45 @@ class OrientedPositivePlane:
         self.omega, self.phi, self.eps, self.gram = omega, phi, eps, g
 
 
+#: the basis 2-forms eᵃ∧eᵇ in the order Λ_J's real part is tried on
+_PLANE_SEEDS = ((1, 3), (1, 4), (1, 2), (2, 3), (2, 4), (3, 4))
+
+
+class ComplexStructure:
+    """Orientation-compatible complex structure J on ℝ⁴: J² = −Id to within ``tol``, exactly by default.
+
+    ``plane`` is Λ_J, the oriented plane (Re α, Im α) of a (2,0)-form α, built
+    once here.  For a basis 2-form β = ξ∧η, α = (ξ − iξ∘J)∧(η − iη∘J) has real
+    part ρ = β − J*β, the projection of β onto Λ_J, and imaginary part
+    −ρ(J·, ·).  The β of largest |ρ|², the first in ``_PLANE_SEEDS`` on a tie,
+    gives ρ ≠ 0.  J is refused when the plane's wedge Gram is negative
+    definite, i.e. when J is incompatible with the orientation.
+    """
+
+    __slots__ = ("matrix", "tol", "plane")
+
+    def __init__(self, matrix: Sequence[Sequence[Fraction]], tol: float = 0):
+        rows = tuple(tuple(to_scalar(x) for x in row) for row in matrix)
+        if len(rows) != 4 or any(len(r) != 4 for r in rows):
+            raise ValueError("J must be a 4x4 matrix")
+        self.matrix, self.tol = rows, tol
+        self._check_square()
+        e = {i: MultiVector.basis(4, (i,)) for i in range(1, 5)}
+        ej = {i: MultiVector.one_form(rows[i - 1]) for i in range(1, 5)}  # eⁱ∘J is row i of J
+        projections = [(wedge(e[a], e[b]) - wedge(ej[a], ej[b]), a, b) for a, b in _PLANE_SEEDS]
+        rho, a, b = max(projections, key=lambda p: sum(c * c for c in p[0].terms.values()))
+        self.plane = OrientedPositivePlane(rho, -(wedge(e[a], ej[b]) + wedge(ej[a], e[b])))
+
+    def _check_square(self):
+        sq = linalg.matmul(self.matrix, self.matrix)
+        residual = max(abs(sq[i][j] + (1 if i == j else 0)) for i in range(4) for j in range(4))
+        if residual > self.tol:
+            raise ValueError(f"J^2 != -Id to within {self.tol}")
+
+    def as_map(self) -> LinearMap:
+        return LinearMap(self.matrix)
+
+
 class Splitting:
     """Two lines in Λ²(ℝ⁴)*, each held by a generator, with a volume form.
 
@@ -99,8 +114,7 @@ class Splitting:
 
     __slots__ = ("line1", "line2", "eps", "epsilon_flipped", "gram")
 
-    def __init__(self, line1: MultiVector, line2: MultiVector, eps: VolumeForm = DEFAULT_VOLUME,
-                 epsilon_flipped: bool = False):
+    def __init__(self, line1: MultiVector, line2: MultiVector, eps: VolumeForm = DEFAULT_VOLUME):
         for f, name in ((line1, "line1"), (line2, "line2")):
             if f.dim != 4 or f.degree != 2 or f.is_zero:
                 raise ValueError(f"{name} must be a nonzero 2-form on the 4-space")
@@ -111,8 +125,8 @@ class Splitting:
         if sign < 0:
             # negated pairings: the Gram under −ε
             g = tuple(tuple(-x for x in row) for row in g)
-            eps, epsilon_flipped = eps.flipped(), True
-        self.line1, self.line2, self.eps, self.epsilon_flipped, self.gram = line1, line2, eps, epsilon_flipped, g
+            eps = eps.flipped()
+        self.line1, self.line2, self.eps, self.epsilon_flipped, self.gram = line1, line2, eps, sign < 0, g
 
     def to_json(self) -> dict:
         return {
@@ -132,26 +146,9 @@ class Splitting:
 # -- the correspondence J <-> Lambda_J --------------------------------------
 
 
-#: the basis 2-forms eᵃ∧eᵇ in the order :func:`plane_of` tries them
-_PLANE_SEEDS = ((1, 3), (1, 4), (1, 2), (2, 3), (2, 4), (3, 4))
-
-
-def plane_of(j: ComplexStructure, eps: VolumeForm = DEFAULT_VOLUME) -> OrientedPositivePlane:
-    """Λ_J as the oriented plane (Re α, Im α) of a (2,0)-form α.
-
-    For a basis 2-form β = ξ∧η, α = (ξ − iξ∘J)∧(η − iη∘J) has real part
-    ρ = β − J*β, the projection of β onto the J-anti-invariant forms Λ_J, and
-    imaginary part σ = −(ξ∧(η∘J) + (ξ∘J)∧η) = −ρ(J·, ·).  β ↦ ρ maps onto
-    Λ_J, so the β of largest |ρ|², the first in ``_PLANE_SEEDS`` on a tie,
-    gives ρ ≠ 0.  Raises when J is incompatible with the orientation, i.e.
-    when the wedge Gram on Λ_J, which the returned plane computes and checks,
-    comes out negative definite.
-    """
-    e = {i: MultiVector.basis(4, (i,)) for i in range(1, 5)}
-    ej = {i: MultiVector.one_form(j.matrix[i - 1]) for i in range(1, 5)}  # eⁱ∘J is row i of J
-    projections = [(wedge(e[a], e[b]) - wedge(ej[a], ej[b]), a, b) for a, b in _PLANE_SEEDS]
-    rho, a, b = max(projections, key=lambda p: sum(c * c for c in p[0].terms.values()))
-    return OrientedPositivePlane(rho, -(wedge(e[a], ej[b]) + wedge(ej[a], e[b])), eps)
+def plane_of(j: ComplexStructure) -> OrientedPositivePlane:
+    """Λ_J as J built it, under the default volume form; under ε it is ``OrientedPositivePlane(j.plane.omega, j.plane.phi, ε)``."""
+    return j.plane
 
 
 def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStructure:
@@ -159,19 +156,16 @@ def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStr
 
     With φ₁ = φ orthogonalized against ω, the pair (ω, √(⟨ω,ω⟩/⟨φ₁,φ₁⟩)·φ₁)
     has κ = 1, so J = −A for the A with φ(u,v) = ω(Au,v) of that pair, A² = −Id:
-    J = −√(⟨ω,ω⟩/⟨φ₁,φ₁⟩)·W_ω⁻¹W_φ₁.  An irrational root is a float, and J
-    is then checked to a multiple of ``tol``.
+    J = −√(⟨ω,ω⟩/⟨φ₁,φ₁⟩)·W_ω⁻¹W_φ₁, with ⟨φ₁,φ₁⟩ = ⟨φ,φ⟩ − ⟨ω,φ⟩²/⟨ω,ω⟩ read
+    from the plane's Gram.  An irrational root is a float, and J is then
+    checked to a multiple of ``tol``.
     """
-    omega = p.omega
-    phi1 = orthogonalize(omega, p.phi, p.eps)
-    ww = p.gram[0][0]
-    pp = conformal_pairing(phi1, phi1, p.eps)
-    if pp <= 0 or ww <= 0:
-        raise ValueError("plane is not positive; cannot build a complex structure")
-    q = ww / pp
+    (ww, wp), (_, pp) = p.gram
+    phi1 = p.phi - p.omega * (wp / ww)
+    q = ww / (pp - wp * wp / ww)
     num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
     s = -(Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else sqrt_of(q))
-    a = linalg.matmul(linalg.inverse(_form_matrix(omega)), _form_matrix(phi1))
+    a = linalg.matmul(linalg.inverse(_form_matrix(p.omega)), _form_matrix(phi1))
     return ComplexStructure(tuple(tuple(s * x for x in row) for row in a), tol=max(tol, 1e-12) * 100)
 
 

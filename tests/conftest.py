@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -67,3 +68,21 @@ def rand_orthogonal_elliptic_pair(rng, allow_flip=False):
     a = rand_invertible(rng, positive=positive)
     kappa = rand_fraction(rng, 1, 5, 4)
     return EllipticPair(pullback(OMEGA0, a), pullback(PHI0 * kappa, a)), kappa, a
+
+
+def count_calls_everywhere(monkeypatch, module: str, name: str,
+                           owners=("scalars", "exterior", "pairs", "splitting", "eds", "cli")) -> dict:
+    """Count calls of ``pathgeom.<module>.<name>`` under every name that one of ``owners`` binds it to."""
+    original = getattr(importlib.import_module(f"pathgeom.{module}"), name)
+    counter = {"calls": 0}
+
+    def counted(*args, **kwargs):
+        counter["calls"] += 1
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        mod = importlib.import_module(f"pathgeom.{owner}")
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, counted)
+    return counter

@@ -33,7 +33,7 @@ from pathgeom.eds import (
 )
 from pathgeom.linalg import rank
 
-from conftest import rand_fraction
+from conftest import count_calls_everywhere, rand_fraction
 from oracles import (
     cartan_test_oracle,
     fraction_nullspace,
@@ -386,6 +386,10 @@ class TestVerification:
         c = CurvatureSample(Fraction(1, 3), Fraction(-2), Fraction(7, 5), Fraction(0))
         assert CurvatureSample.from_json(c.to_json()) == c
 
+    def test_unwritable_curvature_is_refused_when_built(self):
+        with pytest.raises(ValueError, match="cannot be written"):
+            CurvatureSample(Fraction(1, 10**4300), 0, 0, 0)
+
 
 class TestVerdictReuse:
     @staticmethod
@@ -409,17 +413,20 @@ class TestVerdictReuse:
 
         ``eds`` calls ``linalg`` through its module attributes, and ``linalg``
         its own helpers through its globals, so each call below is counted.
-        ``characters`` builds E²'s rows, whose ranks give c₁ and c₂, and
-        ``codim_at`` E³'s; the one rank is the flag's independence, the one
-        determinant ζ on the flag.  The five integer conversions are the flag's
-        rank, E² and E³ for their rows, ζ and the complement frame; the
-        linearization is echelonned from its integer rows, never from Fractions.
+        The flag scales its vectors to integers and echelons them once, which
+        checks their independence and gives the complement frame.
+        ``characters`` builds E²'s rows from those integers, whose ranks give
+        c₁ and c₂, and ``codim_at`` E³'s; neither checks independence again.
+        The one determinant is ζ on the flag, whose rows are the one
+        ``_integer_rows`` conversion (the limit allows one more); the five
+        echelons are the flag's, c₁, c₂, ζ's and the linearization's, which
+        is echelonned from its integer rows, never from Fractions.
         """
         from pathgeom.eds import _verdict
 
         ideal = ideal_at(rand_curvature(rng))
-        limits = {("eds", "_polar_rows"): 2, ("linalg", "_integer_rows"): 5, ("linalg", "rank"): 1,
-                  ("linalg", "det"): 1, ("linalg", "nullspace"): 0, ("linalg", "rref"): 0,
+        limits = {("eds", "_polar_rows"): 2, ("linalg", "_integer_rows"): 2, ("linalg", "echelon"): 5,
+                  ("linalg", "rank"): 0, ("linalg", "det"): 1, ("linalg", "nullspace"): 0, ("linalg", "rref"): 0,
                   ("eds", "is_integral_element"): 0, ("eds", "linearized_conditions"): 0}
         counters = {key: self.count_calls(monkeypatch, key[1], key[0]) for key in limits}
         assert _verdict(ideal)["pass"]
@@ -442,6 +449,24 @@ class TestVerdictReuse:
             assert counters["ideal_at"]["calls"] == 1
             assert counters["_verdict"]["calls"] == 1
             assert counters["characters"]["calls"] == 1 and counters["codim_at"]["calls"] == 1
+
+    def test_sweep_request_writes_each_value_once(self, monkeypatch, tmp_path, capsys):
+        """The benchmark's 100-sample ``eds`` request writes each of its 400 values to JSON once.
+
+        A sample writes its four values when it is read, and its report entry
+        reuses those strings.  ``scalar_to_json`` is counted under every name a
+        pathgeom module binds it to.
+        """
+        import cli_digest
+        from pathgeom.cli import main
+
+        (request,) = cli_digest.load_inputs().eds_sweep(random.Random(0))
+        counter = count_calls_everywhere(monkeypatch, "scalars", "scalar_to_json")
+        path = tmp_path / "in.json"
+        path.write_text(request.payload)
+        assert main(["eds", "--input", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["samples"]) == 100
+        assert counter["calls"] == 400
 
     def test_cli_request_builds_one_ideal(self, monkeypatch, capsys):
         from pathgeom.cli import main

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathgeom import (
+    DEFAULT_VOLUME,
     J0,
     J0_MATRIX,
     OMEGA0,
@@ -29,7 +30,7 @@ from pathgeom import (
 from pathgeom import linalg
 from pathgeom.scalars import sqrt_of
 
-from conftest import rand_invertible
+from conftest import count_calls_everywhere, rand_invertible
 from oracles import conjugate, degree_by_normalization, lines_parallel, spans_same_oriented_plane
 
 E = MultiVector.basis
@@ -99,6 +100,38 @@ class TestPlaneOf:
             assert spans_same_oriented_plane(lhs, rhs)
 
 
+class TestPlaneKeptOnce:
+    def test_plane_of_reads_the_kept_plane(self, rng):
+        for j in (J0, conjugate(J0, rand_invertible(rng))):
+            assert plane_of(j) is j.plane
+            assert j.plane.eps == DEFAULT_VOLUME
+
+    def test_round_trip_builds_each_plane_once(self, monkeypatch):
+        """Criterion 7's round trip, from its seed for 20 iterations, builds each Λ_J once.
+
+        Each of the three complex structures of an iteration (the conjugate of
+        J0 and the two that ``j_of_plane`` returns) builds its plane when it is
+        built, and ``plane_of`` builds none.  A plane takes 17 wedges: 12 for
+        the six projections ρ, 2 for σ and 3 for its Gram.  ``j_of_plane``
+        reads φ₁ and ⟨φ₁,φ₁⟩ off the plane's Gram and wedges nothing itself;
+        the pulled-back plane's Gram (3) and the two span comparisons (4 each)
+        make 62 wedges an iteration.  The test's own ``OrientedPositivePlane``
+        is not counted.
+        """
+        planes = count_calls_everywhere(monkeypatch, "splitting", "OrientedPositivePlane")
+        wedges = count_calls_everywhere(monkeypatch, "exterior", "wedge")
+        rng = random.Random(7)
+        for _ in range(20):
+            a = rand_invertible(rng)
+            conj = conjugate(J0, a)
+            plane = plane_of(conj)
+            j_of_plane(plane)
+            plane2 = OrientedPositivePlane(pullback(OMEGA0, a), pullback(PHI0, a))
+            assert spans_same_oriented_plane(plane_of(j_of_plane(plane2)), plane2, tol=1e-9)
+            assert spans_same_oriented_plane(plane, plane2)
+        assert planes["calls"] <= 3 * 20 and wedges["calls"] <= 62 * 20, (planes, wedges)
+
+
 class TestJOfPlane:
     def test_model_plane_gives_j0(self):
         j = j_of_plane(OrientedPositivePlane(OMEGA0, PHI0))
@@ -165,6 +198,12 @@ class TestSplittingInvariants:
         s = Splitting(OMEGA0, PHI0, VolumeForm(Fraction(-1)))
         assert s.epsilon_flipped
         assert degree_squared(s) == 0
+
+    def test_only_the_constructor_records_a_flip(self):
+        """``epsilon_flipped`` says whether ``__init__`` negated ε; a caller cannot set it."""
+        with pytest.raises(TypeError):
+            Splitting(OMEGA0, PHI0, DEFAULT_VOLUME, True)
+        assert not Splitting(OMEGA0, PHI0).epsilon_flipped
 
     @pytest.mark.parametrize("seed", range(4))
     def test_flipped_gram_is_the_gram_under_the_opposite_epsilon(self, seed):
