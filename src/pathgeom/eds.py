@@ -50,6 +50,8 @@ _THETA_SLOT: Dict[Tuple[int, int], int] = {
     (1, 0): 4, (1, 1): 5, (1, 2): 6,
     (2, 0): 7, (2, 1): 8,
 }
+#: the 0-based slots of θ¹₀, θ²₀ and θ²₁, on which ζ is the 3×3 minor
+_ZETA_SLOTS = tuple(_THETA_SLOT[ij] - 1 for ij in ((1, 0), (2, 0), (2, 1)))
 
 
 def frame_vector(slot: int) -> Tuple[Fraction, ...]:
@@ -217,8 +219,7 @@ def independence_check(vectors: Sequence[Sequence[Fraction]]) -> bool:
         raise ValueError("independence condition applies to 3-dimensional elements")
     if any(len(v) != DIM for v in vectors):
         raise ValueError("vector has wrong dimension")
-    slots = [_THETA_SLOT[ij] - 1 for ij in ((1, 0), (2, 0), (2, 1))]
-    return linalg.det([[v[s] for s in slots] for v in vectors]) != 0
+    return linalg.det([[v[s] for s in _ZETA_SLOTS] for v in vectors]) != 0
 
 
 def _integer_terms(form: MultiVector) -> Tuple[dict, int]:
@@ -392,7 +393,7 @@ def codim_at(flag: Flag, ideal: ConstantIdeal) -> CodimResult:
         raise ValueError("codimension is computed at a 3-dimensional element")
     if _integral_rows(flag._integers, ideal) is None:
         raise ValueError("flag is not integral")
-    if not independence_check(flag.vectors):
+    if len(linalg.echelon([[v[s] for s in _ZETA_SLOTS] for v in flag._integers])[1]) < 3:
         raise ValueError("independence condition fails on the flag")
     comp_slots = complement_frame(flag)
     # scaling a row by its divisor changes no pivot column

@@ -5,6 +5,9 @@ The central object is :class:`MultiVector`, a homogeneous element of
 tuples to scalars.  Index tuples are sign-normalized at construction, so
 equality of values is plain dictionary equality.  Coefficients are
 ``Fraction``s (see :mod:`pathgeom.scalars`), so every operation is exact.
+A form's value on k vectors and each coefficient of its pullback are one
+sum, over its terms, of a coefficient times a k×k minor of a matrix: the
+vectors as columns, or the map's matrix.  That sum is taken in one place.
 
 The dimension-4 specifics live at the bottom: the wedge pairing
 ⟨ω,φ⟩ defined by ω∧φ = ⟨ω,φ⟩ε for a chosen volume form ε, and its split
@@ -292,6 +295,15 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     return MultiVector(a.dim, deg, acc)
 
 
+def _minor_sum(form: MultiVector, matrix: Sequence[Sequence[Fraction]], cols: Sequence[int]) -> Fraction:
+    """Σ c·det(rows idx, columns ``cols`` of ``matrix``) over the form's terms c·e^idx, all 1-based.
+
+    The 0×0 minor is 1, so a degree-0 form gives its constant.
+    """
+    return sum((c * linalg.det([[matrix[i - 1][j - 1] for j in cols] for i in idx]) for idx, c in form.terms.items()),
+               Fraction(0))
+
+
 def evaluate(form: MultiVector, vectors: Sequence[Sequence[Fraction]]) -> Fraction:
     """Evaluate a degree-k form on k vectors (fully antisymmetric, multilinear)."""
     if len(vectors) != form.degree:
@@ -300,32 +312,15 @@ def evaluate(form: MultiVector, vectors: Sequence[Sequence[Fraction]]) -> Fracti
     for v in vecs:
         if len(v) != form.dim:
             raise ValueError("vector has wrong dimension")
-    if form.degree == 0:
-        return form.terms.get((), Fraction(0))
-    total = Fraction(0)
-    for idx, c in form.terms.items():
-        rows = [[v[i - 1] for v in vecs] for i in idx]
-        total = total + c * linalg.det(rows)
-    return total
+    return _minor_sum(form, linalg.transpose(vecs), range(1, form.degree + 1))
 
 
 def pullback(form: MultiVector, a: LinearMap) -> MultiVector:
-    """Pullback a*form: (a*form)(v₁,…,vₖ) = form(av₁,…,avₖ)."""
+    """Pullback a*form: (a*form)(v₁,…,vₖ) = form(av₁,…,avₖ), whose coefficient on e^jdx is a minor sum."""
     if form.dim != a.target_dim:
         raise ValueError(f"form lives on dim {form.dim}, map targets dim {a.target_dim}")
-    m = a.source_dim
-    k = form.degree
-    if k == 0:
-        return MultiVector(m, 0, dict(form.terms))
-    acc: Dict[IndexTuple, Fraction] = {}
-    for jdx in combinations(range(1, m + 1), k):
-        total = Fraction(0)
-        for idx, c in form.terms.items():
-            minor = [[a.matrix[i - 1][j - 1] for j in jdx] for i in idx]
-            total = total + c * linalg.det(minor)
-        if total != 0:
-            acc[jdx] = total
-    return MultiVector(m, k, acc)
+    m, k = a.source_dim, form.degree
+    return MultiVector(m, k, {jdx: _minor_sum(form, a.matrix, jdx) for jdx in combinations(range(1, m + 1), k)})
 
 
 def conformal_pairing(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> Fraction:

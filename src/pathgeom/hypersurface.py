@@ -26,16 +26,18 @@ record prints ``independent`` and ``compatible`` without computing them.
 All of it is pointwise: b₁, b₂ are the 2×2 minors of du, the contact test
 needs their first derivatives and so the second derivatives of u, and the CR
 structure is linear algebra on du.  :class:`CompiledMap` is the one evaluator
-of exact jets.  When it is built, it reads the Taylor coefficients ∂ᵉp/e! of
-each distinct numerator and denominator off the terms and writes them over
-one shared denominator; at a point, N = f·D gives f's Taylor coefficients by
-one integer recurrence, order by order.  A :class:`ParamMap` keeps its jets
-to second order from when it is built, which give Ĵ = Δ·du and ∂ₖĴ up to one
-positive factor each, and every test runs on Python ints: each is homogeneous
-in du and in ∂du, so the factors do not change its verdict.  ``Fraction``s
-are built only for the printed fields.  :func:`pullback_splitting` keeps the
-formal pullback in rational functions, and a :class:`PolyForm3` keeps the
-first-order jets of its three coefficients for exact values and gradients.
+of exact jets.  When it is built, it takes the Taylor coefficients ∂ᵉp/e! of
+each distinct numerator and denominator from :meth:`Poly.taylor` and writes
+them over one shared denominator with ``over_one_denominator``, which also
+evaluates a Poly or RatFunc; at a point, N = f·D gives f's Taylor
+coefficients by one integer recurrence, order by order.  A :class:`ParamMap`
+keeps its jets to second order from when it is built, which give Ĵ = Δ·du
+and ∂ₖĴ up to one positive factor each, and every test runs on Python ints:
+each is homogeneous in du and in ∂du, so the factors do not change its
+verdict.  ``Fraction``s are built only for the printed fields.
+:func:`pullback_splitting` keeps the formal pullback in rational functions,
+and a :class:`PolyForm3` keeps the first-order jets of its three coefficients
+for exact values and gradients.
 """
 
 from __future__ import annotations
@@ -189,14 +191,6 @@ def _minors(a, c) -> tuple:
     )
 
 
-def _taylor(p: Poly, e: Tuple[int, ...]) -> Poly:
-    """∂ᵉp/e!, read off the terms: c·xᵃ with a ≥ e gives c·∏ C(aᵢ, eᵢ)·x^(a−e)."""
-    if not any(e):
-        return p
-    return Poly(NVARS, {tuple(map(sub, a, e)): c * math.prod(map(math.comb, a, e))
-                        for a, c in p.terms.items() if all(map(ge, a, e))})
-
-
 def _num_den(f: Coefficient) -> Tuple[Poly, Poly]:
     """f's numerator and denominator, or (c, 1) when f = c·den/den; a Poly is over 1.
 
@@ -228,7 +222,7 @@ class CompiledMap:
         index = {e: m for m, e in enumerate(exps)}
         # each distinct polynomial gets its Taylor coefficients once, and each distinct one of those a slot
         slots: Dict[Poly, int] = {}
-        jet = functools.cache(lambda p: tuple(slots.setdefault(_taylor(p, e), len(slots)) for e in exps))
+        jet = functools.cache(lambda p: tuple(slots.setdefault(p.taylor(e), len(slots)) for e in exps))
         self._order = order
         self._functions = [tuple(jet(p) for p in _num_den(f)) for f in functions]
         self._polys = over_one_denominator(list(slots))

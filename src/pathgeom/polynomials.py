@@ -1,27 +1,30 @@
 """Sparse multivariate polynomials and rational functions over ℚ.
 
 Exact derivative oracle for the hypersurface pipeline: polynomials carry
-Fraction coefficients keyed by exponent tuples, differentiate formally and
-evaluate exactly at rational points.  :class:`RatFunc` extends the same
+Fraction coefficients keyed by exponent tuples, read each Taylor coefficient
+∂ᵉp/e!, a partial derivative among them, off the terms (:meth:`Poly.taylor`)
+and evaluate exactly at rational points.  :class:`RatFunc` extends the same
 protocol (arithmetic, ``diff``, call) to quotients, which is what makes
 rational parametrizations like the Cayley sphere chart computable without
 floating point.  Quotients are not reduced to lowest terms; evaluation only
 requires a nonvanishing denominator at the query point.
 
-Evaluation runs in integers.  A :class:`RationalPoint` writes the point over
-one common denominator and computes each power of a coordinate at most once;
-an :class:`IntPoly` is a polynomial over one integer denominator, summed as a
-Python int.  :func:`over_one_denominator` writes several polynomials over one
-shared denominator, so that their values at a point are plain ints whose
-ratios need no ``Fraction``.  ``hypersurface.CompiledMap`` builds on these to
-evaluate exact jets of many functions at many points.
+Evaluation runs in integers, in one way.  A :class:`RationalPoint` writes
+the point over one common denominator and computes each power of a
+coordinate at most once; :func:`over_one_denominator` writes polynomials as
+:class:`IntPoly` over one shared denominator, so that their values at a point
+are plain ints times one shared factor, which cancels from their ratios.  A
+polynomial's value is its ratio to the constant 1, a quotient's the ratio of
+its numerator to its denominator, and ``hypersurface.CompiledMap`` builds on
+the same to evaluate exact jets of many functions at many points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from math import comb, lcm, prod
+from operator import ge, sub
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .scalars import index_from_json, rational_from_json, scalar_to_json, to_scalar
 
@@ -50,9 +53,7 @@ class Poly:
                 raise ValueError(f"bad exponent tuple {exp}")
             c = to_scalar(c)
             if c != 0:
-                clean[exp] = clean.get(exp, Fraction(0)) + c
-                if clean[exp] == 0:
-                    del clean[exp]
+                clean[exp] = c
         self.nvars = nvars
         self.terms = clean
 
@@ -133,20 +134,22 @@ class Poly:
 
     # -- calculus ---------------------------------------------------------
 
+    def taylor(self, e: Sequence[int]) -> "Poly":
+        """The Taylor coefficient ∂ᵉp/e!: each term c·xᵃ with a ≥ e gives c·∏ C(aᵢ, eᵢ)·x^(a−e)."""
+        e = tuple(e)
+        if len(e) != self.nvars or any(k < 0 for k in e):
+            raise ValueError(f"bad exponent tuple {e}")
+        return Poly(self.nvars, {tuple(map(sub, a, e)): c * prod(map(comb, a, e))
+                                 for a, c in self.terms.items() if all(map(ge, a, e))})
+
     def diff(self, var: int) -> "Poly":
-        """Formal partial derivative with respect to x_{var} (0-based)."""
+        """Formal partial derivative with respect to x_{var} (0-based): the Taylor coefficient of xᵥₐᵣ."""
         if not 0 <= var < self.nvars:
             raise ValueError("variable index out of range")
-        acc: Dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[var] == 0:
-                continue
-            ne = tuple(x - 1 if i == var else x for i, x in enumerate(e))
-            acc[ne] = acc.get(ne, Fraction(0)) + c * e[var]
-        return Poly(self.nvars, acc)
+        return self.taylor([int(i == var) for i in range(self.nvars)])
 
     def __call__(self, point: Sequence) -> Fraction:
-        return Fraction(*IntPoly(self).evaluate(RationalPoint(point, self.nvars)))
+        return RatFunc(self)(point)
 
     # -- queries -----------------------------------------------------------
 
@@ -182,7 +185,12 @@ class Poly:
 
     @classmethod
     def from_json(cls, data, nvars: int) -> "Poly":
-        p = cls(nvars, {tuple(map(index_from_json, t["exp"])): rational_from_json(t["c"]) for t in data})
+        """The polynomial of a list of terms {"exp", "c"}; terms of one exponent are summed."""
+        terms: Dict[Exponent, Fraction] = {}
+        for t in data:
+            exp = tuple(map(index_from_json, t["exp"]))
+            terms[exp] = terms.get(exp, 0) + rational_from_json(t["c"])
+        p = cls(nvars, terms)
         for exp in p.terms:
             if any(e > MAX_EXPONENT for e in exp):
                 raise ValueError(f"exponents above {MAX_EXPONENT} are not read, got {exp}")
@@ -248,8 +256,12 @@ class RatFunc:
         return RatFunc(self.num.diff(var) * self.den - self.num * self.den.diff(var), self.den * self.den)
 
     def __call__(self, point: Sequence) -> Fraction:
+        """num/den at a rational point: over one denominator, the shared factor cancels from their ratio."""
         pt = RationalPoint(point, self.nvars)
-        return _quotient(IntPoly(self.num).evaluate(pt), IntPoly(self.den).evaluate(pt))
+        num, den = (p.numerator(pt) for p in over_one_denominator((self.num, self.den)))
+        if den == 0:
+            raise ZeroDivisionError("denominator vanishes at the query point")
+        return Fraction(num, den)
 
     @property
     def is_zero(self) -> bool:
@@ -309,23 +321,17 @@ class RationalPoint:
 class IntPoly:
     """A :class:`Poly` as (Σ nₑ·xᵉ)/scale with integer nₑ, for evaluation.
 
-    At x = a/d the value is (Σ nₑ·aᵉ·d^(D−|e|)) / (scale·d^D), D the degree,
-    so the sum is a Python int.  ``scale`` and ``degree`` default to the
-    polynomial's own; a common multiple of its coefficient denominators and
-    any degree at least its total degree give the same value.
+    At x = a/d the value is (Σ nₑ·aᵉ·d^(D−|e|)) / (scale·d^D), for a common
+    multiple ``scale`` of the coefficient denominators and a ``degree`` D at
+    least the total degree, so the sum is a Python int.
     """
 
-    __slots__ = ("scale", "degree", "terms")
+    __slots__ = ("degree", "terms")
 
-    def __init__(self, p: Poly, scale: Optional[int] = None, degree: Optional[int] = None):
-        self.scale = scale if scale is not None else lcm(*(c.denominator for c in p.terms.values()))
-        self.degree = degree if degree is not None else p.total_degree()
+    def __init__(self, p: Poly, scale: int, degree: int):
+        self.degree = degree
         self.terms = tuple(
-            (
-                c.numerator * (self.scale // c.denominator),
-                self.degree - sum(e),
-                tuple((i, k) for i, k in enumerate(e) if k),
-            )
+            (c.numerator * (scale // c.denominator), degree - sum(e), tuple((i, k) for i, k in enumerate(e) if k))
             for e, c in p.terms.items()
         )
 
@@ -339,10 +345,6 @@ class IntPoly:
             total += v
         return total
 
-    def evaluate(self, pt: RationalPoint) -> Tuple[int, int]:
-        """(n, s) with value n/s; s > 0 and the pair is not reduced."""
-        return self.numerator(pt), self.scale * pt.den_power(self.degree)
-
 
 def over_one_denominator(polys: Sequence[Poly]) -> List[IntPoly]:
     """The polynomials as :class:`IntPoly` of one scale and one degree.
@@ -354,10 +356,3 @@ def over_one_denominator(polys: Sequence[Poly]) -> List[IntPoly]:
     scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
     degree = max((p.total_degree() for p in polys), default=0)
     return [IntPoly(p, scale, degree) for p in polys]
-
-
-def _quotient(num: Tuple[int, int], den: Tuple[int, int]) -> Fraction:
-    """(n₁/s₁) / (n₂/s₂) as one Fraction."""
-    if den[0] == 0:
-        raise ZeroDivisionError("denominator vanishes at the query point")
-    return Fraction(num[0] * den[1], num[1] * den[0])

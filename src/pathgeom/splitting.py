@@ -151,14 +151,14 @@ def plane_of(j: ComplexStructure) -> OrientedPositivePlane:
     return j.plane
 
 
-def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStructure:
+def j_of_plane(p: OrientedPositivePlane) -> ComplexStructure:
     """Inverse of :func:`plane_of`, exact when ⟨ω,ω⟩/⟨φ₁,φ₁⟩ is the square of a rational.
 
     With φ₁ = φ orthogonalized against ω, the pair (ω, √(⟨ω,ω⟩/⟨φ₁,φ₁⟩)·φ₁)
     has κ = 1, so J = −A for the A with φ(u,v) = ω(Au,v) of that pair, A² = −Id:
     J = −√(⟨ω,ω⟩/⟨φ₁,φ₁⟩)·W_ω⁻¹W_φ₁, with ⟨φ₁,φ₁⟩ = ⟨φ,φ⟩ − ⟨ω,φ⟩²/⟨ω,ω⟩ read
-    from the plane's Gram.  An irrational root is a float, and J is then
-    checked to a multiple of ``tol``.
+    from the plane's Gram.  An irrational root is a float, and J² = −Id is then
+    checked to within 100·``DEFAULT_TOL``.
     """
     (ww, wp), (_, pp) = p.gram
     phi1 = p.phi - p.omega * (wp / ww)
@@ -166,7 +166,7 @@ def j_of_plane(p: OrientedPositivePlane, tol: float = DEFAULT_TOL) -> ComplexStr
     num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
     s = -(Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else sqrt_of(q))
     a = linalg.matmul(linalg.inverse(_form_matrix(p.omega)), _form_matrix(phi1))
-    return ComplexStructure(tuple(tuple(s * x for x in row) for row in a), tol=max(tol, 1e-12) * 100)
+    return ComplexStructure(tuple(tuple(s * x for x in row) for row in a), tol=100 * DEFAULT_TOL)
 
 
 # -- degree and canonical models --------------------------------------------

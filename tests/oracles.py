@@ -24,7 +24,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from pathgeom import J0_MATRIX, ComplexStructure, LinearMap, MultiVector, PolyForm3, conformal_pairing, evaluate, linalg
-from pathgeom.polynomials import IntPoly, Poly, RatFunc, RationalPoint, _quotient
+from pathgeom.polynomials import Poly, RatFunc, RationalPoint
 from pathgeom.eds import (
     COFRAME_LABELS,
     DIM,
@@ -470,11 +470,12 @@ def fraction_nullspace(a) -> list:
 
 
 class CompiledFunctions:
-    """Values and first partials of Polys and RatFuncs, each polynomial evaluated on its own scale.
+    """Values and first partials of Polys and RatFuncs, every polynomial valued by :func:`poly_value_oracle`.
 
     Numerators, denominators and their first partials are differentiated
-    once; identical polynomials are stored once as an :class:`IntPoly`, and
-    every value returned is one ``Fraction`` built from two integers.
+    once, and identical polynomials are stored once; the values go through
+    the quotient rule in ``Fraction`` arithmetic, independent of the
+    library's one integer evaluator.
     """
 
     def __init__(self, functions, nvars: int):
@@ -484,7 +485,7 @@ class CompiledFunctions:
         def slot(p: Poly) -> int:
             if p not in index:
                 index[p] = len(self._polys)
-                self._polys.append(IntPoly(p))
+                self._polys.append(p)
             return index[p]
 
         one = Poly.constant(1, nvars)
@@ -496,16 +497,11 @@ class CompiledFunctions:
 
     def at(self, pt: RationalPoint):
         """The value of each function, and its gradient."""
-        raw = [p.evaluate(pt) for p in self._polys]
-        values = [_quotient(raw[n], raw[d]) for n, d, _ in self._functions]
-        # quotient rule (n'·D − N·d')/D², with every polynomial value over its own scale
-        grads = []
-        for n, d, partials in self._functions:
-            (nv, ns), (dv, ds) = raw[n], raw[d]
-            grads.append(tuple(
-                Fraction((pnv * dv * ns * pds - nv * pdv * pns * ds) * ds, pns * ns * pds * dv * dv)
-                for (pnv, pns), (pdv, pds) in ((raw[pn], raw[pd]) for pn, pd in partials)
-            ))
+        raw = [poly_value_oracle(p, pt.coords) for p in self._polys]
+        values = [raw[n] / raw[d] for n, d, _ in self._functions]
+        # quotient rule (n'·D − N·d')/D²
+        grads = [tuple((raw[pn] * raw[d] - raw[n] * raw[pd]) / (raw[d] * raw[d]) for pn, pd in partials)
+                 for n, d, partials in self._functions]
         return values, grads
 
 

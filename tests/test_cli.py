@@ -363,6 +363,16 @@ class TestHypersurfaceCommand:
         code, out, _ = run(["hypersurface", "--input", path], capsys)
         assert code == 0 and json.loads(out)["points"] == []
 
+    def test_repeated_terms_are_summed(self, tmp_path, capsys):
+        """x₁ − x₁ written as two terms of one exponent is 0: u = (0, x₂, x₃, x₁²) is no immersion at 0."""
+        x1, x2, x3 = ({"exp": [int(i == k) for i in range(3)], "c": "1"} for k in range(3))
+        components = [[x1, {**x1, "c": "-1"}], [x2], [x3], [{"exp": [2, 0, 0], "c": "1"}]]
+        payload = {"map": {"vars": ["x1", "x2", "x3"], "components": components}, "points": [["0", "0", "0"]]}
+        code, out, err = run(["hypersurface", "--input", write_json(tmp_path, "in.json", payload)], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["points"] == [
+            {"point": ["0/1", "0/1", "0/1"], "error": "map is not an immersion at (0/1, 0/1, 0/1): Jacobian rank < 3"}]
+
     def test_malformed_map(self, tmp_path, capsys):
         path = write_json(tmp_path, "in.json", {"map": {"components": "nope"}})
         code, _, err = run(["hypersurface", "--input", path], capsys)

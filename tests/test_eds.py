@@ -417,16 +417,16 @@ class TestVerdictReuse:
         checks their independence and gives the complement frame.
         ``characters`` builds E²'s rows from those integers, whose ranks give
         c₁ and c₂, and ``codim_at`` E³'s; neither checks independence again.
-        The one determinant is ζ on the flag, whose rows are the one
-        ``_integer_rows`` conversion (the limit allows one more); the five
-        echelons are the flag's, c₁, c₂, ζ's and the linearization's, which
-        is echelonned from its integer rows, never from Fractions.
+        ζ is the rank of the flag's integer rows on its three slots, so no
+        determinant is taken and no Fraction row is scaled to integers; the
+        five echelons are the flag's, c₁, c₂, ζ's and the linearization's,
+        which is echelonned from its integer rows, never from Fractions.
         """
         from pathgeom.eds import _verdict
 
         ideal = ideal_at(rand_curvature(rng))
-        limits = {("eds", "_polar_rows"): 2, ("linalg", "_integer_rows"): 2, ("linalg", "echelon"): 5,
-                  ("linalg", "rank"): 0, ("linalg", "det"): 1, ("linalg", "nullspace"): 0, ("linalg", "rref"): 0,
+        limits = {("eds", "_polar_rows"): 2, ("linalg", "_integer_rows"): 0, ("linalg", "echelon"): 5,
+                  ("linalg", "rank"): 0, ("linalg", "det"): 0, ("linalg", "nullspace"): 0, ("linalg", "rref"): 0,
                   ("eds", "is_integral_element"): 0, ("eds", "linearized_conditions"): 0}
         counters = {key: self.count_calls(monkeypatch, key[1], key[0]) for key in limits}
         assert _verdict(ideal)["pass"]

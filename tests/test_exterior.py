@@ -175,6 +175,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(OMEGA0, [[1, 0, 0, 0]])
 
+    @pytest.mark.parametrize("c", [Fraction(-7, 3), Fraction(0), Fraction(5)])
+    def test_degree_zero_is_its_constant(self, c):
+        """A 0-form on no vectors: the 0×0 minor is 1."""
+        assert evaluate(MultiVector(4, 0, {(): c}), []) == c
+        with pytest.raises(ValueError):
+            evaluate(MultiVector(4, 0, {(): c}), [[1, 0, 0, 0]])
+
 
 class TestPullback:
     def test_identity(self, rng):
@@ -220,6 +227,13 @@ class TestPullback:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             pullback(MultiVector.basis(5, (1, 2)), LinearMap.identity(4))
+
+    @pytest.mark.parametrize("c", [Fraction(-7, 3), Fraction(0), Fraction(5)])
+    def test_degree_zero_keeps_its_constant(self, rng, c):
+        """A 0-form pulls back to the same constant on the source space: the 0×0 minor is 1."""
+        a = rand_injective_3to4(rng)
+        assert pullback(MultiVector(4, 0, {(): c}), a) == MultiVector(3, 0, {(): c})
+        assert pullback(MultiVector(4, 0, {(): c}), a) == pullback_oracle(MultiVector(4, 0, {(): c}), a)
 
 
 class TestConformalPairing:

@@ -50,7 +50,7 @@ from pathgeom.linalg import rank
 from pathgeom.polynomials import IntPoly, Poly, RatFunc, RationalPoint, over_one_denominator
 
 from cli_digest import CUBIC_OVER_FOUR, SHARED_DENOMINATOR_POINTS
-from oracles import CompiledFunctions, b_at, compatible_oracle, cr_structure_oracle
+from oracles import CompiledFunctions, b_at, compatible_oracle, cr_structure_oracle, poly_value_oracle
 
 X = tuple(Poly.variable(i, 3) for i in range(3))
 
@@ -188,15 +188,16 @@ def test_constant_quotient_coefficient_has_no_pole():
 
 
 def test_values_over_one_denominator(rng):
+    """Each numerator is the value times one shared positive integer: the numerator of the constant 1."""
     polys = [Poly(3, {tuple(rng.randint(0, 3) for _ in range(3)): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                      for _ in range(rng.randint(0, 4))}) for _ in range(6)]
+                      for _ in range(rng.randint(0, 4))}) for _ in range(6)] + [Poly.constant(1, 3)]
     ints = over_one_denominator(polys)
     for _ in range(10):
         point = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
         pt = RationalPoint(point, 3)
-        shared = {p.evaluate(pt)[1] for p in ints}
-        assert len(shared) == 1
-        assert [Fraction(p.numerator(pt), *shared) for p in ints] == [p(point) for p in polys]
+        shared = ints[-1].numerator(pt)
+        assert type(shared) is int and shared > 0
+        assert [p.numerator(pt) for p in ints] == [shared * poly_value_oracle(p, point) for p in polys]
 
 
 def test_compile_multiplies_no_polynomials(monkeypatch):
@@ -236,8 +237,8 @@ def count_calls(monkeypatch, **targets) -> Counter:
 
 
 def count_calculus(monkeypatch) -> Counter:
-    """Counts of ``Poly.diff``, Taylor-coefficient and ``CompiledMap.__init__`` calls from now on."""
-    return count_calls(monkeypatch, diff=(Poly, "diff"), taylor=(hypersurface, "_taylor"),
+    """Counts of ``Poly.diff``, ``Poly.taylor`` and ``CompiledMap.__init__`` calls from now on."""
+    return count_calls(monkeypatch, diff=(Poly, "diff"), taylor=(Poly, "taylor"),
                        compile=(CompiledMap, "__init__"))
 
 

@@ -1,5 +1,7 @@
+import math
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
@@ -13,11 +15,11 @@ from oracles import CompiledFunctions, poly_value_oracle
 X = sympy.symbols("x1 x2 x3")
 
 
-def to_sympy(p: Poly):
+def to_sympy(p: Poly, xs=X):
     expr = sympy.Integer(0)
     for exp, c in p.terms.items():
         term = sympy.Rational(c.numerator, c.denominator)
-        for x, k in zip(X, exp):
+        for x, k in zip(xs, exp):
             term *= x**k
         expr += term
     return sympy.expand(expr)
@@ -49,6 +51,25 @@ class TestPoly:
             p = rand_poly(rng)
             for i in range(3):
                 assert to_sympy(p.diff(i)) == sympy.expand(sympy.diff(to_sympy(p), X[i]))
+
+    @pytest.mark.parametrize("nvars", [2, 3, 4])
+    def test_taylor_matches_sympy(self, rng, nvars):
+        """∂ᵉp/e! for every exponent e of order up to 3."""
+        xs = sympy.symbols(f"y1:{nvars + 1}")
+        for _ in range(4):
+            terms = {tuple(rng.randint(0, 4) for _ in range(nvars)): Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+                     for _ in range(5)}
+            p = Poly(nvars, terms)
+            expr = to_sympy(p, xs)
+            for e in product(range(4), repeat=nvars):
+                if sum(e) <= 3:
+                    want = sympy.expand(sympy.diff(expr, *zip(xs, e)) / math.prod(map(math.factorial, e)))
+                    assert to_sympy(p.taylor(e), xs) == want
+
+    @pytest.mark.parametrize("e", [(1, 0), (0, 0, 0, 1), (0, -1, 0), ()])
+    def test_taylor_refuses_a_malformed_exponent(self, e):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            Poly.variable(0, 3).taylor(e)
 
     def test_product_rule(self, rng):
         p, q = rand_poly(rng), rand_poly(rng)
@@ -104,6 +125,11 @@ class TestPoly:
     def test_json_round_trip(self, rng):
         p = rand_poly(rng)
         assert Poly.from_json(p.to_json(), 3) == p
+
+    def test_json_terms_of_one_exponent_are_summed(self):
+        data = [{"exp": [1, 0, 0], "c": "1"}, {"exp": [0, 2, 0], "c": "1/2"}, {"exp": [1, 0, 0], "c": "-1"},
+                {"exp": [0, 2, 0], "c": "1/3"}]
+        assert Poly.from_json(data, 3) == Poly(3, {(0, 2, 0): Fraction(5, 6)})
 
     def test_json_coefficients_use_the_one_writer(self):
         p = Poly(3, {(1, 0, 0): Fraction(-3, 7), (0, 0, 0): Fraction(2)})
