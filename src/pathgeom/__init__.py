@@ -39,7 +39,7 @@ scalars, linalg, exterior, polynomials, pairs, splitting, hypersurface, eds = ma
 #: the submodule that defines each exported name
 _SOURCE = {
     **dict.fromkeys((
-        "MultiVector", "VolumeForm", "LinearMap", "DEFAULT_VOLUME", "OMEGA0", "PHI0", "J0_MATRIX",
+        "MultiVector", "VolumeForm", "DEFAULT_VOLUME", "OMEGA0", "PHI0", "J0_MATRIX",
         "wedge", "evaluate", "pullback", "conformal_pairing", "gram_matrix", "pairing_signature",
     ), "exterior"),
     **dict.fromkeys((

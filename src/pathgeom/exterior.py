@@ -5,9 +5,11 @@ The central object is :class:`MultiVector`, a homogeneous element of
 tuples to scalars.  Index tuples are sign-normalized at construction, so
 equality of values is plain dictionary equality.  Coefficients are
 ``Fraction``s (see :mod:`pathgeom.scalars`), so every operation is exact.
-A form's value on k vectors and each coefficient of its pullback are one
-sum, over its terms, of a coefficient times a k×k minor of a matrix: the
-vectors as columns, or the map's matrix.  That sum is taken in one place.
+A linear map is its matrix, a sequence of rows (target × source), which
+:func:`pullback` reads with :func:`pathgeom.linalg.mat`.  A form's value on k
+vectors and each coefficient of its pullback are one sum, over its terms, of a
+coefficient times a k×k minor of a matrix: the vectors as columns, or the
+map's matrix.  That sum is taken in one place.
 
 The dimension-4 specifics live at the bottom: the wedge pairing
 ⟨ω,φ⟩ defined by ω∧φ = ⟨ω,φ⟩ε for a chosen volume form ε, and its split
@@ -219,57 +221,6 @@ class VolumeForm:
 DEFAULT_VOLUME = VolumeForm(Fraction(1))
 
 
-class LinearMap:
-    """Linear map ℝᵐ → ℝⁿ given by an n×m scalar matrix."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: Sequence[Sequence[Fraction]]):
-        rows = tuple(tuple(to_scalar(x) for x in row) for row in matrix)
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("matrix must be rectangular and nonempty")
-        self.matrix = rows
-
-    @property
-    def target_dim(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def source_dim(self) -> int:
-        return len(self.matrix[0])
-
-    @classmethod
-    def identity(cls, n: int) -> "LinearMap":
-        return cls(linalg.identity(n))
-
-    def apply(self, v: Sequence[Fraction]) -> list:
-        if len(v) != self.source_dim:
-            raise ValueError("vector has wrong dimension")
-        return linalg.matvec(self.matrix, [to_scalar(x) for x in v])
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self ∘ other (apply ``other`` first)."""
-        if other.target_dim != self.source_dim:
-            raise ValueError("composition dimension mismatch")
-        return LinearMap(linalg.matmul(self.matrix, other.matrix))
-
-    def rank(self) -> int:
-        return linalg.rank(self.matrix)
-
-    def det(self) -> Fraction:
-        if self.source_dim != self.target_dim:
-            raise ValueError("determinant of a non-square map")
-        return linalg.det(self.matrix)
-
-    def is_injective(self) -> bool:
-        return self.rank() == self.source_dim
-
-    def inverse(self) -> "LinearMap":
-        if self.source_dim != self.target_dim:
-            raise ValueError("inverse of a non-square map")
-        return LinearMap(linalg.inverse(self.matrix))
-
-
 # -- operations -----------------------------------------------------------
 
 
@@ -315,12 +266,16 @@ def evaluate(form: MultiVector, vectors: Sequence[Sequence[Fraction]]) -> Fracti
     return _minor_sum(form, linalg.transpose(vecs), range(1, form.degree + 1))
 
 
-def pullback(form: MultiVector, a: LinearMap) -> MultiVector:
-    """Pullback a*form: (a*form)(v₁,…,vₖ) = form(av₁,…,avₖ), whose coefficient on e^jdx is a minor sum."""
-    if form.dim != a.target_dim:
-        raise ValueError(f"form lives on dim {form.dim}, map targets dim {a.target_dim}")
-    m, k = a.source_dim, form.degree
-    return MultiVector(m, k, {jdx: _minor_sum(form, a.matrix, jdx) for jdx in combinations(range(1, m + 1), k)})
+def pullback(form: MultiVector, a: Sequence[Sequence[Fraction]]) -> MultiVector:
+    """Pullback a*form: (a*form)(v₁,…,vₖ) = form(av₁,…,avₖ), whose coefficient on e^jdx is a minor sum.
+
+    ``a`` is the map's matrix of rows, target × source.
+    """
+    a = linalg.mat(a)
+    if form.dim != len(a):
+        raise ValueError(f"form lives on dim {form.dim}, map targets dim {len(a)}")
+    m, k = len(a[0]), form.degree
+    return MultiVector(m, k, {jdx: _minor_sum(form, a, jdx) for jdx in combinations(range(1, m + 1), k)})
 
 
 def conformal_pairing(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> Fraction:

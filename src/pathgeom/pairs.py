@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from . import linalg
 from .exterior import (
     DEFAULT_VOLUME,
-    LinearMap,
     MultiVector,
     VolumeForm,
     _gram_definite_sign,
@@ -41,28 +40,18 @@ from .scalars import sqrt_of
 DEFAULT_TOL = 1e-9
 
 
-def _check_two_form(form: MultiVector, name: str):
-    if form.dim != 4 or form.degree != 2:
-        raise ValueError(f"{name} must be a 2-form on a 4-space")
-
-
 def is_symplectic(omega: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> bool:
     """True iff ω∧ω ≠ 0, i.e. ω is nondegenerate."""
-    _check_two_form(omega, "omega")
     return conformal_pairing(omega, omega, eps) != 0
 
 
 def is_elliptic(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> bool:
     """Strict inequality ⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩², exactly."""
-    _check_two_form(omega, "omega")
-    _check_two_form(phi, "phi")
     return _gram_definite_sign(gram_matrix(omega, phi, eps)) != 0
 
 
 def orthogonalize(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> MultiVector:
     """φ′ = φ − (⟨ω,φ⟩/⟨ω,ω⟩)ω, so that ⟨ω,φ′⟩ = 0 exactly."""
-    _check_two_form(omega, "omega")
-    _check_two_form(phi, "phi")
     ww = conformal_pairing(omega, omega, eps)
     if ww == 0:
         raise ValueError("omega is not symplectic; cannot orthogonalize against it")
@@ -79,8 +68,6 @@ class EllipticPair:
     __slots__ = ("omega", "phi", "eps", "gram")
 
     def __init__(self, omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME):
-        _check_two_form(omega, "omega")
-        _check_two_form(phi, "phi")
         g = gram_matrix(omega, phi, eps)
         if _gram_definite_sign(g) == 0:
             raise ValueError("pair is not elliptic: <w,w><p,p> <= <w,p>^2")
@@ -227,15 +214,16 @@ def reconstruction_residual(pair: EllipticPair, nf: NormalForm) -> float:
     return res
 
 
-def pullback_pair_independent(pair: EllipticPair, a: LinearMap) -> Tuple[MultiVector, MultiVector, bool]:
-    """Pull an elliptic pair back along an injective map ℝ³ → ℝ⁴.
+def pullback_pair_independent(pair: EllipticPair, a: Sequence[Sequence[Fraction]]) -> Tuple[MultiVector, MultiVector, bool]:
+    """Pull an elliptic pair back along an injective map ℝ³ → ℝ⁴, ``a`` its 4×3 matrix of rows.
 
     Returns (β₁, β₂, independent).  For elliptic pairs independence always
     holds; the flag exists so non-elliptic probes can observe failures.
     """
-    if a.source_dim != 3 or a.target_dim != 4:
+    a = linalg.mat(a)
+    if len(a) != 4 or len(a[0]) != 3:
         raise ValueError("expected a linear map from a 3-space into the 4-space")
-    if not a.is_injective():
+    if linalg.rank(a) < 3:
         raise ValueError("map is not injective")
     beta1 = pullback(pair.omega, a)
     beta2 = pullback(pair.phi, a)

@@ -34,7 +34,6 @@ from .exterior import (
     J0_MATRIX,
     OMEGA0,
     PHI0,
-    LinearMap,
     MultiVector,
     VolumeForm,
     _gram_definite_sign,
@@ -82,8 +81,8 @@ class ComplexStructure:
     __slots__ = ("matrix", "tol", "plane")
 
     def __init__(self, matrix: Sequence[Sequence[Fraction]], tol: float = 0):
-        rows = tuple(tuple(to_scalar(x) for x in row) for row in matrix)
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
+        rows = linalg.mat(matrix)
+        if len(rows) != 4 or len(rows[0]) != 4:
             raise ValueError("J must be a 4x4 matrix")
         self.matrix, self.tol = rows, tol
         self._check_square()
@@ -98,9 +97,6 @@ class ComplexStructure:
         residual = max(abs(sq[i][j] + (1 if i == j else 0)) for i in range(4) for j in range(4))
         if residual > self.tol:
             raise ValueError(f"J^2 != -Id to within {self.tol}")
-
-    def as_map(self) -> LinearMap:
-        return LinearMap(self.matrix)
 
 
 class Splitting:
@@ -205,11 +201,12 @@ def equivalent(s1: Splitting, s2: Splitting, tol: float = 0) -> bool:
     return d1 == d2 or (tol > 0 and abs(d1 - d2) <= tol * (sqrt_of(d1) + sqrt_of(d2)))
 
 
-def act(a: LinearMap, s: Splitting) -> Splitting:
-    """Pull both generator lines back along an orientation-preserving map."""
-    if a.source_dim != 4 or a.target_dim != 4:
+def act(a: Sequence[Sequence[Fraction]], s: Splitting) -> Splitting:
+    """Pull both generator lines back along an orientation-preserving map, ``a`` its 4×4 matrix of rows."""
+    a = linalg.mat(a)
+    if len(a) != 4 or len(a[0]) != 4:
         raise ValueError("expected an endomorphism of the 4-space")
-    if a.det() <= 0:
+    if linalg.det(a) <= 0:
         raise ValueError("orientation-reversing maps are not modeled")
     return Splitting(pullback(s.line1, a), pullback(s.line2, a), s.eps)
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from pathgeom import LinearMap, MultiVector, OMEGA0, PHI0
-from pathgeom.linalg import det as exact_det
+from pathgeom import MultiVector, OMEGA0, PHI0
+from pathgeom.linalg import det as exact_det, rank as exact_rank
 
 
 @pytest.fixture
@@ -32,8 +32,8 @@ def rand_form(rng, dim, degree, nterms=None) -> MultiVector:
     return MultiVector.from_terms(dim, [(t, rand_fraction(rng)) for t in chosen], degree=degree)
 
 
-def rand_invertible(rng, dim=4, positive=True) -> LinearMap:
-    """Random rational invertible matrix; det > 0 when ``positive``."""
+def rand_invertible(rng, dim=4, positive=True) -> list:
+    """Random rational invertible matrix, as rows; det > 0 when ``positive``."""
     while True:
         rows = [[rand_fraction(rng, -3, 3, 4) for _ in range(dim)] for _ in range(dim)]
         d = exact_det(rows)
@@ -43,15 +43,15 @@ def rand_invertible(rng, dim=4, positive=True) -> LinearMap:
             rows[0] = [-x for x in rows[0]]
         elif positive is False and d > 0:
             rows[0] = [-x for x in rows[0]]
-        return LinearMap(tuple(tuple(r) for r in rows))
+        return rows
 
 
-def rand_injective_3to4(rng) -> LinearMap:
+def rand_injective_3to4(rng) -> list:
+    """Random rational 4×3 matrix of rank 3, as rows."""
     while True:
         rows = [[rand_fraction(rng, -3, 3, 4) for _ in range(3)] for _ in range(4)]
-        m = LinearMap(tuple(tuple(r) for r in rows))
-        if m.rank() == 3:
-            return m
+        if exact_rank(rows) == 3:
+            return rows
 
 
 def rand_orthogonal_elliptic_pair(rng, allow_flip=False):

@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from pathgeom import J0_MATRIX, ComplexStructure, LinearMap, MultiVector, PolyForm3, conformal_pairing, evaluate, linalg
+from pathgeom import J0_MATRIX, ComplexStructure, MultiVector, PolyForm3, conformal_pairing, evaluate, linalg
 from pathgeom.polynomials import Poly, RatFunc, RationalPoint
 from pathgeom.eds import (
     COFRAME_LABELS,
@@ -106,9 +106,9 @@ def wedge_oracle(a: MultiVector, b: MultiVector) -> MultiVector:
 
 
 def pullback_oracle(form: MultiVector, a) -> MultiVector:
-    """Pullback coefficients as evaluations on images of basis vectors."""
-    m = a.source_dim
-    cols = [[a.matrix[i][j] for i in range(a.target_dim)] for j in range(m)]
+    """Pullback coefficients as evaluations on images of basis vectors, the columns of the matrix ``a``."""
+    cols = list(zip(*a))
+    m = len(cols)
     terms = {}
     for idx in combinations(range(m), form.degree):
         val = evaluate_oracle(form, [cols[j] for j in idx])
@@ -560,10 +560,9 @@ def lines_parallel(a: MultiVector, b: MultiVector) -> bool:
     return linalg.rank([a.components(), b.components()]) <= 1
 
 
-def conjugate(j: ComplexStructure, a: LinearMap) -> ComplexStructure:
-    """A⁻¹JA: the pullback action of GL⁺ on complex structures."""
-    m = a.inverse().compose(j.as_map()).compose(a)
-    return ComplexStructure(m.matrix, tol=j.tol)
+def conjugate(j: ComplexStructure, a) -> ComplexStructure:
+    """A⁻¹JA for a matrix A of rows: the pullback action of GL⁺ on complex structures."""
+    return ComplexStructure(linalg.matmul(linalg.matmul(linalg.inverse(a), j.matrix), a), tol=j.tol)
 
 
 def spans_same_oriented_plane(p, q, tol: float = 0) -> bool:

@@ -12,7 +12,7 @@ import pytest
 
 import pathgeom
 from pathgeom import (
-    LinearMap, MultiVector, OMEGA0, PHI0, act, canonical_model, conformal_pairing, heisenberg_model, pullback,
+    MultiVector, OMEGA0, PHI0, act, canonical_model, conformal_pairing, heisenberg_model, linalg, pullback,
 )
 from pathgeom.cli import MAX_SAMPLES, main, render_json
 from pathgeom.hypersurface import MAX_JET_DIGITS
@@ -35,11 +35,11 @@ def pair_payload(omega, phi):
     return {"omega": omega.to_json(), "phi": phi.to_json()}
 
 
-def float_gl_plus(rng) -> LinearMap:
-    """A random float map with positive determinant, entries in [-2, 2]."""
-    a = LinearMap(((1, 0, 0, 0),) * 4)
-    while a.det() <= 0:
-        a = LinearMap(tuple(tuple(rng.uniform(-2, 2) for _ in range(4)) for _ in range(4)))
+def float_gl_plus(rng) -> list:
+    """A random float matrix with positive determinant, entries in [-2, 2], as rows."""
+    a = [[1, 0, 0, 0]] * 4
+    while linalg.det(a) <= 0:
+        a = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(4)]
     return a
 
 
@@ -137,11 +137,10 @@ class TestPairCommand:
         """Float GL⁺ pullbacks at condition 1e5–1e7: one exact verdict, and ⟨ω,φ′⟩ = 0 exactly."""
         for seed in range(100):
             rng = random.Random(seed)
-            a = LinearMap(((1, 0, 0, 0),) * 4)
-            while a.det() <= 0:
-                rows = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(4)]
-                rows[0] = [x * 10 ** rng.uniform(5, 7) for x in rows[0]]
-                a = LinearMap(rows)
+            a = [[1, 0, 0, 0]] * 4
+            while linalg.det(a) <= 0:
+                a = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(4)]
+                a[0] = [x * 10 ** rng.uniform(5, 7) for x in a[0]]
             omega, phi = (pullback(form, a) for form in (OMEGA0, PHI0 * rng.uniform(0.1, 10) + OMEGA0 * rng.uniform(-2, 2)))
             payload = {name: {"dim": 4, "degree": 2, "terms": [{"idx": list(i), "c": float(c)} for i, c in f.terms.items()]}
                        for name, f in (("omega", omega), ("phi", phi))}
@@ -232,7 +231,7 @@ class TestPairingsComputedOnce:
         assert len(roots) == 1
 
     def test_splitting_request(self, tmp_path, capsys, monkeypatch):
-        a = LinearMap(((2, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 3), (0, 0, 0, 1)))
+        a = ((2, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 3), (0, 0, 0, 1))
         path = write_json(tmp_path, "in.json", act(a, canonical_model(Fraction(3, 4))).to_json())
         counter = count_calls(monkeypatch, "conformal_pairing")
         code, out, _ = run(["splitting", "--input", path], capsys)
@@ -467,7 +466,7 @@ class TestSplittingGoldenOutput:
     @pytest.mark.parametrize("payload, digest", [
         (canonical_model(0).to_json(), "2c21a9e2ace7031264c4903e320a89e5161d46510f31fb0c1a965f2b9329c264"),
         (canonical_model(Fraction(13, 4)).to_json(), "0d72f8f72eea70a5efe12a225bf32c76a669cd0d09344d4e8452deb762540aa4"),
-        (act(LinearMap(((1, 2, 0, 0), (0, 1, 3, 0), (0, 0, 1, -1), (1, 0, 0, 2))), canonical_model(Fraction(2, 3))).to_json(),
+        (act(((1, 2, 0, 0), (0, 1, 3, 0), (0, 0, 1, -1), (1, 0, 0, 2)), canonical_model(Fraction(2, 3))).to_json(),
          "bae0b19cb2010cf0b3d2590307497fcb93b4cfdec081d4444f015a9f1000bb57"),
         ({"L1": ASD.to_json(), "L2": (ASD * 2 + E(4, (1, 4)) - E(4, (2, 3))).to_json()},
          "8d10da46cdaac969d94590d211d552c85b4f8a6bec3f5cd760e61862b66ed54d"),

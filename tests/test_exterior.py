@@ -1,20 +1,27 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathgeom import (
     OMEGA0,
     PHI0,
-    LinearMap,
     MultiVector,
     VolumeForm,
+    act,
+    canonical_model,
     conformal_pairing,
     evaluate,
+    linalg,
     pairing_signature,
     pullback,
+    pullback_pair_independent,
     wedge,
 )
 from pathgeom.linalg import rank as exact_rank
+from pathgeom.pairs import EllipticPair
 
 from conftest import rand_form, rand_injective_3to4, rand_invertible, rand_vector
 from oracles import evaluate_oracle, pullback_oracle, wedge_oracle
@@ -183,18 +190,24 @@ class TestEvaluate:
             evaluate(MultiVector(4, 0, {(): c}), [[1, 0, 0, 0]])
 
 
+def int_matrices(rows: int, cols: int):
+    """rows×cols integer matrices with entries in [−3, 3], as lists of rows."""
+    row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
 class TestPullback:
     def test_identity(self, rng):
         form = rand_form(rng, 4, 2)
-        assert pullback(form, LinearMap.identity(4)) == form
+        assert pullback(form, linalg.identity(4)) == form
 
     def test_basis_swap_flips_sign(self):
-        swap = LinearMap(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+        swap = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         assert pullback(E(4, (1, 2)), swap) == E(4, (1, 2)) * Fraction(-1)
 
     def test_rank_two_map_can_kill_a_form(self):
         # image spans a Lagrangian plane of omega0
-        a = LinearMap(((1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 0)))
+        a = ((1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 0))
         assert pullback(OMEGA0, a).is_zero
 
     def test_injective_pullback_of_model_pair_independent(self, rng):
@@ -204,12 +217,13 @@ class TestPullback:
             b2 = pullback(PHI0, a)
             assert exact_rank([b1.components(), b2.components()]) == 2
 
-    def test_functoriality(self, rng):
-        for _ in range(10):
-            a = rand_invertible(rng)
-            b = rand_invertible(rng)
-            form = rand_form(rng, 4, 2, nterms=4)
-            assert pullback(form, a.compose(b)) == pullback(pullback(form, a), b)
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(a=int_matrices(4, 4), b=st.sampled_from((4, 3)).flatmap(lambda m: int_matrices(4, m)),
+           degree=st.integers(0, 3), coeffs=st.lists(st.fractions(-5, 5, max_denominator=6), min_size=6, max_size=6))
+    def test_functoriality(self, a, b, degree, coeffs):
+        """(AB)* = B*A*, exactly, for integer A (4×4) and B (4×4 or 4×3), singular ones included."""
+        form = MultiVector(4, degree, dict(zip(combinations(range(1, 5), degree), coeffs)))
+        assert pullback(pullback(form, a), b) == pullback(form, linalg.matmul(a, b))
 
     def test_naturality_with_wedge(self, rng):
         for _ in range(10):
@@ -226,7 +240,7 @@ class TestPullback:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            pullback(MultiVector.basis(5, (1, 2)), LinearMap.identity(4))
+            pullback(MultiVector.basis(5, (1, 2)), linalg.identity(4))
 
     @pytest.mark.parametrize("c", [Fraction(-7, 3), Fraction(0), Fraction(5)])
     def test_degree_zero_keeps_its_constant(self, rng, c):
@@ -234,6 +248,37 @@ class TestPullback:
         a = rand_injective_3to4(rng)
         assert pullback(MultiVector(4, 0, {(): c}), a) == MultiVector(3, 0, {(): c})
         assert pullback(MultiVector(4, 0, {(): c}), a) == pullback_oracle(MultiVector(4, 0, {(): c}), a)
+
+
+ID4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+RAGGED = ((1, 0, 0, 0), (0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+HUGE = (("1e5000", 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+MODEL_PAIR = EllipticPair(OMEGA0, PHI0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pullback(OMEGA0, RAGGED), "ragged"),
+    (lambda: act(RAGGED, canonical_model(1)), "ragged"),
+    (lambda: pullback_pair_independent(MODEL_PAIR, ((1, 0, 0), (0, 1), (0, 0, 1), (0, 0, 0))), "ragged"),
+    (lambda: pullback(OMEGA0, []), "map targets dim 0"),
+    (lambda: act([], canonical_model(1)), "endomorphism"),
+    (lambda: pullback_pair_independent(MODEL_PAIR, []), "3-space into the 4-space"),
+    (lambda: pullback(OMEGA0, HUGE), "decimal exponents"),
+    (lambda: act(HUGE, canonical_model(1)), "decimal exponents"),
+    (lambda: pullback_pair_independent(MODEL_PAIR, [row[:3] for row in HUGE]), "decimal exponents"),
+    (lambda: pullback(MultiVector.basis(5, (1, 2)), ID4), "map targets dim 4"),
+    (lambda: act(ID4[:3], canonical_model(1)), "endomorphism"),
+    (lambda: act(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), canonical_model(1)), "orientation"),
+    (lambda: act(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0)), canonical_model(1)), "orientation"),
+    (lambda: pullback_pair_independent(MODEL_PAIR, ID4), "3-space into the 4-space"),
+    (lambda: pullback_pair_independent(MODEL_PAIR, ((1, 0, 0), (0, 1, 0), (0, 0, 0), (2, 3, 0))), "not injective"),
+], ids=["ragged-pullback", "ragged-act", "ragged-pair", "empty-pullback", "empty-act", "empty-pair",
+        "huge-pullback", "huge-act", "huge-pair", "dim-mismatch-pullback", "3x4-act", "det-negative-act",
+        "det-zero-act", "4x4-pair", "rank-2-pair"])
+def test_matrix_takers_refuse(call, message):
+    """Each refusal of the three functions that take a map's matrix of rows."""
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestConformalPairing:
@@ -280,23 +325,6 @@ class TestPairingSignature:
         assert pairing_signature(VolumeForm(Fraction(-1))) == (3, 3)
         # the eigenspace families swap: self-pairings change sign
         assert conformal_pairing(OMEGA0, OMEGA0, VolumeForm(Fraction(-1))) == -2
-
-
-class TestLinearMap:
-    def test_shape_and_apply(self):
-        a = LinearMap(((1, 2), (3, 4), (5, 6)))
-        assert a.source_dim == 2 and a.target_dim == 3
-        assert a.apply([1, 1]) == [3, 7, 11]
-
-    def test_det_inverse_exact(self, rng):
-        a = rand_invertible(rng)
-        assert a.det() > 0
-        prod = a.compose(a.inverse())
-        assert prod.matrix == LinearMap.identity(4).matrix
-
-    def test_non_square_det_rejected(self):
-        with pytest.raises(ValueError):
-            LinearMap(((1, 2, 3), (4, 5, 6))).det()
 
 
 def test_exact_operations_are_reproducible(rng):

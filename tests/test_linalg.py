@@ -118,6 +118,9 @@ class TestDispatch:
         with pytest.raises(ValueError):
             linalg.inertia([[1.0, 2.0], [3.0, 1.0]])
 
+    def test_matvec_on_a_rectangular_matrix(self):
+        assert linalg.matvec([[1, 2], [3, 4], [5, 6]], [1, 1]) == [3, 7, 11]
+
     def test_float_callers(self):
         assert lines_parallel(OMEGA0 * 0.5, OMEGA0 * -3.25)
         assert not lines_parallel(OMEGA0 * 0.5, PHI0 * 1.0)

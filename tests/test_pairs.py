@@ -10,7 +10,6 @@ from pathgeom import (
     OMEGA0,
     PHI0,
     EllipticPair,
-    LinearMap,
     MultiVector,
     NormalForm,
     VolumeForm,
@@ -73,6 +72,23 @@ class TestElliptic:
 
     def test_nonelliptic_controls_covered(self, rng):
         assert not is_elliptic(E(4, (1, 2)), E(4, (1, 3)))
+
+
+@pytest.mark.parametrize("bad", [E(4, (1, 2, 3)), E(5, (1, 2)) + E(5, (3, 4))], ids=["3-form", "dim-5"])
+@pytest.mark.parametrize("call", [
+    lambda f: is_symplectic(f),
+    lambda f: is_elliptic(f, PHI0),
+    lambda f: is_elliptic(OMEGA0, f),
+    lambda f: orthogonalize(f, PHI0),
+    lambda f: orthogonalize(OMEGA0, f),
+    lambda f: EllipticPair(f, PHI0),
+    lambda f: EllipticPair(OMEGA0, f),
+], ids=["is_symplectic", "is_elliptic-omega", "is_elliptic-phi", "orthogonalize-omega", "orthogonalize-phi",
+        "EllipticPair-omega", "EllipticPair-phi"])
+def test_entry_points_refuse_what_is_not_a_2_form_on_the_4_space(call, bad):
+    """The wedge pairing each entry point takes first refuses the form."""
+    with pytest.raises(ValueError, match="2-forms on a 4-space"):
+        call(bad)
 
 
 class TestOrthogonalize:
@@ -192,11 +208,11 @@ class TestNormalForm:
         assert NormalForm.from_json(nf.to_json()).residual is None
 
 
-def _orient(entries) -> LinearMap:
+def _orient(entries) -> list:
     rows = [list(entries[i:i + 4]) for i in range(0, 16, 4)]
     if det(rows) < 0:
         rows[0] = [-x for x in rows[0]]
-    return LinearMap(tuple(map(tuple, rows)))
+    return rows
 
 
 GL_PLUS = st.lists(st.integers(-3, 3), min_size=16, max_size=16).filter(
@@ -221,11 +237,10 @@ class TestAnyVolumeForm:
 def ill_conditioned_float_pair(seed: int) -> EllipticPair:
     """Float GL⁺ pullback of (ω₀, κφ₀): first-row entries scaled by up to 1e7, κ in 10^[−9, 9]."""
     rng = random.Random(seed)
-    a = LinearMap(((1, 0, 0, 0),) * 4)
-    while a.det() <= 0:
-        rows = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(4)]
-        rows[0] = [x * 10 ** rng.uniform(0, 7) for x in rows[0]]
-        a = LinearMap(tuple(map(tuple, rows)))
+    a = [[1, 0, 0, 0]] * 4
+    while det(a) <= 0:
+        a = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(4)]
+        a[0] = [x * 10 ** rng.uniform(0, 7) for x in a[0]]
     return EllipticPair(pullback(OMEGA0, a), pullback(PHI0 * 10 ** rng.uniform(-9, 9), a))
 
 
@@ -250,7 +265,7 @@ class TestIllConditionedFloatPairs:
 
 class TestPullbackPair:
     def test_coordinate_inclusion(self):
-        incl = LinearMap(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)))
+        incl = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
         b1, b2, independent = pullback_pair_independent(EllipticPair(OMEGA0, PHI0), incl)
         assert b1 == MultiVector.basis(3, (1, 3))
         assert b2 == MultiVector.basis(3, (2, 3))
@@ -269,13 +284,13 @@ class TestPullbackPair:
         # not elliptic, so independence of the pullbacks is not guaranteed
         omega, phi = E(4, (1, 2)), E(4, (1, 3))
         assert not is_elliptic(omega, phi)
-        a = LinearMap(((1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1)))
+        a = ((1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1))
         b1, b2 = pullback(omega, a), pullback(phi, a)
         flag = _independent_two_forms(b1, b2)
         assert isinstance(flag, bool)
         assert not flag  # the first pullback survives, the second dies
 
     def test_noninjective_rejected(self):
-        rank2 = LinearMap(((1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 0)))
+        rank2 = ((1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 0))
         with pytest.raises(ValueError):
             pullback_pair_independent(EllipticPair(OMEGA0, PHI0), rank2)
