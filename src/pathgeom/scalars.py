@@ -55,22 +55,24 @@ def scalar_to_json(value: Fraction) -> str:
 
 
 def sqrt_of(q: Fraction) -> float:
-    """√q as a float, also where ``float(q)`` would overflow or underflow.
+    """√q as the float nearest it, also where ``float(q)`` would overflow or underflow.
 
-    It rounds q/4ᵏ to a float near 1, takes its root, and scales that back by
-    2ᵏ exactly, so it equals ``math.sqrt(q)`` wherever ``float(q)`` is a normal
-    float.  That rounds twice, so the result can be one ulp off the correctly
-    rounded root: ``sqrt_of(Fraction(10**600))`` is 9.999999999999999e+299.  A
-    correctly rounded root would change printed κ and degree digits, so it
-    needs a declared output change.  A root beyond the float range raises
-    OverflowError.
+    For x = q·4ˢ between 2¹¹³ and 2¹¹⁶, r = ⌊√x⌋ has 57 or 58 bits and √q lies
+    in [r, r + 1)·2⁻ˢ.  When √x is not r, r's last bit is set, so r and √x
+    round alike to the 53 bits of a float, or to fewer for a subnormal one,
+    and ``float(r / 2**s)`` rounds once, correctly.  A root beyond the float
+    range raises OverflowError.
     """
     n, d = q.numerator, q.denominator
     if n <= 0:
         return math.sqrt(n)  # 0.0, or the ValueError of a negative value
     k = (n.bit_length() - d.bit_length()) // 2
+    x = q * Fraction(4) ** (57 - k)
+    r = math.isqrt(x.numerator // x.denominator)
+    if r * r != x:
+        r |= 1
     try:
-        return math.ldexp(math.sqrt(n / (d << 2 * k) if k >= 0 else (n << -2 * k) / d), k)
+        return float(r / Fraction(2) ** (57 - k))
     except OverflowError:
         raise OverflowError(f"a square root near 2**{k} is beyond the float range") from None
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -275,19 +276,21 @@ class TestDegree:
 
 
 class TestSqrtOf:
-    """``sqrt_of(q)`` is ``math.sqrt(q)`` wherever q has a normal float, and a root is found beyond."""
+    """``sqrt_of(q)`` is the float nearest √q, also where q has no float."""
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(st.integers(1, 10**40), st.integers(1, 10**40), st.integers(-300, 300))
-    def test_equals_math_sqrt_on_normal_floats(self, num, den, exponent):
+    @given(st.integers(1, 10**40), st.integers(1, 10**40), st.integers(-700, 570))
+    def test_is_the_float_nearest_the_root(self, num, den, exponent):
+        """Exactly: √q lies between the midpoints from the result to the floats on either side of it."""
         q = Fraction(num, den) * Fraction(10) ** exponent
-        assume(2.3e-308 < q < 1.7e308)
-        assert sqrt_of(q) == np.sqrt(float(q)) == sqrt_of(Fraction(float(q)))
+        x = sqrt_of(q)
+        below, above = ((Fraction(x) + Fraction(math.nextafter(x, toward))) / 2 for toward in (0, math.inf))
+        assert below * below <= q <= above * above
 
     @pytest.mark.parametrize("q, expected", [
         (Fraction(1e300) ** 2, 1e300), (Fraction(1e-300) ** 2, 1e-300), (Fraction(2**1500), 2.0**750),
-        (Fraction(0), 0.0),
-    ], ids=["1e300", "1e-300", "2^750", "zero"])
+        (Fraction(10**600), 1e300), (Fraction(0), 0.0),
+    ], ids=["1e300", "1e-300", "2^750", "10^600", "zero"])
     def test_roots_of_squares_past_the_float_range(self, q, expected):
         assert sqrt_of(q) == expected
 
