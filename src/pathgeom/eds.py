@@ -18,9 +18,9 @@ the polar equations of each element E once, as integer rows, and reads them
 three ways: E is integral iff they vanish on E, its polar space is their
 kernel and the characters are their ranks.  The codimension near the flag is
 the rank of the linearized conditions, whose integer rows never become
-Fractions, and ζ is one 3×3 minor, all in exact integer arithmetic.  A
-:class:`Flag` keeps its vectors as integers and the pivots of their echelon
-form, which check their independence once and give the complement frame.
+Fractions, and ζ is a rank on three slots.  A :class:`Flag` is the one way
+vectors become integer rows, a :class:`ConstantIdeal` keeps its forms'
+integer terms, and ω₀, φ₀ are those of :mod:`pathgeom.exterior`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exterior import MultiVector, wedge
+from .exterior import OMEGA0, PHI0, MultiVector, wedge
 from .scalars import rational_from_json, scalar_to_json, to_scalar
 
 DIM = 12
@@ -50,13 +50,8 @@ _THETA_SLOT: Dict[Tuple[int, int], int] = {
     (1, 0): 4, (1, 1): 5, (1, 2): 6,
     (2, 0): 7, (2, 1): 8,
 }
-#: the 0-based slots of θ¹₀, θ²₀ and θ²₁, on which ζ is the 3×3 minor
+#: the 0-based slots of θ¹₀, θ²₀ and θ²₁, on which ζ is a 3×3 minor
 _ZETA_SLOTS = tuple(_THETA_SLOT[ij] - 1 for ij in ((1, 0), (2, 0), (2, 1)))
-
-
-def frame_vector(slot: int) -> Tuple[Fraction, ...]:
-    """Dual frame vector for a coframe slot (1-based)."""
-    return tuple(Fraction(1 if i == slot else 0) for i in range(1, DIM + 1))
 
 
 def theta(i: int, j: int) -> MultiVector:
@@ -134,30 +129,35 @@ def structure_d(component: str, curvature: CurvatureSample) -> MultiVector:
     return acc
 
 
-def omega0_model() -> MultiVector:
-    """ω₀ = dx¹∧dx³ − dx²∧dx⁴ in the 12-dimensional coframe."""
-    return MultiVector(DIM, 2, {(9, 11): Fraction(1), (10, 12): Fraction(-1)})
+def on_dx_slots(form: MultiVector) -> MultiVector:
+    """A form on ℝ⁴ written in the 12-dimensional coframe, with dxⁱ at slot 8 + i."""
+    if form.dim != 4:
+        raise ValueError(f"expected a form on the 4-space, got dim {form.dim}")
+    return MultiVector(DIM, form.degree, {tuple(8 + i for i in idx): c for idx, c in form.terms.items()})
 
 
-def phi0_model() -> MultiVector:
-    """φ₀ = dx¹∧dx⁴ + dx²∧dx³ in the 12-dimensional coframe."""
-    return MultiVector(DIM, 2, {(9, 12): Fraction(1), (10, 11): Fraction(1)})
+def _integer_terms(form: MultiVector) -> Tuple[dict, int]:
+    """The form's terms times the lcm of their denominators, as ints, and that lcm."""
+    den = lcm(*(c.denominator for c in form.terms.values()))
+    return {idx: c.numerator * (den // c.denominator) for idx, c in form.terms.items()}, den
 
 
 class ConstantIdeal:
-    """Generators and their differentials frozen at a point."""
+    """Generators and their differentials frozen at a point, each also kept as integer terms, computed once here."""
 
-    __slots__ = ("generators", "differentials")
+    __slots__ = ("generators", "differentials", "_generator_terms", "_differential_terms")
 
     def __init__(self, generators: Tuple[MultiVector, ...], differentials: Tuple[MultiVector, ...]):
         self.generators, self.differentials = generators, differentials
+        self._generator_terms = [_integer_terms(chi)[0] for chi in generators]
+        self._differential_terms = [_integer_terms(dchi)[0] for dchi in differentials]
 
 
 def ideal_at(curvature: CurvatureSample) -> ConstantIdeal:
     """χ₁ = θ²₀∧θ¹₀ − ω₀, χ₂ = θ²₀∧θ²₁ − φ₀ and their differentials."""
     t10, t20, t21 = theta(1, 0), theta(2, 0), theta(2, 1)
-    chi1 = wedge(t20, t10) - omega0_model()
-    chi2 = wedge(t20, t21) - phi0_model()
+    chi1 = wedge(t20, t10) - on_dx_slots(OMEGA0)
+    chi2 = wedge(t20, t21) - on_dx_slots(PHI0)
     dt20 = structure_d("t20", curvature)
     dt10 = structure_d("t10", curvature)
     dt21 = structure_d("t21", curvature)
@@ -167,7 +167,7 @@ def ideal_at(curvature: CurvatureSample) -> ConstantIdeal:
 
 
 class Flag:
-    """Nested integral elements E¹ ⊂ E² ⊂ E³ given by up to three vectors.
+    """Nested elements E¹ ⊂ E² ⊂ … given by independent vectors, the one way vectors become integer rows.
 
     It keeps them times the lcm ``_scale`` of their denominators, as ints, and
     the pivots of their echelon form with the slots read backwards.
@@ -178,9 +178,7 @@ class Flag:
     def __init__(self, vectors: Sequence[Sequence[Fraction]]):
         vecs = tuple(tuple(to_scalar(x) for x in v) for v in vectors)
         if any(len(v) != DIM for v in vecs):
-            raise ValueError("flag vectors must have dimension 12")
-        if len(vecs) > 3:
-            raise ValueError("flags here go up to dimension 3")
+            raise ValueError("flag vector has wrong dimension")
         lam = lcm(*(x.denominator for v in vecs for x in v))
         ints = [[x.numerator * (lam // x.denominator) for x in v] for v in vecs]
         pivots = linalg.echelon([v[::-1] for v in ints])[1]
@@ -213,19 +211,16 @@ def zeta_forms() -> Tuple[MultiVector, MultiVector, MultiVector]:
     return theta(1, 0), theta(2, 0), theta(2, 1)
 
 
+def _zeta_nonzero(flag: Flag) -> bool:
+    """ζ = ζ¹∧ζ²∧ζ³ nonzero on a 3-dimensional flag: its integer rows have rank 3 on the θ¹₀, θ²₀, θ²₁ slots."""
+    return len(linalg.echelon([[v[s] for s in _ZETA_SLOTS] for v in flag._integers])[1]) == 3
+
+
 def independence_check(vectors: Sequence[Sequence[Fraction]]) -> bool:
-    """ζ = ζ¹∧ζ²∧ζ³ nonzero on the span: the 3×3 minor of the θ¹₀, θ²₀, θ²₁ components."""
+    """ζ nonzero on the span of three independent vectors."""
     if len(vectors) != 3:
         raise ValueError("independence condition applies to 3-dimensional elements")
-    if any(len(v) != DIM for v in vectors):
-        raise ValueError("vector has wrong dimension")
-    return linalg.det([[v[s] for s in _ZETA_SLOTS] for v in vectors]) != 0
-
-
-def _integer_terms(form: MultiVector) -> Tuple[dict, int]:
-    """The form's terms times the lcm of their denominators, as ints, and that lcm."""
-    den = lcm(*(c.denominator for c in form.terms.values()))
-    return {idx: c.numerator * (den // c.denominator) for idx, c in form.terms.items()}, den
+    return _zeta_nonzero(Flag(vectors))
 
 
 def _contract_two_form(terms: dict, v: Sequence[Fraction]) -> list:
@@ -253,10 +248,8 @@ def _polar_rows(vecs: Sequence[Sequence[int]], ideal: ConstantIdeal) -> List[Lis
     Scaling a form or a vector to integers scales rows by nonzero factors,
     which changes no zero test, span, rank or pivot column.
     """
-    generators = [_integer_terms(chi)[0] for chi in ideal.generators]
-    differentials = [_integer_terms(dchi)[0] for dchi in ideal.differentials]
-    rows = [_contract_two_form(chi, v) for v in vecs for chi in generators]
-    return rows + [_contract_three_form(dchi, va, vb) for va, vb in combinations(vecs, 2) for dchi in differentials]
+    rows = [_contract_two_form(chi, v) for v in vecs for chi in ideal._generator_terms]
+    return rows + [_contract_three_form(dchi, va, vb) for va, vb in combinations(vecs, 2) for dchi in ideal._differential_terms]
 
 
 def _integral_rows(vecs: Sequence[Sequence[int]], ideal: ConstantIdeal) -> Optional[List[List[int]]]:
@@ -270,19 +263,9 @@ def _integral_rows(vecs: Sequence[Sequence[int]], ideal: ConstantIdeal) -> Optio
     return None if any(sum(map(mul, row, v)) for row in rows for v in vecs) else rows
 
 
-def _checked_integral_rows(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal):
-    """:func:`_integral_rows` of any vectors, refused unless they are independent and 12-dimensional."""
-    vecs = linalg._integer_rows(vectors)[0]
-    if any(len(v) != DIM for v in vecs):
-        raise ValueError("vector has wrong dimension")
-    if vecs and len(linalg.echelon(vecs)[1]) != len(vecs):
-        raise ValueError("vectors are linearly dependent")
-    return _integral_rows(vecs, ideal)
-
-
 def is_integral_element(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> bool:
     """E is integral iff every polar row of E vanishes on every vector of E."""
-    return _checked_integral_rows(vectors, ideal) is not None
+    return _integral_rows(Flag(vectors)._integers, ideal) is not None
 
 
 def polar_space(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> Tuple[List[List[Fraction]], int]:
@@ -292,10 +275,10 @@ def polar_space(vectors: Sequence[Sequence[Fraction]], ideal: ConstantIdeal) -> 
     kernel of the polar rows; with no 1-forms in the ideal, E⁰ has no polar
     rows and H(E⁰) is the whole tangent space.
     """
-    rows = _checked_integral_rows(vectors, ideal)
+    rows = _integral_rows(Flag(vectors)._integers, ideal)
     if rows is None:
         raise ValueError("polar space of a non-integral element")
-    basis = linalg.nullspace(rows) if rows else [list(frame_vector(s)) for s in range(1, DIM + 1)]
+    basis = linalg.nullspace(rows) if rows else linalg.identity(DIM)
     return basis, DIM - len(basis)
 
 
@@ -393,7 +376,7 @@ def codim_at(flag: Flag, ideal: ConstantIdeal) -> CodimResult:
         raise ValueError("codimension is computed at a 3-dimensional element")
     if _integral_rows(flag._integers, ideal) is None:
         raise ValueError("flag is not integral")
-    if len(linalg.echelon([[v[s] for s in _ZETA_SLOTS] for v in flag._integers])[1]) < 3:
+    if not _zeta_nonzero(flag):
         raise ValueError("independence condition fails on the flag")
     comp_slots = complement_frame(flag)
     # scaling a row by its divisor changes no pivot column
@@ -435,7 +418,7 @@ def _verdict(ideal: ConstantIdeal) -> dict:
         ch = characters(flag, ideal)
     except ValueError:
         # only a flag that is not integral, or on which ζ vanishes, is refused
-        return {"integral": is_integral_element(flag.vectors, ideal),
+        return {"integral": _integral_rows(flag._integers, ideal) is not None,
                 "zeta_nonzero": independence_check(flag.vectors), "pass": False}
     return {"integral": True, "zeta_nonzero": True, "characters": list(ch.as_tuple()), "codim": ch.codim_actual,
             "codim_bound": ch.codim_bound, "involutive": ch.involutive,

@@ -31,7 +31,6 @@ from pathgeom.eds import (
     Flag,
     complement_frame,
     condition_forms,
-    frame_vector,
     linearized_conditions,
     polar_space,
 )
@@ -548,6 +547,11 @@ def lagrange_inertia(a) -> tuple:
 
 
 # -- test helpers --------------------------------------------------------------
+
+
+def frame_vector(slot: int) -> tuple:
+    """The dual frame vector of a coframe slot (1-based) of the 12-dimensional model space."""
+    return tuple(Fraction(1 if i == slot else 0) for i in range(1, DIM + 1))
 
 
 def slot_of(label: str) -> int:

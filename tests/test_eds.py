@@ -1,12 +1,13 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathgeom import MultiVector, evaluate, wedge
+from pathgeom import OMEGA0, PHI0, MultiVector, evaluate, wedge
 from pathgeom.eds import (
     DIM,
     ConstantIdeal,
@@ -20,8 +21,7 @@ from pathgeom.eds import (
     independence_check,
     is_integral_element,
     linearized_conditions,
-    omega0_model,
-    phi0_model,
+    on_dx_slots,
     polar_space,
     reference_flag,
     sample_curvatures,
@@ -29,7 +29,6 @@ from pathgeom.eds import (
     theta,
     verify_involutivity,
     zeta_forms,
-    frame_vector,
 )
 from pathgeom.linalg import rank
 
@@ -37,12 +36,14 @@ from conftest import count_calls_everywhere, rand_fraction
 from oracles import (
     cartan_test_oracle,
     fraction_nullspace,
+    frame_vector,
     greedy_complement_frame,
     in_span,
     polar_rows_oracle,
     random_integral_flag,
     second_order_probe,
     slot_of,
+    span_equal,
 )
 
 
@@ -140,11 +141,17 @@ class TestIdeal:
         dt10 = structure_d("t10", zero)
         assert ideal.differentials[0] == wedge(dt20, t10) - wedge(t20, dt10)
 
-    def test_model_forms(self):
-        assert omega0_model().coefficient((9, 11)) == 1
-        assert omega0_model().coefficient((10, 12)) == -1
-        assert phi0_model().coefficient((9, 12)) == 1
-        assert phi0_model().coefficient((10, 11)) == 1
+    def test_model_forms(self, rng):
+        """`on_dx_slots` puts each term of ω₀, φ₀ and a random 3-form on the 4-space at the slots 8 + i."""
+        three_form = MV(4, 3, {idx: rand_fraction(rng) for idx in combinations(range(1, 5), 3)})
+        for form in (OMEGA0, PHI0, three_form):
+            placed = on_dx_slots(form)
+            assert (placed.dim, placed.degree) == (DIM, form.degree)
+            assert placed.terms == {tuple(slot_of(f"dx{i}") for i in idx): c for idx, c in form.terms.items()}
+        assert on_dx_slots(OMEGA0).terms == {(9, 11): 1, (10, 12): -1}
+        assert on_dx_slots(PHI0).terms == {(9, 12): 1, (10, 11): 1}
+        with pytest.raises(ValueError, match="4-space"):
+            on_dx_slots(MV.basis(5, (1, 5)))
 
 
 class TestFlag:
@@ -335,6 +342,11 @@ class TestIndependence:
         vecs = [frame_vector(slot_of(f"dx{i}")) for i in (1, 2, 3)]
         assert not independence_check(vecs)
 
+    def test_dependent_vectors_are_refused(self):
+        v1, v2, _ = reference_flag().vectors
+        with pytest.raises(ValueError, match="linearly dependent"):
+            independence_check([v1, v2, [a - 2 * b for a, b in zip(v1, v2)]])
+
     def test_dx_components_ignored(self, rng):
         flag = reference_flag()
         shifted = []
@@ -374,7 +386,7 @@ class TestVerification:
         from pathgeom.eds import _verdict
 
         refused = {"integral": False, "zeta_nonzero": True, "pass": False}
-        for generator in (omega0_model(), wedge(theta(1, 0), theta(2, 0)),
+        for generator in (on_dx_slots(OMEGA0), wedge(theta(1, 0), theta(2, 0)),
                           wedge(theta(1, 1), MV.basis(DIM, (slot_of("dx4"),)))):
             assert _verdict(ConstantIdeal((generator,), ())) == refused
         full = ideal_at(rand_curvature(rng))
@@ -420,14 +432,16 @@ class TestVerdictReuse:
         ζ is the rank of the flag's integer rows on its three slots, so no
         determinant is taken and no Fraction row is scaled to integers; the
         five echelons are the flag's, c₁, c₂, ζ's and the linearization's,
-        which is echelonned from its integer rows, never from Fractions.
+        which is echelonned from its integer rows, never from Fractions.  The
+        ideal keeps its four forms' integer terms, so the only forms made
+        integers here are the eight of the linearization.
         """
         from pathgeom.eds import _verdict
 
         ideal = ideal_at(rand_curvature(rng))
         limits = {("eds", "_polar_rows"): 2, ("linalg", "_integer_rows"): 0, ("linalg", "echelon"): 5,
                   ("linalg", "rank"): 0, ("linalg", "det"): 0, ("linalg", "nullspace"): 0, ("linalg", "rref"): 0,
-                  ("eds", "is_integral_element"): 0, ("eds", "linearized_conditions"): 0}
+                  ("eds", "is_integral_element"): 0, ("eds", "linearized_conditions"): 0, ("eds", "_integer_terms"): 8}
         counters = {key: self.count_calls(monkeypatch, key[1], key[0]) for key in limits}
         assert _verdict(ideal)["pass"]
         calls = {key: counter["calls"] for key, counter in counters.items()}
@@ -528,6 +542,49 @@ def test_random_integral_flags_are_ordinary(rng):
             assert ch.as_tuple() == (0, 2, 3, 4)
             assert ch.codim_bound == 7 < ch.codim_actual == 8 and not ch.involutive
     assert admissible >= 20 and ordinary >= 0.9 * admissible
+
+
+@pytest.mark.parametrize("size", range(5))
+def test_elements_of_every_size_match_the_oracle(size):
+    """``is_integral_element`` and ``polar_space`` against dense polar rows and Fraction elimination, for 0–4 vectors.
+
+    An element starts with up to three vectors in the slots of θ⁰₁, θ⁰₂ and
+    θ¹₂, which the ideal never touches, and grows one oracle polar space at
+    a time, so integral elements of every size occur; where the polar space
+    has no room left, and for every odd trial, its last vector is drawn at
+    random, so that it is mostly not integral.  Each vector is then taken
+    times a rational, which the integer rows must undo.
+    """
+    rng = random.Random(size)
+    ideal = ideal_at(rand_curvature(rng))
+    frame = [frame_vector(s) for s in range(1, DIM + 1)]
+    seen = set()
+    for trial in range(8):
+        vecs = []
+        untouched = (trial // 2) % (min(size, 3) + 1)
+        while len(vecs) < size:
+            if len(vecs) < untouched:
+                basis = [frame_vector(slot_of(label)) for label in ("t01", "t02", "t12")]
+            else:
+                basis = fraction_nullspace(polar_rows_oracle(vecs, ideal)) if vecs else frame
+            if (trial % 2 and len(vecs) == size - 1) or len(basis) == len(vecs):
+                basis = frame
+            v = [sum((rng.randint(-3, 3) * b[s] for b in basis), Fraction(0)) * rand_fraction(rng, 1, 4, 7)
+                 for s in range(DIM)]
+            if rank(vecs + [v]) == len(vecs) + 1:
+                vecs.append(v)
+        rows = polar_rows_oracle(vecs, ideal)
+        integral = all(sum(r[s] * v[s] for s in range(DIM)) == 0 for r in rows for v in vecs)
+        seen.add(integral)
+        assert is_integral_element(vecs, ideal) == integral
+        if not integral:
+            with pytest.raises(ValueError, match="^polar space of a non-integral element$"):
+                polar_space(vecs, ideal)
+            continue
+        expected = fraction_nullspace(rows) if rows else frame
+        basis, codim = polar_space(vecs, ideal)
+        assert codim == DIM - len(expected) and span_equal(basis, expected)
+    assert seen == ({True} if size < 2 else {True, False})
 
 
 def _cartan_test(flag, ideal) -> dict:
