@@ -79,12 +79,16 @@ class MultiVector:
 
     @classmethod
     def from_terms(cls, dim: int, terms: Iterable[Tuple[Sequence[int], Fraction]], degree: int) -> "MultiVector":
-        """Build from (indices, coefficient) pairs of ``degree`` indices each; indices may be unsorted."""
-        acc: Dict[IndexTuple, Fraction] = {}
+        """Build from (indices, coefficient) pairs of ``degree`` indices each; indices may be unsorted.
+
+        The dimension and degree are checked first, and each list's length
+        before it is sorted, so no list longer than the dimension is sorted.
+        """
+        acc = cls.zero(dim, degree).terms
         for indices, coeff in terms:
-            idx, sign = _normalize_indices(indices)
-            if len(idx) != degree:
+            if len(indices) != degree:
                 raise ValueError("mixed degrees in term list")
+            idx, sign = _normalize_indices(indices)
             if sign == 0:
                 continue
             c = sign * to_scalar(coeff)

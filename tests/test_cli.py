@@ -856,6 +856,22 @@ class TestWorkLimits:
         code, out, _ = run(["hypersurface", "--input", path], capsys)
         assert code == 0 and len(json.loads(out)["points"]) == 1
 
+    @pytest.mark.parametrize("command", ["pair", "splitting"])
+    @pytest.mark.parametrize("degree, message", [(2, "mixed degrees in term list"),
+                                                 (50_000, "degree must be between 0 and 4, got 50000")],
+                             ids=["term-of-50000-indices", "degree-50000"])
+    def test_a_long_index_list_is_refused_before_it_is_sorted(self, command, degree, message, tmp_path):
+        """A form with one term of 50 000 indices, in descending order, is refused without sorting them.
+
+        Sorting an index list takes time quadratic in its length, so the
+        degree is checked against the dimension, and each list's length
+        against the degree, first.
+        """
+        form = {"dim": 4, "degree": degree, "terms": [{"idx": list(range(50_000, 0, -1)), "c": "1"}]}
+        payload = ({"omega": form, "phi": PHI0.to_json()} if command == "pair"
+                   else {**canonical_model(Fraction(1, 2)).to_json(), "L1": form})
+        assert message in self.rejected(command, "--input", write_json(tmp_path, "in.json", payload))
+
     def test_jets_past_the_digit_limit_end_at_once(self, tmp_path):
         """A 28 KB request of 4000-digit coefficients, exponents up to 100 and 2000-digit coordinates.
 
