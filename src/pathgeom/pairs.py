@@ -142,11 +142,7 @@ class NormalForm:
 
 def _form_matrix(form: MultiVector) -> linalg.Matrix:
     """The skew matrix W with form(u, v) = uᵀWv."""
-    w = [[Fraction(0)] * 4 for _ in range(4)]
-    for (i, j), c in form.terms.items():
-        w[i - 1][j - 1] = c
-        w[j - 1][i - 1] = -c
-    return w
+    return [[form.coefficient((i, j)) for j in range(1, 5)] for i in range(1, 5)]
 
 
 def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
@@ -207,8 +203,8 @@ def reconstruction_residual(pair: EllipticPair, nf: NormalForm) -> float:
 
     res = 0.0
     for i, j in combinations(range(4), 2):
-        omega = pair.omega.terms.get((i + 1, j + 1), 0)
-        phi = pair.phi.terms.get((i + 1, j + 1), 0)
+        omega = pair.omega.coefficient((i + 1, j + 1))
+        phi = pair.phi.coefficient((i + 1, j + 1))
         res = max(res, abs(minor(e1, e3, i, j) - minor(e2, e4, i, j) - float(omega)),
                   abs((minor(e1, e4, i, j) + minor(e2, e3, i, j)) * nf.kappa - float(phi)))
     return res
