@@ -50,7 +50,7 @@ _THETA_SLOT: Dict[Tuple[int, int], int] = {
     (1, 0): 4, (1, 1): 5, (1, 2): 6,
     (2, 0): 7, (2, 1): 8,
 }
-#: the 0-based slots of θ¹₀, θ²₀ and θ²₁, on which ζ is a 3×3 minor
+#: the 0-based slots of θ¹₀, θ²₀ and θ²₁, the only components ζ reads
 _ZETA_SLOTS = tuple(_THETA_SLOT[ij] - 1 for ij in ((1, 0), (2, 0), (2, 1)))
 
 
@@ -143,7 +143,7 @@ def _integer_terms(form: MultiVector) -> Tuple[dict, int]:
 
 
 class ConstantIdeal:
-    """Generators and their differentials frozen at a point, each also kept as integer terms, computed once here."""
+    """Generators and their differentials frozen at a point, with their integer terms, computed once, when built."""
 
     __slots__ = ("generators", "differentials", "_generator_terms", "_differential_terms")
 
@@ -167,7 +167,7 @@ def ideal_at(curvature: CurvatureSample) -> ConstantIdeal:
 
 
 class Flag:
-    """Nested elements E¹ ⊂ E² ⊂ … given by independent vectors, the one way vectors become integer rows.
+    """Nested elements E¹ ⊂ E² ⊂ … given by independent vectors: the one way vectors become integer rows.
 
     It keeps them times the lcm ``_scale`` of their denominators, as ints, and
     the pivots of their echelon form with the slots read backwards.

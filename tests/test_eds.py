@@ -569,8 +569,8 @@ def test_elements_of_every_size_match_the_oracle(size):
                 basis = fraction_nullspace(polar_rows_oracle(vecs, ideal)) if vecs else frame
             if (trial % 2 and len(vecs) == size - 1) or len(basis) == len(vecs):
                 basis = frame
-            v = [sum((rng.randint(-3, 3) * b[s] for b in basis), Fraction(0)) * rand_fraction(rng, 1, 4, 7)
-                 for s in range(DIM)]
+            coeffs, scale = [rng.randint(-3, 3) for _ in basis], rand_fraction(rng, 1, 4, 7)
+            v = [sum((k * b[s] for k, b in zip(coeffs, basis)), Fraction(0)) * scale for s in range(DIM)]
             if rank(vecs + [v]) == len(vecs) + 1:
                 vecs.append(v)
         rows = polar_rows_oracle(vecs, ideal)
