@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 # each cmd_* imports its own pipeline, and only ``pair``, ``splitting`` and
 # ``--epsilon`` import ``exterior``, so that a request loads only the modules it uses
-from .scalars import rational_from_json, scalar_to_json, sqrt_of
+from .scalars import DEFAULT_TOL, rational_from_json, scalar_to_json, sqrt_of
 
 #: the most curvature samples ``eds --samples`` draws; 10000 take about 0.5 s
 MAX_SAMPLES = 10_000
@@ -51,7 +51,7 @@ class Config:
 
     __slots__ = ("tolerance", "seed", "epsilon", "out")
 
-    def __init__(self, tolerance: float = 1e-9, seed: int = 0, epsilon=None, out: Optional[str] = None):
+    def __init__(self, tolerance: float = DEFAULT_TOL, seed: int = 0, epsilon=None, out: Optional[str] = None):
         if not 0 < tolerance < math.inf:
             raise ValueError(f"tolerance must be a finite number > 0, not {tolerance!r}")
         self.tolerance, self.seed, self.epsilon, self.out = tolerance, seed, epsilon, out
@@ -198,7 +198,9 @@ def cmd_eds_verify(payload, cfg: Config, samples: Optional[int]) -> tuple:
     if samples is not None:
         curvatures = eds.sample_curvatures(samples, seed=cfg.seed)
     else:
-        raw = payload.get("samples", payload) if isinstance(payload, dict) else payload
+        raw = payload.get("samples") if isinstance(payload, dict) else payload
+        if not isinstance(raw, list) or not all(isinstance(s, dict) for s in raw):
+            raise InputError("malformed curvature samples: samples must be an array of objects")
         try:
             curvatures = [eds.CurvatureSample.from_json(s) for s in raw]
         except (KeyError, TypeError, ValueError) as exc:
@@ -262,7 +264,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             from .exterior import MultiVector, VolumeForm
 
             eps = VolumeForm.from_form(MultiVector.from_json(json.loads(opts["--epsilon"])))
-        cfg = Config(tolerance=opts.get("--tol", 1e-9), seed=opts.get("--seed", 0), epsilon=eps,
+        cfg = Config(tolerance=opts.get("--tol", DEFAULT_TOL), seed=opts.get("--seed", 0), epsilon=eps,
                      out=opts.get("--out"))
     except (InputError, ValueError, TypeError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,10 @@ The dimension-4 specifics live at the bottom: the wedge pairing
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap
+from operator import gt
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from . import linalg
@@ -31,22 +33,13 @@ MAX_DIM = 12
 IndexTuple = Tuple[int, ...]
 
 
-def _normalize_indices(indices: Sequence[int]) -> Tuple[IndexTuple, int]:
-    """Sort an index tuple, returning (sorted tuple, permutation sign).
-
-    Sign 0 flags a repeated index (the monomial vanishes).
-    """
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] >= idx[j]:
-            if idx[j - 1] == idx[j]:
-                return tuple(idx), 0
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(idx), sign
+@functools.lru_cache(maxsize=4096)  # a wedge product meets the same monomials again
+def _normalize_indices(indices: IndexTuple) -> Tuple[IndexTuple, int]:
+    """(sorted tuple, sign): (−1) to the inversion count, which each caller bounds by the degree; 0 on a repeat."""
+    idx = tuple(sorted(indices))
+    if len(set(idx)) < len(idx):
+        return idx, 0
+    return idx, (-1) ** sum(starmap(gt, combinations(indices, 2)))
 
 
 class MultiVector:
@@ -88,7 +81,7 @@ class MultiVector:
         for indices, coeff in terms:
             if len(indices) != degree:
                 raise ValueError("mixed degrees in term list")
-            idx, sign = _normalize_indices(indices)
+            idx, sign = _normalize_indices(tuple(indices))
             if sign == 0:
                 continue
             c = sign * to_scalar(coeff)
@@ -112,10 +105,10 @@ class MultiVector:
     # -- basic queries -----------------------------------------------------
 
     def coefficient(self, indices: Sequence[int]) -> Fraction:
-        """Coefficient on an index tuple, sign-normalizing unsorted input."""
-        idx, sign = _normalize_indices(indices)
-        if sign == 0:
+        """Coefficient on an index tuple, sign-normalizing unsorted input; 0 on a tuple of another length."""
+        if len(indices) != self.degree:
             return Fraction(0)
+        idx, sign = _normalize_indices(tuple(indices))
         return sign * self.terms.get(idx, Fraction(0))
 
     @property
@@ -323,6 +316,11 @@ def pairing_signature(eps: VolumeForm = DEFAULT_VOLUME) -> Tuple[int, int]:
     if zero != 0:
         raise ValueError("wedge pairing degenerated; volume form invalid")
     return pos, neg
+
+
+def _form_matrix(form: MultiVector) -> linalg.Matrix:
+    """The skew matrix W with form(u, v) = uᵀWv, for a 2-form on ℝ⁴."""
+    return [[form.coefficient((i, j)) for j in range(1, 5)] for i in range(1, 5)]
 
 
 # -- dimension-4 model data ------------------------------------------------

@@ -51,7 +51,7 @@ from operator import add, ge, sub
 from typing import Dict, Sequence, Tuple, Union
 
 from .polynomials import Poly, RatFunc, RationalPoint, over_one_denominator
-from .scalars import MAX_DIGITS, scalar_to_json as _rational, to_scalar
+from .scalars import DEFAULT_TOL, MAX_DIGITS, scalar_to_json as _rational, to_scalar
 
 Coefficient = Union[Poly, RatFunc]
 NVARS = 3
@@ -60,6 +60,8 @@ NVARS = 3
 #: such values: about 12 750 digits at the 4250-digit point (1…1, 2…2, 3…3) of the sphere chart.
 MAX_JET_DIGITS = 2 * MAX_DIGITS
 _MAX_JET_BITS = math.ceil(MAX_JET_DIGITS * math.log2(10))
+#: the adapted coframe's allowance: the default of :func:`adapted_coframe_at` and the least a point record applies
+COFRAME_TOL = 1e-10
 
 
 def _cross(a: Sequence, b: Sequence):
@@ -388,7 +390,7 @@ def _coframe(coords: Tuple[Fraction, ...], b: Sequence, c: Sequence, den: int, t
     return AdaptedCoframe(coords, eta1, e, eta3)
 
 
-def adapted_coframe_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence, tol: float = 1e-10) -> AdaptedCoframe:
+def adapted_coframe_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence, tol: float = COFRAME_TOL) -> AdaptedCoframe:
     """Cross-product coframe at a point where β₁, β₂ are independent."""
     coords, b, _, c = _beta_jets(beta1, beta2, point, "beta forms")
     return _coframe(coords, b, c, 1, tol)
@@ -522,7 +524,7 @@ def compatibility_check(u: ParamMap, point: Sequence) -> bool:
 # -- per-point reports -------------------------------------------------------
 
 
-def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9) -> dict:
+def point_record(u: ParamMap, point: Sequence, tol: float = DEFAULT_TOL) -> dict:
     """One JSON-ready record per query point; degeneracies are flagged, not fatal."""
     # the record shows the point whatever its dimension, which the jets check,
     # and null if it has too many digits to be written
@@ -537,7 +539,7 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9) -> dict:
         rec["b2"] = b2_text = [_rational(x) for x in b2]
         # μ̂ ≠ 0 is the immersion test
         rec["independent"] = True
-        frame = _coframe(coords, bh, mu, scale * scale, max(tol, 1e-10))
+        frame = _coframe(coords, bh, mu, scale * scale, max(tol, COFRAME_TOL))
         rec["coframe"] = {
             "eta1": list(frame.eta1),
             "eta2": list(frame.eta2),
@@ -557,7 +559,7 @@ def point_record(u: ParamMap, point: Sequence, tol: float = 1e-9) -> dict:
     return rec
 
 
-def sample_report(u: ParamMap, points: Sequence[Sequence], tol: float = 1e-9) -> list:
+def sample_report(u: ParamMap, points: Sequence[Sequence], tol: float = DEFAULT_TOL) -> list:
     return [point_record(u, p, tol) for p in points]
 
 

@@ -29,15 +29,13 @@ from .exterior import (
     DEFAULT_VOLUME,
     MultiVector,
     VolumeForm,
+    _form_matrix,
     _gram_definite_sign,
     conformal_pairing,
     gram_matrix,
     pullback,
 )
-from .scalars import sqrt_of
-
-#: the allowance of the float reconstruction residual, relative to the largest coefficient
-DEFAULT_TOL = 1e-9
+from .scalars import DEFAULT_TOL, sqrt_of
 
 
 def is_symplectic(omega: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> bool:
@@ -138,11 +136,6 @@ class NormalForm:
             basis=tuple(tuple(float(x) for x in row) for row in data["basis"]),
             epsilon_flipped=bool(data["epsilon_flipped"]),
         )
-
-
-def _form_matrix(form: MultiVector) -> linalg.Matrix:
-    """The skew matrix W with form(u, v) = uᵀWv."""
-    return [[form.coefficient((i, j)) for j in range(1, 5)] for i in range(1, 5)]
 
 
 def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:

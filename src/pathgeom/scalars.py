@@ -36,6 +36,9 @@ MAX_DIGITS = 4300
 
 _TOO_LONG = 10 ** MAX_DIGITS
 
+#: the one default allowance of a float check: a reconstruction residual over the largest coefficient (``--tol``)
+DEFAULT_TOL = 1e-9
+
 
 def to_scalar(value) -> Fraction:
     """A number or a ``"p/q"`` string as a Fraction; a float is its exact binary value."""

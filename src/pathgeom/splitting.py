@@ -36,13 +36,13 @@ from .exterior import (
     PHI0,
     MultiVector,
     VolumeForm,
+    _form_matrix,
     _gram_definite_sign,
     gram_matrix,
     pullback,
     wedge,
 )
-from .pairs import DEFAULT_TOL, _form_matrix
-from .scalars import sqrt_of, to_scalar
+from .scalars import DEFAULT_TOL, sqrt_of, to_scalar
 
 
 class OrientedPositivePlane:

@@ -127,6 +127,18 @@ def test_scalars_are_read_in_one_place():
     assert reads == []
 
 
+def test_default_tolerances_are_written_once():
+    """The float ``1e-9`` is written only as ``scalars.DEFAULT_TOL``, and ``1e-10`` only as ``hypersurface.COFRAME_TOL``."""
+    sites = []
+    for path in sorted(Path(pathgeom.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {id(node.value): node.targets[0].id for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+        sites += [(node.value, path.name, named.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float and node.value in (1e-9, 1e-10)]
+    assert sorted(sites) == [(1e-10, "hypersurface.py", "COFRAME_TOL"), (1e-9, "scalars.py", "DEFAULT_TOL")]
+
+
 @pytest.mark.parametrize("read", [
     lambda: linalg.det([["1e5000"]]),
     lambda: Poly.constant("1e5000", 3),

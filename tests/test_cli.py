@@ -784,7 +784,7 @@ class TestEachCommandLoadsItsOwnPipeline:
     BASE = {"pathgeom", "pathgeom.cli", "pathgeom.scalars"}
     OWN = {
         "pair": {"pathgeom.exterior", "pathgeom.linalg", "pathgeom.pairs"},
-        "splitting": {"pathgeom.exterior", "pathgeom.linalg", "pathgeom.pairs", "pathgeom.splitting"},
+        "splitting": {"pathgeom.exterior", "pathgeom.linalg", "pathgeom.splitting"},
         "hypersurface": {"pathgeom.polynomials", "pathgeom.hypersurface"},
         "eds": {"pathgeom.exterior", "pathgeom.linalg", "pathgeom.eds"},
     }

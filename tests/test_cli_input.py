@@ -145,6 +145,17 @@ def test_missing_points_is_an_empty_report():
     assert call(["hypersurface"], payload)[:3] == (0, '{\n  "points": []\n}\n', "")
 
 
+@pytest.mark.parametrize("payload", [
+    {"samples": {"W1": 1}}, {"samples": "abc"}, {"W1": 1, "W2": 2, "F1": 3, "F2": 4},
+    {"samples": [1]}, {"samples": [[1, 2, 3, 4]]}, 5, None,
+], ids=["samples-object", "samples-string", "bare-sample", "number-sample", "array-sample", "number", "null"])
+def test_eds_samples_must_be_an_array_of_objects(payload):
+    """A sample is an object, in an array given bare or under ``"samples"``; anything else is one error line."""
+    code, out, err, _ = call(["eds"], payload)
+    assert_one_error_line(code, out, err)
+    assert err == "error: malformed curvature samples: samples must be an array of objects\n"
+
+
 @pytest.mark.parametrize("path", ["/nonexistent/samples.json", "-"], ids=["missing-file", "stdin"])
 def test_eds_input_and_samples_exclude_each_other(path):
     """``eds`` either reads its samples or draws them: given both, it reads neither and exits 1."""

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,11 +21,12 @@ from pathgeom import (
     pullback_pair_independent,
     wedge,
 )
+from pathgeom.exterior import _normalize_indices
 from pathgeom.linalg import rank as exact_rank
 from pathgeom.pairs import EllipticPair
 
 from conftest import rand_form, rand_injective_3to4, rand_invertible, rand_vector
-from oracles import evaluate_oracle, pullback_oracle, wedge_oracle
+from oracles import evaluate_oracle, perm_sign, pullback_oracle, wedge_oracle
 
 E = MultiVector.basis
 
@@ -38,6 +40,25 @@ class TestMultiVector:
     def test_repeated_index_vanishes(self):
         a = MultiVector.from_terms(4, [((2, 2), Fraction(7))], degree=2)
         assert a.is_zero
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.one_of(st.lists(st.integers(1, 12), max_size=12), st.lists(st.integers(1, 12), max_size=12, unique=True)),
+           st.integers(-9, 9))
+    def test_sign_rule_is_the_sign_of_the_sorting_permutation(self, indices, c):
+        """A monomial's sign is that of its sorting permutation, 0 on a repeated index, and ``from_terms`` applies it."""
+        repeated = len(set(indices)) < len(indices)
+        sign = 0 if repeated else perm_sign(sorted(range(len(indices)), key=indices.__getitem__))
+        idx = tuple(sorted(indices))
+        assert _normalize_indices(tuple(indices)) == (idx, sign)
+        expected = MultiVector(12, len(indices), {} if repeated else {idx: c * sign})
+        assert MultiVector.from_terms(12, [(indices, c)], degree=len(indices)) == expected
+
+    def test_coefficient_of_another_length_is_zero_at_once(self):
+        """A tuple of another length than the degree names no term, and is answered without sorting it."""
+        start = time.perf_counter()
+        assert OMEGA0.coefficient(tuple(range(5000, 0, -1))) == 0
+        assert time.perf_counter() - start < 0.5
+        assert OMEGA0.coefficient((3,)) == 0
 
     def test_zero_coefficients_dropped(self):
         a = MultiVector(4, 2, {(1, 2): Fraction(0)})
