@@ -12,8 +12,8 @@ coefficient times a k×k minor of a matrix: the vectors as columns, or the
 map's matrix.  That sum is taken in one place.
 
 The dimension-4 specifics live at the bottom: the wedge pairing
-⟨ω,φ⟩ defined by ω∧φ = ⟨ω,φ⟩ε for a chosen volume form ε, and its split
-(3,3) signature on Λ²(ℝ⁴)*.
+⟨ω,φ⟩ defined by ω∧φ = ⟨ω,φ⟩ε for a chosen volume form ε, its split
+(3,3) signature on Λ²(ℝ⁴)*, and the skew matrix of a 2-form.
 """
 
 from __future__ import annotations
