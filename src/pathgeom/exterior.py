@@ -18,10 +18,8 @@ The dimension-4 specifics live at the bottom: the wedge pairing
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
-from itertools import combinations, starmap
-from operator import gt
+from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from . import linalg
@@ -33,13 +31,19 @@ MAX_DIM = 12
 IndexTuple = Tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=4096)  # a wedge product meets the same monomials again
-def _normalize_indices(indices: IndexTuple) -> Tuple[IndexTuple, int]:
-    """(sorted tuple, sign): (−1) to the inversion count, which each caller bounds by the degree; 0 on a repeat."""
-    idx = tuple(sorted(indices))
-    if len(set(idx)) < len(idx):
-        return idx, 0
-    return idx, (-1) ** sum(starmap(gt, combinations(indices, 2)))
+def _normalize_indices(indices: Sequence[int]) -> Tuple[IndexTuple, int]:
+    """(sorted tuple, permutation sign) by insertion sort; sign 0 flags a repeated index, and each caller bounds the length."""
+    idx = list(indices)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] >= idx[j]:
+            if idx[j - 1] == idx[j]:
+                return tuple(idx), 0
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    return tuple(idx), sign
 
 
 class MultiVector:
@@ -57,7 +61,7 @@ class MultiVector:
             idx = tuple(idx)
             if len(idx) != degree:
                 raise ValueError(f"index tuple {idx} does not have degree {degree}")
-            if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
+            if idx != tuple(sorted(set(idx))):
                 raise ValueError(f"index tuple {idx} is not strictly increasing")
             if idx and not (1 <= idx[0] and idx[-1] <= dim):
                 raise ValueError(f"index tuple {idx} out of range for dim {dim}")
@@ -81,11 +85,9 @@ class MultiVector:
         for indices, coeff in terms:
             if len(indices) != degree:
                 raise ValueError("mixed degrees in term list")
-            idx, sign = _normalize_indices(tuple(indices))
-            if sign == 0:
-                continue
-            c = sign * to_scalar(coeff)
-            acc[idx] = acc.get(idx, Fraction(0)) + c
+            idx, sign = _normalize_indices(indices)
+            if sign:
+                acc[idx] = acc.get(idx, 0) + sign * to_scalar(coeff)
         return cls(dim, degree, acc)
 
     @classmethod
@@ -100,7 +102,7 @@ class MultiVector:
     @classmethod
     def one_form(cls, components: Sequence[Fraction]) -> "MultiVector":
         """Covector with the given components in the dual basis."""
-        return cls(len(components), 1, {(i + 1,): to_scalar(c) for i, c in enumerate(components) if to_scalar(c) != 0})
+        return cls(len(components), 1, {(i + 1,): c for i, c in enumerate(components)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -108,7 +110,7 @@ class MultiVector:
         """Coefficient on an index tuple, sign-normalizing unsorted input; 0 on a tuple of another length."""
         if len(indices) != self.degree:
             return Fraction(0)
-        idx, sign = _normalize_indices(tuple(indices))
+        idx, sign = _normalize_indices(indices)
         return sign * self.terms.get(idx, Fraction(0))
 
     @property
@@ -134,7 +136,7 @@ class MultiVector:
         self._check_same_space(other)
         acc = dict(self.terms)
         for idx, c in other.terms.items():
-            acc[idx] = acc.get(idx, Fraction(0)) + c
+            acc[idx] = acc.get(idx, 0) + c
         return MultiVector(self.dim, self.degree, acc)
 
     def __sub__(self, other: "MultiVector") -> "MultiVector":
@@ -236,10 +238,8 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
             idx, sign = _normalize_indices(ia + ib)
-            if sign == 0:
-                continue
-            c = sign * ca * cb
-            acc[idx] = acc.get(idx, Fraction(0)) + c
+            if sign:
+                acc[idx] = acc.get(idx, 0) + sign * ca * cb
     return MultiVector(a.dim, deg, acc)
 
 

@@ -147,10 +147,14 @@ def test_missing_points_is_an_empty_report():
 
 @pytest.mark.parametrize("payload", [
     {"samples": {"W1": 1}}, {"samples": "abc"}, {"W1": 1, "W2": 2, "F1": 3, "F2": 4},
-    {"samples": [1]}, {"samples": [[1, 2, 3, 4]]}, 5, None,
-], ids=["samples-object", "samples-string", "bare-sample", "number-sample", "array-sample", "number", "null"])
+    {"samples": [1]}, {"samples": [[1, 2, 3, 4]]}, 5, None, {},
+], ids=["samples-object", "samples-string", "bare-sample", "number-sample", "array-sample", "number", "null", "no-samples"])
 def test_eds_samples_must_be_an_array_of_objects(payload):
-    """A sample is an object, in an array given bare or under ``"samples"``; anything else is one error line."""
+    """A sample is an object, in an array given bare or under ``"samples"``; anything else is one error line.
+
+    An object without ``"samples"`` is refused too, where ``hypersurface`` reads a missing ``"points"`` as
+    none: an object holding samples would otherwise be taken for one bare sample.
+    """
     code, out, err, _ = call(["eds"], payload)
     assert_one_error_line(code, out, err)
     assert err == "error: malformed curvature samples: samples must be an array of objects\n"
