@@ -139,7 +139,7 @@ def cmd_pair_classify(payload, cfg: Config) -> tuple:
     }
     # an elliptic pair has ⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩² ≥ 0, so ω is symplectic and phi_orth is set
     if report["symplectic"]["omega"]:
-        phi_orth = orthogonalize(omega, phi, eps)
+        phi_orth = orthogonalize(omega, phi)
         report["orthogonalized_phi"] = phi_orth.to_json()
     if report["elliptic"]:
         pair = EllipticPair(omega, phi_orth, eps)

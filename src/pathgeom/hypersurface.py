@@ -60,7 +60,7 @@ NVARS = 3
 #: such values: about 12 750 digits at the 4250-digit point (1…1, 2…2, 3…3) of the sphere chart.
 MAX_JET_DIGITS = 2 * MAX_DIGITS
 _MAX_JET_BITS = math.ceil(MAX_JET_DIGITS * math.log2(10))
-#: the adapted coframe's allowance: the default of :func:`adapted_coframe_at` and the least a point record applies
+#: the adapted coframe's allowance: the one :func:`adapted_coframe_at` applies and the least a point record applies
 COFRAME_TOL = 1e-10
 
 
@@ -390,10 +390,10 @@ def _coframe(coords: Tuple[Fraction, ...], b: Sequence, c: Sequence, den: int, t
     return AdaptedCoframe(coords, eta1, e, eta3)
 
 
-def adapted_coframe_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence, tol: float = COFRAME_TOL) -> AdaptedCoframe:
-    """Cross-product coframe at a point where β₁, β₂ are independent."""
+def adapted_coframe_at(beta1: PolyForm3, beta2: PolyForm3, point: Sequence) -> AdaptedCoframe:
+    """Cross-product coframe at a point where β₁, β₂ are independent, checked to :data:`COFRAME_TOL`."""
     coords, b, _, c = _beta_jets(beta1, beta2, point, "beta forms")
-    return _coframe(coords, b, c, 1, tol)
+    return _coframe(coords, b, c, 1, COFRAME_TOL)
 
 
 def coframe_residual(frame: AdaptedCoframe, b1: Sequence, b2: Sequence) -> float:

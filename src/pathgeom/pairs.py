@@ -16,6 +16,9 @@ by its reconstruction of (ω, φ), in floats, before it is returned.
 
 An :class:`EllipticPair` computes its wedge Gram once, when built, and keeps
 it as ``pair.gram``; the functions below that take a pair read it from there.
+:func:`is_symplectic`, :func:`is_elliptic` and :func:`orthogonalize` take no
+volume form: ε ↦ cε divides every pairing by c, which moves no zero test, no
+sign of ⟨ω,ω⟩⟨φ,φ⟩ − ⟨ω,φ⟩² and no ratio of two pairings.
 """
 
 from __future__ import annotations
@@ -38,22 +41,22 @@ from .exterior import (
 from .scalars import DEFAULT_TOL, sqrt_of
 
 
-def is_symplectic(omega: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> bool:
+def is_symplectic(omega: MultiVector) -> bool:
     """True iff ω∧ω ≠ 0, i.e. ω is nondegenerate."""
-    return conformal_pairing(omega, omega, eps) != 0
+    return conformal_pairing(omega, omega) != 0
 
 
-def is_elliptic(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> bool:
+def is_elliptic(omega: MultiVector, phi: MultiVector) -> bool:
     """Strict inequality ⟨ω,ω⟩⟨φ,φ⟩ > ⟨ω,φ⟩², exactly."""
-    return _gram_definite_sign(gram_matrix(omega, phi, eps)) != 0
+    return _gram_definite_sign(gram_matrix(omega, phi)) != 0
 
 
-def orthogonalize(omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME) -> MultiVector:
+def orthogonalize(omega: MultiVector, phi: MultiVector) -> MultiVector:
     """φ′ = φ − (⟨ω,φ⟩/⟨ω,ω⟩)ω, so that ⟨ω,φ′⟩ = 0 exactly."""
-    ww = conformal_pairing(omega, omega, eps)
+    ww = conformal_pairing(omega, omega)
     if ww == 0:
         raise ValueError("omega is not symplectic; cannot orthogonalize against it")
-    wp = conformal_pairing(omega, phi, eps)
+    wp = conformal_pairing(omega, phi)
     return phi - omega * (wp / ww)
 
 

@@ -10,13 +10,13 @@ floating point.  Quotients are not reduced to lowest terms; evaluation only
 requires a nonvanishing denominator at the query point.
 
 Evaluation runs in integers, in one way.  A :class:`RationalPoint` writes
-the point over one common denominator and computes each power of a
-coordinate at most once; :func:`over_one_denominator` writes polynomials as
-:class:`IntPoly` over one shared denominator, so that their values at a point
-are plain ints times one shared factor, which cancels from their ratios.  A
-polynomial's value is its ratio to the constant 1, a quotient's the ratio of
-its numerator to its denominator, and ``hypersurface.CompiledMap`` builds on
-the same to evaluate exact jets of many functions at many points.
+the point over one common denominator; :func:`over_one_denominator` writes
+polynomials as :class:`IntPoly` over one shared denominator, so that their
+values at a point are plain ints times one shared factor, which cancels from
+their ratios.  A polynomial's value is its ratio to the constant 1, a
+quotient's the ratio of its numerator to its denominator, and
+``hypersurface.CompiledMap`` builds on the same to evaluate exact jets of many
+functions at many points.
 """
 
 from __future__ import annotations
@@ -284,13 +284,9 @@ class RatFunc:
 
 
 class RationalPoint:
-    """A rational point xᵢ = aᵢ/d over one common denominator d.
+    """A rational point xᵢ = aᵢ/d over one common denominator d: ``nums`` holds the aᵢ and ``den`` d."""
 
-    Powers aᵢᵏ and dᵏ are computed on first use and cached, so each distinct
-    power is computed once however many polynomials are evaluated here.
-    """
-
-    __slots__ = ("coords", "nums", "den", "_powers", "_den_powers")
+    __slots__ = ("coords", "nums", "den")
 
     def __init__(self, point: Sequence, nvars: int):
         if len(point) != nvars:
@@ -299,23 +295,6 @@ class RationalPoint:
         den = lcm(*(x.denominator for x in coords))
         self.nums = tuple(x.numerator * (den // x.denominator) for x in coords)
         self.den = den
-        self._powers: List[Dict[int, int]] = [{} for _ in coords]
-        self._den_powers: Dict[int, int] = {}
-
-    def power(self, var: int, k: int) -> int:
-        """aᵥₐᵣᵏ."""
-        cache = self._powers[var]
-        v = cache.get(k)
-        if v is None:
-            v = cache[k] = self.nums[var] ** k
-        return v
-
-    def den_power(self, k: int) -> int:
-        """dᵏ."""
-        v = self._den_powers.get(k)
-        if v is None:
-            v = self._den_powers[k] = self.den**k
-        return v
 
 
 class IntPoly:
@@ -339,9 +318,9 @@ class IntPoly:
         """The value at the point times scale·d^D."""
         total = 0
         for c, dk, powers in self.terms:
-            v = c * pt.den_power(dk)
+            v = c * pt.den**dk
             for i, k in powers:
-                v *= pt.power(i, k)
+                v *= pt.nums[i] ** k
             total += v
         return total
 

@@ -182,12 +182,12 @@ def degree(s: Splitting) -> float:
     return sqrt_of(degree_squared(s))
 
 
-def canonical_model(alpha, eps: VolumeForm = DEFAULT_VOLUME) -> Splitting:
-    """The model splitting of degree α: L₁ = {ω₀}, L₂ = {αω₀ + φ₀}."""
+def canonical_model(alpha) -> Splitting:
+    """The model splitting of degree α under the default volume form: L₁ = {ω₀}, L₂ = {αω₀ + φ₀}."""
     a = to_scalar(alpha)
     if a < 0:
         raise ValueError("degree must be nonnegative")
-    return Splitting(OMEGA0, OMEGA0 * a + PHI0, eps)
+    return Splitting(OMEGA0, OMEGA0 * a + PHI0)
 
 
 def equivalent(s1: Splitting, s2: Splitting, tol: float = 0) -> bool:
