@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 # each cmd_* imports its own pipeline, and only ``pair``, ``splitting`` and
 # ``--epsilon`` import ``exterior``, so that a request loads only the modules it uses
-from .scalars import DEFAULT_TOL, rational_from_json, scalar_to_json, sqrt_of
+from .scalars import DEFAULT_TOL, json_of_shape, rational_from_json, scalar_to_json, sqrt_of
 
 #: the most curvature samples ``eds --samples`` draws; 10000 take about 0.5 s
 MAX_SAMPLES = 10_000
@@ -104,10 +104,10 @@ def _load_payload(path: Optional[str]):
 
 
 def _load_object(path: Optional[str]) -> dict:
-    payload = _load_payload(path)
-    if not isinstance(payload, dict):
-        raise InputError(f"input must be a JSON object, not {type(payload).__name__}")
-    return payload
+    try:
+        return json_of_shape(_load_payload(path), dict, "input")
+    except TypeError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _two_form(data, name: str):
@@ -181,7 +181,7 @@ def cmd_hypersurface(payload, cfg: Config) -> tuple:
     from .hypersurface import ParamMap, sample_report
 
     try:
-        u = ParamMap.from_json(payload["map"])
+        u = ParamMap.from_json(payload.get("map"))
         points = payload.get("points", [])
         if not isinstance(points, list) or not all(isinstance(pt, list) for pt in points):
             raise TypeError("points must be an array of arrays")
@@ -263,7 +263,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "--epsilon" in opts:
             from .exterior import MultiVector, VolumeForm
 
-            eps = VolumeForm.from_form(MultiVector.from_json(json.loads(opts["--epsilon"])))
+            try:
+                data = json.loads(opts["--epsilon"])
+            except json.JSONDecodeError as exc:
+                raise InputError(f"--epsilon expects a JSON volume form: {exc}") from None
+            eps = VolumeForm.from_form(MultiVector.from_json(data, "--epsilon"))
         cfg = Config(tolerance=opts.get("--tol", DEFAULT_TOL), seed=opts.get("--seed", 0), epsilon=eps,
                      out=opts.get("--out"))
     except (InputError, ValueError, TypeError, KeyError, RecursionError) as exc:

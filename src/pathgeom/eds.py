@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .exterior import OMEGA0, PHI0, MultiVector, wedge
-from .scalars import rational_from_json, scalar_to_json, to_scalar
+from .scalars import json_of_shape, rational_from_json, scalar_to_json, to_scalar
 
 DIM = 12
 
@@ -87,6 +87,7 @@ class CurvatureSample:
 
     @classmethod
     def from_json(cls, data) -> "CurvatureSample":
+        data = json_of_shape(data, dict, "a curvature sample", *cls._KEYS)
         return cls(*(rational_from_json(data[k]) for k in cls._KEYS))
 
 

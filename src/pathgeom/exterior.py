@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from . import linalg
-from .scalars import index_from_json, rational_from_json, scalar_to_json, to_scalar
+from .scalars import index_from_json, json_of_shape, rational_from_json, scalar_to_json, to_scalar
 
 MIN_DIM = 3
 MAX_DIM = 12
@@ -178,10 +178,15 @@ class MultiVector:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "MultiVector":
+    def from_json(cls, data, name: str = "the form") -> "MultiVector":
+        """The form of ``{"dim", "degree", "terms": [{"idx", "c"}, ...]}``; a shape error names ``name``."""
+        data = json_of_shape(data, dict, name, "dim", "degree", "terms")
+        terms = [json_of_shape(t, dict, f"a term of {name}", "idx", "c")
+                 for t in json_of_shape(data["terms"], list, f"the terms of {name}")]
         return cls.from_terms(
             index_from_json(data["dim"]),
-            [(tuple(map(index_from_json, t["idx"])), rational_from_json(t["c"])) for t in data["terms"]],
+            [(tuple(map(index_from_json, json_of_shape(t["idx"], list, f"an idx of {name}"))),
+              rational_from_json(t["c"])) for t in terms],
             degree=index_from_json(data["degree"]),
         )
 

@@ -51,7 +51,7 @@ from operator import add, ge, sub
 from typing import Dict, Sequence, Tuple, Union
 
 from .polynomials import Poly, RatFunc, RationalPoint, over_one_denominator
-from .scalars import DEFAULT_TOL, MAX_DIGITS, scalar_to_json as _rational, to_scalar
+from .scalars import DEFAULT_TOL, MAX_DIGITS, json_of_shape, scalar_to_json as _rational, to_scalar
 
 Coefficient = Union[Poly, RatFunc]
 NVARS = 3
@@ -116,13 +116,12 @@ class ParamMap:
 
     @classmethod
     def from_json(cls, data) -> "ParamMap":
-        if not isinstance(data, dict):
-            raise TypeError(f"map must be a JSON object, not {type(data).__name__}")
+        data = json_of_shape(data, dict, "map", "components")
+        components = json_of_shape(data["components"], list, "the map's components")
         if data.get("type") == "rational":
-            return cls(tuple(
-                RatFunc(Poly.from_json(c["num"], NVARS), Poly.from_json(c["den"], NVARS)) for c in data["components"]
-            ))
-        return cls(tuple(Poly.from_json(c, NVARS) for c in data["components"]))
+            components = [json_of_shape(c, dict, "a rational component", "num", "den") for c in components]
+            return cls(tuple(RatFunc(Poly.from_json(c["num"], NVARS), Poly.from_json(c["den"], NVARS)) for c in components))
+        return cls(tuple(Poly.from_json(c, NVARS) for c in components))
 
 
 # ``perfbench/layers.py`` wraps ``_ParamMap.jacobian_at`` by this name; the

@@ -23,6 +23,7 @@ sign of ⟨ω,ω⟩⟨φ,φ⟩ − ⟨ω,φ⟩² and no ratio of two pairings.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence, Tuple
@@ -148,13 +149,16 @@ def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
     reconstruction residual beyond ``tol`` times the largest coefficient.  If
     both self-pairings are negative the volume form is flipped and the flip
     recorded.  The returned form keeps the reconstruction residual it was
-    checked on.
+    checked on.  A κ, basis entry or coefficient outside the float range is
+    refused with an error that says so.
     """
     ww, pp = _require_orthogonal(pair)
     # elliptic + orthogonal forces sign(<w,w>) == sign(<p,p>)
     flipped = ww < 0
     k2 = pp / ww
     kappa = sqrt_of(k2)
+    if not kappa:
+        raise ValueError("kappa is below the float range")
 
     # exact, so the basis is rounded once, when it is stored.  e3 is the
     # minimum-norm solution of m0·e3 = 1, m1·e3 = 0 for m0 = ω(e1,·),
@@ -174,16 +178,30 @@ def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
     # <w,w> > 0, as epsilon_flipped records
     if linalg.det(rows) * 2 * k2 != pair.eps.coefficient * ww:
         raise ValueError("constructed basis is singular or inconsistently oriented; input violates invariants")
-    nf = NormalForm(
-        kappa=kappa,
-        basis=tuple(tuple(float(x) * f for x in row) for row, f in zip(rows, (1.0, kappa, 1.0, kappa))),
-        epsilon_flipped=flipped,
-    )
-    res = reconstruction_residual(pair, nf)
-    if res > tol * max(pair.omega.norm_inf(), pair.phi.norm_inf()):
+    try:
+        basis = tuple(tuple(_times_float(x, f) for x in row) for row, f in zip(rows, (1.0, kappa, 1.0, kappa)))
+        nf = NormalForm(kappa=kappa, basis=basis, epsilon_flipped=flipped)
+        res = reconstruction_residual(pair, nf)
+        bound = tol * max(pair.omega.norm_inf(), pair.phi.norm_inf())
+    except OverflowError:
+        raise ValueError("a basis entry or a coefficient of the pair is beyond the float range") from None
+    if res > bound:
         raise ValueError(f"normal-form reconstruction residual {res:.3e} exceeds tolerance")
     nf.residual = res
     return nf
+
+
+def _times_float(x: Fraction, f: float) -> float:
+    """float(x)·f, also where float(x) alone would leave the float range; OverflowError beyond it.
+
+    With x = y·2ˢ and f = g·2ᵗ for y, g near 1, y·g rounds as float(x)·f does,
+    scaled by 2⁻ˢ⁻ᵗ, wherever that product is a normal float, and a power of two
+    scales a float exactly.
+    """
+    n, d = x.numerator, x.denominator
+    s = n.bit_length() - d.bit_length()
+    g, t = math.frexp(f)
+    return math.ldexp((n / (d << s) if s >= 0 else (n << -s) / d) * g, s + t)
 
 
 def reconstruction_residual(pair: EllipticPair, nf: NormalForm) -> float:

@@ -26,7 +26,7 @@ from math import comb, lcm, prod
 from operator import ge, sub
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .scalars import index_from_json, rational_from_json, scalar_to_json, to_scalar
+from .scalars import index_from_json, json_of_shape, rational_from_json, scalar_to_json, to_scalar
 
 Exponent = Tuple[int, ...]
 
@@ -187,8 +187,9 @@ class Poly:
     def from_json(cls, data, nvars: int) -> "Poly":
         """The polynomial of a list of terms {"exp", "c"}; terms of one exponent are summed."""
         terms: Dict[Exponent, Fraction] = {}
-        for t in data:
-            exp = tuple(map(index_from_json, t["exp"]))
+        for t in json_of_shape(data, list, "a polynomial"):
+            t = json_of_shape(t, dict, "a polynomial term", "exp", "c")
+            exp = tuple(map(index_from_json, json_of_shape(t["exp"], list, "an exponent")))
             terms[exp] = terms.get(exp, 0) + rational_from_json(t["c"])
         p = cls(nvars, terms)
         for exp in p.terms:

@@ -19,7 +19,9 @@ of two forms:
   3602879701896397/36028797018963968.  A non-finite float is refused.
 
 An index is a number with an integral value: 4.0 is 4, and bools, strings and
-1.5 are refused.  :func:`scalar_to_json` writes a ``Fraction`` as ``"p/q"`` and
+1.5 are refused.  The readers of JSON objects and arrays check each value's
+shape with :func:`json_of_shape`, whose errors name the shape expected or the
+missing key.  :func:`scalar_to_json` writes a ``Fraction`` as ``"p/q"`` and
 refuses one whose numerator or denominator has more than :data:`MAX_DIGITS`
 digits, the most that CPython converts to text.
 """
@@ -108,6 +110,20 @@ def rational_from_json(value) -> Fraction:
             raise ValueError(f"non-finite number {value!r}")
         return _fraction(repr(value))
     raise TypeError(f"cannot parse scalar from {value!r}")
+
+
+def json_of_shape(value, shape: type, what: str, *keys: str):
+    """``value``, once it is a JSON object (``shape`` dict) holding ``keys``, or a JSON array (``shape`` list).
+
+    Otherwise a TypeError names ``what`` and the shape expected, or a ValueError the missing key.
+    """
+    if not isinstance(value, shape):
+        got = "null" if value is None else "object" if isinstance(value, dict) else type(value).__name__
+        raise TypeError(f"{what} must be a JSON {'object' if shape is dict else 'array'}, not {got}")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{what} has no key {key!r}")
+    return value
 
 
 def index_from_json(value) -> int:

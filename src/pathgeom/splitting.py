@@ -42,7 +42,7 @@ from .exterior import (
     pullback,
     wedge,
 )
-from .scalars import DEFAULT_TOL, sqrt_of, to_scalar
+from .scalars import DEFAULT_TOL, json_of_shape, sqrt_of, to_scalar
 
 
 class OrientedPositivePlane:
@@ -133,10 +133,11 @@ class Splitting:
 
     @classmethod
     def from_json(cls, data) -> "Splitting":
+        data = json_of_shape(data, dict, "a splitting", "L1", "L2")
         eps = DEFAULT_VOLUME
         if data.get("epsilon") is not None:
-            eps = VolumeForm.from_form(MultiVector.from_json(data["epsilon"]))
-        return cls(MultiVector.from_json(data["L1"]), MultiVector.from_json(data["L2"]), eps)
+            eps = VolumeForm.from_form(MultiVector.from_json(data["epsilon"], "'epsilon'"))
+        return cls(MultiVector.from_json(data["L1"], "'L1'"), MultiVector.from_json(data["L2"], "'L2'"), eps)
 
 
 # -- the correspondence J <-> Lambda_J --------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathgeom import OMEGA0, PHI0, canonical_model, heisenberg_model, sphere_chart_model
+from pathgeom import OMEGA0, PHI0, MultiVector, canonical_model, heisenberg_model, sphere_chart_model
 from pathgeom.cli import main
 from pathgeom.polynomials import Poly
 
@@ -169,6 +169,98 @@ def test_eds_input_and_samples_exclude_each_other(path):
     assert call(["eds", "--samples", "0"], None)[:3] == (0, '{\n  "samples": [],\n  "all_pass": true\n}\n', "")
 
 
+def _edited(data, key, value=None):
+    """A copy of the JSON ``data`` with ``key`` set to ``value``, or deleted when ``value`` is None."""
+    data = json.loads(json.dumps(data))
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    return data
+
+
+def _form_without_a_c():
+    form = PHI0.to_json()
+    del form["terms"][0]["c"]
+    return form
+
+
+#: (argv, payload, the error line) for a value of the wrong shape, or a missing key, at each reader of JSON
+SHAPE_ERRORS = {
+    "pair-no-phi": (["pair"], {"omega": OMEGA0.to_json()},
+                    "malformed 2-form 'phi': the form must be a JSON object, not null"),
+    "pair-phi-list": (["pair"], {"omega": OMEGA0.to_json(), "phi": [1]},
+                      "malformed 2-form 'phi': the form must be a JSON object, not list"),
+    "pair-terms-number": (["pair"], {"omega": OMEGA0.to_json(), "phi": _edited(PHI0.to_json(), "terms", 5)},
+                          "malformed 2-form 'phi': the terms of the form must be a JSON array, not int"),
+    "pair-term-without-c": (["pair"], {"omega": OMEGA0.to_json(), "phi": _form_without_a_c()},
+                            "malformed 2-form 'phi': a term of the form has no key 'c'"),
+    "splitting-epsilon-number": (["splitting"], _edited(canonical_model(1).to_json(), "epsilon", 5),
+                                 "malformed splitting: 'epsilon' must be a JSON object, not int"),
+    "splitting-no-L2": (["splitting"], _edited(canonical_model(1).to_json(), "L2"),
+                        "malformed splitting: a splitting has no key 'L2'"),
+    "epsilon-list": (["--epsilon", "[1]", "pair"], pair_payload(), "--epsilon must be a JSON object, not list"),
+    "epsilon-not-json": (["--epsilon", "nope", "pair"], pair_payload(),
+                         "--epsilon expects a JSON volume form: Expecting value: line 1 column 1 (char 0)"),
+    "hypersurface-number-components": (
+        ["hypersurface"], {"map": _edited(heisenberg_model().to_json(), "components", [1, 2, 3, 4]), "points": []},
+        "malformed hypersurface input: a polynomial must be a JSON array, not int"),
+    "hypersurface-no-map": (["hypersurface"], {"points": []},
+                            "malformed hypersurface input: map must be a JSON object, not null"),
+}
+
+
+@pytest.mark.parametrize("argv, payload, line", SHAPE_ERRORS.values(), ids=SHAPE_ERRORS)
+def test_a_shape_error_names_the_shape_or_the_key(argv, payload, line):
+    assert call(argv, payload)[:3] == (1, "", f"error: {line}\n")
+
+
+def test_omega_of_another_degree_is_refused():
+    payload = {"omega": MultiVector.basis(4, (1, 2, 3)).to_json(), "phi": PHI0.to_json()}
+    assert call(["pair"], payload)[:3] == (1, "", "error: 'omega' must be a 2-form on the 4-space\n")
+
+
+def test_splitting_without_epsilon_takes_the_option():
+    """``--epsilon`` applies to a splitting that names no ε of its own: −e¹²³⁴ flips the model's pairing."""
+    payload = _edited(canonical_model(Fraction(1, 2)).to_json(), "epsilon")
+    code, out, err, _ = call(["--epsilon", json.dumps(eps_json(-1)), "splitting"], payload)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["epsilon_flipped"] is True
+    assert json.loads(call(["splitting"], payload)[1])["epsilon_flipped"] is False
+
+
+def test_map_of_three_components_is_refused():
+    payload = {"map": _edited(heisenberg_model().to_json(), "components", heisenberg_model().to_json()["components"][:3]),
+               "points": []}
+    assert call(["hypersurface"], payload)[:3] == (
+        1, "", "error: malformed hypersurface input: ParamMap needs exactly four polynomial or rational-function "
+               "components\n")
+
+
+def test_residual_beyond_tol_is_refused():
+    """ω = 3ω₀, φ = 2φ₀ + ω₀/3 + e¹²/5 reconstructs to one rounding, which ``--tol 1e-300`` does not allow."""
+    phi = PHI0 * 2 + OMEGA0 * Fraction(1, 3) + MultiVector.basis(4, (1, 2)) * Fraction(1, 5)
+    payload = {"omega": (OMEGA0 * 3).to_json(), "phi": phi.to_json()}
+    assert call(["pair"], payload)[0] == 0
+    assert call(["--tol", "1e-300", "pair"], payload)[:3] == (
+        1, "", "error: normal-form reconstruction residual 2.776e-17 exceeds tolerance\n")
+
+
+@pytest.mark.parametrize("omega_scale, phi_scale, code", [
+    (Fraction(10) ** 155, 1, 0), (Fraction(10) ** -300, 1, 0), (Fraction(10) ** 2000, 1, 1), (1, Fraction(10) ** -2000, 1),
+], ids=["1e155", "1e-300", "1e2000", "phi-1e-2000"])
+def test_pair_near_the_float_range(omega_scale, phi_scale, code):
+    """A normal form in floats is printed whatever the size of its intermediates; one beyond floats is one line."""
+    payload = {"omega": (OMEGA0 * omega_scale).to_json(), "phi": (PHI0 * phi_scale).to_json()}
+    got, out, err, _ = call(["pair"], payload)
+    if code == 0:
+        assert (got, err) == (0, "")
+        assert json.loads(out)["reconstruction_residual"] <= 1e-9
+    else:
+        assert_one_error_line(got, out, err)
+        assert "float range" in err
+
+
 # -- fuzz ------------------------------------------------------------------------
 
 FUZZ_BASES = {
@@ -202,6 +294,19 @@ def node_paths(node, path=()):
         yield from node_paths(child, path + (key,))
 
 
+#: every key of the input schemas: an error line that ends in one of them, quoted, names a Python KeyError
+SCHEMA_KEYS = ("omega", "phi", "dim", "degree", "terms", "idx", "c", "L1", "L2", "epsilon", "map", "components",
+               "type", "num", "den", "exp", "vars", "points", "samples", "W1", "W2", "F1", "F2")
+
+
+def assert_no_python_internals(err):
+    """The line names the shape expected or the key missing, not a Python exception's wording."""
+    line = err.rstrip("\n")
+    assert not any(s in line for s in ("object is not", "indices must be", "NoneType")), line
+    assert not line.startswith("error: Expecting value"), line
+    assert not any(line.endswith(f": {key!r}") for key in SCHEMA_KEYS), line
+
+
 def mutate(payload, path, value):
     *head, last = path
     node = payload
@@ -213,7 +318,8 @@ def mutate(payload, path, value):
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(st.sampled_from(sorted(FUZZ_BASES)), st.lists(st.tuples(st.integers(0, 10**6), MUTANTS), min_size=1, max_size=3))
 def test_fuzzed_request_keeps_the_exit_contract(command, mutations):
-    """Exit 0, 1 or 2; JSON on stdout for 0 and 2; one ``error:`` line for 1; no exception; no long run."""
+    """Exit 0, 1 or 2; JSON on stdout for 0 and 2; one ``error:`` line without Python internals for 1; no exception;
+    no long run."""
     argv, base = FUZZ_BASES[command]
     payload = json.loads(json.dumps(base))
     for pick, value in mutations:
@@ -227,6 +333,7 @@ def test_fuzzed_request_keeps_the_exit_contract(command, mutations):
     assert code in (0, 1, 2)
     if code == 1:
         assert_one_error_line(code, out, err)
+        assert_no_python_internals(err)
     else:
         json.loads(out)
     assert seconds < 2

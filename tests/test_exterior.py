@@ -75,6 +75,11 @@ class TestMultiVector:
         with pytest.raises(ValueError):
             MultiVector(13, 2, {})
 
+    def test_unsorted_index_tuple_refused_at_construction(self):
+        """The constructor takes sorted tuples only; ``from_terms`` is the door for unsorted ones."""
+        with pytest.raises(ValueError, match=r"index tuple \(3, 1\) is not strictly increasing"):
+            MultiVector(4, 2, {(3, 1): 1})
+
     def test_float_coefficient_is_its_binary_value(self):
         a = MultiVector(4, 2, {(1, 2): Fraction(1)})
         b = MultiVector(4, 2, {(1, 2): 0.5, (3, 4): 0.1})

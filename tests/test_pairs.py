@@ -207,6 +207,33 @@ class TestNormalForm:
         assert "residual" not in nf.to_json()
         assert NormalForm.from_json(nf.to_json()).residual is None
 
+    @pytest.mark.parametrize("scale", [Fraction(10) ** 155, Fraction(10) ** -300], ids=["1e155", "1e-300"])
+    def test_basis_in_floats_whose_rows_over_kappa_squared_are_not(self, scale):
+        """ω = sω₀, φ = φ₀ has κ = 1/s and the basis diag(1, 1, s, s); rows 2 and 4 over κ² are s²-sized."""
+        pair = EllipticPair(OMEGA0 * scale, PHI0)
+        nf = normal_form(pair)
+        s = float(scale)
+        assert nf.kappa == float(1 / scale)
+        assert nf.basis == ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, s, 0.0), (0.0, 0.0, 0.0, s))
+        assert nf.residual <= DEFAULT_TOL * max(pair.omega.norm_inf(), pair.phi.norm_inf())
+
+    @pytest.mark.parametrize("omega, phi", [
+        (OMEGA0 * Fraction(10) ** 2000, PHI0),
+        (OMEGA0, PHI0 * Fraction(10) ** -2000),
+        (OMEGA0 * Fraction(10) ** 400, PHI0 * Fraction(10) ** 400),
+    ], ids=["kappa-1e-2000-large-omega", "kappa-1e-2000-small-phi", "basis-entry-1e400"])
+    def test_beyond_the_float_range_is_named(self, omega, phi):
+        with pytest.raises(ValueError, match="float range"):
+            normal_form(EllipticPair(omega, phi))
+
+    def test_residual_beyond_the_tolerance_is_refused(self):
+        """A residual of one rounding, 2.776e-17, is refused at tol = 1e-300 and kept at the default."""
+        omega, phi = OMEGA0 * 3, PHI0 * 2 + OMEGA0 * Fraction(1, 3) + E(4, (1, 2)) * Fraction(1, 5)
+        pair = EllipticPair(omega, orthogonalize(omega, phi))
+        assert normal_form(pair).residual == pytest.approx(2.776e-17, rel=1e-3)
+        with pytest.raises(ValueError, match=r"residual 2\.776e-17 exceeds tolerance"):
+            normal_form(pair, tol=1e-300)
+
 
 def _orient(entries) -> list:
     rows = [list(entries[i:i + 4]) for i in range(0, 16, 4)]
