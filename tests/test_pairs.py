@@ -226,14 +226,6 @@ class TestNormalForm:
         with pytest.raises(ValueError, match="float range"):
             normal_form(EllipticPair(omega, phi))
 
-    def test_residual_beyond_the_tolerance_is_refused(self):
-        """A residual of one rounding, 2.776e-17, is refused at tol = 1e-300 and kept at the default."""
-        omega, phi = OMEGA0 * 3, PHI0 * 2 + OMEGA0 * Fraction(1, 3) + E(4, (1, 2)) * Fraction(1, 5)
-        pair = EllipticPair(omega, orthogonalize(omega, phi))
-        assert normal_form(pair).residual == pytest.approx(2.776e-17, rel=1e-3)
-        with pytest.raises(ValueError, match=r"residual 2\.776e-17 exceeds tolerance"):
-            normal_form(pair, tol=1e-300)
-
 
 def _orient(entries) -> list:
     rows = [list(entries[i:i + 4]) for i in range(0, 16, 4)]
