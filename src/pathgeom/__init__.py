@@ -39,11 +39,11 @@ scalars, linalg, exterior, polynomials, pairs, splitting, hypersurface, eds = ma
 #: the submodule that defines each exported name
 _SOURCE = {
     **dict.fromkeys((
-        "MultiVector", "VolumeForm", "DEFAULT_VOLUME", "OMEGA0", "PHI0", "J0_MATRIX",
+        "MultiVector", "VolumeForm", "DEFAULT_VOLUME", "OMEGA0", "PHI0", "J0_MATRIX", "EllipticPair",
         "wedge", "evaluate", "pullback", "conformal_pairing", "gram_matrix", "pairing_signature",
     ), "exterior"),
     **dict.fromkeys((
-        "EllipticPair", "NormalForm", "is_symplectic", "is_elliptic", "orthogonalize",
+        "NormalForm", "is_symplectic", "is_elliptic", "orthogonalize",
         "kappa_invariant", "kappa_invariant_squared", "normal_form", "pullback_pair_independent",
     ), "pairs"),
     **dict.fromkeys((

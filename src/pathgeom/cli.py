@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps(str) writes
 from typing import Optional, Sequence
 
@@ -27,6 +29,10 @@ from .scalars import DEFAULT_TOL, json_of_shape, rational_from_json, scalar_to_j
 
 #: the most curvature samples ``eds --samples`` draws; 10000 take about 0.5 s
 MAX_SAMPLES = 10_000
+
+#: the deepest nesting of JSON arrays and objects that is read, the same on every Python, whose JSON reader's own
+#: limit follows its recursion limit; a valid request nests at most 7 deep
+MAX_NESTING = 100
 
 USAGE = f"""\
 usage: pathgeom [--tol TOL] [--seed SEED] [--epsilon JSON] [--out PATH] COMMAND [--input PATH]
@@ -93,21 +99,29 @@ def render_json(value, indent: int = 0) -> str:
     return json.dumps(value)
 
 
+def _parse_json(text: str, what: str):
+    """The JSON value of ``text``; malformed, or nested past :data:`MAX_NESTING`, it is one error line led by ``what``."""
+    try:
+        value = json.loads(text)
+        brackets = re.sub(r'"[^"\\]*(?:\\.[^"\\]*)*"|[^][{}"]+', "", text)  # those outside strings
+        depth = max(accumulate(map({"[": 1, "{": 1, "]": -1, "}": -1}.__getitem__, brackets)), default=0)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what}: {exc}") from None
+    except RecursionError:
+        depth = math.inf
+    if depth > MAX_NESTING:
+        raise InputError(f"{what}: JSON arrays and objects nested more than {MAX_NESTING} deep are refused")
+    return value
+
+
 def _load_payload(path: Optional[str]):
     try:
         if path in (None, "-"):
-            return json.load(sys.stdin)
+            return _parse_json(sys.stdin.read(), "cannot read input")
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+            return _parse_json(fh.read(), "cannot read input")
+    except OSError as exc:
         raise InputError(f"cannot read input: {exc}") from exc
-
-
-def _load_object(path: Optional[str]) -> dict:
-    try:
-        return json_of_shape(_load_payload(path), dict, "input")
-    except TypeError as exc:
-        raise InputError(str(exc)) from None
 
 
 def _two_form(data, name: str):
@@ -122,10 +136,11 @@ def _two_form(data, name: str):
     return form
 
 
-def cmd_pair_classify(payload, cfg: Config) -> tuple:
-    from .exterior import DEFAULT_VOLUME, _gram_definite_sign, gram_matrix
-    from .pairs import EllipticPair, normal_form, orthogonalize
+def cmd_pair_classify(opts: dict, cfg: Config) -> tuple:
+    from .exterior import DEFAULT_VOLUME, EllipticPair, _gram_definite_sign, gram_matrix
+    from .pairs import normal_form, orthogonalize
 
+    payload = json_of_shape(_load_payload(opts.get("--input")), dict, "input")
     omega = _two_form(payload.get("omega"), "omega")
     phi = _two_form(payload.get("phi"), "phi")
     eps = cfg.epsilon or DEFAULT_VOLUME
@@ -142,8 +157,7 @@ def cmd_pair_classify(payload, cfg: Config) -> tuple:
         phi_orth = orthogonalize(omega, phi)
         report["orthogonalized_phi"] = phi_orth.to_json()
     if report["elliptic"]:
-        pair = EllipticPair(omega, phi_orth, eps)
-        nf = normal_form(pair, tol=cfg.tolerance)
+        nf = normal_form(EllipticPair(omega, phi_orth, eps), tol=cfg.tolerance)
         report["kappa"] = nf.kappa
         report["normal_form"] = nf.to_json()
         report["reconstruction_residual"] = nf.residual
@@ -153,9 +167,10 @@ def cmd_pair_classify(payload, cfg: Config) -> tuple:
     return report, 0
 
 
-def cmd_splitting_degree(payload, cfg: Config) -> tuple:
+def cmd_splitting_degree(opts: dict, cfg: Config) -> tuple:
     from .splitting import Splitting, canonical_model, degree, degree_squared
 
+    payload = json_of_shape(_load_payload(opts.get("--input")), dict, "input")
     try:
         if "epsilon" not in payload and cfg.epsilon is not None:
             payload = dict(payload, epsilon=cfg.epsilon.as_form().to_json())
@@ -177,9 +192,10 @@ def cmd_splitting_degree(payload, cfg: Config) -> tuple:
     return report, 0
 
 
-def cmd_hypersurface(payload, cfg: Config) -> tuple:
+def cmd_hypersurface(opts: dict, cfg: Config) -> tuple:
     from .hypersurface import ParamMap, sample_report
 
+    payload = json_of_shape(_load_payload(opts.get("--input")), dict, "input")
     try:
         u = ParamMap.from_json(payload.get("map"))
         points = payload.get("points", [])
@@ -192,12 +208,18 @@ def cmd_hypersurface(payload, cfg: Config) -> tuple:
     return {"points": records}, 0
 
 
-def cmd_eds_verify(payload, cfg: Config, samples: Optional[int]) -> tuple:
+def cmd_eds_verify(opts: dict, cfg: Config) -> tuple:
     from . import eds
 
+    path, samples = opts.get("--input"), opts.get("--samples")
     if samples is not None:
+        if path is not None:
+            raise InputError("eds reads --input or draws --samples, not both")
+        if not 0 <= samples <= MAX_SAMPLES:
+            raise InputError(f"--samples must be nonnegative and at most {MAX_SAMPLES}")
         curvatures = eds.sample_curvatures(samples, seed=cfg.seed)
     else:
+        payload = _load_payload(path)
         raw = payload.get("samples") if isinstance(payload, dict) else payload
         if not isinstance(raw, list) or not all(isinstance(s, dict) for s in raw):
             raise InputError("malformed curvature samples: samples must be an array of objects")
@@ -209,13 +231,14 @@ def cmd_eds_verify(payload, cfg: Config, samples: Optional[int]) -> tuple:
     return report.to_json(), 0 if report.all_pass else 2
 
 
-#: the options before the command, and those of each command, with the reader of each value
+#: the options before the command, and those of each command, with the reader of each value, and the name of the
+#: command's function, looked up when called so that a wrapper of it (``perfbench/layers.py``'s tracer) runs
 _GLOBAL_OPTIONS = {"--tol": float, "--seed": int, "--epsilon": str, "--out": str}
 _COMMANDS = {
-    "pair": {"--input": str},
-    "splitting": {"--input": str},
-    "hypersurface": {"--input": str},
-    "eds": {"--input": str, "--samples": int},
+    "pair": ({"--input": str}, "cmd_pair_classify"),
+    "splitting": ({"--input": str}, "cmd_splitting_degree"),
+    "hypersurface": ({"--input": str}, "cmd_hypersurface"),
+    "eds": ({"--input": str, "--samples": int}, "cmd_eds_verify"),
 }
 
 
@@ -237,7 +260,7 @@ def _read_argv(argv: Sequence[str]) -> tuple:
                 raise InputError(f"unrecognized argument {arg!r}")
             if arg not in _COMMANDS:
                 raise InputError(f"invalid choice {arg!r} for the command (choose from {', '.join(_COMMANDS)})")
-            command, options = arg, _COMMANDS[arg]
+            command, options = arg, _COMMANDS[arg][0]
             continue
         name, eq, value = arg.partition("=")
         if name not in options:
@@ -263,33 +286,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "--epsilon" in opts:
             from .exterior import MultiVector, VolumeForm
 
-            try:
-                data = json.loads(opts["--epsilon"])
-            except json.JSONDecodeError as exc:
-                raise InputError(f"--epsilon expects a JSON volume form: {exc}") from None
+            data = _parse_json(opts["--epsilon"], "--epsilon expects a JSON volume form")
             eps = VolumeForm.from_form(MultiVector.from_json(data, "--epsilon"))
         cfg = Config(tolerance=opts.get("--tol", DEFAULT_TOL), seed=opts.get("--seed", 0), epsilon=eps,
                      out=opts.get("--out"))
-    except (InputError, ValueError, TypeError, KeyError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    path, samples = opts.get("--input"), opts.get("--samples")
-    try:
-        if command == "pair":
-            report, code = cmd_pair_classify(_load_object(path), cfg)
-        elif command == "splitting":
-            report, code = cmd_splitting_degree(_load_object(path), cfg)
-        elif command == "hypersurface":
-            report, code = cmd_hypersurface(_load_object(path), cfg)
-        else:
-            if samples is not None and path is not None:
-                raise InputError("eds reads --input or draws --samples, not both")
-            if samples is not None and not 0 <= samples <= MAX_SAMPLES:
-                raise InputError(f"--samples must be nonnegative and at most {MAX_SAMPLES}")
-            report, code = cmd_eds_verify(None if samples is not None else _load_payload(path), cfg, samples)
+        report, code = globals()[_COMMANDS[command][1]](opts, cfg)
         text = render_json(report) + "\n"
-    except (InputError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (InputError, ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

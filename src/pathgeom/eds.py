@@ -36,31 +36,27 @@ from . import linalg
 from .exterior import OMEGA0, PHI0, MultiVector, wedge
 from .scalars import json_of_shape, rational_from_json, scalar_to_json, to_scalar
 
-DIM = 12
-
 #: coframe slot order: eight connection components, then the coordinates
 COFRAME_LABELS: Tuple[str, ...] = (
     "t00", "t01", "t02", "t10", "t11", "t12", "t20", "t21",
     "dx1", "dx2", "dx3", "dx4",
 )
+DIM = len(COFRAME_LABELS)
 
+#: the 1-based slot of each label; θⁱⱼ is ``t{i}{j}``
 _SLOT: Dict[str, int] = {label: i + 1 for i, label in enumerate(COFRAME_LABELS)}
-_THETA_SLOT: Dict[Tuple[int, int], int] = {
-    (0, 0): 1, (0, 1): 2, (0, 2): 3,
-    (1, 0): 4, (1, 1): 5, (1, 2): 6,
-    (2, 0): 7, (2, 1): 8,
-}
 #: the 0-based slots of θ¹₀, θ²₀ and θ²₁, the only components ζ reads
-_ZETA_SLOTS = tuple(_THETA_SLOT[ij] - 1 for ij in ((1, 0), (2, 0), (2, 1)))
+_ZETA_SLOTS = tuple(_SLOT[label] - 1 for label in ("t10", "t20", "t21"))
 
 
 def theta(i: int, j: int) -> MultiVector:
     """Connection component θⁱⱼ as a 1-form; θ²₂ is the trace elimination."""
     if (i, j) == (2, 2):
-        return MultiVector(DIM, 1, {(_THETA_SLOT[(0, 0)],): Fraction(-1), (_THETA_SLOT[(1, 1)],): Fraction(-1)})
-    if (i, j) not in _THETA_SLOT:
+        return -(theta(0, 0) + theta(1, 1))
+    label = f"t{i}{j}"
+    if label not in _SLOT:
         raise ValueError(f"no connection component ({i},{j})")
-    return MultiVector.basis(DIM, (_THETA_SLOT[(i, j)],))
+    return MultiVector.basis(DIM, (_SLOT[label],))
 
 
 class CurvatureSample:
@@ -131,10 +127,10 @@ def structure_d(component: str, curvature: CurvatureSample) -> MultiVector:
 
 
 def on_dx_slots(form: MultiVector) -> MultiVector:
-    """A form on ℝ⁴ written in the 12-dimensional coframe, with dxⁱ at slot 8 + i."""
+    """A form on ℝ⁴ written in the 12-dimensional coframe, with dxⁱ at the slot of ``dx{i}``."""
     if form.dim != 4:
         raise ValueError(f"expected a form on the 4-space, got dim {form.dim}")
-    return MultiVector(DIM, form.degree, {tuple(8 + i for i in idx): c for idx, c in form.terms.items()})
+    return MultiVector(DIM, form.degree, {tuple(_SLOT[f"dx{i}"] for i in idx): c for idx, c in form.terms.items()})
 
 
 def _integer_terms(form: MultiVector) -> Tuple[dict, int]:

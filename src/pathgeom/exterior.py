@@ -11,9 +11,11 @@ vectors and each coefficient of its pullback are one sum, over its terms, of a
 coefficient times a k×k minor of a matrix: the vectors as columns, or the
 map's matrix.  That sum is taken in one place.
 
-The dimension-4 specifics live at the bottom: the wedge pairing
-⟨ω,φ⟩ defined by ω∧φ = ⟨ω,φ⟩ε for a chosen volume form ε, its split
-(3,3) signature on Λ²(ℝ⁴)*, and the skew matrix of a 2-form.
+The dimension-4 specifics live at the bottom: the wedge pairing ⟨ω,φ⟩ defined
+by ω∧φ = ⟨ω,φ⟩ε for a chosen volume form ε, :class:`EllipticPair` (a pair with
+a definite wedge Gram, the class of ``pairs`` and of
+``splitting.OrientedPositivePlane``), the split (3,3) signature on Λ²(ℝ⁴)*
+and the skew matrix of a 2-form.
 """
 
 from __future__ import annotations
@@ -307,6 +309,18 @@ def _gram_definite_sign(g: Gram) -> int:
     if ww * pp - wp * wp <= 0:
         return 0
     return 1 if ww > 0 else -1
+
+
+class EllipticPair:
+    """An elliptic pair of 2-forms, the volume form its pairings refer to, and ``gram``, its wedge Gram, computed once here."""
+
+    __slots__ = ("omega", "phi", "eps", "gram")
+
+    def __init__(self, omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME):
+        g = gram_matrix(omega, phi, eps)
+        if _gram_definite_sign(g) == 0:
+            raise ValueError("pair is not elliptic: <w,w><p,p> <= <w,p>^2")
+        self.omega, self.phi, self.eps, self.gram = omega, phi, eps, g
 
 
 def pairing_signature(eps: VolumeForm = DEFAULT_VOLUME) -> Tuple[int, int]:

@@ -14,8 +14,9 @@ and the coframe is computed in Fractions, so the only roundings are κ's
 square root and the storing of the basis as floats.  The result is certified
 by its reconstruction of (ω, φ), in floats, before it is returned.
 
-An :class:`EllipticPair` computes its wedge Gram once, when built, and keeps
-it as ``pair.gram``; the functions below that take a pair read it from there.
+An :class:`EllipticPair`, defined in :mod:`pathgeom.exterior`, computes its wedge
+Gram once, when built, and keeps it as ``pair.gram``; the functions below that
+take a pair read it from there.
 :func:`is_symplectic`, :func:`is_elliptic` and :func:`orthogonalize` take no
 volume form: ε ↦ cε divides every pairing by c, which moves no zero test, no
 sign of ⟨ω,ω⟩⟨φ,φ⟩ − ⟨ω,φ⟩² and no ratio of two pairings.
@@ -24,22 +25,22 @@ sign of ⟨ω,ω⟩⟨φ,φ⟩ − ⟨ω,φ⟩² and no ratio of two pairings.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence, Tuple
 
 from . import linalg
 from .exterior import (
-    DEFAULT_VOLUME,
+    EllipticPair,
     MultiVector,
-    VolumeForm,
     _form_matrix,
     _gram_definite_sign,
     conformal_pairing,
     gram_matrix,
     pullback,
 )
-from .scalars import DEFAULT_TOL, sqrt_of
+from .scalars import DEFAULT_TOL, json_of_shape, sqrt_of
 
 
 def is_symplectic(omega: MultiVector) -> bool:
@@ -59,21 +60,6 @@ def orthogonalize(omega: MultiVector, phi: MultiVector) -> MultiVector:
         raise ValueError("omega is not symplectic; cannot orthogonalize against it")
     wp = conformal_pairing(omega, phi)
     return phi - omega * (wp / ww)
-
-
-class EllipticPair:
-    """An elliptic pair of 2-forms with the volume form its pairings refer to.
-
-    ``gram`` is the wedge Gram of (ω, φ) under ``eps``, computed once here.
-    """
-
-    __slots__ = ("omega", "phi", "eps", "gram")
-
-    def __init__(self, omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME):
-        g = gram_matrix(omega, phi, eps)
-        if _gram_definite_sign(g) == 0:
-            raise ValueError("pair is not elliptic: <w,w><p,p> <= <w,p>^2")
-        self.omega, self.phi, self.eps, self.gram = omega, phi, eps, g
 
 
 def _require_orthogonal(pair: EllipticPair) -> Tuple[Fraction, Fraction]:
@@ -135,9 +121,10 @@ class NormalForm:
 
     @classmethod
     def from_json(cls, data) -> "NormalForm":
+        data = json_of_shape(data, dict, "a normal form", "kappa", "basis", "epsilon_flipped")
         return cls(
             kappa=float(data["kappa"]),
-            basis=tuple(tuple(float(x) for x in row) for row in data["basis"]),
+            basis=tuple(tuple(map(float, json_of_shape(r, list, "a basis row"))) for r in json_of_shape(data["basis"], list, "the basis")),
             epsilon_flipped=bool(data["epsilon_flipped"]),
         )
 
@@ -149,15 +136,15 @@ def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
     reconstruction residual beyond ``tol`` times the largest coefficient.  If
     both self-pairings are negative the volume form is flipped and the flip
     recorded.  The returned form keeps the reconstruction residual it was
-    checked on.  A κ, basis entry or coefficient outside the float range is
-    refused with an error that says so.
+    checked on.  A nonzero κ, basis entry or coefficient outside the range of
+    normal floats is refused with an error that says so.
     """
     ww, pp = _require_orthogonal(pair)
     # elliptic + orthogonal forces sign(<w,w>) == sign(<p,p>)
     flipped = ww < 0
     k2 = pp / ww
     kappa = sqrt_of(k2)
-    if not kappa:
+    if kappa < sys.float_info.min:
         raise ValueError("kappa is below the float range")
 
     # exact, so the basis is rounded once, when it is stored.  e3 is the
@@ -192,7 +179,7 @@ def normal_form(pair: EllipticPair, tol: float = DEFAULT_TOL) -> NormalForm:
 
 
 def _times_float(x: Fraction, f: float) -> float:
-    """float(x)·f, also where float(x) alone would leave the float range; OverflowError beyond it.
+    """float(x)·f, also where float(x) alone would leave the float range; OverflowError where a nonzero one is not a normal float.
 
     With x = y·2ˢ and f = g·2ᵗ for y, g near 1, y·g rounds as float(x)·f does,
     scaled by 2⁻ˢ⁻ᵗ, wherever that product is a normal float, and a power of two
@@ -201,14 +188,18 @@ def _times_float(x: Fraction, f: float) -> float:
     n, d = x.numerator, x.denominator
     s = n.bit_length() - d.bit_length()
     g, t = math.frexp(f)
-    return math.ldexp((n / (d << s) if s >= 0 else (n << -s) / d) * g, s + t)
+    y = math.ldexp((n / (d << s) if s >= 0 else (n << -s) / d) * g, s + t)
+    if n and abs(y) < sys.float_info.min:
+        raise OverflowError("a nonzero value below the normal floats")
+    return y
 
 
 def reconstruction_residual(pair: EllipticPair, nf: NormalForm) -> float:
     """The largest coefficient of (ω, φ) rebuilt from the float basis and κ, minus (ω, φ).
 
     In floats: the coefficient of e¹∧e³ − e²∧e⁴ and of κ(e¹∧e⁴ + e²∧e³) on
-    dxⁱ∧dxʲ is a sum of 2×2 minors of the basis rows.
+    dxⁱ∧dxʲ is a sum of 2×2 minors of the basis rows; OverflowError for a
+    nonzero coefficient of (ω, φ) outside the normal floats.
     """
     e1, e2, e3, e4 = nf.basis
 
@@ -217,10 +208,10 @@ def reconstruction_residual(pair: EllipticPair, nf: NormalForm) -> float:
 
     res = 0.0
     for i, j in combinations(range(4), 2):
-        omega = pair.omega.coefficient((i + 1, j + 1))
-        phi = pair.phi.coefficient((i + 1, j + 1))
-        res = max(res, abs(minor(e1, e3, i, j) - minor(e2, e4, i, j) - float(omega)),
-                  abs((minor(e1, e4, i, j) + minor(e2, e3, i, j)) * nf.kappa - float(phi)))
+        omega = _times_float(pair.omega.coefficient((i + 1, j + 1)), 1.0)
+        phi = _times_float(pair.phi.coefficient((i + 1, j + 1)), 1.0)
+        res = max(res, abs(minor(e1, e3, i, j) - minor(e2, e4, i, j) - omega),
+                  abs((minor(e1, e4, i, j) + minor(e2, e3, i, j)) * nf.kappa - phi))
     return res
 
 

@@ -15,11 +15,12 @@ when that root is rational.  The checks that take an allowance ``tol``
 (J² = −Id, equal spans, equal degrees) default to 0, which makes them exact.
 Every matrix computation goes through :mod:`pathgeom.linalg`.
 
-An :class:`OrientedPositivePlane` or :class:`Splitting` computes the wedge
-Gram of its generators once, when built, checks it for definiteness there and
-keeps it as ``gram``; the functions below read their pairings from it.  In
-the same way a :class:`ComplexStructure` builds Λ_J once, which checks J's
-orientation, and keeps it as ``plane``: :func:`plane_of` reads it.
+An :class:`OrientedPositivePlane`, an ``exterior.EllipticPair`` with a positive
+Gram, and a :class:`Splitting`, which flips ε on a negative one, compute the
+wedge Gram of their generators once, when built, check it for definiteness
+there and keep it as ``gram``; the functions below read their pairings from
+it.  In the same way a :class:`ComplexStructure` builds Λ_J once, which checks
+J's orientation, and keeps it as ``plane``: :func:`plane_of` reads it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .exterior import (
     J0_MATRIX,
     OMEGA0,
     PHI0,
+    EllipticPair,
     MultiVector,
     VolumeForm,
     _form_matrix,
@@ -45,22 +47,15 @@ from .exterior import (
 from .scalars import DEFAULT_TOL, json_of_shape, sqrt_of, to_scalar
 
 
-class OrientedPositivePlane:
-    """Ordered spanning pair (ω, φ); the order is the orientation.
+class OrientedPositivePlane(EllipticPair):
+    """Ordered spanning pair (ω, φ), an elliptic pair whose Gram is positive definite; the order is the orientation."""
 
-    ``gram`` is the wedge Gram of (ω, φ) under ``eps``, computed once here.
-    """
-
-    __slots__ = ("omega", "phi", "eps", "gram")
+    __slots__ = ()
 
     def __init__(self, omega: MultiVector, phi: MultiVector, eps: VolumeForm = DEFAULT_VOLUME):
-        g = gram_matrix(omega, phi, eps)
-        sign = _gram_definite_sign(g)
-        if sign == 0:
-            raise ValueError("wedge pairing is not definite on the span")
-        if sign < 0:
+        super().__init__(omega, phi, eps)
+        if self.gram[0][0] < 0:
             raise ValueError("wedge pairing is negative definite on the span: the plane belongs to the opposite orientation")
-        self.omega, self.phi, self.eps, self.gram = omega, phi, eps, g
 
 
 #: the basis 2-forms eᵃ∧eᵇ in the order Λ_J's real part is tried on

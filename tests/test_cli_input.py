@@ -19,15 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathgeom import OMEGA0, PHI0, MultiVector, canonical_model, heisenberg_model, sphere_chart_model
-from pathgeom.cli import main
+from pathgeom.cli import MAX_NESTING, main
 from pathgeom.polynomials import Poly
 
 
 def call(argv, payload):
     """``main(argv)`` with ``payload`` as JSON on stdin: (exit code, stdout, stderr, seconds)."""
+    return call_text(argv, json.dumps(payload))
+
+
+def call_text(argv, text):
+    """``main(argv)`` with ``text`` on stdin: (exit code, stdout, stderr, seconds)."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
-    with mock.patch("sys.stdin", io.StringIO(json.dumps(payload))), redirect_stdout(out), redirect_stderr(err):
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
 
@@ -242,7 +247,8 @@ def test_residual_beyond_tol_is_refused():
 
 @pytest.mark.parametrize("omega_scale, phi_scale, code", [
     (Fraction(10) ** 155, 1, 0), (Fraction(10) ** -300, 1, 0), (Fraction(10) ** 2000, 1, 1), (1, Fraction(10) ** -2000, 1),
-], ids=["1e155", "1e-300", "1e2000", "phi-1e-2000"])
+    (Fraction(10) ** -337, Fraction(10) ** -63, 1), (Fraction(10) ** 150, Fraction(10) ** -170, 1),
+], ids=["1e155", "1e-300", "1e2000", "phi-1e-2000", "below-normal-coefficients", "below-normal-kappa"])
 def test_pair_near_the_float_range(omega_scale, phi_scale, code):
     """A normal form in floats is printed whatever the size of its intermediates; one beyond floats is one line."""
     payload = {"omega": (OMEGA0 * omega_scale).to_json(), "phi": (PHI0 * phi_scale).to_json()}
@@ -255,6 +261,47 @@ def test_pair_near_the_float_range(omega_scale, phi_scale, code):
         assert "float range" in err
 
 
+def nested(depth: int) -> str:
+    """Arrays nested ``depth`` deep around 0."""
+    return "[" * depth + "0" + "]" * depth
+
+
+#: the end of the error line for JSON nested past ``MAX_NESTING``
+NESTED_PAST_THE_LIMIT = f"JSON arrays and objects nested more than {MAX_NESTING} deep are refused"
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 100_000])
+@pytest.mark.parametrize("command", ["pair", "splitting", "hypersurface", "eds"])
+def test_input_nested_past_the_limit_is_one_line_naming_it(command, depth):
+    """Past the limit, and past what Python's JSON reader reads, the line is the same."""
+    code, out, err, _ = call_text([command], nested(depth))
+    assert (code, out, err) == (1, "", f"error: cannot read input: {NESTED_PAST_THE_LIMIT}\n")
+
+
+@pytest.mark.parametrize("command", ["pair", "splitting", "hypersurface", "eds"])
+def test_input_nested_to_the_limit_is_read(command):
+    """At the limit the value is read, and refused for its shape."""
+    code, out, err, _ = call_text([command], nested(MAX_NESTING))
+    assert_one_error_line(code, out, err)
+    assert "nested" not in err
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_epsilon_nested_past_the_limit_is_one_line_naming_it(depth):
+    code, out, err, _ = call(["--epsilon", nested(depth), "pair"], pair_payload())
+    assert (code, out, err) == (1, "", f"error: --epsilon expects a JSON volume form: {NESTED_PAST_THE_LIMIT}\n")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.integers(MAX_NESTING - 3, MAX_NESTING), st.text(alphabet='[]{}"\\ ,:a', max_size=12))
+def test_only_brackets_outside_strings_nest(depth, text):
+    """A string of brackets, quotes and backslashes adds no depth, as a key, a first value or one after a comma."""
+    doc = "[" * depth + json.dumps({text: [text, text]}) + "]" * depth
+    code, out, err, _ = call_text(["pair"], doc)
+    assert_one_error_line(code, out, err)
+    assert ("nested more than" in err) == (depth + 2 > MAX_NESTING)
+
+
 # -- fuzz ------------------------------------------------------------------------
 
 FUZZ_BASES = {
@@ -264,6 +311,9 @@ FUZZ_BASES = {
                                         "points": [["1/2", "1/3", "0"], [1, 0.5, 2]]}),
     "eds": (["eds"], {"samples": [{"W1": "1/2", "W2": 2, "F1": 0.5, "F2": "-3"}]}),
     "epsilon": (["pair"], eps_json("2")),
+    "pair-nested": (["pair"], {**pair_payload(), "note": json.loads(nested(MAX_NESTING + 5))}),
+    "pair-below-normal": (["pair"], {"omega": (OMEGA0 * Fraction(10) ** -337).to_json(),
+                                     "phi": (PHI0 * Fraction(10) ** -63).to_json()}),
 }
 
 #: what a number or an index, or any other node, is replaced by

@@ -147,6 +147,11 @@ class TestKappa:
             EllipticPair(OMEGA0, OMEGA0)
 
 
+#: a coframe whose e¹ = dx¹ + 10⁻³¹⁰dx² has an entry below the normal floats; ω₀ and φ₀ pulled back by it have
+#: coefficients ±10¹⁰ and 10⁻³⁰⁰, κ = 1, and these rows for their normal form's basis
+SUBNORMAL_ENTRY = [[1, Fraction(1, 10 ** 310), 0, 0], [0, 1, 0, 0], [0, 0, 10 ** 10, 0], [0, 0, 0, 10 ** 10]]
+
+
 class TestNormalForm:
     def test_model_pair_gives_identity_coframe(self):
         nf = normal_form(EllipticPair(OMEGA0, PHI0))
@@ -221,10 +226,27 @@ class TestNormalForm:
         (OMEGA0 * Fraction(10) ** 2000, PHI0),
         (OMEGA0, PHI0 * Fraction(10) ** -2000),
         (OMEGA0 * Fraction(10) ** 400, PHI0 * Fraction(10) ** 400),
-    ], ids=["kappa-1e-2000-large-omega", "kappa-1e-2000-small-phi", "basis-entry-1e400"])
+        (OMEGA0 * Fraction(10) ** -337, PHI0 * Fraction(10) ** -63),
+        (OMEGA0 * Fraction(10) ** 150, PHI0 * Fraction(10) ** -170),
+        (pullback(OMEGA0, SUBNORMAL_ENTRY), pullback(PHI0, SUBNORMAL_ENTRY)),
+    ], ids=["kappa-1e-2000-large-omega", "kappa-1e-2000-small-phi", "basis-entry-1e400", "coefficient-1e-337",
+            "kappa-1e-320", "basis-entry-1e-310"])
     def test_beyond_the_float_range_is_named(self, omega, phi):
+        """Every coefficient, κ and basis entry that is not zero is a normal float, or the pair is refused."""
         with pytest.raises(ValueError, match="float range"):
             normal_form(EllipticPair(omega, phi))
+
+    @pytest.mark.parametrize("data, error, message", [
+        ({"kappa": 1}, ValueError, "a normal form has no key 'basis'"),
+        ({"kappa": 1, "basis": 5, "epsilon_flipped": False}, TypeError, "the basis must be a JSON array, not int"),
+        ({"kappa": 1, "basis": [5], "epsilon_flipped": False}, TypeError,
+         "a basis row must be a JSON array, not int"),
+        ([1.0, [[1.0]], False], TypeError, "a normal form must be a JSON object, not list"),
+    ], ids=["no-basis", "basis-number", "row-number", "list"])
+    def test_from_json_names_the_shape_or_the_key(self, data, error, message):
+        with pytest.raises(error) as info:
+            NormalForm.from_json(data)
+        assert str(info.value) == message
 
 
 def _orient(entries) -> list:

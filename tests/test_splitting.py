@@ -14,6 +14,7 @@ from pathgeom import (
     OMEGA0,
     PHI0,
     ComplexStructure,
+    EllipticPair,
     MultiVector,
     OrientedPositivePlane,
     Splitting,
@@ -172,8 +173,14 @@ class TestJOfPlane:
             assert res <= 1e-9
 
     def test_indefinite_span_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not elliptic"):
             OrientedPositivePlane(E(4, (1, 2)), E(4, (3, 4)))
+
+    def test_plane_is_an_elliptic_pair_with_a_positive_gram(self):
+        plane = OrientedPositivePlane(OMEGA0, PHI0)
+        assert isinstance(plane, EllipticPair) and plane.gram == ((2, 0), (0, 2))
+        with pytest.raises(ValueError, match="opposite orientation"):
+            OrientedPositivePlane(OMEGA0, PHI0, DEFAULT_VOLUME.flipped())
 
 
 class TestSpansSameOrientedPlane:
